@@ -36,7 +36,7 @@ from .liealg import (
     solve_crossed_homs_grid,
     twist_iso_check,
 )
-from .linalg import parse_rational
+from .linalg import rational
 from .report import Finding, Report
 from .rinehart import (
     LeibnizPair,
@@ -59,18 +59,13 @@ REPS = {"trivial": trivial_rep, "natural": natural_rep_gl, "adjoint": adjoint_re
 _INPUT_ERRORS = (ParseError, ShapeError, InvariantError, MalformedP, SearchSpaceTooLarge, OSError)
 
 
-def _parse_element(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(parse_rational(c) for c in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"--element: {exc}") from None
+def _rationals(text: str, flag: str) -> tuple[Fraction, ...]:
+    return tuple(rational(c, flag) for c in text.split(","))
 
 
-def _parse_grid(text: str) -> list[Fraction]:
-    try:
-        return [parse_rational(c) for c in text.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"--grid: {exc}") from None
+def _require_positive_n(n: int):
+    if n < 1:
+        raise ParseError(f"--n must be >= 1, got {n}")
 
 
 def _load_setup(path: str) -> Setup:
@@ -176,7 +171,7 @@ def cmd_nijenhuis(args, report: Report):
         report.add_findings(bad)
         return
     if args.element is not None:
-        x = _parse_element(args.element)
+        x = _rationals(args.element, "--element")
         findings = coh.check_nijenhuis(s, x)
         report.add_findings(findings)
         conditions = {}
@@ -189,7 +184,7 @@ def cmd_nijenhuis(args, report: Report):
             )
         report.payload["conditions"] = conditions
     elif args.grid is not None:
-        grid = _parse_grid(args.grid)
+        grid = _rationals(args.grid, "--grid")
         passing = coh.nijenhuis_grid(s, grid)
         report.payload["passing"] = [[str(c) for c in x] for x in passing]
         report.payload["count"] = len(passing)
@@ -207,7 +202,7 @@ def cmd_deform(args, report: Report):
         return
     if args.element is None:
         raise ParseError("deform requires --element (the Nijenhuis witness)")
-    x = _parse_element(args.element)
+    x = _rationals(args.element, "--element")
     nij = coh.check_nijenhuis(s, x)
     if nij:
         report.add_findings(nij)
@@ -218,9 +213,10 @@ def cmd_deform(args, report: Report):
 
 
 def cmd_witt_verify(args, report: Report):
+    _require_positive_n(args.n)
     p = q = None
     if args.family == "pq":
-        q = parse_rational(args.q) if args.q is not None else Fraction(0)
+        q = rational(args.q, "--q") if args.q is not None else Fraction(0)
         if args.p_file is not None:
             p = formats.twisting_polynomials_from_file(args.p_file, args.n)
         else:
@@ -235,6 +231,7 @@ def cmd_witt_verify(args, report: Report):
 
 
 def cmd_shen_larsson(args, report: Report):
+    _require_positive_n(args.n)
     theta = REPS[args.rep](args.n)
     action = shen_larsson_action(theta)
     actors = witt_window_basis(args.n, args.window)
@@ -263,7 +260,7 @@ def cmd_solve_grid(args, report: Report):
     s = _load_setup(args.input)
     if not _require_sound_setup(report, s):
         return
-    grid = _parse_grid(args.grid)
+    grid = _rationals(args.grid, "--grid")
     sols = solve_crossed_homs_grid(s.g, s.h, s.rho, grid)
     report.payload["count"] = len(sols)
     report.payload["solutions"] = [H.matrix.render_rows() for H in sols]

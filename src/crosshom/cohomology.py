@@ -5,13 +5,17 @@ Cochains of degree k are alternating maps from k-fold products of g to h,
 stored on strictly increasing basis index tuples; evaluation at a permuted
 tuple picks up the permutation sign and repeated indices give zero.
 
-Two differentials are implemented independently and tied together by the sign
-relation d_rho_H f = (-1)^(k-1) (d f + [[H, f]]):
+One coboundary loop, `plain_differential`, builds the degree-raising map d of
+any action, with signs (-1)^(m+i) on the action terms and (-1)^(m+i+j-1) on
+bracket insertion.  The cohomology of a crossed homomorphism H is the
+Chevalley-Eilenberg cohomology of g with coefficients in the induced action
+rho_H(x)u = rho(x)u + [Hx, u], so on a degree-k cochain
 
-  * the degree-raising map d built from the action alone, with signs
-    (-1)^(m+i) on the action terms and (-1)^(m+i+j-1) on bracket insertion;
-  * the coboundary d_rho_H of the twisted action rho_H, with the classical
-    (-1)^(i+1) / (-1)^(i+j) signs and the extra [Hx_i, .] middle terms.
+    d_rho_H f = (-1)^(k+1) d_{rho_H} f,
+
+the plain differential of rho_H with the classical (-1)^(i+1) / (-1)^(i+j)
+signs restored.  `sign_relation_check` compares it with the independently
+computed d_rho f + [[H, f]] through d_rho_H f = (-1)^(k-1) (d f + [[H, f]]).
 
 The skew bracket [[f1, f2]] carries the global sign (-1)^(mn+1) over all
 (m, n)-shuffles.  A linear map H is a crossed homomorphism exactly when
@@ -31,6 +35,7 @@ from .liealg import (
     FinLieAlgebra,
     LieAction,
     Setup,
+    _induced_action_unchecked,
     check_crossed_hom,
 )
 from .linalg import (
@@ -271,35 +276,10 @@ def _require_crossed_hom(s: Setup):
         raise NotCrossedHom("; ".join(str(f) for f in bad))
 
 
-def _ce_differential_unchecked(s: Setup, f: Cochain) -> Cochain:
-    g, h = s.g, s.h
-    k = f.degree
-    values = {}
-    for S in itertools.combinations(range(g.dim), k + 1):
-        total = vzero(h.dim)
-        for pos in range(k + 1):
-            rest = S[:pos] + S[pos + 1 :]
-            v = eval_basis(f, rest)
-            if not is_zero_vector(v):
-                term = vadd(
-                    s.rho.matrices[S[pos]].apply(v),
-                    h.bracket(s.H.column(S[pos]), v),
-                )
-                total = vadd(total, term) if pos % 2 == 0 else vsub(total, term)
-        for pi, pj in itertools.combinations(range(k + 1), 2):
-            w = g.bracket_basis(S[pi], S[pj])
-            if is_zero_vector(w):
-                continue
-            rest = tuple(S[t] for t in range(k + 1) if t not in (pi, pj))
-            term = vzero(h.dim)
-            for t, c in enumerate(w):
-                if c:
-                    term = vadd(term, vscale(c, eval_basis(f, (t,) + rest)))
-            # sign (-1)^(i+j) with 1-based positions
-            total = vadd(total, term) if (pi + pj) % 2 == 0 else vsub(total, term)
-        if not is_zero_vector(total):
-            values[S] = total
-    return Cochain(k + 1, g.dim, h.dim, values)
+def _twisted_differential(rho_H: LieAction, f: Cochain) -> Cochain:
+    """d_rho_H f = (-1)^(k+1) times the plain differential of rho_H."""
+    df = plain_differential(rho_H, f)
+    return df if f.degree % 2 else cochain_scale(Fraction(-1), df)
 
 
 def ce_differential(s: Setup, f: Cochain) -> Cochain:
@@ -307,13 +287,12 @@ def ce_differential(s: Setup, f: Cochain) -> Cochain:
     if (f.g_dim, f.h_dim) != (s.g.dim, s.h.dim):
         raise DimensionMismatch("cochain does not match the setup")
     _require_crossed_hom(s)
-    return _ce_differential_unchecked(s, f)
+    return _twisted_differential(_induced_action_unchecked(s), f)
 
 
 def sign_relation_check(s: Setup, f: Cochain) -> bool:
     """d_rho_H f == (-1)^(k-1) (d f + [[H, f]]), evaluated exactly."""
-    _require_crossed_hom(s)
-    lhs = _ce_differential_unchecked(s, f)
+    lhs = ce_differential(s, f)
     Hc = cochain_from_matrix(s.H.matrix)
     rhs = cochain_add(plain_differential(s.rho, f), derived_bracket(s.h, Hc, f))
     if (f.degree - 1) % 2:
@@ -359,6 +338,7 @@ def differential_matrix(s: Setup, k: int) -> Matrix:
     major; rows likewise one degree up.
     """
     g_dim, h_dim = s.g.dim, s.h.dim
+    rho_H = _induced_action_unchecked(s)
     dom = list(itertools.combinations(range(g_dim), k))
     cod = list(itertools.combinations(range(g_dim), k + 1))
     cod_index = {T: p for p, T in enumerate(cod)}
@@ -368,7 +348,7 @@ def differential_matrix(s: Setup, k: int) -> Matrix:
     for tpos, T in enumerate(dom):
         for u in range(h_dim):
             f = Cochain(k, g_dim, h_dim, {T: tuple(Fraction(1 if w == u else 0) for w in range(h_dim))})
-            df = _ce_differential_unchecked(s, f)
+            df = _twisted_differential(rho_H, f)
             col = tpos * h_dim + u
             for S, v in df.values.items():
                 base = cod_index[S] * h_dim
@@ -444,7 +424,7 @@ def check_linear_deformation(s: Setup, frkH: Matrix) -> list[Finding]:
     if (frkH.rows, frkH.cols) != (s.h.dim, s.g.dim):
         raise DimensionMismatch("deformation direction has the wrong shape")
     findings = []
-    d = _ce_differential_unchecked(s, cochain_from_matrix(frkH))
+    d = _twisted_differential(_induced_action_unchecked(s), cochain_from_matrix(frkH))
     for S, v in sorted(d.values.items()):
         findings.append(
             Finding(
@@ -496,18 +476,23 @@ def _nij3(s: Setup, x: Vector, rx: Matrix) -> list[Finding]:
     return out
 
 
-def _nij4(s: Setup, x: Vector, rx: Matrix) -> list[Finding]:
-    g, h = s.g, s.h
+def _twisted_images(s: Setup, x: Vector) -> Matrix:
+    """Column i is rho_H(e_i)(Hx) = rho(e_i)(Hx) + [He_i, Hx], the coboundary of Hx."""
     Hx = s.H.apply(x)
+    cols = [
+        vadd(s.rho.matrices[i].apply(Hx), s.h.bracket(s.H.column(i), Hx))
+        for i in range(s.g.dim)
+    ]
+    return Matrix.from_columns(cols) if cols else Matrix.zero(s.h.dim, 0)
+
+
+def _nij4(s: Setup, x: Vector, rx: Matrix) -> list[Finding]:
+    images = _twisted_images(s, x)
     out = []
-    for j in range(g.dim):
-        inner = vadd(
-            s.rho.matrices[j].apply(Hx),
-            h.bracket(s.H.column(j), Hx),
-        )
-        res = rx.apply(inner)
+    for j in range(s.g.dim):
+        res = rx.apply(images.col(j))
         if not is_zero_vector(res):
-            out.append(Finding("Nij4", (g.basis_names[j],), res))
+            out.append(Finding("Nij4", (s.g.basis_names[j],), res))
     return out
 
 
@@ -543,15 +528,7 @@ def trivial_deformation_generator(s: Setup, x: Vector) -> Matrix:
     bad = check_nijenhuis(s, x)
     if bad:
         raise NotNijenhuis("; ".join(str(f) for f in bad))
-    Hx = s.H.apply(x)
-    cols = []
-    for i in range(s.g.dim):
-        v = vadd(
-            s.rho.matrices[i].apply(Hx),
-            s.h.bracket(s.H.column(i), Hx),
-        )
-        cols.append(vscale(Fraction(-1), v))
-    return Matrix.from_columns(cols) if cols else Matrix.zero(s.h.dim, 0)
+    return -_twisted_images(s, x)
 
 
 def check_deformation_equivalence(
@@ -565,13 +542,7 @@ def check_deformation_equivalence(
     """
     _require_crossed_hom(s)
     findings = []
-    Hx = s.H.apply(x)
-    cols = []
-    for i in range(s.g.dim):
-        v = vadd(s.rho.matrices[i].apply(Hx), s.h.bracket(s.H.column(i), Hx))
-        cols.append(vscale(Fraction(-1), v))
-    coboundary = Matrix.from_columns(cols)
-    diff = (frkH2 - frkH1) - coboundary
+    diff = (frkH2 - frkH1) + _twisted_images(s, x)
     if not diff.is_zero():
         findings.append(Finding("deforiso-1", ("frkH2 - frkH1",), diff))
     rx = s.rho.of(x)

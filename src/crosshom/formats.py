@@ -24,20 +24,9 @@ from .liealg import (
     check_crossed_hom,
     check_lie_algebra,
 )
-from .linalg import Matrix, Vector, is_zero_vector
+from .linalg import Matrix, Vector, is_zero_vector, rational
 from .rinehart import AModuleStructure, LeibnizPair, LieRinehart
 from .witt import FinCommAlgebra, LaurentPoly
-
-
-def _parse_rational(text, where: str) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise ParseError(f"{where}: expected a rational string, got {text!r}")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{where}: cannot parse rational {text!r}: {exc}") from None
 
 
 def _name_index(names: list[str], name: str, where: str) -> int:
@@ -52,7 +41,7 @@ def _value_vector(value: dict, names: list[str], where: str) -> Vector:
         raise ParseError(f"{where}: 'value' must be an object mapping names to rationals")
     out = [Fraction(0)] * len(names)
     for name, coeff in value.items():
-        out[_name_index(names, name, where)] = _parse_rational(coeff, where)
+        out[_name_index(names, name, where)] = rational(coeff, where)
     return tuple(out)
 
 
@@ -65,7 +54,7 @@ def _matrix_from_rows(rows, expected: tuple[int, int], where: str) -> Matrix:
     if got != expected:
         raise ShapeError(f"{where}: matrix is {got[0]}x{got[1]}, expected {expected[0]}x{expected[1]}")
     return Matrix.from_rows(
-        [[_parse_rational(e, where) for e in r] for r in rows]
+        [[rational(e, where) for e in r] for r in rows]
     )
 
 
@@ -319,6 +308,6 @@ def twisting_polynomials_from_file(path_str: str, n: int) -> list[LaurentPoly]:
             except ValueError:
                 raise ParseError(f"{path}: exponent {exp_str!r} is not an integer") from None
             r = tuple(e if k == var - 1 else 0 for k in range(n))
-            poly = poly + LaurentPoly.monomial(n, r, _parse_rational(coeff, str(path)))
+            poly = poly + LaurentPoly.monomial(n, r, rational(coeff, str(path)))
         polys[var - 1] = poly
     return polys

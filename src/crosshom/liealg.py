@@ -30,6 +30,7 @@ from .linalg import (
     Matrix,
     Vector,
     is_zero_vector,
+    lincomb,
     rational,
     vadd,
     vector,
@@ -162,11 +163,9 @@ class LieAction:
         """rho(x) for a general x, by linearity."""
         if len(x) != self.source.dim:
             raise DimensionMismatch("element has wrong length for the source algebra")
-        out = Matrix.zero(self.target.dim, self.target.dim)
-        for i, c in enumerate(x):
-            if c:
-                out = out + self.matrices[i].scale(c)
-        return out
+        if not x:
+            return Matrix.zero(self.target.dim, self.target.dim)
+        return lincomb(self.matrices, x)
 
 
 def adjoint_action(L: FinLieAlgebra) -> LieAction:

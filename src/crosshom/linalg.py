@@ -10,11 +10,12 @@ the pivot choice.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, ParseError, SingularMatrix
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -22,24 +23,30 @@ Vector = tuple[Fraction, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+_EXPONENT = re.compile(r"[eE][-+]?\d")
 
-def rational(x) -> Fraction:
-    """Coerce an int, string ("p/q" or decimal integer) or Fraction."""
+
+def rational(x, where: str = "") -> Fraction:
+    """Coerce a Fraction, an int or a string ("p/q", an integer or a decimal).
+
+    This is the one place where text becomes a Fraction.  Every failure raises
+    ParseError, whose message starts with `where` when one is given.  Exponent
+    notation ("1e5") is refused: Fraction would expand "1e999999999" into a
+    billion-digit integer.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
+    prefix = f"{where}: " if where else ""
+    if not isinstance(x, str):
+        raise ParseError(f"{prefix}expected a rational string, got {x!r}")
+    if _EXPONENT.search(x):
+        raise ParseError(f"{prefix}exponent notation is not accepted: {x!r}")
+    try:
         return Fraction(x.strip())
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-def parse_rational(text: str) -> Fraction:
-    return rational(text)
-
-
-def render_rational(q: Fraction) -> str:
-    return str(q)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{prefix}cannot parse rational {x!r}: {exc}") from None
 
 
 def vector(entries: Iterable) -> Vector:
@@ -200,6 +207,25 @@ class Matrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(r) for r in self.render_rows()) + "]"
+
+
+def lincomb(mats: Sequence[Matrix], coeffs: Sequence) -> Matrix:
+    """sum_i coeffs[i] * mats[i]; the matrices must share one shape."""
+    if len(mats) != len(coeffs):
+        raise DimensionMismatch(f"{len(mats)} matrices but {len(coeffs)} coefficients")
+    if not mats:
+        raise DimensionMismatch("an empty linear combination has no shape")
+    rows, cols = mats[0].rows, mats[0].cols
+    data = [ZERO] * (rows * cols)
+    for m, c in zip(mats, coeffs):
+        if (m.rows, m.cols) != (rows, cols):
+            raise DimensionMismatch("matrix shapes differ")
+        if c:
+            c = rational(c)
+            for k, a in enumerate(m.data):
+                if a:
+                    data[k] += c * a
+    return Matrix(rows, cols, tuple(data))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

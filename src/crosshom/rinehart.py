@@ -27,19 +27,18 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidPair, NotCrossedHom
 from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup, check_crossed_hom, check_lie_algebra
-from .linalg import Matrix, Vector, is_zero_vector, kron, rational
+from .linalg import ONE, Matrix, Vector, is_zero_vector, kron, lincomb, rational
 from .report import Finding
 from .witt import (
     FinCommAlgebra,
     LaurentPoly,
+    SparseElem,
     WittElem,
     Window,
     _add_term,
     _coeff_prefix,
     _exp_str,
-    _merged,
     _render_terms,
-    _scaled,
     check_comm_algebra,
     crossed_hom_pq,
     derivation_violations,
@@ -75,11 +74,9 @@ class AModuleStructure:
                 )
 
     def of(self, a: Vector) -> Matrix:
-        out = Matrix.zero(self.dim_m, self.dim_m)
-        for s, c in enumerate(a):
-            if c:
-                out = out + self.action[s].scale(c)
-        return out
+        if not a:
+            return Matrix.zero(self.dim_m, self.dim_m)
+        return lincomb(self.action, a)
 
 
 def regular_module(A: FinCommAlgebra) -> AModuleStructure:
@@ -155,11 +152,7 @@ class LieRinehart:
         return AModuleStructure(self.algebra, self.lie.dim, self.a_action)
 
     def anchor_of(self, x: Vector) -> Matrix:
-        out = Matrix.zero(self.algebra.dim, self.algebra.dim)
-        for i, c in enumerate(x):
-            if c:
-                out = out + self.anchor[i].scale(c)
-        return out
+        return lincomb(self.anchor, x)
 
 
 @dataclass(frozen=True)
@@ -177,13 +170,6 @@ class LeibnizPair:
             if (m.rows, m.cols) != (self.algebra.dim, self.algebra.dim):
                 raise DimensionMismatch("beta matrices must act on A")
 
-    def beta_of(self, x: Vector) -> Matrix:
-        out = Matrix.zero(self.algebra.dim, self.algebra.dim)
-        for i, c in enumerate(x):
-            if c:
-                out = out + self.beta[i].scale(c)
-        return out
-
 
 def underlying_pair(lr: LieRinehart) -> LeibnizPair:
     """Forget the A-module structure on L."""
@@ -195,11 +181,7 @@ def _der_lie_hom_violations(
 ) -> list[Finding]:
     findings = []
     for i, j in itertools.combinations(range(lie.dim), 2):
-        w = lie.bracket_basis(i, j)
-        lhs = Matrix.zero(A.dim, A.dim)
-        for t, c in enumerate(w):
-            if c:
-                lhs = lhs + mats[t].scale(c)
+        lhs = lincomb(mats, lie.bracket_basis(i, j))
         rhs = mats[i] * mats[j] - mats[j] * mats[i]
         diff = lhs - rhs
         if not diff.is_zero():
@@ -280,11 +262,7 @@ def _rep_violations(
     if len(rho) != lie.dim:
         raise DimensionMismatch("one representation matrix per Lie basis vector is required")
     for i, j in itertools.combinations(range(lie.dim), 2):
-        w = lie.bracket_basis(i, j)
-        lhs = Matrix.zero(dim_m, dim_m)
-        for t, c in enumerate(w):
-            if c:
-                lhs = lhs + rho[t].scale(c)
+        lhs = lincomb(rho, lie.bracket_basis(i, j))
         rhs = rho[i] * rho[j] - rho[j] * rho[i]
         diff = lhs - rhs
         if not diff.is_zero():
@@ -314,11 +292,7 @@ def check_weak_rep(
         A = lr.algebra
         for s in range(A.dim):
             for i in range(lr.lie.dim):
-                w = lr.a_action[s].col(i)
-                lhs = Matrix.zero(mod.dim_m, mod.dim_m)
-                for t, c in enumerate(w):
-                    if c:
-                        lhs = lhs + rho[t].scale(c)
+                lhs = lincomb(rho, lr.a_action[s].col(i))
                 rhs = mod.action[s] * rho[i]
                 diff = lhs - rhs
                 if not diff.is_zero():
@@ -561,23 +535,19 @@ def boxplus_pullback(
     """
     lie, _, A = _carrier_parts(carrier)
     certify_gl_tensor_crossed_hom(carrier, theta.n, H)
-    dimA = A.dim
     n = theta.n
     iv = Matrix.identity(theta.dim_v)
-    mats = []
-    for x in range(lie.dim):
-        m = kron(iv, rho[x])
-        col = H.col(x)
-        for flat, c in enumerate(col):
-            if c:
-                ij, s = divmod(flat, dimA)
-                i, j = divmod(ij, n)
-                m = m + kron(theta.theta[(i, j)], mod.action[s]).scale(c)
-        mats.append(m)
-    tensor_mod = AModuleStructure(
-        A, theta.dim_v * mod.dim_m, tuple(kron(iv, mod.action[s]) for s in range(dimA))
+    # H's row index (i * n + j) * dim A + s is E_ij (x) a_s, acting as theta(E_ij) (x) a_s
+    blocks = [
+        kron(theta.theta[(i, j)], a) for i in range(n) for j in range(n) for a in mod.action
+    ]
+    mats = tuple(
+        lincomb([kron(iv, rho[x])] + blocks, (ONE,) + H.col(x)) for x in range(lie.dim)
     )
-    return tuple(mats), tensor_mod
+    tensor_mod = AModuleStructure(
+        A, theta.dim_v * mod.dim_m, tuple(kron(iv, a) for a in mod.action)
+    )
+    return mats, tensor_mod
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +555,7 @@ def boxplus_pullback(
 
 
 @dataclass(frozen=True)
-class VTensorA:
+class VTensorA(SparseElem):
     """Element of V (x) A_n: keys are (component index, exponent tuple)."""
 
     n: int
@@ -606,23 +576,8 @@ class VTensorA:
             raise DimensionMismatch(f"exponent length {len(r)} != {n}")
         return VTensorA(n, dim_v, {(p, r): c} if c else {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same(self, other: "VTensorA"):
-        if self.n != other.n or self.dim_v != other.dim_v:
-            raise DimensionMismatch("tensor elements live in different spaces")
-
-    def __add__(self, other: "VTensorA") -> "VTensorA":
-        self._require_same(other)
-        return VTensorA(self.n, self.dim_v, _merged(self.terms, other.terms, Fraction(1)))
-
-    def __sub__(self, other: "VTensorA") -> "VTensorA":
-        self._require_same(other)
-        return VTensorA(self.n, self.dim_v, _merged(self.terms, other.terms, Fraction(-1)))
-
-    def scale(self, c) -> "VTensorA":
-        return VTensorA(self.n, self.dim_v, _scaled(self.terms, rational(c)))
+    def _shape(self) -> tuple:
+        return (self.n, self.dim_v)
 
     def poly_scale(self, a: LaurentPoly) -> "VTensorA":
         """Multiply the coefficient factor: a (v (x) x^s) = v (x) a x^s."""
@@ -634,16 +589,6 @@ class VTensorA:
                 key = (p, tuple(u + w for u, w in zip(r, s)))
                 _add_term(out, key, ct * ca)
         return VTensorA(self.n, self.dim_v, out)
-
-    def sorted_terms(self) -> list[tuple[tuple[int, MultiIndex], Fraction]]:
-        return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VTensorA)
-            and (self.n, self.dim_v) == (other.n, other.dim_v)
-            and dict(self.terms) == dict(other.terms)
-        )
 
     def __str__(self) -> str:
         parts = []

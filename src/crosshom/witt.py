@@ -51,19 +51,6 @@ def _add_term(terms: dict, key, coeff: Fraction):
         terms.pop(key, None)
 
 
-def _scaled(terms: Mapping, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {k: c * v for k, v in terms.items()}
-
-
-def _merged(a: Mapping, b: Mapping, sb: Fraction) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        _add_term(out, k, sb * v)
-    return out
-
-
 def _exp_str(r: MultiIndex) -> str:
     return "x^(" + ",".join(str(e) for e in r) + ")"
 
@@ -95,8 +82,57 @@ def window_exponents(n: int, bound: int) -> list[MultiIndex]:
     return list(itertools.product(range(-bound, bound + 1), repeat=n))
 
 
+class SparseElem:
+    """Sparse vector over Q whose `terms` map keys to nonzero Fractions.
+
+    Subclasses are frozen dataclasses whose last field is `terms`; the fields
+    before it (`_shape`) fix the ambient space, and only elements of the same
+    class and shape combine.  Equality is the dataclass one.
+    """
+
+    def _shape(self) -> tuple:
+        return (self.n,)
+
+    def _new(self, terms: dict):
+        return type(self)(*self._shape(), terms)
+
+    def _require_same(self, other: "SparseElem"):
+        if type(other) is not type(self) or other._shape() != self._shape():
+            raise DimensionMismatch(
+                f"cannot combine {type(self).__name__}{self._shape()} with "
+                f"{type(other).__name__}{other._shape()}"
+            )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._require_same(other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            _add_term(out, k, v)
+        return self._new(out)
+
+    def __sub__(self, other):
+        self._require_same(other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            _add_term(out, k, -v)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({k: -v for k, v in self.terms.items()})
+
+    def scale(self, c):
+        c = rational(c)
+        return self._new({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items())
+
+
 @dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(SparseElem):
     """Element of the Laurent polynomial algebra in n variables, sparse."""
 
     n: int
@@ -118,27 +154,6 @@ class LaurentPoly:
     def one(n: int) -> "LaurentPoly":
         return LaurentPoly.monomial(n, (0,) * n)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same(self, other: "LaurentPoly"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"polynomials in {self.n} and {other.n} variables")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._require_same(other)
-        return LaurentPoly(self.n, _merged(self.terms, other.terms, Fraction(1)))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._require_same(other)
-        return LaurentPoly(self.n, _merged(self.terms, other.terms, Fraction(-1)))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.n, _scaled(self.terms, Fraction(-1)))
-
-    def scale(self, c) -> "LaurentPoly":
-        return LaurentPoly(self.n, _scaled(self.terms, rational(c)))
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._require_same(other)
         out: dict[MultiIndex, Fraction] = {}
@@ -153,16 +168,6 @@ class LaurentPoly:
             all(e == 0 for k, e in enumerate(r) if k != var) for r in self.terms
         )
 
-    def sorted_terms(self) -> list[tuple[MultiIndex, Fraction]]:
-        return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.n == other.n
-            and dict(self.terms) == dict(other.terms)
-        )
-
     def __str__(self) -> str:
         parts = []
         for r, c in self.sorted_terms():
@@ -174,7 +179,7 @@ class LaurentPoly:
 
 
 @dataclass(frozen=True)
-class WittElem:
+class WittElem(SparseElem):
     """Sparse element sum c_{r,i} x^r d_i; keys are (exponent tuple, direction)."""
 
     n: int
@@ -194,27 +199,6 @@ class WittElem:
         c = rational(coeff)
         return WittElem(n, {(r, i): c} if c else {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same(self, other: "WittElem"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"elements of W_{self.n} and W_{other.n}")
-
-    def __add__(self, other: "WittElem") -> "WittElem":
-        self._require_same(other)
-        return WittElem(self.n, _merged(self.terms, other.terms, Fraction(1)))
-
-    def __sub__(self, other: "WittElem") -> "WittElem":
-        self._require_same(other)
-        return WittElem(self.n, _merged(self.terms, other.terms, Fraction(-1)))
-
-    def __neg__(self) -> "WittElem":
-        return WittElem(self.n, _scaled(self.terms, Fraction(-1)))
-
-    def scale(self, c) -> "WittElem":
-        return WittElem(self.n, _scaled(self.terms, rational(c)))
-
     def apply(self, a: LaurentPoly) -> LaurentPoly:
         """Natural action on Laurent polynomials: (x^r d_i)(x^s) = s_i x^{r+s}."""
         if a.n != self.n:
@@ -226,16 +210,6 @@ class WittElem:
                     key = tuple(p + q for p, q in zip(r, s))
                     _add_term(out, key, cw * ca * s[i])
         return LaurentPoly(self.n, out)
-
-    def sorted_terms(self) -> list[tuple[tuple[MultiIndex, int], Fraction]]:
-        return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WittElem)
-            and self.n == other.n
-            and dict(self.terms) == dict(other.terms)
-        )
 
     def __str__(self) -> str:
         parts = []
@@ -298,7 +272,7 @@ def hamiltonian_bracket_coefficient(n: int, r: Sequence[int], s: Sequence[int]) 
 
 
 @dataclass(frozen=True)
-class GlLaurent:
+class GlLaurent(SparseElem):
     """Element of gl_n tensor Laurent polynomials; keys are (row, col, exponent)."""
 
     n: int
@@ -316,24 +290,6 @@ class GlLaurent:
         r = tuple(int(e) for e in r)
         return GlLaurent(n, {(i, j, r): c} if c else {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same(self, other: "GlLaurent"):
-        if self.n != other.n:
-            raise DimensionMismatch("gl sizes differ")
-
-    def __add__(self, other: "GlLaurent") -> "GlLaurent":
-        self._require_same(other)
-        return GlLaurent(self.n, _merged(self.terms, other.terms, Fraction(1)))
-
-    def __sub__(self, other: "GlLaurent") -> "GlLaurent":
-        self._require_same(other)
-        return GlLaurent(self.n, _merged(self.terms, other.terms, Fraction(-1)))
-
-    def scale(self, c) -> "GlLaurent":
-        return GlLaurent(self.n, _scaled(self.terms, rational(c)))
-
     def coefficient_matrices(self) -> dict[MultiIndex, Matrix]:
         """The matrix attached to each monomial x^r, as a dense Matrix."""
         buckets: dict[MultiIndex, dict] = {}
@@ -347,16 +303,6 @@ class GlLaurent:
             )
             out[r] = Matrix(self.n, self.n, data)
         return out
-
-    def sorted_terms(self) -> list[tuple[tuple[int, int, MultiIndex], Fraction]]:
-        return sorted(self.terms.items())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GlLaurent)
-            and self.n == other.n
-            and dict(self.terms) == dict(other.terms)
-        )
 
     def __str__(self) -> str:
         parts = []

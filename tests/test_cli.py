@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from crosshom import cli, formats
 from crosshom.liealg import Setup
 
@@ -296,3 +298,52 @@ def test_all_fixtures_mathematically_valid(capsys, fixtures_dir):
                 code, _ = run(capsys, command, str(path))
                 expected = 1 if "bad" in path.name else 0
                 assert code == expected, path.name
+
+
+def _run_without_traceback(capsys, *argv):
+    code = cli.main([*argv, "--json"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, json.loads(captured.out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witt-verify", "--n", "1", "--family", "pq", "--window", "1", "--q", "1/0"),
+        ("nijenhuis", "fixtures/dim2_case_ii.setup.json", "--element", "1/0,1"),
+        ("nijenhuis", "fixtures/heisenberg_adjoint.setup.json", "--grid=1/0,1"),
+        ("solve-grid", "fixtures/dim2_case_i.setup.json", "--grid=0,1e3"),
+    ],
+)
+def test_malformed_rational_arguments_exit_two(capsys, monkeypatch, fixtures_dir, argv):
+    monkeypatch.chdir(fixtures_dir.parent)
+    code, body = _run_without_traceback(capsys, *argv)
+    assert code == 2
+    assert body["status"] == "error"
+    assert body["error"]["type"] == "ParseError"
+
+
+def test_zero_denominator_in_setup_file_exit_two(capsys, tmp_path, fixtures_dir):
+    body = json.loads((fixtures_dir / "dim2_case_i.setup.json").read_text())
+    body["H"][0][0] = "1/0"
+    bad = tmp_path / "zero_denominator.setup.json"
+    bad.write_text(json.dumps(body))
+    code, out = _run_without_traceback(capsys, "check-crossed-hom", str(bad))
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
+    assert out["error"]["message"].startswith(f"{bad}.H: cannot parse rational '1/0'")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witt-verify", "--family", "full", "--window", "1"),
+        ("shen-larsson", "--rep", "natural", "--window", "1"),
+    ],
+)
+def test_nonpositive_n_exit_two(capsys, argv, n):
+    code, body = _run_without_traceback(capsys, *argv, "--n", n)
+    assert code == 2
+    assert body["error"] == {"type": "ParseError", "message": f"--n must be >= 1, got {n}"}

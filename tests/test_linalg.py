@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from crosshom.errors import DimensionMismatch, SingularMatrix
+from crosshom.errors import DimensionMismatch, ParseError, SingularMatrix
 from crosshom.linalg import (
     Matrix,
     invert,
     kernel_basis,
     kron,
-    parse_rational,
+    lincomb,
     rank,
-    render_rational,
+    rational,
 )
 
 
@@ -96,10 +96,43 @@ def test_rational_round_trip():
     rng = random.Random(3)
     for _ in range(100):
         q = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
-        assert parse_rational(render_rational(q)) == q
-    assert parse_rational("-3/7") == Fraction(-3, 7)
-    assert render_rational(Fraction(-3, 7)) == "-3/7"
-    assert render_rational(Fraction(4)) == "4"
+        assert rational(str(q)) == q
+    assert rational("-3/7") == Fraction(-3, 7)
+    assert str(Fraction(-3, 7)) == "-3/7"
+    assert str(Fraction(4)) == "4"
+
+
+def test_rational_accepts_ints_decimals_and_fractions():
+    assert rational(5) == Fraction(5)
+    assert rational(Fraction(2, 3)) == Fraction(2, 3)
+    assert rational(" 1.5 ") == Fraction(3, 2)
+    assert rational("-0.25") == Fraction(-1, 4)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x", "", "1/x", 1.5, None, [1], "1e5", "2E-3", "1.5e+2"])
+def test_rational_failures_are_parse_errors(bad):
+    with pytest.raises(ParseError):
+        rational(bad)
+
+
+def test_rational_failure_names_its_location():
+    with pytest.raises(ParseError, match=r"^setup\.H: cannot parse rational '1/0'"):
+        rational("1/0", "setup.H")
+    with pytest.raises(ParseError, match=r"^--q: exponent notation"):
+        rational("1e3", "--q")
+
+
+def test_lincomb():
+    a = Matrix.from_rows([[1, 2], [3, 4]])
+    b = Matrix.from_rows([[0, 1], [1, 0]])
+    assert lincomb([a, b], [Fraction(2), Fraction(-1, 2)]) == a.scale(2) + b.scale(Fraction(-1, 2))
+    assert lincomb([a, b], [0, 0]) == Matrix.zero(2, 2)
+    with pytest.raises(DimensionMismatch):
+        lincomb([a, b], [1])
+    with pytest.raises(DimensionMismatch):
+        lincomb([a, Matrix.identity(3)], [1, 1])
+    with pytest.raises(DimensionMismatch):
+        lincomb([], [])
 
 
 def test_matrix_shape_errors():
