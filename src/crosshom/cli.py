@@ -232,17 +232,14 @@ def cmd_witt_verify(args, report: Report):
 
 def cmd_shen_larsson(args, report: Report):
     _require_positive_n(args.n)
+    window = Window(args.window)
     theta = REPS[args.rep](args.n)
     action = shen_larsson_action(theta)
     actors = witt_window_basis(args.n, args.window)
     module = vtensor_window_basis(theta, args.n, args.window)
     if args.check:
-        report.add_findings(
-            check_module_axiom_window(action, args.n, Window(args.window), module)
-        )
-        report.add_findings(
-            check_weak_compat_window(action, args.n, Window(args.window), module)
-        )
+        report.add_findings(check_module_axiom_window(action, args.n, window, module))
+        report.add_findings(check_weak_compat_window(action, args.n, window, module))
     entries = []
     for w in actors:
         for t in module:

@@ -5,10 +5,28 @@ Cochains of degree k are alternating maps from k-fold products of g to h,
 stored on strictly increasing basis index tuples; evaluation at a permuted
 tuple picks up the permutation sign and repeated indices give zero.
 
-One coboundary loop, `plain_differential`, builds the degree-raising map d of
-any action, with signs (-1)^(m+i) on the action terms and (-1)^(m+i+j-1) on
-bracket insertion.  The cohomology of a crossed homomorphism H is the
-Chevalley-Eilenberg cohomology of g with coefficients in the induced action
+One coboundary, `plain_differential`, builds the degree-raising map d of any
+action.  On a degree-m cochain f and an increasing (m+1)-tuple S, with 0-based
+positions,
+
+    (d f)(S) = sum_pos (-1)^(m+pos+1) rho(e_S[pos]) f(S without pos)
+             + sum_{pi<pj} (-1)^(m+pi+pj+1) f([e_S[pi], e_S[pj]], S without pi, pj).
+
+It is computed in scatter form, from the nonzero values v = f(T) only:
+
+* action terms: for each i not in T, (-1)^(m+pos+1) rho(e_i) v goes to
+  S = T + {i}, where pos is the place of i in S;
+* bracket terms: for each t = T[p] with R = T - {t}, and each a < b outside R
+  with c = [e_a, e_b]_t nonzero, (-1)^(m+pi+pj+1) (-1)^p c v goes to
+  S = R + {a, b}; (-1)^p moves e_t from the front of (t, R) to its place in T.
+
+The tables behind it, the sparse columns of each rho(e_i) and the structure
+constants grouped by target index t, are built once per call.
+`differential_matrix` assembles column (T, u) from the same step applied to
+the unit value e_u at T, so both do work proportional to the nonzeros.
+
+The cohomology of a crossed homomorphism H is the Chevalley-Eilenberg
+cohomology of g with coefficients in the induced action
 rho_H(x)u = rho(x)u + [Hx, u], so on a degree-k cochain
 
     d_rho_H f = (-1)^(k+1) d_{rho_H} f,
@@ -26,6 +44,7 @@ is the negative of the pairwise crossed-homomorphism residual.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -190,37 +209,68 @@ def eval_vectors(f: Cochain, vecs: Sequence[Vector]) -> Vector:
     return out
 
 
+def _coboundary_tables(rho: LieAction):
+    """What the scatter step reads: for each g-basis index i the sparse columns
+    [(w, rho(e_i)[w, u]) ...] of rho(e_i), and for each target index t the
+    structure constants (a, b, [e_a, e_b]_t) with a < b and a nonzero value."""
+    g, n = rho.source, rho.target.dim
+    columns = [
+        [[(w, x) for w, x in enumerate(m.col(u)) if x] for u in range(n)] for m in rho.matrices
+    ]
+    by_target = [[] for _ in range(g.dim)]
+    for (a, b), v in sorted(g.structure.items()):
+        for t, c in enumerate(v):
+            if c:
+                by_target[t].append((a, b, c))
+    return columns, by_target
+
+
+def _scatter(tables, g_dim: int, T: tuple[int, ...], v, out: dict):
+    """Add the plain differential of the cochain with value v at T alone into
+    out[(S, w)]; v is a list of nonzero (u, coefficient) pairs."""
+    columns, by_target = tables
+    m = len(T)
+    pos = 0
+    for i in range(g_dim):
+        if pos < m and T[pos] == i:
+            pos += 1
+            continue
+        S = T[:pos] + (i,) + T[pos:]
+        neg = (m + pos + 1) % 2
+        col_i = columns[i]
+        for u, x in v:
+            for w, a in col_i[u]:
+                term = a * x
+                out[S, w] = out.get((S, w), ZERO) + (-term if neg else term)
+    for p, t in enumerate(T):
+        R = T[:p] + T[p + 1 :]
+        for a, b, c in by_target[t]:
+            if a in R or b in R:
+                continue
+            pa = bisect_left(R, a)
+            pb = bisect_left(R, b)
+            S = R[:pa] + (a,) + R[pa:pb] + (b,) + R[pb:]
+            # (-1)^(m + pi + pj + 1) with pi = pa, pj = pb + 1, times (-1)^p
+            neg = (m + pa + pb + p) % 2
+            for u, x in v:
+                term = c * x
+                out[S, u] = out.get((S, u), ZERO) + (-term if neg else term)
+
+
 def plain_differential(rho: LieAction, f: Cochain) -> Cochain:
     """Degree-raising differential built from the action alone."""
     g, h = rho.source, rho.target
     if (f.g_dim, f.h_dim) != (g.dim, h.dim):
         raise DimensionMismatch("cochain does not match the action's algebras")
-    m = f.degree
-    values = {}
-    for S in itertools.combinations(range(g.dim), m + 1):
-        total = vzero(h.dim)
-        for pos in range(m + 1):
-            rest = S[:pos] + S[pos + 1 :]
-            v = eval_basis(f, rest)
-            if not is_zero_vector(v):
-                term = rho.matrices[S[pos]].apply(v)
-                total = vadd(total, term) if (m + pos + 1) % 2 == 0 else vsub(total, term)
-        for pi, pj in itertools.combinations(range(m + 1), 2):
-            w = g.bracket_basis(S[pi], S[pj])
-            if is_zero_vector(w):
-                continue
-            rest = tuple(S[t] for t in range(m + 1) if t not in (pi, pj))
-            term = vzero(h.dim)
-            for t, c in enumerate(w):
-                if c:
-                    term = vadd(term, vscale(c, eval_basis(f, (t,) + rest)))
-            # sign (-1)^(m + i + j - 1) with 1-based i = pi+1, j = pj+1
-            total = (
-                vadd(total, term) if (m + pi + pj + 1) % 2 == 0 else vsub(total, term)
-            )
-        if not is_zero_vector(total):
-            values[S] = total
-    return Cochain(m + 1, g.dim, h.dim, values)
+    tables = _coboundary_tables(rho)
+    out: dict = {}
+    for T, v in f.values.items():
+        _scatter(tables, g.dim, T, [(u, x) for u, x in enumerate(v) if x], out)
+    values: dict = {}
+    for (S, w), c in out.items():
+        if c:
+            values.setdefault(S, [ZERO] * h.dim)[w] = c
+    return Cochain(f.degree + 1, g.dim, h.dim, {S: tuple(values[S]) for S in sorted(values)})
 
 
 def _shuffle_sign(positions: Sequence[int], complement: Sequence[int]) -> int:
@@ -335,26 +385,25 @@ def differential_matrix(s: Setup, k: int) -> Matrix:
     """Matrix of the degree-k coboundary on the lexicographic tuple basis.
 
     Columns are indexed by (tuple, h-basis) pairs with the tuple position
-    major; rows likewise one degree up.
+    major; rows likewise one degree up.  Column (T, u) is the scatter of the
+    unit value e_u at T, times (-1)^(k+1).
     """
     g_dim, h_dim = s.g.dim, s.h.dim
-    rho_H = _induced_action_unchecked(s)
+    tables = _coboundary_tables(_induced_action_unchecked(s))
     dom = list(itertools.combinations(range(g_dim), k))
     cod = list(itertools.combinations(range(g_dim), k + 1))
     cod_index = {T: p for p, T in enumerate(cod)}
     rows = len(cod) * h_dim
     cols = len(dom) * h_dim
     data = [ZERO] * (rows * cols)
+    unit = Fraction(1 if k % 2 else -1)
     for tpos, T in enumerate(dom):
         for u in range(h_dim):
-            f = Cochain(k, g_dim, h_dim, {T: tuple(Fraction(1 if w == u else 0) for w in range(h_dim))})
-            df = _twisted_differential(rho_H, f)
+            out: dict = {}
+            _scatter(tables, g_dim, T, [(u, unit)], out)
             col = tpos * h_dim + u
-            for S, v in df.values.items():
-                base = cod_index[S] * h_dim
-                for w, c in enumerate(v):
-                    if c:
-                        data[(base + w) * cols + col] = c
+            for (S, w), c in out.items():
+                data[(cod_index[S] * h_dim + w) * cols + col] = c
     return Matrix(rows, cols, tuple(data))
 
 
@@ -366,6 +415,8 @@ def cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
     """
     from .linalg import rank as _rank
 
+    if k_max < 0:
+        raise DimensionMismatch(f"the top cohomology degree must be >= 0, got {k_max}")
     _require_crossed_hom(s)
     g_dim, h_dim = s.g.dim, s.h.dim
 

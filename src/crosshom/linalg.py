@@ -3,9 +3,17 @@
 Scalars are `fractions.Fraction` throughout: arithmetic is exact and every
 value is kept in canonical reduced form (positive denominator, gcd 1) by the
 standard library.  Vectors are plain tuples of Fractions; matrices are thin
-immutable wrappers around a row-major tuple.  Elimination picks pivots of
-smallest bit-size to limit coefficient growth; correctness does not depend on
-the pivot choice.
+immutable wrappers around a row-major tuple.
+
+`rank`, `kernel_basis` and `invert` share one elimination over sparse rows,
+dicts {column: nonzero Fraction} built from the nonzero entries of the dense
+matrix, so its work follows the nonzeros rather than rows x cols.  Columns are
+taken left to right; the pivot for a column is the candidate row with the
+fewest nonzeros (the row half of the Markowitz rule), ties broken by the
+smaller bit-size of the pivot entry, to limit fill-in and coefficient growth.
+Because the columns keep their order, the reduced row echelon form that
+`kernel_basis` and `invert` read is the unique one of the matrix, whatever
+rows the pivot rule picks; `rank` stops at the echelon form.
 """
 
 from __future__ import annotations
@@ -32,11 +40,12 @@ def rational(x, where: str = "") -> Fraction:
     This is the one place where text becomes a Fraction.  Every failure raises
     ParseError, whose message starts with `where` when one is given.  Exponent
     notation ("1e5") is refused: Fraction would expand "1e999999999" into a
-    billion-digit integer.
+    billion-digit integer.  A bool is refused although it is an int: a JSON
+    `true` in a coefficient is a malformed file, not the number 1.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     prefix = f"{where}: " if where else ""
     if not isinstance(x, str):
@@ -244,63 +253,95 @@ def _bit_size(q: Fraction) -> int:
     return abs(q.numerator).bit_length() + q.denominator.bit_length()
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+def _sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
+    cols, data = m.cols, m.data
+    return [
+        {j: x for j, x in enumerate(data[i * cols : (i + 1) * cols]) if x}
+        for i in range(m.rows)
+    ]
+
+
+def _subtract(r: dict[int, Fraction], f: Fraction, piv: dict[int, Fraction]):
+    """r -= f * piv in place, dropping entries that cancel."""
+    for j, x in piv.items():
+        y = r.get(j, ZERO) - f * x
+        if y:
+            r[j] = y
+        else:
+            del r[j]
+
+
+def _echelon(
+    rows: list[dict[int, Fraction]], ncols: int
+) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Row echelon form of sparse rows, consumed; returns (pivot rows, pivot columns).
+
+    Columns are taken left to right.  Every active row sits in the bucket of
+    its leading column, so the candidates for column c are exactly bucket c.
+    The pivot is the candidate with the fewest nonzeros, ties broken by the
+    smaller bit-size of its entry at c; it is scaled to a leading 1.
+    """
+    buckets: dict[int, list[dict[int, Fraction]]] = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    pivot_rows: list[dict[int, Fraction]] = []
     pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        if pr == nrows:
+    for c in range(ncols):
+        if not buckets:
             break
-        best = None
-        for r in range(pr, nrows):
-            e = rows[r][pc]
-            if e:
-                key = _bit_size(e)
-                if best is None or key < best[0]:
-                    best = (key, r)
-        if best is None:
+        cands = buckets.pop(c, None)
+        if cands is None:
             continue
-        r = best[1]
-        rows[pr], rows[r] = rows[r], rows[pr]
-        inv = ONE / rows[pr][pc]
-        if inv != 1:
-            rows[pr] = [e * inv for e in rows[pr]]
-        piv_row = rows[pr]
-        for rr in range(nrows):
-            if rr != pr and rows[rr][pc]:
-                f = rows[rr][pc]
-                rows[rr] = [a - f * b for a, b in zip(rows[rr], piv_row)]
-        pivots.append(pc)
-        pr += 1
-    return rows, pivots
+        best = min(cands, key=lambda r: (len(r), _bit_size(r[c])))
+        inv = ONE / best[c]
+        piv = best if inv == 1 else {j: x * inv for j, x in best.items()}
+        for r in cands:
+            if r is best:
+                continue
+            _subtract(r, r[c], piv)
+            if r:
+                buckets.setdefault(min(r), []).append(r)
+        pivot_rows.append(piv)
+        pivots.append(c)
+    return pivot_rows, pivots
+
+
+def _reduced_echelon(
+    rows: list[dict[int, Fraction]], ncols: int
+) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced row echelon form: the echelon form, back-substituted bottom-up."""
+    pivot_rows, pivots = _echelon(rows, ncols)
+    for k in range(len(pivots) - 1, 0, -1):
+        pc, piv = pivots[k], pivot_rows[k]
+        for r in pivot_rows[:k]:
+            f = r.get(pc)
+            if f:
+                _subtract(r, f, piv)
+    return pivot_rows, pivots
 
 
 def rank(m: Matrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = _rref(m.row_lists())
-    return len(pivots)
+    return len(_echelon(_sparse_rows(m), m.cols)[1])
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
-    """Basis of the right null space; length cols - rank, each v has m.v = 0."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [tuple(ONE if i == j else ZERO for i in range(m.cols)) for j in range(m.cols)]
-    rows, pivots = _rref(m.row_lists())
+    """Basis of the right null space; length cols - rank, each v has m.v = 0.
+
+    Vector j sets the j-th free column to 1, the other free columns to 0 and
+    each pivot column to minus its reduced row's entry in that free column.
+    """
+    rows, pivots = _reduced_echelon(_sparse_rows(m), m.cols)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for k, pc in enumerate(pivots):
-            v[pc] = -rows[k][fc]
-        basis.append(tuple(v))
-    return basis
+    free = {fc: n for n, fc in enumerate(c for c in range(m.cols) if c not in pivot_set)}
+    basis = [[ZERO] * m.cols for _ in free]
+    for fc, n in free.items():
+        basis[n][fc] = ONE
+    for pc, row in zip(pivots, rows):
+        for j, x in row.items():
+            if j != pc:
+                basis[free[j]][pc] = -x
+    return [tuple(v) for v in basis]
 
 
 def invert(m: Matrix) -> Matrix:
@@ -308,8 +349,10 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
-    rows = [list(m.row(i)) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    rows, pivots = _rref(rows)
+    rows = _sparse_rows(m)
+    for i, r in enumerate(rows):
+        r[n + i] = ONE
+    rows, pivots = _reduced_echelon(rows, 2 * n)
     if pivots != list(range(n)):
         raise SingularMatrix(f"matrix of rank {len([p for p in pivots if p < n])} < {n}")
-    return Matrix.from_rows([r[n:] for r in rows])
+    return Matrix.from_rows([[r.get(n + j, ZERO) for j in range(n)] for r in rows])

@@ -347,3 +347,32 @@ def test_nonpositive_n_exit_two(capsys, argv, n):
     code, body = _run_without_traceback(capsys, *argv, "--n", n)
     assert code == 2
     assert body["error"] == {"type": "ParseError", "message": f"--n must be >= 1, got {n}"}
+
+
+@pytest.mark.parametrize("window", ["0", "-1"])
+@pytest.mark.parametrize("check", [(), ("--check",)])
+def test_shen_larsson_nonpositive_window_exit_two(capsys, window, check):
+    code, body = _run_without_traceback(
+        capsys, "shen-larsson", "--n", "1", "--rep", "natural", "--window", window, *check
+    )
+    assert code == 2
+    assert body["error"] == {"type": "DimensionMismatch", "message": "window bound must be >= 1"}
+
+
+def test_boolean_coefficient_in_algebra_file_exit_two(capsys, tmp_path, fixtures_dir):
+    body = json.loads((fixtures_dir / "sl2.alg.json").read_text())
+    body["brackets"][0]["value"] = {"h": True}
+    bad = tmp_path / "boolean.alg.json"
+    bad.write_text(json.dumps(body))
+    code, out = _run_without_traceback(capsys, "check-lie", str(bad))
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
+
+
+def test_cohomology_negative_max_degree_exit_two(capsys, fixtures_dir):
+    code, body = _run_without_traceback(
+        capsys, "cohomology", "--max-degree", "-1", str(fixtures_dir / "sl2_adjoint.setup.json")
+    )
+    assert code == 2
+    assert body["error"]["type"] == "DimensionMismatch"
+    assert body["payload"] == {}

@@ -24,7 +24,8 @@ from crosshom.cohomology import (
     trivial_deformation_generator,
     zero_cochain,
 )
-from crosshom.errors import NotCrossedHom, NotNijenhuis
+from crosshom import formats
+from crosshom.errors import DimensionMismatch, NotCrossedHom, NotNijenhuis
 from crosshom.liealg import (
     CrossedHom,
     LieAction,
@@ -34,12 +35,23 @@ from crosshom.liealg import (
     check_crossed_hom,
     check_hom_pair,
     crossed_hom_residual,
+    induced_action,
     sl2,
     zero_action,
 )
-from crosshom.linalg import Matrix, kernel_basis, rank
+from crosshom.linalg import (
+    Matrix,
+    is_zero_vector,
+    kernel_basis,
+    rank,
+    vadd,
+    vscale,
+    vsub,
+    vzero,
+)
+from crosshom.witt import generalized_witt_setup, scaling_derivation, truncated_polynomial_algebra
 
-from conftest import dim2_setup, heisenberg_setup, random_cochain, sl2_setup
+from conftest import FIXTURES, dim2_setup, heisenberg_setup, random_cochain, sl2_setup
 
 
 def frac(v):
@@ -73,6 +85,107 @@ def test_plain_differential_squares_to_zero():
         for _ in range(12):
             f = random_cochain(rng, k, 3, 3)
             assert plain_differential(rho, plain_differential(rho, f)).is_zero()
+
+
+def _gather_differential(rho, f):
+    """Reference: the gather form of the plain differential, in which every
+    (k+1)-set S collects its action and bracket terms from f."""
+    g, h = rho.source, rho.target
+    m = f.degree
+    values = {}
+    for S in itertools.combinations(range(g.dim), m + 1):
+        total = vzero(h.dim)
+        for pos in range(m + 1):
+            v = eval_basis(f, S[:pos] + S[pos + 1 :])
+            if not is_zero_vector(v):
+                term = rho.matrices[S[pos]].apply(v)
+                total = vadd(total, term) if (m + pos + 1) % 2 == 0 else vsub(total, term)
+        for pi, pj in itertools.combinations(range(m + 1), 2):
+            w = g.bracket_basis(S[pi], S[pj])
+            rest = tuple(S[t] for t in range(m + 1) if t not in (pi, pj))
+            term = vzero(h.dim)
+            for t, c in enumerate(w):
+                if c:
+                    term = vadd(term, vscale(c, eval_basis(f, (t,) + rest)))
+            total = vadd(total, term) if (m + pi + pj + 1) % 2 == 0 else vsub(total, term)
+        if not is_zero_vector(total):
+            values[S] = total
+    return Cochain(m + 1, g.dim, h.dim, values)
+
+
+def _generalized_witt(bounds):
+    A = truncated_polynomial_algebra(bounds)
+    return generalized_witt_setup(A, [scaling_derivation(bounds, v) for v in range(len(bounds))])
+
+
+def _sparse_random_cochain(rng, k, g_dim, h_dim):
+    keys = list(itertools.combinations(range(g_dim), k))
+    values = {}
+    for T in rng.sample(keys, min(len(keys), rng.randint(1, 3))):
+        v = [Fraction(0)] * h_dim
+        for u in rng.sample(range(h_dim), rng.randint(1, min(h_dim, 3))):
+            v[u] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        values[T] = tuple(v)
+    return Cochain(k, g_dim, h_dim, values)
+
+
+def test_scatter_differential_matches_gather_reference():
+    setups = [formats.load_file(str(p)) for p in sorted(FIXTURES.glob("*.setup.json"))]
+    setups += [_generalized_witt(b) for b in ((3,), (4,), (2, 2))]
+    rng = random.Random(30)
+    compared = 0
+    for s in setups:
+        actions = [s.rho] + ([induced_action(s)] if not check_crossed_hom(s) else [])
+        for rho in actions:
+            for k in range(4):
+                if k > s.g.dim:
+                    continue
+                for make in (random_cochain, _sparse_random_cochain, _sparse_random_cochain):
+                    f = make(rng, k, s.g.dim, s.h.dim)
+                    assert plain_differential(rho, f) == _gather_differential(rho, f)
+                    compared += 1
+    assert len(setups) >= 10
+    assert compared >= 160
+
+
+def test_differential_matrix_is_the_coboundary():
+    rng = random.Random(31)
+    setups = [sl2_setup(), dim2_setup([[-1, 2], [0, 1]])]
+    setups += [_generalized_witt(b) for b in ((3,), (4,))]
+    for s in setups:
+        g_dim, zero = s.g.dim, vzero(s.h.dim)
+
+        def coordinates(f):
+            keys = itertools.combinations(range(g_dim), f.degree)
+            return tuple(x for T in keys for x in f.values.get(T, zero))
+
+        for k in range(3):
+            f = random_cochain(rng, k, g_dim, s.h.dim)
+            assert differential_matrix(s, k).apply(coordinates(f)) == coordinates(
+                ce_differential(s, f)
+            )
+
+
+def _sparse_columns(m: Matrix) -> list[dict[int, Fraction]]:
+    cols = [{} for _ in range(m.cols)]
+    for p, x in enumerate(m.data):
+        if x:
+            cols[p % m.cols][p // m.cols] = x
+    return cols
+
+
+def test_differential_matrices_compose_to_zero():
+    s = _generalized_witt((2, 2))
+    for k in (0, 1):
+        d_k, d_next = differential_matrix(s, k), differential_matrix(s, k + 1)
+        assert d_next.cols == d_k.rows
+        next_cols = _sparse_columns(d_next)
+        for col in _sparse_columns(d_k):
+            product = {}
+            for r, x in col.items():
+                for i, y in next_cols[r].items():
+                    product[i] = product.get(i, 0) + x * y
+            assert not any(product.values())
 
 
 def test_derived_bracket_degree_zero():
@@ -206,6 +319,11 @@ def test_cohomology_trivial_line():
     s = Setup(g, g, zero_action(g, g), CrossedHom(Matrix.zero(1, 1)))
     rep = cohomology_dims(s, 1)
     assert rep.dims_H() == [1, 1]
+
+
+def test_cohomology_rejects_negative_degree():
+    with pytest.raises(DimensionMismatch):
+        cohomology_dims(sl2_setup(), -1)
 
 
 def test_cohomology_sl2_whitehead():

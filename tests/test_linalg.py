@@ -15,6 +15,25 @@ from crosshom.linalg import (
 )
 
 
+def _random_sparse_matrix(rng: random.Random) -> Matrix:
+    """Small rational matrix, often sparse, with some rows and columns zeroed."""
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    density = rng.choice((0.2, 0.5, 0.9))
+    data = [
+        [
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else Fraction(0)
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+        data[i] = [Fraction(0)] * cols
+    for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+        for r in data:
+            r[j] = Fraction(0)
+    return Matrix.from_rows(data)
+
+
 def test_rank_identity():
     assert rank(Matrix.identity(2)) == 2
 
@@ -47,14 +66,19 @@ def test_kernel_zero_matrix():
 
 def test_kernel_vectors_annihilated():
     rng = random.Random(11)
+    mats = []
     for _ in range(25):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = Matrix.from_rows(
-            [[Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+        mats.append(
+            Matrix.from_rows(
+                [[Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+            )
         )
+    mats += [_random_sparse_matrix(rng) for _ in range(60)]
+    for m in mats:
         basis = kernel_basis(m)
-        assert rank(m) + len(basis) == cols
+        assert rank(m) + len(basis) == m.cols
         for v in basis:
             assert all(c == 0 for c in m.apply(v))
 
@@ -92,6 +116,33 @@ def test_invert_random():
         done += 1
 
 
+def test_invert_sparse_random():
+    rng = random.Random(23)
+    done = 0
+    while done < 30:
+        m = _random_sparse_matrix(rng)
+        if m.rows != m.cols or rank(m) < m.rows:
+            if m.rows == m.cols:
+                with pytest.raises(SingularMatrix):
+                    invert(m)
+            continue
+        assert invert(m) * m == Matrix.identity(m.rows)
+        done += 1
+
+
+def test_rank_and_kernel_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20)
+    for _ in range(60):
+        m = _random_sparse_matrix(rng)
+        sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.data])
+        assert rank(m) == sm.rank()
+        # sympy's null space basis is read off the reduced row echelon form in
+        # the same way, so the unique RREF gives identical vectors
+        expected = [tuple(Fraction(int(c.p), int(c.q)) for c in v) for v in sm.nullspace()]
+        assert kernel_basis(m) == expected
+
+
 def test_rational_round_trip():
     rng = random.Random(3)
     for _ in range(100):
@@ -109,7 +160,9 @@ def test_rational_accepts_ints_decimals_and_fractions():
     assert rational("-0.25") == Fraction(-1, 4)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "x", "", "1/x", 1.5, None, [1], "1e5", "2E-3", "1.5e+2"])
+@pytest.mark.parametrize(
+    "bad", ["1/0", "x", "", "1/x", 1.5, None, [1], "1e5", "2E-3", "1.5e+2", True, False]
+)
 def test_rational_failures_are_parse_errors(bad):
     with pytest.raises(ParseError):
         rational(bad)
