@@ -52,7 +52,13 @@ from .rinehart import (
     trivial_rep,
     vtensor_window_basis,
 )
-from .witt import Window, verify_witt_crossed_hom, witt_window_basis
+from .witt import (
+    Window,
+    require_window_count,
+    verify_witt_crossed_hom,
+    window_size,
+    witt_window_basis,
+)
 
 REPS = {"trivial": trivial_rep, "natural": natural_rep_gl, "adjoint": adjoint_rep_gl}
 
@@ -233,7 +239,12 @@ def cmd_witt_verify(args, report: Report):
 def cmd_shen_larsson(args, report: Report):
     _require_positive_n(args.n)
     window = Window(args.window)
+    size = window_size(args.n, args.window)
+    # the table has n * size actors times dim V * size module elements; dim V
+    # >= 1 bounds it before the representation's matrices are built
+    require_window_count(args.n * size * size, "table entries")
     theta = REPS[args.rep](args.n)
+    require_window_count(args.n * size * theta.dim_v * size, "table entries")
     action = shen_larsson_action(theta)
     actors = witt_window_basis(args.n, args.window)
     module = vtensor_window_basis(theta, args.n, args.window)

@@ -16,20 +16,26 @@ into a new module on V (x) M.  The same recipe on the sparse side gives the
 Shen-Larsson action of the vector-field algebra on V (x) A_n:
 
     (x^r d_i) . (v (x) x^s) = s_i v (x) x^{r+s} + sum_k r_k theta(E_ki) v (x) x^{r+s}.
+
+A gl_n representation builds the sparse columns of each theta(E_ki) once
+(`GlnRep.columns`), and the action reads them instead of the dense matrices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidPair, NotCrossedHom
 from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup, check_crossed_hom, check_lie_algebra
-from .linalg import ONE, Matrix, Vector, is_zero_vector, kron, lincomb, rational
+from .linalg import ONE, Matrix, Vector, is_zero_vector, kron, lincomb
 from .report import Finding
 from .witt import (
+    Coeff,
     FinCommAlgebra,
     LaurentPoly,
     SparseElem,
@@ -42,8 +48,11 @@ from .witt import (
     check_comm_algebra,
     crossed_hom_pq,
     derivation_violations,
+    exact_coeff,
     gl_tensor_algebra,
+    require_window_count,
     window_exponents,
+    window_size,
     witt_bracket,
     witt_window_basis,
 )
@@ -423,6 +432,17 @@ class GlnRep:
                 if (m.rows, m.cols) != (self.dim_v, self.dim_v):
                     raise DimensionMismatch("theta matrices must act on V")
 
+    @cached_property
+    def columns(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, Coeff], ...], ...]]:
+        """columns[(k, i)][p]: the nonzero (p2, entry) pairs of column p of theta(E_ki)."""
+        return {
+            key: tuple(
+                tuple((p2, exact_coeff(e)) for p2, e in enumerate(m.col(p)) if e)
+                for p in range(self.dim_v)
+            )
+            for key, m in self.theta.items()
+        }
+
 
 def trivial_rep(n: int) -> GlnRep:
     return GlnRep(n, 1, {(i, j): Matrix.zero(1, 1) for i in range(n) for j in range(n)})
@@ -560,7 +580,7 @@ class VTensorA(SparseElem):
 
     n: int
     dim_v: int
-    terms: Mapping[tuple[int, MultiIndex], Fraction]
+    terms: Mapping[tuple[int, MultiIndex], Coeff]
 
     @staticmethod
     def zero(n: int, dim_v: int) -> "VTensorA":
@@ -570,7 +590,7 @@ class VTensorA(SparseElem):
     def basis(n: int, dim_v: int, p: int, r: Sequence[int], coeff=1) -> "VTensorA":
         if not 0 <= p < dim_v:
             raise DimensionMismatch(f"component {p} outside 0..{dim_v - 1}")
-        c = rational(coeff)
+        c = exact_coeff(coeff)
         r = tuple(int(e) for e in r)
         if len(r) != n:
             raise DimensionMismatch(f"exponent length {len(r)} != {n}")
@@ -583,7 +603,7 @@ class VTensorA(SparseElem):
         """Multiply the coefficient factor: a (v (x) x^s) = v (x) a x^s."""
         if a.n != self.n:
             raise DimensionMismatch("variable counts differ")
-        out: dict[tuple[int, MultiIndex], Fraction] = {}
+        out: dict[tuple[int, MultiIndex], Coeff] = {}
         for (p, s), ct in self.terms.items():
             for r, ca in a.terms.items():
                 key = (p, tuple(u + w for u, w in zip(r, s)))
@@ -614,19 +634,18 @@ def shen_larsson_apply(theta: GlnRep, w: WittElem, t: VTensorA) -> VTensorA:
         raise DimensionMismatch("variable counts differ")
     if t.dim_v != theta.dim_v:
         raise DimensionMismatch("tensor component count differs from dim V")
-    out: dict[tuple[int, MultiIndex], Fraction] = {}
+    columns = theta.columns
+    out: dict[tuple[int, MultiIndex], Coeff] = {}
     for (r, i), cw in w.terms.items():
+        acting = [(rk, columns[(k, i)]) for k, rk in enumerate(r) if rk]
         for (p, s), ct in t.terms.items():
             c = cw * ct
             key_exp = tuple(a + b for a, b in zip(r, s))
             if s[i]:
                 _add_term(out, (p, key_exp), c * s[i])
-            for k in range(n):
-                if r[k]:
-                    col = theta.theta[(k, i)].col(p)
-                    for p2, e in enumerate(col):
-                        if e:
-                            _add_term(out, (p2, key_exp), c * r[k] * e)
+            for rk, cols in acting:
+                for p2, e in cols[p]:
+                    _add_term(out, (p2, key_exp), c * rk * e)
     return VTensorA(n, theta.dim_v, out)
 
 
@@ -672,6 +691,10 @@ def check_module_axiom_window(
     module_elems: Sequence[ModuleElem],
 ) -> list[Finding]:
     """[u, v].m = u.(v.m) - v.(u.m) on all windowed pairs and module elements."""
+    require_window_count(
+        math.comb(n * window_size(n, window.bound), 2) * len(module_elems),
+        "module-axiom identities",
+    )
     findings = []
     actors = witt_window_basis(n, window.bound)
     for u, v in itertools.combinations(actors, 2):
@@ -691,6 +714,8 @@ def check_weak_compat_window(
 ) -> list[Finding]:
     """u.(a m) = a (u.m) + u(a) m for windowed monomials a; the sparse
     counterpart of the first-order-operator compatibility."""
+    size = window_size(n, window.bound)
+    require_window_count(n * size * size * len(module_elems), "weak-compat identities")
     findings = []
     actors = witt_window_basis(n, window.bound)
     monomials = laurent_window_basis(n, window.bound)

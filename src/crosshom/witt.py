@@ -11,6 +11,13 @@ and the quadratic coefficient matrices land in sp_{2n}).  A Window bounds
 which basis elements get enumerated during verification; every individual
 identity check is exact.
 
+Coefficients of the sparse elements are exact rationals stored as Python
+`int` when integral and as `fractions.Fraction` otherwise (`exact_coeff`);
+the two compare, hash and print alike.  Every structure constant of the Witt,
+gl_n and Shen-Larsson kernels is an integer, so on integral input they run in
+int arithmetic; Fractions appear only through non-integral input, such as the
+pq twist with q = 1/2.  Dense `Matrix`/`Vector` values stay Fractions.
+
 Dense finite-dimensional commutative algebras and their derivation-generated
 Lie algebras (the generalized Witt construction) live here too, so the same
 crossed-homomorphism checker from `liealg` can certify the canonical maps on
@@ -23,6 +30,7 @@ E_11, ...) in strings and JSON.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -33,6 +41,7 @@ from .errors import (
     MalformedP,
     NotCommuting,
     NotDerivation,
+    SearchSpaceTooLarge,
 )
 from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup
 from .linalg import Matrix, Vector, is_zero_vector, rational, vector, vzero
@@ -42,9 +51,19 @@ MultiIndex = tuple[int, ...]
 
 ZERO = Fraction(0)
 
+Coeff = int | Fraction
 
-def _add_term(terms: dict, key, coeff: Fraction):
-    c = terms.get(key, ZERO) + coeff
+
+def exact_coeff(x) -> Coeff:
+    """`rational(x)`, stored as an int when it is integral."""
+    if type(x) is int:
+        return x
+    q = rational(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _add_term(terms: dict, key, coeff: Coeff):
+    c = terms.get(key, 0) + coeff
     if c:
         terms[key] = c
     else:
@@ -55,7 +74,7 @@ def _exp_str(r: MultiIndex) -> str:
     return "x^(" + ",".join(str(e) for e in r) + ")"
 
 
-def _coeff_prefix(c: Fraction) -> str:
+def _coeff_prefix(c: Coeff) -> str:
     if c == 1:
         return ""
     if c == -1:
@@ -78,12 +97,42 @@ class Window:
             raise DimensionMismatch("window bound must be >= 1")
 
 
+# Cap on what a windowed check enumerates: the exponent tuples of a window, and
+# the identities a check tests.  It is the candidate cap of the grid searches.
+MAX_WINDOW_COUNT = 10**7
+
+
+def require_window_count(count: int, what: str) -> int:
+    if count > MAX_WINDOW_COUNT:
+        raise SearchSpaceTooLarge(f"{count} {what} exceed the {MAX_WINDOW_COUNT} guard")
+    return count
+
+
+def window_size(n: int, bound: int) -> int:
+    """The number (2 bound + 1)^n of exponent tuples in a window.
+
+    Raises SearchSpaceTooLarge above MAX_WINDOW_COUNT, without computing the
+    power when it is certainly too large (a side of at least 2 and n of at
+    least 24 give at least 2^24 > 10^7 tuples).
+    """
+    side = max(2 * bound + 1, 0)
+    if side >= 2 and n >= MAX_WINDOW_COUNT.bit_length():
+        raise SearchSpaceTooLarge(
+            f"{side}^{n} window exponent tuples exceed the {MAX_WINDOW_COUNT} guard"
+        )
+    return require_window_count(side ** max(n, 0), "window exponent tuples")
+
+
 def window_exponents(n: int, bound: int) -> list[MultiIndex]:
+    window_size(n, bound)
     return list(itertools.product(range(-bound, bound + 1), repeat=n))
 
 
 class SparseElem:
-    """Sparse vector over Q whose `terms` map keys to nonzero Fractions.
+    """Sparse vector over Q whose `terms` map keys to nonzero exact rationals.
+
+    A value is an int or a Fraction, never a bool or a float; the constructors
+    and `scale` store an integral value as its int.
 
     Subclasses are frozen dataclasses whose last field is `terms`; the fields
     before it (`_shape`) fix the ambient space, and only elements of the same
@@ -124,8 +173,8 @@ class SparseElem:
         return self._new({k: -v for k, v in self.terms.items()})
 
     def scale(self, c):
-        c = rational(c)
-        return self._new({k: c * v for k, v in self.terms.items()} if c else {})
+        c = exact_coeff(c)
+        return self._new({k: exact_coeff(c * v) for k, v in self.terms.items()} if c else {})
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items())
@@ -136,7 +185,7 @@ class LaurentPoly(SparseElem):
     """Element of the Laurent polynomial algebra in n variables, sparse."""
 
     n: int
-    terms: Mapping[MultiIndex, Fraction]
+    terms: Mapping[MultiIndex, Coeff]
 
     @staticmethod
     def zero(n: int) -> "LaurentPoly":
@@ -144,7 +193,7 @@ class LaurentPoly(SparseElem):
 
     @staticmethod
     def monomial(n: int, r: Sequence[int], coeff=1) -> "LaurentPoly":
-        c = rational(coeff)
+        c = exact_coeff(coeff)
         r = tuple(int(e) for e in r)
         if len(r) != n:
             raise DimensionMismatch(f"exponent length {len(r)} != {n}")
@@ -156,7 +205,7 @@ class LaurentPoly(SparseElem):
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._require_same(other)
-        out: dict[MultiIndex, Fraction] = {}
+        out: dict[MultiIndex, Coeff] = {}
         for r, cr in self.terms.items():
             for s, cs in other.terms.items():
                 key = tuple(a + b for a, b in zip(r, s))
@@ -183,7 +232,7 @@ class WittElem(SparseElem):
     """Sparse element sum c_{r,i} x^r d_i; keys are (exponent tuple, direction)."""
 
     n: int
-    terms: Mapping[tuple[MultiIndex, int], Fraction]
+    terms: Mapping[tuple[MultiIndex, int], Coeff]
 
     @staticmethod
     def zero(n: int) -> "WittElem":
@@ -196,14 +245,14 @@ class WittElem(SparseElem):
         r = tuple(int(e) for e in r)
         if len(r) != n:
             raise DimensionMismatch(f"exponent length {len(r)} != {n}")
-        c = rational(coeff)
+        c = exact_coeff(coeff)
         return WittElem(n, {(r, i): c} if c else {})
 
     def apply(self, a: LaurentPoly) -> LaurentPoly:
         """Natural action on Laurent polynomials: (x^r d_i)(x^s) = s_i x^{r+s}."""
         if a.n != self.n:
             raise DimensionMismatch("variable counts differ")
-        out: dict[MultiIndex, Fraction] = {}
+        out: dict[MultiIndex, Coeff] = {}
         for (r, i), cw in self.terms.items():
             for s, ca in a.terms.items():
                 if s[i]:
@@ -222,7 +271,7 @@ class WittElem(SparseElem):
 def witt_bracket(a: WittElem, b: WittElem) -> WittElem:
     """[x^r d_i, x^s d_j] = s_i x^{r+s} d_j - r_j x^{r+s} d_i, extended bilinearly."""
     a._require_same(b)
-    out: dict[tuple[MultiIndex, int], Fraction] = {}
+    out: dict[tuple[MultiIndex, int], Coeff] = {}
     for (r, i), ca in a.terms.items():
         for (s, j), cb in b.terms.items():
             c = ca * cb
@@ -236,7 +285,7 @@ def witt_bracket(a: WittElem, b: WittElem) -> WittElem:
 
 def divergence(w: WittElem) -> LaurentPoly:
     """Linear extension of x^r d_i |-> r_i x^r."""
-    out: dict[MultiIndex, Fraction] = {}
+    out: dict[MultiIndex, Coeff] = {}
     for (r, i), c in w.terms.items():
         if r[i]:
             _add_term(out, r, c * r[i])
@@ -276,7 +325,7 @@ class GlLaurent(SparseElem):
     """Element of gl_n tensor Laurent polynomials; keys are (row, col, exponent)."""
 
     n: int
-    terms: Mapping[tuple[int, int, MultiIndex], Fraction]
+    terms: Mapping[tuple[int, int, MultiIndex], Coeff]
 
     @staticmethod
     def zero(n: int) -> "GlLaurent":
@@ -286,12 +335,12 @@ class GlLaurent(SparseElem):
     def basis(n: int, i: int, j: int, r: Sequence[int], coeff=1) -> "GlLaurent":
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"matrix position ({i}, {j}) outside 0..{n - 1}")
-        c = rational(coeff)
+        c = exact_coeff(coeff)
         r = tuple(int(e) for e in r)
         return GlLaurent(n, {(i, j, r): c} if c else {})
 
     def coefficient_matrices(self) -> dict[MultiIndex, Matrix]:
-        """The matrix attached to each monomial x^r, as a dense Matrix."""
+        """The matrix attached to each monomial x^r, as a dense Matrix of Fractions."""
         buckets: dict[MultiIndex, dict] = {}
         for (i, j, r), c in self.terms.items():
             buckets.setdefault(r, {})[(i, j)] = c
@@ -299,7 +348,9 @@ class GlLaurent(SparseElem):
         for r in sorted(buckets):
             entries = buckets[r]
             data = tuple(
-                entries.get((i, j), ZERO) for i in range(self.n) for j in range(self.n)
+                Fraction(entries.get((i, j), 0))
+                for i in range(self.n)
+                for j in range(self.n)
             )
             out[r] = Matrix(self.n, self.n, data)
         return out
@@ -315,7 +366,7 @@ class GlLaurent(SparseElem):
 def gl_bracket(a: GlLaurent, b: GlLaurent) -> GlLaurent:
     """[g (x) p, h (x) q] = [g, h] (x) pq with [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
     a._require_same(b)
-    out: dict[tuple[int, int, MultiIndex], Fraction] = {}
+    out: dict[tuple[int, int, MultiIndex], Coeff] = {}
     for (i, j, r), ca in a.terms.items():
         for (k, l, s), cb in b.terms.items():
             c = ca * cb
@@ -331,7 +382,7 @@ def witt_act_gl(w: WittElem, g: GlLaurent) -> GlLaurent:
     """Coefficientwise action: w(h (x) a) = h (x) w(a)."""
     if w.n != g.n:
         raise DimensionMismatch("variable counts differ")
-    out: dict[tuple[int, int, MultiIndex], Fraction] = {}
+    out: dict[tuple[int, int, MultiIndex], Coeff] = {}
     for (r, i), cw in w.terms.items():
         for (k, l, s), cg in g.terms.items():
             if s[i]:
@@ -342,7 +393,7 @@ def witt_act_gl(w: WittElem, g: GlLaurent) -> GlLaurent:
 
 def canonical_crossed_hom_W(w: WittElem) -> GlLaurent:
     """Linear extension of x^r d_j |-> sum_i r_i E_ij (x) x^r."""
-    out: dict[tuple[int, int, MultiIndex], Fraction] = {}
+    out: dict[tuple[int, int, MultiIndex], Coeff] = {}
     for (r, j), c in w.terms.items():
         for i, ri in enumerate(r):
             if ri:
@@ -431,6 +482,13 @@ def verify_witt_crossed_hom(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family == "ham":
+        count = window_size(2 * n, window.bound)
+    elif family == "sdiv":
+        count = n + math.comb(n, 2) * window_size(n, window.bound)
+    else:
+        count = n * window_size(n, window.bound)
+    require_window_count(math.comb(count, 2), "windowed pairs")
     findings: list[Finding] = []
     if family == "pq":
         if p is None or q is None:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import crosshom.rinehart
+import crosshom.witt
 from crosshom.cohomology import Cochain
 from crosshom.liealg import (
     CrossedHom,
@@ -24,6 +26,17 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def no_window_enumeration(monkeypatch):
+    """Make every window enumeration fail, for tests of the size guards."""
+
+    def refuse(n, bound):
+        raise AssertionError(f"window of {n} variables, bound {bound}, was enumerated")
+
+    monkeypatch.setattr(crosshom.witt, "window_exponents", refuse)
+    monkeypatch.setattr(crosshom.rinehart, "window_exponents", refuse)
 
 
 def frac_matrix(rows) -> Matrix:
@@ -71,3 +84,35 @@ def action_library():
     h1 = abelian(("a",))
     triples.append((g1, h1, __import__("crosshom").liealg.LieAction(g1, h1, (Matrix.identity(1),))))
     return triples
+
+
+# --- helpers for comparing the sparse kernels with Fraction-only references ---
+
+ORACLE_COEFFS = (-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+def ref_add_term(terms: dict, key, coeff):
+    """The Fraction-only accumulation: every sum starts from Fraction(0)."""
+    c = terms.get(key, Fraction(0)) + coeff
+    if c:
+        terms[key] = c
+    else:
+        terms.pop(key, None)
+
+
+def random_exponent(rng: random.Random, n: int) -> tuple[int, ...]:
+    return tuple(rng.randint(-2, 2) for _ in range(n))
+
+
+def random_sparse_sum(rng: random.Random, make, integral: bool):
+    """Sum of 1..3 elements make(c), c drawn from ORACLE_COEFFS (ints only if integral)."""
+    coeffs = [c for c in ORACLE_COEFFS if isinstance(c, int)] if integral else ORACLE_COEFFS
+    terms = [make(rng.choice(coeffs)) for _ in range(rng.randint(1, 3))]
+    return sum(terms[1:], terms[0])
+
+
+def assert_exact_terms(elem, integral: bool):
+    """Every value is a nonzero int or Fraction; integral inputs give ints only."""
+    for v in elem.terms.values():
+        assert type(v) in ((int,) if integral else (int, Fraction)), v
+        assert v != 0

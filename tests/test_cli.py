@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosshom import cli, formats
 from crosshom.liealg import Setup
@@ -376,3 +381,60 @@ def test_cohomology_negative_max_degree_exit_two(capsys, fixtures_dir):
     assert code == 2
     assert body["error"]["type"] == "DimensionMismatch"
     assert body["payload"] == {}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witt-verify", "--n", "30", "--family", "full", "--window", "1"),
+        ("shen-larsson", "--n", "30", "--rep", "trivial", "--window", "1"),
+        ("shen-larsson", "--n", "6", "--rep", "adjoint", "--window", "1"),
+    ],
+)
+def test_oversized_window_refused_before_allocation(capsys, no_window_enumeration, argv):
+    start = time.perf_counter()
+    code, body = _run_without_traceback(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert body["status"] == "error"
+    assert body["error"]["type"] == "SearchSpaceTooLarge"
+
+
+FUZZ_N = st.one_of(st.sampled_from([-1, 0, 1, 2]), st.integers(20, 40))
+FUZZ_BAD_Q = ("1/0", "x", "1e5")
+FUZZ_Q = st.sampled_from([None, "0", "1/2", "-3", *FUZZ_BAD_Q])
+
+
+@st.composite
+def windowed_argv(draw):
+    n = draw(FUZZ_N)
+    window = draw(st.sampled_from([-1, 0, 1]))
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(["full", "sdiv", "ham", "pq"]))
+        argv = ["witt-verify", f"--n={n}", f"--family={family}", f"--window={window}"]
+        q = draw(FUZZ_Q)
+        if q is not None:
+            argv.append(f"--q={q}")
+    else:
+        rep = draw(st.sampled_from(["trivial", "natural", "adjoint"]))
+        argv = ["shen-larsson", f"--n={n}", f"--rep={rep}", f"--window={window}"]
+        if draw(st.booleans()):
+            argv.append("--check")
+    return n, window, argv
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(windowed_argv())
+def test_fuzz_windowed_commands_exit_cleanly(case):
+    n, window, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    body = json.loads(out.getvalue())
+    if n >= 20:
+        assert code == 2
+        bad_q = "--family=pq" in argv and any(f"--q={q}" in argv for q in FUZZ_BAD_Q)
+        if window == 1 and not bad_q:
+            assert body["error"]["type"] == "SearchSpaceTooLarge"

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from crosshom.errors import InvalidPair, NotCrossedHom
+from crosshom.errors import InvalidPair, NotCrossedHom, SearchSpaceTooLarge
 from crosshom.liealg import abelian, lie_algebra
 from crosshom.linalg import Matrix, kron
 from crosshom.rinehart import (
@@ -45,6 +46,7 @@ from crosshom.witt import (
     scaling_derivation,
     truncated_polynomial_algebra,
 )
+from conftest import assert_exact_terms, random_exponent, random_sparse_sum, ref_add_term
 
 
 def derivation_model():
@@ -413,3 +415,121 @@ def test_twisted_action_satisfies_module_axiom():
     tw = twisting_pq(p, Fraction(-1, 2), natural_witt_action)
     elems = laurent_window_basis(1, 2)
     assert check_module_axiom_window(tw, 1, Window(2), elems) == []
+
+
+def test_window_checks_refuse_oversized_windows(no_window_enumeration):
+    # 4 * 5^4 actors give about 3.1e6 pairs; with 4 module elements that is
+    # more identities than the guard admits, so nothing is enumerated
+    theta = natural_rep_gl(4)
+    act = shen_larsson_action(theta)
+    elems = [VTensorA.basis(4, 4, p, (0, 0, 0, 0)) for p in range(4)]
+    with pytest.raises(SearchSpaceTooLarge, match="module-axiom identities"):
+        check_module_axiom_window(act, 4, Window(2), elems)
+    with pytest.raises(SearchSpaceTooLarge):
+        check_weak_compat_window(act, 4, Window(3), elems)
+
+
+def test_module_axiom_window_catches_scaled_action():
+    # c * action breaks [u, v].m = u.(v.m) - v.(u.m) wherever [u, v].m != 0:
+    # the residual is c (1 - c) [u, v].m.  1860 is the count the benchmark's
+    # negative control expects for c = 2; c = 1/2 runs the Fraction path.
+    theta = natural_rep_gl(2)
+    elems = vtensor_window_basis(theta, 2, 1)
+    doubled, halved = (
+        check_module_axiom_window(
+            lambda u, t, c=c: shen_larsson_apply(theta, u, t).scale(c), 2, Window(1), elems
+        )
+        for c in (2, Fraction(1, 2))
+    )
+    for findings in (doubled, halved):
+        assert len(findings) == 1860
+        assert {f.rule for f in findings} == {"module-axiom"}
+    assert [f.site for f in doubled] == [f.site for f in halved]
+    assert all(type(c) is int for f in doubled for c in f.residual.terms.values())
+    assert any(type(c) is Fraction for f in halved for c in f.residual.terms.values())
+
+
+# --- the int coefficient path against the Fraction-only kernels -----------
+
+def ref_shen_larsson_apply(theta, w, t):
+    """Fraction-only action read from the dense theta matrices."""
+    out = {}
+    for (r, i), cw in w.terms.items():
+        for (p, s), ct in t.terms.items():
+            c = Fraction(cw) * Fraction(ct)
+            key_exp = tuple(a + b for a, b in zip(r, s))
+            if s[i]:
+                ref_add_term(out, (p, key_exp), c * s[i])
+            for k in range(theta.n):
+                if r[k]:
+                    col = theta.theta[(k, i)].col(p)
+                    for p2, e in enumerate(col):
+                        if e:
+                            ref_add_term(out, (p2, key_exp), c * r[k] * e)
+    return VTensorA(theta.n, theta.dim_v, out)
+
+
+def ref_poly_scale(t, a):
+    out = {}
+    for (p, s), ct in t.terms.items():
+        for r, ca in a.terms.items():
+            key = (p, tuple(u + v for u, v in zip(r, s)))
+            ref_add_term(out, key, Fraction(ct) * Fraction(ca))
+    return VTensorA(t.n, t.dim_v, out)
+
+
+def _oracle_reps(n):
+    return {
+        "trivial": trivial_rep(n),
+        "natural": natural_rep_gl(n),
+        "adjoint": adjoint_rep_gl(n),
+        "natural (x) adjoint": tensor_rep(natural_rep_gl(n), adjoint_rep_gl(n)),
+    }
+
+
+def test_shen_larsson_int_path_matches_fraction_reference():
+    rng = random.Random(23)
+    pairs = 0
+    for n in (1, 2):
+        for theta in _oracle_reps(n).values():
+            for cols in theta.columns.values():
+                for col in cols:
+                    assert all(type(e) is int for _, e in col)
+            for k in range(80):
+                integral = k % 2 == 0
+                w = random_sparse_sum(
+                    rng,
+                    lambda c: WittElem.basis(n, random_exponent(rng, n), rng.randrange(n), c),
+                    integral,
+                )
+                t = random_sparse_sum(
+                    rng,
+                    lambda c: VTensorA.basis(
+                        n, theta.dim_v, rng.randrange(theta.dim_v), random_exponent(rng, n), c
+                    ),
+                    integral,
+                )
+                got = shen_larsson_apply(theta, w, t)
+                assert got == ref_shen_larsson_apply(theta, w, t)
+                assert_exact_terms(got, integral)
+                pairs += 1
+    assert pairs >= 300
+
+
+def test_poly_scale_int_path_matches_fraction_reference():
+    rng = random.Random(29)
+    for n in (1, 2):
+        for k in range(160):
+            integral = k % 2 == 0
+            dim_v = rng.randint(1, 3)
+            t = random_sparse_sum(
+                rng,
+                lambda c: VTensorA.basis(n, dim_v, rng.randrange(dim_v), random_exponent(rng, n), c),
+                integral,
+            )
+            a = random_sparse_sum(
+                rng, lambda c: LaurentPoly.monomial(n, random_exponent(rng, n), c), integral
+            )
+            got = t.poly_scale(a)
+            assert got == ref_poly_scale(t, a)
+            assert_exact_terms(got, integral)

@@ -10,6 +10,8 @@ from crosshom.errors import (
     MalformedP,
     NotCommuting,
     NotDerivation,
+    ParseError,
+    SearchSpaceTooLarge,
 )
 from crosshom.liealg import check_crossed_hom, check_lie_algebra
 from crosshom.linalg import Matrix
@@ -19,6 +21,7 @@ from crosshom.witt import (
     Window,
     WittElem,
     canonical_crossed_hom_GW,
+    MAX_WINDOW_COUNT,
     canonical_crossed_hom_W,
     check_comm_algebra,
     crossed_hom_pq,
@@ -37,9 +40,12 @@ from crosshom.witt import (
     truncated_polynomial_algebra,
     verify_witt_crossed_hom,
     window_exponents,
+    window_size,
+    witt_act_gl,
     witt_bracket,
     witt_window_basis,
 )
+from conftest import assert_exact_terms, random_exponent, random_sparse_sum, ref_add_term
 
 
 def w(n, r, i, c=1):
@@ -379,3 +385,168 @@ def test_canonical_gw_matches_sparse_canonical_map():
 def test_window_validation():
     with pytest.raises(DimensionMismatch):
         Window(0)
+
+
+def test_window_guard_refuses_before_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the window was enumerated")
+
+    assert window_size(3, 1) == 27
+    assert window_size(14, 1) == 3**14 <= MAX_WINDOW_COUNT
+    # 3^15 exceeds the cap; n = 10^9 must be refused without computing 3^n
+    for n in (15, 24, 10**9):
+        with pytest.raises(SearchSpaceTooLarge):
+            window_size(n, 1)
+    monkeypatch.setattr(itertools, "product", refuse)
+    with pytest.raises(SearchSpaceTooLarge):
+        window_exponents(15, 1)
+
+
+def test_verify_refuses_too_many_pairs(no_window_enumeration):
+    # 5 * 5^5 elements give about 1.2e8 pairs, although 5^5 exponents are few
+    with pytest.raises(SearchSpaceTooLarge, match="windowed pairs"):
+        verify_witt_crossed_hom(5, "full", Window(2))
+    with pytest.raises(SearchSpaceTooLarge):
+        verify_witt_crossed_hom(8, "ham", Window(1))
+
+
+# --- the int coefficient path against the Fraction-only kernels -----------
+#
+# The reference kernels below are the Fraction-only versions the int path
+# replaced: every coefficient is turned into a Fraction and every sum starts
+# from Fraction(0).  Elements are built with the dataclass constructor so the
+# reference results keep their Fraction values.
+
+ORACLE_PAIRS_PER_N = 160
+
+
+def _fractions(elem):
+    return [(k, Fraction(v)) for k, v in elem.terms.items()]
+
+
+def ref_witt_bracket(a, b):
+    out = {}
+    for (r, i), ca in _fractions(a):
+        for (s, j), cb in _fractions(b):
+            c = ca * cb
+            key_exp = tuple(p + q for p, q in zip(r, s))
+            if s[i]:
+                ref_add_term(out, (key_exp, j), c * s[i])
+            if r[j]:
+                ref_add_term(out, (key_exp, i), -c * r[j])
+    return WittElem(a.n, out)
+
+
+def ref_gl_bracket(a, b):
+    out = {}
+    for (i, j, r), ca in _fractions(a):
+        for (k, l, s), cb in _fractions(b):
+            c = ca * cb
+            key_exp = tuple(p + q for p, q in zip(r, s))
+            if j == k:
+                ref_add_term(out, (i, l, key_exp), c)
+            if l == i:
+                ref_add_term(out, (k, j, key_exp), -c)
+    return GlLaurent(a.n, out)
+
+
+def ref_witt_act_gl(wv, g):
+    out = {}
+    for (r, i), cw in _fractions(wv):
+        for (k, l, s), cg in _fractions(g):
+            if s[i]:
+                key_exp = tuple(p + q for p, q in zip(r, s))
+                ref_add_term(out, (k, l, key_exp), cw * cg * s[i])
+    return GlLaurent(g.n, out)
+
+
+def ref_canonical_crossed_hom_W(wv):
+    out = {}
+    for (r, j), c in _fractions(wv):
+        for i, ri in enumerate(r):
+            if ri:
+                ref_add_term(out, (i, j, r), c * ri)
+    return GlLaurent(wv.n, out)
+
+
+def ref_apply(wv, a):
+    out = {}
+    for (r, i), cw in _fractions(wv):
+        for s, ca in _fractions(a):
+            if s[i]:
+                ref_add_term(out, tuple(p + q for p, q in zip(r, s)), cw * ca * s[i])
+    return LaurentPoly(wv.n, out)
+
+
+def ref_laurent_mul(a, b):
+    out = {}
+    for r, cr in _fractions(a):
+        for s, cs in _fractions(b):
+            ref_add_term(out, tuple(x + y for x, y in zip(r, s)), cr * cs)
+    return LaurentPoly(a.n, out)
+
+
+def _witt(rng, n):
+    return lambda c: WittElem.basis(n, random_exponent(rng, n), rng.randrange(n), c)
+
+
+def _gl(rng, n):
+    return lambda c: GlLaurent.basis(
+        n, rng.randrange(n), rng.randrange(n), random_exponent(rng, n), c
+    )
+
+
+def _laurent(rng, n):
+    return lambda c: LaurentPoly.monomial(n, random_exponent(rng, n), c)
+
+
+ORACLE_CASES = [
+    ("witt_bracket", _witt, _witt, witt_bracket, ref_witt_bracket),
+    ("gl_bracket", _gl, _gl, gl_bracket, ref_gl_bracket),
+    ("witt_act_gl", _witt, _gl, witt_act_gl, ref_witt_act_gl),
+    ("apply", _witt, _laurent, WittElem.apply, ref_apply),
+    ("laurent_mul", _laurent, _laurent, LaurentPoly.__mul__, ref_laurent_mul),
+]
+
+
+@pytest.mark.parametrize("name, left, right, kernel, reference", ORACLE_CASES)
+def test_int_kernels_match_fraction_reference(name, left, right, kernel, reference):
+    rng = random.Random(name)
+    pairs = 0
+    for n in (1, 2):
+        for k in range(ORACLE_PAIRS_PER_N):
+            integral = k % 2 == 0
+            a = random_sparse_sum(rng, left(rng, n), integral)
+            b = random_sparse_sum(rng, right(rng, n), integral)
+            for x in (a, b):
+                assert_exact_terms(x, integral)
+            got = kernel(a, b)
+            assert got == reference(a, b)
+            assert_exact_terms(got, integral)
+            pairs += 1
+    assert pairs >= 300
+
+
+def test_canonical_map_int_path_and_dense_boundary():
+    rng = random.Random(11)
+    for n in (1, 2):
+        for k in range(ORACLE_PAIRS_PER_N):
+            integral = k % 2 == 0
+            a = random_sparse_sum(rng, _witt(rng, n), integral)
+            got = canonical_crossed_hom_W(a)
+            assert got == ref_canonical_crossed_hom_W(a)
+            assert_exact_terms(got, integral)
+            # dense matrices keep Fraction entries, integral or not
+            for M in got.coefficient_matrices().values():
+                assert all(type(e) is Fraction for e in M.data)
+
+
+def test_constructors_and_scale_store_integral_values_as_int():
+    assert type(WittElem.basis(1, (1,), 0, Fraction(4, 2)).terms[((1,), 0)]) is int
+    assert type(LaurentPoly.monomial(1, (0,), "3").terms[(0,)]) is int
+    assert type(GlLaurent.basis(1, 0, 0, (0,), "1/2").terms[(0, 0, (0,))]) is Fraction
+    half = w(1, (1,), 0, 2).scale(Fraction(1, 2))
+    assert half == w(1, (1,), 0) and type(half.terms[((1,), 0)]) is int
+    assert w(1, (1,), 0, 3).scale(0).is_zero()
+    with pytest.raises(ParseError):
+        w(1, (1,), 0, True)
