@@ -5,7 +5,8 @@ One binary with subcommands sharing the definition-file formats.  Exit codes:
 violation was found (findings listed), 2 malformed input (parse, shape, or
 certified-invariant error).  Reports are emitted as human-readable lines by
 default or as deterministic JSON with --json; --out writes to a file instead
-of stdout.
+of stdout.  A report that cannot be written exits 2 with a one-line message
+on stderr.
 """
 
 from __future__ import annotations
@@ -18,16 +19,7 @@ from pathlib import Path
 
 from . import cohomology as coh
 from . import formats
-from .errors import (
-    InvariantError,
-    MalformedP,
-    NotCrossedHom,
-    NotNijenhuis,
-    ParseError,
-    SearchSpaceTooLarge,
-    ShapeError,
-    ToolkitError,
-)
+from .errors import NotCrossedHom, NotNijenhuis, ParseError, ToolkitError
 from .liealg import (
     Setup,
     check_action,
@@ -61,8 +53,6 @@ from .witt import (
 )
 
 REPS = {"trivial": trivial_rep, "natural": natural_rep_gl, "adjoint": adjoint_rep_gl}
-
-_INPUT_ERRORS = (ParseError, ShapeError, InvariantError, MalformedP, SearchSpaceTooLarge, OSError)
 
 
 def _rationals(text: str, flag: str) -> tuple[Fraction, ...]:
@@ -364,24 +354,22 @@ def main(argv=None) -> int:
     report = Report(command=args.command)
     try:
         HANDLERS[args.command](args, report)
-    except _INPUT_ERRORS as exc:
-        report.status = "error"
-        report.error = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(render_report(report, args.json), args.out)
-        return 2
+        code = 0 if report.status == "pass" else 1
     except (NotCrossedHom, NotNijenhuis) as exc:
         # precondition violations are verified mathematical findings
         report.status = "fail"
         report.error = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(render_report(report, args.json), args.out)
-        return 1
-    except ToolkitError as exc:
+        code = 1
+    except (ToolkitError, OSError) as exc:
         report.status = "error"
         report.error = {"type": type(exc).__name__, "message": str(exc)}
+        code = 2
+    try:
         _emit(render_report(report, args.json), args.out)
+    except OSError as exc:
+        sys.stderr.write(f"crosshom: cannot write the report to {args.out or 'stdout'}: {exc}\n")
         return 2
-    _emit(render_report(report, args.json), args.out)
-    return 0 if report.status == "pass" else 1
+    return code
 
 
 if __name__ == "__main__":

@@ -119,13 +119,6 @@ def cochain_from_matrix(H: Matrix) -> Cochain:
     return Cochain(1, H.cols, H.rows, values)
 
 
-def cochain_to_matrix(f: Cochain) -> Matrix:
-    if f.degree != 1:
-        raise DimensionMismatch("only degree-1 cochains correspond to matrices")
-    cols = [f.values.get((i,), vzero(f.h_dim)) for i in range(f.g_dim)]
-    return Matrix.from_columns(cols)
-
-
 def cochain_add(a: Cochain, b: Cochain) -> Cochain:
     if (a.degree, a.g_dim, a.h_dim) != (b.degree, b.g_dim, b.h_dim):
         raise DimensionMismatch("cochain shapes differ")

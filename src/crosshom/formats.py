@@ -58,10 +58,17 @@ def _matrix_from_rows(rows, expected: tuple[int, int], where: str) -> Matrix:
     )
 
 
+def _entries(body: dict, key: str, where: str) -> list:
+    entries = body.get(key, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}: '{key}' must be a list")
+    return entries
+
+
 def _load_json(path: Path) -> dict:
     try:
         body = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(body, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -77,7 +84,7 @@ def algebra_from_dict(body: dict, where: str = "algebra") -> FinLieAlgebra:
     if len(set(names)) != len(names):
         raise ParseError(f"{where}: duplicate basis names")
     structure: dict[tuple[int, int], Vector] = {}
-    for k, entry in enumerate(body.get("brackets", [])):
+    for k, entry in enumerate(_entries(body, "brackets", where)):
         wh = f"{where}.brackets[{k}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{wh}: expected an object")
@@ -120,8 +127,10 @@ def comm_algebra_from_dict(body: dict, where: str = "algebra") -> FinCommAlgebra
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ParseError(f"{where}: 'basis' must be a list of names")
     structure: dict[tuple[int, int], Vector] = {}
-    for k, entry in enumerate(body.get("products", [])):
+    for k, entry in enumerate(_entries(body, "products", where)):
         wh = f"{where}.products[{k}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{wh}: expected an object")
         i = _name_index(names, entry.get("left", ""), wh)
         j = _name_index(names, entry.get("right", ""), wh)
         if i > j:
@@ -137,22 +146,11 @@ def comm_algebra_from_dict(body: dict, where: str = "algebra") -> FinCommAlgebra
     return FinCommAlgebra(tuple(names), structure, unit)
 
 
-def comm_algebra_to_dict(A: FinCommAlgebra) -> dict:
-    products = []
-    for (i, j), v in sorted(A.structure.items()):
-        value = {A.basis_names[k]: str(c) for k, c in enumerate(v) if c}
-        products.append(
-            {"left": A.basis_names[i], "right": A.basis_names[j], "value": value}
-        )
-    body = {"kind": "finite_comm", "basis": list(A.basis_names), "products": products}
-    if A.unit is not None:
-        body["unit"] = {A.basis_names[k]: str(c) for k, c in enumerate(A.unit) if c}
-    return body
-
-
 def _resolve(node, base: Path, loader, where: str):
     """A sub-object may be inlined or given as a relative path string."""
     if isinstance(node, str):
+        if "\0" in node:
+            raise ParseError(f"{where}: path string contains a NUL byte")
         return loader(_load_json(base / node), where)
     if isinstance(node, dict):
         return loader(node, where)
@@ -254,7 +252,7 @@ def module_from_dict(
     """Optional module block: dimension, A-action, and representation matrices
     keyed by the Lie basis names."""
     dim = body.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ParseError(f"{where}: 'dim' must be a positive integer")
     action = _matrix_table(
         body.get("action", {}), A.basis_names, (dim, dim), f"{where}.action"

@@ -78,10 +78,6 @@ def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vneg(a: Vector) -> Vector:
-    return tuple(-x for x in a)
-
-
 def vscale(c, a: Vector) -> Vector:
     c = rational(c)
     return tuple(c * x for x in a)

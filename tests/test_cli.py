@@ -1,14 +1,17 @@
 import contextlib
+import copy
 import io
 import json
+import shutil
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crosshom import cli, formats
 from crosshom.liealg import Setup
+from conftest import FIXTURES as FIXTURES_DIR
 
 
 def run(capsys, *argv):
@@ -273,6 +276,58 @@ def test_out_flag_writes_file(capsys, tmp_path, fixtures_dir):
     assert json.loads(target.read_text())["status"] == "pass"
 
 
+def test_out_flag_unwritable_path_exit_two(capsys, tmp_path, fixtures_dir):
+    target = tmp_path / "missing" / "report.json"
+    argv = ["check-lie", str(fixtures_dir / "sl2.alg.json"), "--json", "--out", str(target)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("crosshom: cannot write the report to ")
+    assert captured.err.count("\n") == 1
+    assert not target.exists()
+
+
+def _set(path, value):
+    def edit(body):
+        node = body
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, fixture, edit",
+    [
+        ("check-lie", "sl2.alg.json", _set(("brackets",), 1)),
+        ("check-lie", "sl2.alg.json", _set(("brackets",), None)),
+        ("check-rinehart", "derivations_trunc3.lr.json", _set(("A", "products"), {})),
+        ("check-leibniz", "derivations_trunc3.pair.json", _set(("A", "products", 0), "x")),
+        ("check-crossed-hom", "sl2_adjoint_byref.setup.json", _set(("g",), "sl2\u0000.alg.json")),
+        ("check-rinehart", "derivations_trunc3.lr.json", _set(("module", "dim"), True)),
+    ],
+    ids=[
+        "brackets-int",
+        "brackets-null",
+        "products-object",
+        "product-entry-string",
+        "path-with-nul",
+        "module-dim-true",
+    ],
+)
+def test_malformed_definition_file_exit_two(capsys, tmp_path, fixtures_dir, command, fixture, edit):
+    body = json.loads((fixtures_dir / fixture).read_text())
+    edit(body)
+    bad = tmp_path / fixture
+    bad.write_text(json.dumps(body))
+    code, out = _run_without_traceback(capsys, command, str(bad))
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
+
+
 def test_fixture_round_trip(fixtures_dir):
     # every bundled file parses, and re-serialization parses to an equal object
     for path in sorted(fixtures_dir.iterdir()):
@@ -438,3 +493,69 @@ def test_fuzz_windowed_commands_exit_cleanly(case):
         bad_q = "--family=pq" in argv and any(f"--q={q}" in argv for q in FUZZ_BAD_Q)
         if window == 1 and not bad_q:
             assert body["error"]["type"] == "SearchSpaceTooLarge"
+
+
+# --- mutated definition files through cli.main ------------------------------
+
+FUZZ_FILES = {
+    "sl2.alg.json": ("check-lie",),
+    "dim2.alg.json": ("check-lie",),
+    "dim2_case_ii.setup.json": ("check-action", "check-crossed-hom", "mc-residual"),
+    "sl2_adjoint_byref.setup.json": ("check-crossed-hom", "cohomology"),
+    "derivations_trunc3.lr.json": ("check-rinehart",),
+    "derivations_trunc3.pair.json": ("check-leibniz",),
+}
+FUZZ_VALUES = (None, True, 1.5, "1/0", [], {}, "a\u0000b")
+FUZZ_BODIES = {name: json.loads((FIXTURES_DIR / name).read_text()) for name in FUZZ_FILES}
+
+
+def _paths(node, prefix=()):
+    """Every (dict key or list index) path inside a JSON value."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_file(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_FILES)))
+    body = copy.deepcopy(FUZZ_BODIES[name])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(body))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = body
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    return name, draw(st.sampled_from(FUZZ_FILES[name])), body
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutated_file())
+def test_fuzz_mutated_definition_files_exit_cleanly(tmp_path, case):
+    name, command, body = case
+    shutil.copy(FIXTURES_DIR / "sl2.alg.json", tmp_path / "sl2.alg.json")
+    target = tmp_path / f"mutated.{name}"
+    target.write_text(json.dumps(body))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(target), "--json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    json.loads(out.getvalue())

@@ -1,0 +1,72 @@
+"""Static checks on the package source: no unused imports, no unnamed definitions."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "crosshom"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+WORD = re.compile(r"\w+")
+
+
+def _corpus() -> dict[Path, str]:
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    paths.append(ROOT / "README.md")
+    return {p: p.read_text() for p in sorted(paths)}
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, including those in quoted annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    tree = ast.parse(path.read_text())
+    used = _used_names(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert unused == []
+
+
+def test_every_definition_is_named_outside_itself():
+    corpus = _corpus()
+    words = Counter(w for text in corpus.values() for w in WORD.findall(text))
+    unnamed = []
+    for path in MODULES:
+        source = corpus[path]
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            own = WORD.findall("\n".join(lines[first - 1 : node.end_lineno]))
+            if words[node.name] - own.count(node.name) < 1:
+                unnamed.append(f"{path.name}:{node.name}")
+    assert unnamed == []

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from crosshom.errors import InvalidPair, NotCrossedHom, SearchSpaceTooLarge
 from crosshom.liealg import abelian, lie_algebra
 from crosshom.linalg import Matrix, kron
+from crosshom.report import Finding
 from crosshom.rinehart import (
     AModuleStructure,
     FirstOrderOp,
@@ -27,9 +30,9 @@ from crosshom.rinehart import (
     check_weak_rep,
     extend_to_action_rep,
     laurent_window_basis,
+    module_scale,
     natural_rep,
     natural_rep_gl,
-    natural_witt_action,
     regular_module,
     shen_larsson_action,
     shen_larsson_apply,
@@ -45,6 +48,8 @@ from crosshom.witt import (
     WittElem,
     scaling_derivation,
     truncated_polynomial_algebra,
+    witt_bracket,
+    witt_window_basis,
 )
 from conftest import assert_exact_terms, random_exponent, random_sparse_sum, ref_add_term
 
@@ -393,17 +398,17 @@ def test_weak_compat_window_small():
 
 def test_twisting_identity():
     p = [LaurentPoly.zero(1)]
-    tw = twisting_pq(p, 0, natural_witt_action)
+    tw = twisting_pq(p, 0, WittElem.apply)
     for r in range(-2, 3):
         for s in range(-2, 3):
             u = WittElem.basis(1, (r,), 0)
             a = LaurentPoly.monomial(1, (s,))
-            assert tw(u, a) == natural_witt_action(u, a)
+            assert tw(u, a) == u.apply(a)
 
 
 def test_twisting_q_one_shifts_eigenvalue():
     p = [LaurentPoly.zero(1)]
-    tw = twisting_pq(p, 1, natural_witt_action)
+    tw = twisting_pq(p, 1, WittElem.apply)
     for r in range(-2, 3):
         for s in range(-2, 3):
             got = tw(WittElem.basis(1, (r,), 0), LaurentPoly.monomial(1, (s,)))
@@ -412,7 +417,7 @@ def test_twisting_q_one_shifts_eigenvalue():
 
 def test_twisted_action_satisfies_module_axiom():
     p = [LaurentPoly.monomial(1, (2,), Fraction(1, 3))]
-    tw = twisting_pq(p, Fraction(-1, 2), natural_witt_action)
+    tw = twisting_pq(p, Fraction(-1, 2), WittElem.apply)
     elems = laurent_window_basis(1, 2)
     assert check_module_axiom_window(tw, 1, Window(2), elems) == []
 
@@ -447,6 +452,89 @@ def test_module_axiom_window_catches_scaled_action():
     assert [f.site for f in doubled] == [f.site for f in halved]
     assert all(type(c) is int for f in doubled for c in f.residual.terms.values())
     assert any(type(c) is Fraction for f in halved for c in f.residual.terms.values())
+
+
+# --- the window checks against loops that recompute every image -----------
+
+def reference_module_axiom(action, n, window, module_elems):
+    """Five action calls per identity, nothing computed ahead."""
+    findings = []
+    for u, v in itertools.combinations(witt_window_basis(n, window.bound), 2):
+        bw = witt_bracket(u, v)
+        for m in module_elems:
+            res = action(bw, m) - (action(u, action(v, m)) - action(v, action(u, m)))
+            if not res.is_zero():
+                findings.append(Finding("module-axiom", (str(u), str(v), str(m)), res))
+    return findings
+
+
+def reference_weak_compat(action, n, window, module_elems):
+    """action(u, m) recomputed for every monomial a."""
+    findings = []
+    for u in witt_window_basis(n, window.bound):
+        for a in laurent_window_basis(n, window.bound):
+            ua = u.apply(a)
+            for m in module_elems:
+                lhs = action(u, module_scale(a, m))
+                rhs = module_scale(a, action(u, m))
+                if not ua.is_zero():
+                    rhs = rhs + module_scale(ua, m)
+                res = lhs - rhs
+                if not res.is_zero():
+                    findings.append(Finding("weak-compat", (str(u), str(a), str(m)), res))
+    return findings
+
+
+def doubled_natural_n2(u, t):
+    return shen_larsson_apply(natural_rep_gl(2), u, t).scale(2)
+
+
+def corrupted_natural_n1(u, t):
+    """The natural n=1 action plus s^2 v (x) x^{r+s}: neither a module nor first order."""
+    extra = {}
+    for (r, _), cu in u.terms.items():
+        for (p, s), ct in t.terms.items():
+            if s[0]:
+                extra[(p, (r[0] + s[0],))] = cu * ct * s[0] ** 2
+    return shen_larsson_apply(natural_rep_gl(1), u, t) + VTensorA(1, 1, extra)
+
+
+@pytest.mark.parametrize(
+    "action, n, bound",
+    [(doubled_natural_n2, 2, 1), (corrupted_natural_n1, 1, 2)],
+    ids=["doubled-natural-n2", "corrupted-natural-n1"],
+)
+def test_window_checks_match_recomputing_loops(action, n, bound):
+    elems = vtensor_window_basis(natural_rep_gl(n), n, bound)
+    axiom = check_module_axiom_window(action, n, Window(bound), elems)
+    assert axiom == reference_module_axiom(action, n, Window(bound), elems)
+    compat = check_weak_compat_window(action, n, Window(bound), elems)
+    assert compat == reference_weak_compat(action, n, Window(bound), elems)
+    assert axiom
+    if action is doubled_natural_n2:
+        assert len(axiom) == 1860
+    else:
+        assert compat
+
+
+def test_window_checks_compute_each_image_once():
+    n, bound = 2, 1
+    theta = natural_rep_gl(n)
+    elems = vtensor_window_basis(theta, n, bound)
+    calls = 0
+
+    def counted(u, t):
+        nonlocal calls
+        calls += 1
+        return shen_larsson_apply(theta, u, t)
+
+    window = (2 * bound + 1) ** n
+    table = n * window * len(elems)
+    check_module_axiom_window(counted, n, Window(bound), elems)
+    assert calls == table + 3 * math.comb(n * window, 2) * len(elems)
+    calls = 0
+    check_weak_compat_window(counted, n, Window(bound), elems)
+    assert calls == table + n * window * window * len(elems)
 
 
 # --- the int coefficient path against the Fraction-only kernels -----------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import crosshom.witt
 from crosshom.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -14,7 +15,8 @@ from crosshom.errors import (
     SearchSpaceTooLarge,
 )
 from crosshom.liealg import check_crossed_hom, check_lie_algebra
-from crosshom.linalg import Matrix
+from crosshom.linalg import Matrix, rational
+from crosshom.report import Finding
 from crosshom.witt import (
     GlLaurent,
     LaurentPoly,
@@ -550,3 +552,37 @@ def test_constructors_and_scale_store_integral_values_as_int():
     assert w(1, (1,), 0, 3).scale(0).is_zero()
     with pytest.raises(ParseError):
         w(1, (1,), 0, True)
+
+
+def reference_pq_findings(n, window, p, q):
+    """The pq check as a loop of its own, recomputing H for every pair."""
+    H = crosshom.witt.crossed_hom_pq
+    findings = []
+    for a, b in itertools.combinations(witt_window_basis(n, window.bound), 2):
+        lhs = H(p, q, witt_bracket(a, b))
+        rhs = a.apply(H(p, q, b)) - b.apply(H(p, q, a))
+        res = lhs - rhs
+        if not res.is_zero():
+            findings.append(Finding("crossed-hom", (str(a), str(b)), res))
+    return findings
+
+
+def squared_twist(p, q, w):
+    """A map that is no crossed hom: x^r d_i |-> (p_i + q r_i^2) x^r."""
+    out = LaurentPoly.zero(w.n)
+    for (r, i), c in w.terms.items():
+        mono = LaurentPoly.monomial(w.n, r, c)
+        out = out + p[i] * mono + mono.scale(rational(q) * r[i] ** 2)
+    return out
+
+
+@pytest.mark.parametrize("n, bound", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("q", [1, Fraction(-1, 2)])
+@pytest.mark.parametrize("broken", [False, True])
+def test_pq_single_loop_matches_reference(monkeypatch, n, bound, q, broken):
+    if broken:
+        monkeypatch.setattr(crosshom.witt, "crossed_hom_pq", squared_twist)
+    p = [LaurentPoly.monomial(n, tuple(2 if k == i else 0 for k in range(n)), 3) for i in range(n)]
+    got = verify_witt_crossed_hom(n, "pq", Window(bound), p=p, q=q)
+    assert got == reference_pq_findings(n, Window(bound), p, q)
+    assert bool(got) == broken
