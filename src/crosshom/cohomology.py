@@ -21,9 +21,13 @@ It is computed in scatter form, from the nonzero values v = f(T) only:
   S = R + {a, b}; (-1)^p moves e_t from the front of (t, R) to its place in T.
 
 The tables behind it, the sparse columns of each rho(e_i) and the structure
-constants grouped by target index t, are built once per call.
-`differential_matrix` assembles column (T, u) from the same step applied to
-the unit value e_u at T, so both do work proportional to the nonzeros.
+constants grouped by target index t, are built once per call.  The matrix of
+d_k has one row assembly, `_coboundary_rows`: column (T, u) is the same step
+applied to the unit value e_u at T, written into sparse {column: value} rows,
+so the work follows the nonzeros.  `cohomology_dims` builds rho_H and its
+tables once, then ranks each degree's rows with the sparse elimination of
+`linalg` directly; `differential_matrix` writes the same rows into a dense
+`Matrix` for callers that want one.
 
 The cohomology of a crossed homomorphism H is the Chevalley-Eilenberg
 cohomology of g with coefficients in the induced action
@@ -47,6 +51,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, SearchSpaceTooLarge
@@ -60,6 +65,7 @@ from .liealg import (
 from .linalg import (
     Matrix,
     Vector,
+    _echelon,
     is_zero_vector,
     rational,
     vadd,
@@ -68,6 +74,7 @@ from .linalg import (
     vzero,
 )
 from .report import Finding
+from .witt import require_window_count
 
 ZERO = Fraction(0)
 
@@ -206,10 +213,8 @@ def _coboundary_tables(rho: LieAction):
     """What the scatter step reads: for each g-basis index i the sparse columns
     [(w, rho(e_i)[w, u]) ...] of rho(e_i), and for each target index t the
     structure constants (a, b, [e_a, e_b]_t) with a < b and a nonzero value."""
-    g, n = rho.source, rho.target.dim
-    columns = [
-        [[(w, x) for w, x in enumerate(m.col(u)) if x] for u in range(n)] for m in rho.matrices
-    ]
+    g = rho.source
+    columns = [m.col_nonzeros for m in rho.matrices]
     by_target = [[] for _ in range(g.dim)]
     for (a, b), v in sorted(g.structure.items()):
         for t, c in enumerate(v):
@@ -374,59 +379,66 @@ class CohomologyReport:
         }
 
 
-def differential_matrix(s: Setup, k: int) -> Matrix:
-    """Matrix of the degree-k coboundary on the lexicographic tuple basis.
+def _coboundary_rows(tables, g_dim: int, h_dim: int, k: int) -> dict[int, dict[int, Fraction]]:
+    """Nonzero rows of the degree-k coboundary matrix, {row: {col: value}}.
 
     Columns are indexed by (tuple, h-basis) pairs with the tuple position
     major; rows likewise one degree up.  Column (T, u) is the scatter of the
-    unit value e_u at T, times (-1)^(k+1).
+    unit value e_u at T, times (-1)^(k+1).  Rows come in increasing order.
     """
-    g_dim, h_dim = s.g.dim, s.h.dim
-    tables = _coboundary_tables(_induced_action_unchecked(s))
-    dom = list(itertools.combinations(range(g_dim), k))
-    cod = list(itertools.combinations(range(g_dim), k + 1))
-    cod_index = {T: p for p, T in enumerate(cod)}
-    rows = len(cod) * h_dim
-    cols = len(dom) * h_dim
-    data = [ZERO] * (rows * cols)
+    cod_index = {S: p for p, S in enumerate(itertools.combinations(range(g_dim), k + 1))}
     unit = Fraction(1 if k % 2 else -1)
-    for tpos, T in enumerate(dom):
+    rows: dict[int, dict[int, Fraction]] = {}
+    for tpos, T in enumerate(itertools.combinations(range(g_dim), k)):
         for u in range(h_dim):
             out: dict = {}
             _scatter(tables, g_dim, T, [(u, unit)], out)
             col = tpos * h_dim + u
             for (S, w), c in out.items():
-                data[(cod_index[S] * h_dim + w) * cols + col] = c
-    return Matrix(rows, cols, tuple(data))
+                if c:
+                    rows.setdefault(cod_index[S] * h_dim + w, {})[col] = c
+    return {r: rows[r] for r in sorted(rows)}
+
+
+def differential_matrix(s: Setup, k: int) -> Matrix:
+    """Matrix of the degree-k coboundary on the lexicographic tuple basis:
+    the rows of `_coboundary_rows`, written into a dense matrix."""
+    g_dim, h_dim = s.g.dim, s.h.dim
+    rows = _coboundary_rows(_coboundary_tables(_induced_action_unchecked(s)), g_dim, h_dim, k)
+    nrows, ncols = comb(g_dim, k + 1) * h_dim, comb(g_dim, k) * h_dim
+    data = [ZERO] * (nrows * ncols)
+    for r, row in rows.items():
+        for col, c in row.items():
+            data[r * ncols + col] = c
+    return Matrix(nrows, ncols, tuple(data))
 
 
 def cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
     """Exact cocycle/coboundary/cohomology dimensions for degrees 0..k_max.
 
     Coboundaries in degree 0 are taken to be zero, so dim H^0 counts the
-    invariants of the twisted action.
+    invariants of the twisted action.  rho_H is built once; each d_k is
+    assembled as sparse rows and eliminated there, never as a dense matrix.
+    Raises SearchSpaceTooLarge before any assembly when some C^(k+1),
+    k <= k_max, has more than MAX_WINDOW_COUNT coordinates.
     """
-    from .linalg import rank as _rank
-
     if k_max < 0:
         raise DimensionMismatch(f"the top cohomology degree must be >= 0, got {k_max}")
-    _require_crossed_hom(s)
     g_dim, h_dim = s.g.dim, s.h.dim
-
-    def dim_C(k: int) -> int:
-        from math import comb
-
-        return comb(g_dim, k) * h_dim
-
-    ranks = {}
-    for k in range(k_max + 1):
-        ranks[k] = _rank(differential_matrix(s, k))
+    dims_C = [comb(g_dim, k) * h_dim for k in range(k_max + 2)]
+    for c in dims_C[1:]:
+        require_window_count(c, "cochain coordinates")
+    _require_crossed_hom(s)
+    tables = _coboundary_tables(_induced_action_unchecked(s))
+    ranks = [
+        len(_echelon(list(_coboundary_rows(tables, g_dim, h_dim, k).values()), dims_C[k])[1])
+        for k in range(k_max + 1)
+    ]
     degrees = []
     for k in range(k_max + 1):
-        c = dim_C(k)
-        z = c - ranks[k]
+        z = dims_C[k] - ranks[k]
         b = ranks[k - 1] if k > 0 else 0
-        degrees.append(DegreeDims(k, c, z, b, z - b))
+        degrees.append(DegreeDims(k, dims_C[k], z, b, z - b))
     return CohomologyReport(tuple(degrees))
 
 

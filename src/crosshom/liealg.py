@@ -10,7 +10,9 @@ products, and exhaustive grid classification of crossed homomorphisms.
 
 Structure constants are stored for index pairs i < j only, so antisymmetry
 holds by construction and every bilinear identity is decided exactly by
-finitely many basis checks.
+finitely many basis checks.  `FinLieAlgebra.bracket_terms` lists their
+nonzeros once per algebra for both orders of each pair, and `bracket` reads
+it over the nonzero coordinates of its arguments only.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -27,6 +30,8 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .linalg import (
+    ONE,
+    ZERO,
     Matrix,
     Vector,
     is_zero_vector,
@@ -59,7 +64,7 @@ class FinLieAlgebra:
         return len(self.basis_names)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
+        return tuple(ONE if k == i else ZERO for k in range(self.dim))
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         if i == j:
@@ -69,18 +74,34 @@ class FinLieAlgebra:
         v = self.structure.get((j, i))
         return vzero(self.dim) if v is None else tuple(-c for c in v)
 
+    @cached_property
+    def bracket_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+        """bracket_terms[(i, j)], i != j: the nonzero (k, c) with [e_i, e_j] = sum c e_k."""
+        terms = {}
+        for (i, j), v in self.structure.items():
+            nz = tuple((k, c) for k, c in enumerate(v) if c)
+            if nz:
+                terms[i, j] = nz
+                terms[j, i] = tuple((k, -c) for k, c in nz)
+        return terms
+
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch(
                 f"expected vectors of length {self.dim}, got {len(x)} and {len(y)}"
             )
-        out = [Fraction(0)] * self.dim
-        for (i, j), v in self.structure.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if c:
-                for k, vk in enumerate(v):
-                    if vk:
-                        out[k] += c * vk
+        out = [ZERO] * self.dim
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        terms = self.bracket_terms
+        for i, a in enumerate(x):
+            if not a:
+                continue
+            for j, b in ys:
+                ij = terms.get((i, j))
+                if ij:
+                    ab = a * b
+                    for k, c in ij:
+                        out[k] += ab * c
         return tuple(out)
 
     def ad(self, x: Vector) -> Matrix:

@@ -3,7 +3,10 @@
 Scalars are `fractions.Fraction` throughout: arithmetic is exact and every
 value is kept in canonical reduced form (positive denominator, gcd 1) by the
 standard library.  Vectors are plain tuples of Fractions; matrices are thin
-immutable wrappers around a row-major tuple.
+immutable wrappers around a row-major tuple.  `Matrix.apply` and `Matrix.__mul__`
+run over the nonzeros only: they read `Matrix.col_nonzeros`, the nonzero
+entries of each column, listed once per matrix and cached (a `Matrix` is
+frozen, so the list never goes stale).
 
 `rank`, `kernel_basis` and `invert` share one elimination over sparse rows,
 dicts {column: nonzero Fraction} built from the nonzero entries of the dense
@@ -21,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ParseError, SingularMatrix
@@ -147,6 +151,16 @@ class Matrix:
     def col(self, j: int) -> Vector:
         return tuple(self.data[i * self.cols + j] for i in range(self.rows))
 
+    @cached_property
+    def col_nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """col_nonzeros[j]: the nonzero (i, entry) pairs of column j, top to bottom."""
+        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+        for k, x in enumerate(self.data):
+            if x:
+                i, j = divmod(k, self.cols)
+                cols[j].append((i, x))
+        return tuple(tuple(c) for c in cols)
+
     def row_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -160,10 +174,11 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matrix has {self.cols} cols, vector length {len(v)}")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum((self.data[base + j] * v[j] for j in range(self.cols)), ZERO))
+        out = [ZERO] * self.rows
+        for col, x in zip(self.col_nonzeros, v):
+            if x:
+                for i, a in col:
+                    out[i] += a * x
         return tuple(out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -189,16 +204,14 @@ class Matrix:
                 raise DimensionMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            data = []
-            for i in range(self.rows):
-                for j in range(other.cols):
-                    s = ZERO
-                    for k in range(self.cols):
-                        a = self.data[i * self.cols + k]
-                        if a:
-                            s += a * other.data[k * other.cols + j]
-                    data.append(s)
-            return Matrix(self.rows, other.cols, tuple(data))
+            n = other.cols
+            data = [ZERO] * (self.rows * n)
+            left = self.col_nonzeros
+            for j, col in enumerate(other.col_nonzeros):
+                for k, b in col:
+                    for i, a in left[k]:
+                        data[i * n + j] += a * b
+            return Matrix(self.rows, n, tuple(data))
         return self.scale(other)
 
     def __rmul__(self, other):

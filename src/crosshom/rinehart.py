@@ -436,10 +436,7 @@ class GlnRep:
     def columns(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, Coeff], ...], ...]]:
         """columns[(k, i)][p]: the nonzero (p2, entry) pairs of column p of theta(E_ki)."""
         return {
-            key: tuple(
-                tuple((p2, exact_coeff(e)) for p2, e in enumerate(m.col(p)) if e)
-                for p in range(self.dim_v)
-            )
+            key: tuple(tuple((p2, exact_coeff(e)) for p2, e in col) for col in m.col_nonzeros)
             for key, m in self.theta.items()
         }
 

@@ -116,3 +116,50 @@ def assert_exact_terms(elem, integral: bool):
     for v in elem.terms.values():
         assert type(v) in ((int,) if integral else (int, Fraction)), v
         assert v != 0
+
+
+# --- dense references for the sparse Matrix and bracket kernels ---
+
+
+def ref_apply(m: Matrix, v) -> tuple:
+    """The dense matrix-vector product: every entry of each row times v."""
+    return tuple(
+        sum((m.data[i * m.cols + j] * v[j] for j in range(m.cols)), Fraction(0))
+        for i in range(m.rows)
+    )
+
+
+def ref_bracket(L, x, y) -> tuple:
+    """The dense bracket: a loop over every stored structure constant."""
+    out = [Fraction(0)] * L.dim
+    for (i, j), v in L.structure.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        if c:
+            for k, vk in enumerate(v):
+                if vk:
+                    out[k] += c * vk
+    return tuple(out)
+
+
+def random_fraction_vector(rng: random.Random, n: int) -> tuple:
+    """Length-n Fractions, dense, sparse or zero by a random density."""
+    density = rng.choice((0.0, 0.1, 0.4, 1.0))
+    return tuple(
+        Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
+        for _ in range(n)
+    )
+
+
+def generalized_witt_bounds(bounds) -> Setup:
+    """The generalized Witt setup on the truncated algebra with scaling derivations."""
+    A = crosshom.witt.truncated_polynomial_algebra(bounds)
+    deltas = [crosshom.witt.scaling_derivation(bounds, v) for v in range(len(bounds))]
+    return crosshom.witt.generalized_witt_setup(A, deltas)
+
+
+def kernel_setups() -> list[Setup]:
+    """Every setup fixture, then generalized Witt [2,2] and [3,2]."""
+    from crosshom import formats
+
+    setups = [formats.load_file(str(p)) for p in sorted(FIXTURES.glob("*.setup.json"))]
+    return setups + [generalized_witt_bounds(b) for b in ((2, 2), (3, 2))]

@@ -11,6 +11,8 @@ import time
 from fractions import Fraction
 
 from crosshom.cohomology import (
+    _coboundary_rows,
+    _coboundary_tables,
     ce_differential,
     check_linear_deformation,
     check_nijenhuis,
@@ -24,6 +26,7 @@ from crosshom.cohomology import (
 from crosshom.liealg import (
     CrossedHom,
     Setup,
+    _induced_action_unchecked,
     abelian,
     adjoint_action,
     check_crossed_hom,
@@ -316,14 +319,17 @@ _P = 2**61 - 1
 
 
 def _rank_mod_p(m: Matrix) -> int:
-    """Rank over GF(2^61 - 1), an oracle independent of the Fraction eliminator:
-    rows are inserted one at a time into a basis keyed by leading column."""
+    """Rank over GF(2^61 - 1) of a dense matrix; see `_rank_mod_p_rows`."""
+    return _rank_mod_p_rows({j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows))
+
+
+def _rank_mod_p_rows(rows) -> int:
+    """Rank over GF(2^61 - 1) of sparse rows {column: Fraction}, an oracle
+    independent of the Fraction eliminator: rows are inserted one at a time
+    into a basis keyed by leading column."""
     basis: dict[int, dict[int, int]] = {}
-    for i in range(m.rows):
-        row = {}
-        for j, x in enumerate(m.row(i)):
-            if x:
-                row[j] = x.numerator * pow(x.denominator, -1, _P) % _P
+    for r in rows:
+        row = {j: x.numerator * pow(x.denominator, -1, _P) % _P for j, x in r.items()}
         while row:
             lead = min(row)
             b = basis.get(lead)
@@ -351,3 +357,17 @@ def test_criterion_13_generalized_witt_second_cohomology():
         for d in report.degrees:
             assert d.dim_C - d.dim_Z == _rank_mod_p(differential_matrix(s, d.k))
     _stamp(13, "generalized Witt [2,2] and [3,2] through H^2, ranks checked mod 2^61-1", t0, 60.0)
+
+
+def test_criterion_14_larger_generalized_witt_second_cohomology():
+    t0 = time.monotonic()
+    for bounds, dims_H in (([3, 3], [1, 5, 29]), ([2, 2, 2], [1, 7, 84])):
+        deltas = [scaling_derivation(bounds, v) for v in range(len(bounds))]
+        s = generalized_witt_setup(truncated_polynomial_algebra(bounds), deltas)
+        report = cohomology_dims(s, 2)
+        assert report.dims_H() == dims_H
+        tables = _coboundary_tables(_induced_action_unchecked(s))
+        for d in report.degrees:
+            rows = _coboundary_rows(tables, s.g.dim, s.h.dim, d.k)
+            assert d.dim_C - d.dim_Z == _rank_mod_p_rows(rows.values())
+    _stamp(14, "generalized Witt [3,3] and [2,2,2] through H^2, ranks checked mod 2^61-1", t0, 60.0)

@@ -10,8 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crosshom import cli, formats
-from crosshom.liealg import Setup
-from conftest import FIXTURES as FIXTURES_DIR
+from crosshom.cohomology import cohomology_dims
+from crosshom.liealg import CrossedHom, Setup, abelian, zero_action
+from crosshom.linalg import Matrix
+from conftest import FIXTURES as FIXTURES_DIR, generalized_witt_bounds
 
 
 def run(capsys, *argv):
@@ -436,6 +438,31 @@ def test_cohomology_negative_max_degree_exit_two(capsys, fixtures_dir):
     assert code == 2
     assert body["error"]["type"] == "DimensionMismatch"
     assert body["payload"] == {}
+
+
+def test_cohomology_large_generalized_witt_setup(capsys, tmp_path):
+    s = generalized_witt_bounds((3, 3))
+    path = tmp_path / "gw33.setup.json"
+    path.write_text(json.dumps(formats.setup_to_dict(s)))
+    t0 = time.monotonic()
+    code, body = run_json(capsys, "cohomology", "--max-degree", "2", str(path))
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    assert body["payload"]["degrees"] == cohomology_dims(s, 2).to_json()["degrees"]
+    assert [d["dim_H"] for d in body["payload"]["degrees"]] == [1, 5, 29]
+    assert elapsed < 30.0
+
+
+def test_cohomology_too_many_cochains_exit_two(capsys, tmp_path):
+    g, h = abelian([f"a{i}" for i in range(30)]), abelian(["b"])
+    s = Setup(g, h, zero_action(g, h), CrossedHom(Matrix.zero(1, 30)))
+    path = tmp_path / "abelian30.setup.json"
+    path.write_text(json.dumps(formats.setup_to_dict(s)))
+    t0 = time.monotonic()
+    code, out = _run_without_traceback(capsys, "cohomology", "--max-degree", "10", str(path))
+    assert code == 2
+    assert out["error"]["type"] == "SearchSpaceTooLarge"
+    assert time.monotonic() - t0 < 5.0
 
 
 @pytest.mark.parametrize(

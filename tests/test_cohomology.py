@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,8 +25,10 @@ from crosshom.cohomology import (
     trivial_deformation_generator,
     zero_cochain,
 )
+import crosshom.cohomology
+import crosshom.linalg
 from crosshom import formats
-from crosshom.errors import DimensionMismatch, NotCrossedHom, NotNijenhuis
+from crosshom.errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, SearchSpaceTooLarge
 from crosshom.liealg import (
     CrossedHom,
     LieAction,
@@ -49,9 +52,15 @@ from crosshom.linalg import (
     vsub,
     vzero,
 )
-from crosshom.witt import generalized_witt_setup, scaling_derivation, truncated_polynomial_algebra
 
-from conftest import FIXTURES, dim2_setup, heisenberg_setup, random_cochain, sl2_setup
+from conftest import (
+    FIXTURES,
+    dim2_setup,
+    generalized_witt_bounds,
+    heisenberg_setup,
+    random_cochain,
+    sl2_setup,
+)
 
 
 def frac(v):
@@ -113,11 +122,6 @@ def _gather_differential(rho, f):
     return Cochain(m + 1, g.dim, h.dim, values)
 
 
-def _generalized_witt(bounds):
-    A = truncated_polynomial_algebra(bounds)
-    return generalized_witt_setup(A, [scaling_derivation(bounds, v) for v in range(len(bounds))])
-
-
 def _sparse_random_cochain(rng, k, g_dim, h_dim):
     keys = list(itertools.combinations(range(g_dim), k))
     values = {}
@@ -131,7 +135,7 @@ def _sparse_random_cochain(rng, k, g_dim, h_dim):
 
 def test_scatter_differential_matches_gather_reference():
     setups = [formats.load_file(str(p)) for p in sorted(FIXTURES.glob("*.setup.json"))]
-    setups += [_generalized_witt(b) for b in ((3,), (4,), (2, 2))]
+    setups += [generalized_witt_bounds(b) for b in ((3,), (4,), (2, 2))]
     rng = random.Random(30)
     compared = 0
     for s in setups:
@@ -151,7 +155,7 @@ def test_scatter_differential_matches_gather_reference():
 def test_differential_matrix_is_the_coboundary():
     rng = random.Random(31)
     setups = [sl2_setup(), dim2_setup([[-1, 2], [0, 1]])]
-    setups += [_generalized_witt(b) for b in ((3,), (4,))]
+    setups += [generalized_witt_bounds(b) for b in ((3,), (4,))]
     for s in setups:
         g_dim, zero = s.g.dim, vzero(s.h.dim)
 
@@ -166,26 +170,11 @@ def test_differential_matrix_is_the_coboundary():
             )
 
 
-def _sparse_columns(m: Matrix) -> list[dict[int, Fraction]]:
-    cols = [{} for _ in range(m.cols)]
-    for p, x in enumerate(m.data):
-        if x:
-            cols[p % m.cols][p // m.cols] = x
-    return cols
-
-
 def test_differential_matrices_compose_to_zero():
-    s = _generalized_witt((2, 2))
+    s = generalized_witt_bounds((2, 2))
     for k in (0, 1):
         d_k, d_next = differential_matrix(s, k), differential_matrix(s, k + 1)
-        assert d_next.cols == d_k.rows
-        next_cols = _sparse_columns(d_next)
-        for col in _sparse_columns(d_k):
-            product = {}
-            for r, x in col.items():
-                for i, y in next_cols[r].items():
-                    product[i] = product.get(i, 0) + x * y
-            assert not any(product.values())
+        assert (d_next * d_k).is_zero()
 
 
 def test_derived_bracket_degree_zero():
@@ -367,6 +356,50 @@ def test_cohomology_heisenberg_center():
     rep = cohomology_dims(heisenberg_setup(), 1)
     # invariants of the adjoint action = the center, which is spanned by z
     assert rep.degrees[0].dim_H == 1
+
+
+def test_cohomology_dims_builds_rho_H_once_and_no_dense_matrix(monkeypatch):
+    setups = [sl2_setup(), heisenberg_setup(), generalized_witt_bounds((2, 2))]
+    expected = [[rank(differential_matrix(s, k)) for k in range(4)] for s in setups]
+    builds = []
+    real = crosshom.cohomology._induced_action_unchecked
+
+    def counted(s):
+        builds.append(s)
+        return real(s)
+
+    def refuse(*args):
+        raise AssertionError("a dense coboundary matrix was formed")
+
+    monkeypatch.setattr(crosshom.cohomology, "_induced_action_unchecked", counted)
+    monkeypatch.setattr(crosshom.cohomology, "differential_matrix", refuse)
+    monkeypatch.setattr(crosshom.linalg, "_sparse_rows", refuse)
+    for s, ranks in zip(setups, expected):
+        for k_max in range(4):
+            builds.clear()
+            rep = cohomology_dims(s, k_max)
+            assert len(builds) == 1
+            assert [d.dim_C - d.dim_Z for d in rep.degrees] == ranks[: k_max + 1]
+
+
+def test_cohomology_dims_guards_the_cochain_count(monkeypatch):
+    s = generalized_witt_bounds((2, 2, 2))
+
+    def refuse(*args):
+        raise AssertionError("a coboundary was assembled")
+
+    monkeypatch.setattr(crosshom.cohomology, "_coboundary_rows", refuse)
+    t0 = time.monotonic()
+    with pytest.raises(SearchSpaceTooLarge, match="^24919488 "):
+        cohomology_dims(s, 6)  # C^7 has C(24, 7) * 72 = 24,919,488 coordinates
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_cohomology_degrees_above_dim_g_are_empty():
+    rep = cohomology_dims(sl2_setup(), 20000)
+    assert len(rep.degrees) == 20001
+    assert rep.dims_H()[:4] == [0, 0, 0, 0]
+    assert all(d.dim_C == d.dim_Z == d.dim_B == 0 for d in rep.degrees[4:])
 
 
 def test_cohomology_internal_consistency():

@@ -26,9 +26,18 @@ from crosshom.liealg import (
     two_dim_nonabelian,
     zero_action,
 )
-from crosshom.linalg import Matrix, vzero
+from crosshom.linalg import Matrix, vadd, vsub, vzero
+from crosshom.report import Finding
 
-from conftest import action_library, dim2_setup
+from conftest import (
+    FIXTURES,
+    action_library,
+    dim2_setup,
+    kernel_setups,
+    random_fraction_vector,
+    ref_apply,
+    ref_bracket,
+)
 
 
 def test_bracket_two_dim():
@@ -298,3 +307,75 @@ def test_hom_pair_conjugated_crossed_hom():
     H_prime = CrossedHom(invert(phi) * H.matrix * phi)
     assert check_hom_pair(rho, H, H_prime, phi, phi) == []
     assert check_crossed_hom(Setup(g, g, rho, H_prime)) == []
+
+
+# --- the sparse bracket and crossed-hom check against dense references ---
+
+
+def _kernel_algebras():
+    from crosshom import formats
+
+    algebras = [formats.load_file(str(p)) for p in sorted(FIXTURES.glob("*.alg.json"))]
+    for s in kernel_setups():
+        algebras += [s.g, s.h]
+    return algebras
+
+
+def _ref_check_crossed_hom(s: Setup) -> list[Finding]:
+    """check_crossed_hom on the dense product and the dense bracket."""
+    findings = []
+    for i, j in itertools.combinations(range(s.g.dim), 2):
+        Hi, Hj = s.H.column(i), s.H.column(j)
+        res = ref_apply(s.H.matrix, s.g.bracket_basis(i, j))
+        res = vsub(res, ref_apply(s.rho.matrices[i], Hj))
+        res = vadd(res, ref_apply(s.rho.matrices[j], Hi))
+        res = vsub(res, ref_bracket(s.h, Hi, Hj))
+        if any(res):
+            findings.append(Finding("crossed-hom", (s.g.basis_names[i], s.g.basis_names[j]), res))
+    return findings
+
+
+def test_bracket_terms_cover_both_orders():
+    for L in _kernel_algebras():
+        for i, j in itertools.permutations(range(L.dim), 2):
+            expected = tuple((k, c) for k, c in enumerate(L.bracket_basis(i, j)) if c)
+            assert L.bracket_terms.get((i, j), ()) == expected
+
+
+def test_sparse_bracket_and_ad_match_dense_reference():
+    rng = random.Random(70)
+    algebras = _kernel_algebras()
+    assert len(algebras) >= 20
+    for L in algebras:
+        vectors = [L.basis_vector(i) for i in range(L.dim)]
+        vectors += [random_fraction_vector(rng, L.dim) for _ in range(12)]
+        for x in vectors:
+            y = random_fraction_vector(rng, L.dim)
+            got = L.bracket(x, y)
+            assert got == ref_bracket(L, x, y)
+            assert len(got) == L.dim and all(type(c) is Fraction for c in got)
+            ad = L.ad(x)
+            assert (ad.rows, ad.cols) == (L.dim, L.dim)
+            for j in range(L.dim):
+                assert ad.col(j) == ref_bracket(L, x, L.basis_vector(j))
+
+
+def test_check_crossed_hom_matches_dense_reference():
+    rng = random.Random(71)
+    setups = kernel_setups()
+    assert any(_ref_check_crossed_hom(s) for s in setups)  # dim2_bad
+    compared = failing = 0
+    for s in setups:
+        variants = [s]
+        for _ in range(4):
+            data = list(s.H.matrix.data)
+            for p in rng.sample(range(len(data)), min(len(data), rng.randint(1, 3))):
+                data[p] += Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+            H = CrossedHom(Matrix(s.H.matrix.rows, s.H.matrix.cols, tuple(data)))
+            variants.append(Setup(s.g, s.h, s.rho, H))
+        for v in variants:
+            expected = _ref_check_crossed_hom(v)
+            assert check_crossed_hom(v) == expected
+            compared += 1
+            failing += bool(expected)
+    assert compared == 5 * len(setups) and failing >= 30

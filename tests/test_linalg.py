@@ -14,6 +14,8 @@ from crosshom.linalg import (
     rational,
 )
 
+from conftest import kernel_setups, random_fraction_vector, ref_apply
+
 
 def _random_sparse_matrix(rng: random.Random) -> Matrix:
     """Small rational matrix, often sparse, with some rows and columns zeroed."""
@@ -208,3 +210,71 @@ def test_kron_shapes_and_entries():
             for j1 in range(2):
                 for j2 in range(2):
                     assert k.entry(i1 * 2 + i2, j1 * 2 + j2) == a.entry(i1, j1) * b.entry(i2, j2)
+
+
+# --- the sparse Matrix kernels against the dense loops ---
+
+
+def _ref_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The dense product: a row-by-column sum for every output entry."""
+    data = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = Fraction(0)
+            for k in range(a.cols):
+                x = a.data[i * a.cols + k]
+                if x:
+                    s += x * b.data[k * b.cols + j]
+            data.append(s)
+    return Matrix(a.rows, b.cols, tuple(data))
+
+
+def _random_shaped(rng: random.Random, rows: int, cols: int) -> Matrix:
+    data = [random_fraction_vector(rng, cols) for _ in range(rows)]
+    for i in rng.sample(range(rows), rng.randint(0, rows // 2)):
+        data[i] = (Fraction(0),) * cols
+    for j in rng.sample(range(cols), rng.randint(0, cols // 2)):
+        data = [r[:j] + (Fraction(0),) + r[j + 1 :] for r in data]
+    return Matrix(rows, cols, tuple(x for r in data for x in r))
+
+
+def _assert_same_matrix(got: Matrix, expected: Matrix):
+    assert (got.rows, got.cols, got.data) == (expected.rows, expected.cols, expected.data)
+    assert all(type(x) is Fraction for x in got.data)
+
+
+def test_col_nonzeros_lists_each_column():
+    rng = random.Random(80)
+    for _ in range(40):
+        m = _random_shaped(rng, rng.randint(0, 6), rng.randint(0, 6))
+        assert len(m.col_nonzeros) == m.cols
+        for j, col in enumerate(m.col_nonzeros):
+            assert col == tuple((i, x) for i, x in enumerate(m.col(j)) if x)
+
+
+def test_sparse_apply_and_mul_match_dense_reference_on_random_matrices():
+    rng = random.Random(81)
+    for _ in range(150):
+        r, k, c = (rng.randint(0, 6) for _ in range(3))
+        a, b = _random_shaped(rng, r, k), _random_shaped(rng, k, c)
+        v = random_fraction_vector(rng, k)
+        got = a.apply(v)
+        assert got == ref_apply(a, v) and all(type(x) is Fraction for x in got)
+        _assert_same_matrix(a * b, _ref_mul(a, b))
+    _assert_same_matrix(Matrix(0, 0, ()) * Matrix(0, 0, ()), Matrix(0, 0, ()))
+    _assert_same_matrix(Matrix.zero(3, 0) * Matrix.zero(0, 2), Matrix.zero(3, 2))
+    assert Matrix.zero(0, 3).apply((Fraction(1),) * 3) == ()
+
+
+def test_sparse_apply_and_mul_match_dense_reference_on_actions():
+    rng = random.Random(82)
+    for s in kernel_setups():
+        mats = list(s.rho.matrices) + [s.H.matrix] + [s.h.ad(s.H.column(i)) for i in range(s.g.dim)]
+        for m in mats:
+            for _ in range(3):
+                v = random_fraction_vector(rng, m.cols)
+                assert m.apply(v) == ref_apply(m, v)
+        square = [m for m in mats if m.rows == m.cols == s.h.dim]
+        for a, b in zip(square, rng.sample(square, min(len(square), 6))):
+            _assert_same_matrix(a * b, _ref_mul(a, b))
+        _assert_same_matrix(s.rho.matrices[0] * s.H.matrix, _ref_mul(s.rho.matrices[0], s.H.matrix))
