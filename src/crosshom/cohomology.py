@@ -21,13 +21,18 @@ It is computed in scatter form, from the nonzero values v = f(T) only:
   S = R + {a, b}; (-1)^p moves e_t from the front of (t, R) to its place in T.
 
 The tables behind it, the sparse columns of each rho(e_i) and the structure
-constants grouped by target index t, are built once per call.  The matrix of
-d_k has one row assembly, `_coboundary_rows`: column (T, u) is the same step
+constants grouped by target index t, are built once per call.  The sites of
+a tuple T (where its action and bracket terms land) do not depend on the
+value at T and are found once per T (`_scatter_sites`).  The matrix of d_k
+has one row assembly, `_coboundary_rows`: column (T, u) is the same step
 applied to the unit value e_u at T, written into sparse {column: value} rows,
-so the work follows the nonzeros.  `cohomology_dims` builds rho_H and its
-tables once, then ranks each degree's rows with the sparse elimination of
-`linalg` directly; `differential_matrix` writes the same rows into a dense
-`Matrix` for callers that want one.
+so the work follows the nonzeros.  `cohomology_dims` builds the tables of
+rho_H once, straight from the setup (`_induced_tables`: the nonzeros of rho
+and H and the bracket terms of h, with no dense rho_H), with integral
+entries as ints, then ranks each degree's rows with the sparse elimination
+of `linalg` directly, in int arithmetic while the pivots are units;
+`differential_matrix` writes the same rows, built from the dense rho_H, into
+a `Matrix` for callers that want one.
 
 The cohomology of a crossed homomorphism H is the Chevalley-Eilenberg
 cohomology of g with coefficients in the induced action
@@ -63,9 +68,12 @@ from .liealg import (
     check_crossed_hom,
 )
 from .linalg import (
+    Coeff,
     Matrix,
     Vector,
+    _add_scaled,
     _echelon,
+    exact_coeff,
     is_zero_vector,
     rational,
     vadd,
@@ -209,37 +217,65 @@ def eval_vectors(f: Cochain, vecs: Sequence[Vector]) -> Vector:
     return out
 
 
-def _coboundary_tables(rho: LieAction):
-    """What the scatter step reads: for each g-basis index i the sparse columns
-    [(w, rho(e_i)[w, u]) ...] of rho(e_i), and for each target index t the
-    structure constants (a, b, [e_a, e_b]_t) with a < b and a nonzero value."""
-    g = rho.source
-    columns = [m.col_nonzeros for m in rho.matrices]
+def _by_target(g: FinLieAlgebra) -> list[list[tuple[int, int, Fraction]]]:
+    """For each target index t, the structure constants (a, b, [e_a, e_b]_t)
+    with a < b and a nonzero value."""
     by_target = [[] for _ in range(g.dim)]
     for (a, b), v in sorted(g.structure.items()):
         for t, c in enumerate(v):
             if c:
                 by_target[t].append((a, b, c))
+    return by_target
+
+
+def _coboundary_tables(rho: LieAction):
+    """What the scatter step reads: for each g-basis index i the sparse columns
+    [(w, rho(e_i)[w, u]) ...] of rho(e_i), and `_by_target` of the source."""
+    return [m.col_nonzeros for m in rho.matrices], _by_target(rho.source)
+
+
+def _induced_tables(s: Setup):
+    """The tables of `_coboundary_tables` for rho_H, built from the setup with
+    no dense rho_H: column u of rho_H(e_i) is
+
+        rho_H(e_i) e_u = rho(e_i) e_u + sum_a H[a, i] [e_a, e_u],
+
+    read from `col_nonzeros` and `bracket_terms`.  Entries are `exact_coeff`
+    values, ints when integral, so integral setups assemble and eliminate in
+    int arithmetic."""
+    h_terms = s.h.bracket_terms
+    H_cols = s.H.matrix.col_nonzeros
+    columns = []
+    for i, m in enumerate(s.rho.matrices):
+        cols_i = []
+        for u, col in enumerate(m.col_nonzeros):
+            acc = dict(col)
+            for a, x in H_cols[i]:
+                _add_scaled(acc, x, h_terms.get((a, u), ()))
+            cols_i.append(tuple((w, exact_coeff(c)) for w, c in sorted(acc.items())))
+        columns.append(cols_i)
+    by_target = [[(a, b, exact_coeff(c)) for a, b, c in t] for t in _by_target(s.g)]
     return columns, by_target
 
 
-def _scatter(tables, g_dim: int, T: tuple[int, ...], v, out: dict):
-    """Add the plain differential of the cochain with value v at T alone into
-    out[(S, w)]; v is a list of nonzero (u, coefficient) pairs."""
+def _scatter_sites(tables, g_dim: int, T: tuple[int, ...]):
+    """Where the plain differential of a cochain supported at T alone sends
+    its value, apart from the value itself.
+
+    Returns the action sites (S, columns of rho(e_i), negate), one per i not
+    in T, and the bracket sites [(S, coefficient)], merged per S with zeros
+    dropped.
+    """
     columns, by_target = tables
     m = len(T)
+    acts = []
     pos = 0
     for i in range(g_dim):
         if pos < m and T[pos] == i:
             pos += 1
             continue
-        S = T[:pos] + (i,) + T[pos:]
-        neg = (m + pos + 1) % 2
-        col_i = columns[i]
-        for u, x in v:
-            for w, a in col_i[u]:
-                term = a * x
-                out[S, w] = out.get((S, w), ZERO) + (-term if neg else term)
+        acts.append((T[:pos] + (i,) + T[pos:], columns[i], (m + pos + 1) % 2))
+    brackets: dict = {}
     for p, t in enumerate(T):
         R = T[:p] + T[p + 1 :]
         for a, b, c in by_target[t]:
@@ -250,9 +286,22 @@ def _scatter(tables, g_dim: int, T: tuple[int, ...], v, out: dict):
             S = R[:pa] + (a,) + R[pa:pb] + (b,) + R[pb:]
             # (-1)^(m + pi + pj + 1) with pi = pa, pj = pb + 1, times (-1)^p
             neg = (m + pa + pb + p) % 2
-            for u, x in v:
-                term = c * x
-                out[S, u] = out.get((S, u), ZERO) + (-term if neg else term)
+            brackets[S] = brackets.get(S, 0) + (-c if neg else c)
+    return acts, [(S, c) for S, c in brackets.items() if c]
+
+
+def _scatter(tables, g_dim: int, T: tuple[int, ...], v, out: dict):
+    """Add the plain differential of the cochain with value v at T alone into
+    out[(S, w)]; v is a list of nonzero (u, coefficient) pairs."""
+    acts, brackets = _scatter_sites(tables, g_dim, T)
+    for S, col_i, neg in acts:
+        for u, x in v:
+            for w, a in col_i[u]:
+                term = a * x
+                out[S, w] = out.get((S, w), ZERO) + (-term if neg else term)
+    for S, c in brackets:
+        for u, x in v:
+            out[S, u] = out.get((S, u), ZERO) + c * x
 
 
 def plain_differential(rho: LieAction, f: Cochain) -> Cochain:
@@ -379,24 +428,31 @@ class CohomologyReport:
         }
 
 
-def _coboundary_rows(tables, g_dim: int, h_dim: int, k: int) -> dict[int, dict[int, Fraction]]:
+def _coboundary_rows(tables, g_dim: int, h_dim: int, k: int) -> dict[int, dict[int, Coeff]]:
     """Nonzero rows of the degree-k coboundary matrix, {row: {col: value}}.
 
     Columns are indexed by (tuple, h-basis) pairs with the tuple position
     major; rows likewise one degree up.  Column (T, u) is the scatter of the
-    unit value e_u at T, times (-1)^(k+1).  Rows come in increasing order.
+    unit value e_u at T, times (-1)^(k+1); the sites of T are found once and
+    serve every u.  Rows come in increasing order.
     """
     cod_index = {S: p for p, S in enumerate(itertools.combinations(range(g_dim), k + 1))}
-    unit = Fraction(1 if k % 2 else -1)
-    rows: dict[int, dict[int, Fraction]] = {}
-    for tpos, T in enumerate(itertools.combinations(range(g_dim), k)):
+    flip = k % 2 == 0  # the unit value is (-1)^(k+1)
+    rows: dict[int, dict[int, Coeff]] = {}
+    col = 0
+    for T in itertools.combinations(range(g_dim), k):
+        acts, brackets = _scatter_sites(tables, g_dim, T)
+        acts = [(cod_index[S] * h_dim, col_i, neg != flip) for S, col_i, neg in acts]
+        brackets = [(cod_index[S] * h_dim, -c if flip else c) for S, c in brackets]
         for u in range(h_dim):
-            out: dict = {}
-            _scatter(tables, g_dim, T, [(u, unit)], out)
-            col = tpos * h_dim + u
-            for (S, w), c in out.items():
+            out = {base + u: c for base, c in brackets}
+            for base, col_i, neg in acts:
+                for w, a in col_i[u]:
+                    out[base + w] = out.get(base + w, 0) + (-a if neg else a)
+            for r, c in out.items():
                 if c:
-                    rows.setdefault(cod_index[S] * h_dim + w, {})[col] = c
+                    rows.setdefault(r, {})[col] = c
+            col += 1
     return {r: rows[r] for r in sorted(rows)}
 
 
@@ -417,8 +473,9 @@ def cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
     """Exact cocycle/coboundary/cohomology dimensions for degrees 0..k_max.
 
     Coboundaries in degree 0 are taken to be zero, so dim H^0 counts the
-    invariants of the twisted action.  rho_H is built once; each d_k is
-    assembled as sparse rows and eliminated there, never as a dense matrix.
+    invariants of the twisted action.  The tables of rho_H are built once,
+    from the setup; each d_k is assembled as sparse rows and eliminated
+    there, never as a dense matrix.
     Raises SearchSpaceTooLarge before any assembly when some C^(k+1),
     k <= k_max, has more than MAX_WINDOW_COUNT coordinates.
     """
@@ -429,7 +486,7 @@ def cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
     for c in dims_C[1:]:
         require_window_count(c, "cochain coordinates")
     _require_crossed_hom(s)
-    tables = _coboundary_tables(_induced_action_unchecked(s))
+    tables = _induced_tables(s)
     ranks = [
         len(_echelon(list(_coboundary_rows(tables, g_dim, h_dim, k).values()), dims_C[k])[1])
         for k in range(k_max + 1)

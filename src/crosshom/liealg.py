@@ -13,6 +13,11 @@ holds by construction and every bilinear identity is decided exactly by
 finitely many basis checks.  `FinLieAlgebra.bracket_terms` lists their
 nonzeros once per algebra for both orders of each pair, and `bracket` reads
 it over the nonzero coordinates of its arguments only.
+
+The checks (`check_lie_algebra`, `check_action`, `check_crossed_hom`) decide
+each basis identity over nonzeros: they accumulate its terms from
+`bracket_terms` and `Matrix.col_nonzeros` into one sparse dict, and form the
+dense residual, which a finding reports, only where that dict is nonempty.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .linalg import (
     ZERO,
     Matrix,
     Vector,
+    _add_scaled,
     is_zero_vector,
     lincomb,
     rational,
@@ -145,18 +151,30 @@ def sl2() -> FinLieAlgebra:
     )
 
 
+def _jacobi_residual(L: FinLieAlgebra, i: int, j: int, k: int) -> Vector:
+    ei, ej, ek = (L.basis_vector(t) for t in (i, j, k))
+    return vadd(
+        vadd(L.bracket(ei, L.bracket(ej, ek)), L.bracket(ej, L.bracket(ek, ei))),
+        L.bracket(ek, L.bracket(ei, ej)),
+    )
+
+
 def check_lie_algebra(L: FinLieAlgebra) -> list[Finding]:
-    """List every basis triple violating the Jacobi identity."""
+    """List every basis triple violating the Jacobi identity.
+
+    Each triple is decided over `bracket_terms`; the dense residual is formed
+    for the failing triples only.
+    """
+    terms = L.bracket_terms
     findings = []
     for i, j, k in itertools.combinations(range(L.dim), 3):
-        ei, ej, ek = (L.basis_vector(t) for t in (i, j, k))
-        jac = vadd(
-            vadd(L.bracket(ei, L.bracket(ej, ek)), L.bracket(ej, L.bracket(ek, ei))),
-            L.bracket(ek, L.bracket(ei, ej)),
-        )
-        if not is_zero_vector(jac):
+        acc: dict = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in terms.get((b, c), ()):
+                _add_scaled(acc, x, terms.get((a, m), ()))
+        if acc:
             names = (L.basis_names[i], L.basis_names[j], L.basis_names[k])
-            findings.append(Finding("jacobi", names, jac))
+            findings.append(Finding("jacobi", names, _jacobi_residual(L, i, j, k)))
     return findings
 
 
@@ -197,32 +215,71 @@ def zero_action(g: FinLieAlgebra, h: FinLieAlgebra) -> LieAction:
     return LieAction(g, h, tuple(Matrix.zero(h.dim, h.dim) for _ in range(g.dim)))
 
 
+def _derivation_residual(rho: LieAction, i: int, u: int, v: int) -> Vector:
+    h, m = rho.target, rho.matrices[i]
+    eu, ev = h.basis_vector(u), h.basis_vector(v)
+    lhs = m.apply(h.bracket(eu, ev))
+    return vsub(lhs, vadd(h.bracket(m.col(u), ev), h.bracket(eu, m.col(v))))
+
+
+def _homomorphism_residual(rho: LieAction, i: int, j: int) -> Matrix:
+    mi, mj = rho.matrices[i], rho.matrices[j]
+    return rho.of(rho.source.bracket_basis(i, j)) - (mi * mj - mj * mi)
+
+
+def _homomorphism_holds(cols, ij, i: int, j: int) -> bool:
+    """rho([e_i, e_j]) = [rho(e_i), rho(e_j)], decided column by column from
+    cols[k] = rho(e_k).col_nonzeros and ij = bracket_terms of (i, j)."""
+    for u in range(len(cols[i])):
+        acc: dict = {}
+        for k, c in ij:
+            _add_scaled(acc, c, cols[k][u])
+        for w, a in cols[j][u]:
+            _add_scaled(acc, -a, cols[i][w])
+        for w, a in cols[i][u]:
+            _add_scaled(acc, a, cols[j][w])
+        if acc:
+            return False
+    return True
+
+
 def check_action(rho: LieAction) -> list[Finding]:
-    """Derivation property of each rho(e_i) and the homomorphism law."""
+    """Derivation property of each rho(e_i) and the homomorphism law.
+
+    Each identity is decided over `bracket_terms` and `col_nonzeros`: the
+    derivation law per (i, u, v), the homomorphism law column by column.  The
+    dense residual is formed for the failing sites only.
+    """
     g, h = rho.source, rho.target
+    terms = h.bracket_terms
     findings = []
     for i in range(g.dim):
-        m = rho.matrices[i]
+        col = rho.matrices[i].col_nonzeros
         for u, v in itertools.combinations(range(h.dim), 2):
-            eu, ev = h.basis_vector(u), h.basis_vector(v)
-            lhs = m.apply(h.bracket(eu, ev))
-            rhs = vadd(h.bracket(m.col(u), ev), h.bracket(eu, m.col(v)))
-            diff = vsub(lhs, rhs)
-            if not is_zero_vector(diff):
+            acc: dict = {}
+            for k, c in terms.get((u, v), ()):
+                _add_scaled(acc, c, col[k])
+            for w, a in col[u]:
+                _add_scaled(acc, -a, terms.get((w, v), ()))
+            for w, a in col[v]:
+                _add_scaled(acc, -a, terms.get((u, w), ()))
+            if acc:
                 findings.append(
                     Finding(
                         "derivation",
                         (g.basis_names[i], h.basis_names[u], h.basis_names[v]),
-                        diff,
+                        _derivation_residual(rho, i, u, v),
                     )
                 )
+    cols = [m.col_nonzeros for m in rho.matrices]
     for i, j in itertools.combinations(range(g.dim), 2):
-        lhs = rho.of(g.bracket_basis(i, j))
-        rhs = rho.matrices[i] * rho.matrices[j] - rho.matrices[j] * rho.matrices[i]
-        diff = lhs - rhs
-        if not diff.is_zero():
+        if not _homomorphism_holds(cols, g.bracket_terms.get((i, j), ()), i, j):
             findings.append(
-                Finding("homomorphism", (g.basis_names[i], g.basis_names[j]), diff)
+                Finding(
+                    "homomorphism",
+                    (g.basis_names[i], g.basis_names[j]),
+                    _homomorphism_residual(rho, i, j),
+                )
             )
     return findings
 
@@ -272,12 +329,35 @@ def crossed_hom_residual(s: Setup, i: int, j: int) -> Vector:
 
 
 def check_crossed_hom(s: Setup) -> list[Finding]:
+    """Every basis pair (i, j), i < j, whose crossed-hom residual is nonzero.
+
+    Each pair is decided over nonzeros: the four terms of the residual are
+    accumulated from `col_nonzeros` of H and of the rho(e_i) and from the
+    `bracket_terms` of g and h.  `crossed_hom_residual` forms the dense
+    residual for the failing pairs only.
+    """
+    g_terms, h_terms = s.g.bracket_terms, s.h.bracket_terms
+    H_cols = s.H.matrix.col_nonzeros
+    rho_cols = [m.col_nonzeros for m in s.rho.matrices]
     findings = []
     for i, j in itertools.combinations(range(s.g.dim), 2):
-        res = crossed_hom_residual(s, i, j)
-        if not is_zero_vector(res):
+        acc: dict = {}
+        for k, c in g_terms.get((i, j), ()):
+            _add_scaled(acc, c, H_cols[k])
+        for u, x in H_cols[j]:
+            _add_scaled(acc, -x, rho_cols[i][u])
+        for u, x in H_cols[i]:
+            _add_scaled(acc, x, rho_cols[j][u])
+        for a, x in H_cols[i]:
+            for b, y in H_cols[j]:
+                _add_scaled(acc, -x * y, h_terms.get((a, b), ()))
+        if acc:
             findings.append(
-                Finding("crossed-hom", (s.g.basis_names[i], s.g.basis_names[j]), res)
+                Finding(
+                    "crossed-hom",
+                    (s.g.basis_names[i], s.g.basis_names[j]),
+                    crossed_hom_residual(s, i, j),
+                )
             )
     return findings
 

@@ -1,22 +1,27 @@
 """Exact rational vectors, dense matrices, and rank/kernel/inverse routines.
 
-Scalars are `fractions.Fraction` throughout: arithmetic is exact and every
-value is kept in canonical reduced form (positive denominator, gcd 1) by the
-standard library.  Vectors are plain tuples of Fractions; matrices are thin
-immutable wrappers around a row-major tuple.  `Matrix.apply` and `Matrix.__mul__`
-run over the nonzeros only: they read `Matrix.col_nonzeros`, the nonzero
-entries of each column, listed once per matrix and cached (a `Matrix` is
-frozen, so the list never goes stale).
+Public values are `fractions.Fraction`: vector coordinates and `Matrix`
+entries are exact and kept in canonical reduced form (positive denominator,
+gcd 1) by the standard library.  Vectors are plain tuples of Fractions;
+matrices are thin immutable wrappers around a row-major tuple.
+`Matrix.apply` and `Matrix.__mul__` run over the nonzeros only: they read
+`Matrix.col_nonzeros`, the nonzero entries of each column, listed once per
+matrix and cached (a `Matrix` is frozen, so the list never goes stale).
 
 `rank`, `kernel_basis` and `invert` share one elimination over sparse rows,
-dicts {column: nonzero Fraction} built from the nonzero entries of the dense
-matrix, so its work follows the nonzeros rather than rows x cols.  Columns are
-taken left to right; the pivot for a column is the candidate row with the
-fewest nonzeros (the row half of the Markowitz rule), ties broken by the
-smaller bit-size of the pivot entry, to limit fill-in and coefficient growth.
-Because the columns keep their order, the reduced row echelon form that
-`kernel_basis` and `invert` read is the unique one of the matrix, whatever
-rows the pivot rule picks; `rank` stops at the echelon form.
+dicts {column: nonzero entry} built from the nonzero entries of the dense
+matrix, so its work follows the nonzeros rather than rows x cols.  Integers
+live only in these private rows: an integral entry is stored as an `int`
+(`exact_coeff`), and the elimination keeps it one while the pivots it meets
+are 1 or -1, so integral matrices such as coboundaries eliminate in `int`
+arithmetic; a non-unit pivot divides, into `Fraction`.  What the routines
+return is converted back to Fractions.  Columns are taken left to right; the
+pivot for a column is the candidate row with the fewest nonzeros (the row
+half of the Markowitz rule), ties broken by the smaller bit-size of the pivot
+entry, to limit fill-in and coefficient growth.  Because the columns keep
+their order, the reduced row echelon form that `kernel_basis` and `invert`
+read is the unique one of the matrix, whatever rows the pivot rule picks;
+`rank` stops at the echelon form.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .errors import DimensionMismatch, ParseError, SingularMatrix
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
+Coeff = int | Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,6 +66,14 @@ def rational(x, where: str = "") -> Fraction:
         return Fraction(x.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{prefix}cannot parse rational {x!r}: {exc}") from None
+
+
+def exact_coeff(x) -> Coeff:
+    """`rational(x)`, stored as an int when it is integral."""
+    if type(x) is int:
+        return x
+    q = rational(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def vector(entries: Iterable) -> Vector:
@@ -258,22 +272,22 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(data))
 
 
-def _bit_size(q: Fraction) -> int:
+def _bit_size(q: Coeff) -> int:
     return abs(q.numerator).bit_length() + q.denominator.bit_length()
 
 
-def _sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
+def _sparse_rows(m: Matrix) -> list[dict[int, Coeff]]:
     cols, data = m.cols, m.data
     return [
-        {j: x for j, x in enumerate(data[i * cols : (i + 1) * cols]) if x}
+        {j: exact_coeff(x) for j, x in enumerate(data[i * cols : (i + 1) * cols]) if x}
         for i in range(m.rows)
     ]
 
 
-def _subtract(r: dict[int, Fraction], f: Fraction, piv: dict[int, Fraction]):
-    """r -= f * piv in place, dropping entries that cancel."""
-    for j, x in piv.items():
-        y = r.get(j, ZERO) - f * x
+def _add_scaled(r: dict[int, Coeff], f: Coeff, terms: Iterable[tuple[int, Coeff]]):
+    """r += f * terms in place, for (index, value) pairs; entries that cancel are dropped."""
+    for j, x in terms:
+        y = r.get(j, 0) + f * x
         if y:
             r[j] = y
         else:
@@ -281,20 +295,22 @@ def _subtract(r: dict[int, Fraction], f: Fraction, piv: dict[int, Fraction]):
 
 
 def _echelon(
-    rows: list[dict[int, Fraction]], ncols: int
-) -> tuple[list[dict[int, Fraction]], list[int]]:
+    rows: list[dict[int, Coeff]], ncols: int
+) -> tuple[list[dict[int, Coeff]], list[int]]:
     """Row echelon form of sparse rows, consumed; returns (pivot rows, pivot columns).
 
     Columns are taken left to right.  Every active row sits in the bucket of
     its leading column, so the candidates for column c are exactly bucket c.
     The pivot is the candidate with the fewest nonzeros, ties broken by the
-    smaller bit-size of its entry at c; it is scaled to a leading 1.
+    smaller bit-size of its entry at c; it is scaled to a leading 1.  A pivot
+    entry of 1 is used as it is and one of -1 is negated, so rows of ints stay
+    ints; only a non-unit pivot divides, into Fractions.
     """
-    buckets: dict[int, list[dict[int, Fraction]]] = {}
+    buckets: dict[int, list[dict[int, Coeff]]] = {}
     for r in rows:
         if r:
             buckets.setdefault(min(r), []).append(r)
-    pivot_rows: list[dict[int, Fraction]] = []
+    pivot_rows: list[dict[int, Coeff]] = []
     pivots: list[int] = []
     for c in range(ncols):
         if not buckets:
@@ -302,13 +318,21 @@ def _echelon(
         cands = buckets.pop(c, None)
         if cands is None:
             continue
-        best = min(cands, key=lambda r: (len(r), _bit_size(r[c])))
-        inv = ONE / best[c]
-        piv = best if inv == 1 else {j: x * inv for j, x in best.items()}
+        fewest = min(map(len, cands))
+        ties = [r for r in cands if len(r) == fewest]
+        best = ties[0] if len(ties) == 1 else min(ties, key=lambda r: _bit_size(r[c]))
+        p = best[c]
+        if p == 1:
+            piv = best
+        elif p == -1:
+            piv = {j: -x for j, x in best.items()}
+        else:
+            inv = ONE / p
+            piv = {j: x * inv for j, x in best.items()}
         for r in cands:
             if r is best:
                 continue
-            _subtract(r, r[c], piv)
+            _add_scaled(r, -r[c], piv.items())
             if r:
                 buckets.setdefault(min(r), []).append(r)
         pivot_rows.append(piv)
@@ -317,8 +341,8 @@ def _echelon(
 
 
 def _reduced_echelon(
-    rows: list[dict[int, Fraction]], ncols: int
-) -> tuple[list[dict[int, Fraction]], list[int]]:
+    rows: list[dict[int, Coeff]], ncols: int
+) -> tuple[list[dict[int, Coeff]], list[int]]:
     """Reduced row echelon form: the echelon form, back-substituted bottom-up."""
     pivot_rows, pivots = _echelon(rows, ncols)
     for k in range(len(pivots) - 1, 0, -1):
@@ -326,7 +350,7 @@ def _reduced_echelon(
         for r in pivot_rows[:k]:
             f = r.get(pc)
             if f:
-                _subtract(r, f, piv)
+                _add_scaled(r, -f, piv.items())
     return pivot_rows, pivots
 
 
@@ -349,7 +373,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     for pc, row in zip(pivots, rows):
         for j, x in row.items():
             if j != pc:
-                basis[free[j]][pc] = -x
+                basis[free[j]][pc] = Fraction(-x)
     return [tuple(v) for v in basis]
 
 
@@ -360,8 +384,8 @@ def invert(m: Matrix) -> Matrix:
     n = m.rows
     rows = _sparse_rows(m)
     for i, r in enumerate(rows):
-        r[n + i] = ONE
+        r[n + i] = 1
     rows, pivots = _reduced_echelon(rows, 2 * n)
     if pivots != list(range(n)):
         raise SingularMatrix(f"matrix of rank {len([p for p in pivots if p < n])} < {n}")
-    return Matrix.from_rows([[r.get(n + j, ZERO) for j in range(n)] for r in rows])
+    return Matrix.from_rows([[r.get(n + j, 0) for j in range(n)] for r in rows])

@@ -45,22 +45,12 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup
-from .linalg import Matrix, Vector, is_zero_vector, rational, vzero
+from .linalg import Coeff, Matrix, Vector, exact_coeff, is_zero_vector, rational, vzero
 from .report import Finding
 
 MultiIndex = tuple[int, ...]
 
 ZERO = Fraction(0)
-
-Coeff = int | Fraction
-
-
-def exact_coeff(x) -> Coeff:
-    """`rational(x)`, stored as an int when it is integral."""
-    if type(x) is int:
-        return x
-    q = rational(x)
-    return q.numerator if q.denominator == 1 else q
 
 
 def _add_term(terms: dict, key, coeff: Coeff):

@@ -453,6 +453,21 @@ def test_cohomology_large_generalized_witt_setup(capsys, tmp_path):
     assert elapsed < 30.0
 
 
+def test_cohomology_generalized_witt_222_setup_in_budget(capsys, tmp_path):
+    # the setup checks (Jacobi on g and h, the action, the crossed-hom
+    # identity) run over nonzeros; on this 24 + 72 dimensional setup they
+    # used to take most of a minute
+    path = tmp_path / "gw222.setup.json"
+    path.write_text(json.dumps(formats.setup_to_dict(generalized_witt_bounds((2, 2, 2)))))
+    t0 = time.monotonic()
+    code, body = run_json(capsys, "cohomology", "--max-degree", "2", str(path))
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    assert body["status"] == "pass"
+    assert [d["dim_H"] for d in body["payload"]["degrees"]] == [1, 7, 84]
+    assert elapsed < 30.0
+
+
 def test_cohomology_too_many_cochains_exit_two(capsys, tmp_path):
     g, h = abelian([f"a{i}" for i in range(30)]), abelian(["b"])
     s = Setup(g, h, zero_action(g, h), CrossedHom(Matrix.zero(1, 30)))

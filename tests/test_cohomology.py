@@ -7,6 +7,8 @@ import pytest
 
 from crosshom.cohomology import (
     Cochain,
+    _coboundary_tables,
+    _induced_tables,
     ce_differential,
     check_deformation_equivalence,
     check_linear_deformation,
@@ -33,6 +35,7 @@ from crosshom.liealg import (
     CrossedHom,
     LieAction,
     Setup,
+    _induced_action_unchecked,
     abelian,
     adjoint_action,
     check_crossed_hom,
@@ -58,6 +61,7 @@ from conftest import (
     dim2_setup,
     generalized_witt_bounds,
     heisenberg_setup,
+    kernel_setups,
     random_cochain,
     sl2_setup,
 )
@@ -362,16 +366,17 @@ def test_cohomology_dims_builds_rho_H_once_and_no_dense_matrix(monkeypatch):
     setups = [sl2_setup(), heisenberg_setup(), generalized_witt_bounds((2, 2))]
     expected = [[rank(differential_matrix(s, k)) for k in range(4)] for s in setups]
     builds = []
-    real = crosshom.cohomology._induced_action_unchecked
+    real = crosshom.cohomology._induced_tables
 
     def counted(s):
         builds.append(s)
         return real(s)
 
     def refuse(*args):
-        raise AssertionError("a dense coboundary matrix was formed")
+        raise AssertionError("a dense matrix was formed")
 
-    monkeypatch.setattr(crosshom.cohomology, "_induced_action_unchecked", counted)
+    monkeypatch.setattr(crosshom.cohomology, "_induced_tables", counted)
+    monkeypatch.setattr(crosshom.cohomology, "_induced_action_unchecked", refuse)
     monkeypatch.setattr(crosshom.cohomology, "differential_matrix", refuse)
     monkeypatch.setattr(crosshom.linalg, "_sparse_rows", refuse)
     for s, ranks in zip(setups, expected):
@@ -380,6 +385,48 @@ def test_cohomology_dims_builds_rho_H_once_and_no_dense_matrix(monkeypatch):
             rep = cohomology_dims(s, k_max)
             assert len(builds) == 1
             assert [d.dim_C - d.dim_Z for d in rep.degrees] == ranks[: k_max + 1]
+
+
+def _non_integral_setup() -> Setup:
+    """g = h abelian of dim 2, rho(e1) = diag(1/2, 0), rho(e2) = diag(0, 1/3), H = 0."""
+    g = abelian(("e1", "e2"))
+    rho = LieAction(
+        g,
+        g,
+        (
+            Matrix.from_rows([[Fraction(1, 2), 0], [0, 0]]),
+            Matrix.from_rows([[0, 0], [0, Fraction(1, 3)]]),
+        ),
+    )
+    return Setup(g, g, rho, CrossedHom(Matrix.zero(2, 2)))
+
+
+def test_induced_tables_match_the_dense_rho_H():
+    setups = kernel_setups() + [_non_integral_setup(), sl2_setup([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])]
+    for s in setups:
+        columns, by_target = _induced_tables(s)
+        dense_columns, dense_by_target = _coboundary_tables(_induced_action_unchecked(s))
+        assert [tuple(c) for c in columns] == [tuple(c) for c in dense_columns]
+        assert by_target == dense_by_target
+        entries = [x for c in columns for col in c for _, x in col]
+        entries += [x for t in by_target for _, _, x in t]
+        for x in entries:
+            assert x != 0
+            assert type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def test_cohomology_dims_with_non_integral_rho_H():
+    # rho_H = rho has entries 1/2 and 1/3, so the elimination meets non-unit
+    # pivots and divides into Fractions
+    s = _non_integral_setup()
+    columns, _ = _induced_tables(s)
+    assert {type(x) for c in columns for col in c for _, x in col} == {Fraction}
+    rep = cohomology_dims(s, 2)
+    assert [d.dim_C - d.dim_Z for d in rep.degrees] == [
+        rank(differential_matrix(s, k)) for k in range(3)
+    ]
+    # both weights are nonzero characters of the abelian g: no cohomology
+    assert rep.dims_H() == [0, 0, 0]
 
 
 def test_cohomology_dims_guards_the_cochain_count(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from crosshom.errors import DimensionMismatch, NotAction, NotCrossedHom, SearchSpaceTooLarge
 from crosshom.liealg import (
     CrossedHom,
+    FinLieAlgebra,
     LieAction,
     Setup,
     abelian,
@@ -15,6 +16,7 @@ from crosshom.liealg import (
     check_crossed_hom,
     check_hom_pair,
     check_lie_algebra,
+    crossed_hom_residual,
     heisenberg,
     induced_action,
     iota_graph_is_homomorphism,
@@ -33,10 +35,13 @@ from conftest import (
     FIXTURES,
     action_library,
     dim2_setup,
+    generalized_witt_bounds,
+    heisenberg_setup,
     kernel_setups,
     random_fraction_vector,
     ref_apply,
     ref_bracket,
+    sl2_setup,
 )
 
 
@@ -261,6 +266,9 @@ def test_solve_grid_two_dim_classification():
         assert (1 + a11) * a22 == 0
         seen.add((a11, a12, a21, a22))
     assert len(seen) == 15
+    # the criterion-01 solutions, in the row-major digit order of the grid
+    expected = [c for c in itertools.product((-1, 0, 1), repeat=4) if c[2] == 0 and (1 + c[0]) * c[3] == 0]
+    assert [H.matrix.data for H in sols] == expected
 
 
 def test_solve_grid_exhaustive_oracle():
@@ -379,3 +387,112 @@ def test_check_crossed_hom_matches_dense_reference():
             compared += 1
             failing += bool(expected)
     assert compared == 5 * len(setups) and failing >= 30
+
+
+def _residual_findings(s: Setup) -> list[Finding]:
+    """`crossed_hom_residual` of every pair, kept where it is nonzero."""
+    findings = []
+    for i, j in itertools.combinations(range(s.g.dim), 2):
+        res = crossed_hom_residual(s, i, j)
+        if any(res):
+            findings.append(Finding("crossed-hom", (s.g.basis_names[i], s.g.basis_names[j]), res))
+    return findings
+
+
+def test_sparse_check_crossed_hom_matches_the_dense_residuals():
+    from crosshom import formats
+
+    gw = generalized_witt_bounds((2, 2))
+    data = list(gw.H.matrix.data)
+    p = next(k for k, x in enumerate(data) if x)
+    data[p] += Fraction(1, 3)
+    moved = Setup(gw.g, gw.h, gw.rho, CrossedHom(Matrix(gw.H.matrix.rows, gw.H.matrix.cols, tuple(data))))
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    setups = [
+        formats.load_file(str(FIXTURES / f"{name}.setup.json"))
+        for name in ("dim2_bad", "sl2_adjoint", "heisenberg_adjoint")
+    ]
+    setups += [sl2_setup(identity), heisenberg_setup(identity), gw, moved]
+    failing = []
+    for s in setups:
+        got = check_crossed_hom(s)
+        assert got == _residual_findings(s)
+        for f in got:
+            assert type(f.residual) is tuple and all(type(x) is Fraction for x in f.residual)
+        failing.append(len(got))
+    assert failing[0] == 1 and failing[3] > 0 and failing[4] > 0 and failing[6] > 0
+    assert failing[1] == failing[2] == failing[5] == 0
+
+
+def _ref_check_lie_algebra(L) -> list[Finding]:
+    """The dense Jacobi residual of every triple, kept where it is nonzero."""
+    findings = []
+    for i, j, k in itertools.combinations(range(L.dim), 3):
+        ei, ej, ek = (L.basis_vector(t) for t in (i, j, k))
+        jac = vadd(
+            vadd(L.bracket(ei, L.bracket(ej, ek)), L.bracket(ej, L.bracket(ek, ei))),
+            L.bracket(ek, L.bracket(ei, ej)),
+        )
+        if any(jac):
+            findings.append(Finding("jacobi", (L.basis_names[i], L.basis_names[j], L.basis_names[k]), jac))
+    return findings
+
+
+def _ref_check_action(rho: LieAction) -> list[Finding]:
+    """The dense derivation residual of every (i, u, v) and the dense
+    homomorphism residual of every pair, kept where they are nonzero."""
+    g, h = rho.source, rho.target
+    findings = []
+    for i, m in enumerate(rho.matrices):
+        for u, v in itertools.combinations(range(h.dim), 2):
+            eu, ev = h.basis_vector(u), h.basis_vector(v)
+            lhs = m.apply(h.bracket(eu, ev))
+            diff = vsub(lhs, vadd(h.bracket(m.col(u), ev), h.bracket(eu, m.col(v))))
+            if any(diff):
+                names = (g.basis_names[i], h.basis_names[u], h.basis_names[v])
+                findings.append(Finding("derivation", names, diff))
+    for i, j in itertools.combinations(range(g.dim), 2):
+        mi, mj = rho.matrices[i], rho.matrices[j]
+        diff = rho.of(g.bracket_basis(i, j)) - (mi * mj - mj * mi)
+        if not diff.is_zero():
+            findings.append(Finding("homomorphism", (g.basis_names[i], g.basis_names[j]), diff))
+    return findings
+
+
+def _perturbed(rng: random.Random, data: tuple) -> tuple:
+    data = list(data)
+    for p in rng.sample(range(len(data)), min(len(data), rng.randint(1, 3))):
+        data[p] += Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+    return tuple(data)
+
+
+def test_sparse_check_lie_algebra_and_action_match_dense_references():
+    rng = random.Random(72)
+    small = [s for s in kernel_setups() if s.h.dim <= 16]
+    compared = failing = 0
+    for s in small:
+        for L in (s.g, s.h):
+            variants = [L]
+            for _ in range(3 if L.dim >= 3 and L.structure else 0):
+                structure = dict(L.structure)
+                key = rng.choice(sorted(structure))
+                structure[key] = _perturbed(rng, structure[key])
+                variants.append(FinLieAlgebra(L.basis_names, structure))
+            for v in variants:
+                expected = _ref_check_lie_algebra(v)
+                assert check_lie_algebra(v) == expected
+                compared += 1
+                failing += bool(expected)
+        actions = [s.rho]
+        for _ in range(3):
+            mats = list(s.rho.matrices)
+            k = rng.randrange(len(mats))
+            m = mats[k]
+            mats[k] = Matrix(m.rows, m.cols, _perturbed(rng, m.data))
+            actions.append(LieAction(s.g, s.h, tuple(mats)))
+        for rho in actions:
+            expected = _ref_check_action(rho)
+            assert check_action(rho) == expected
+            compared += 1
+            failing += bool(expected)
+    assert failing >= 20, (compared, failing)

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosshom.errors import DimensionMismatch, ParseError, SingularMatrix
 from crosshom.linalg import (
     Matrix,
+    _echelon,
+    _reduced_echelon,
     invert,
     kernel_basis,
     kron,
@@ -15,6 +19,7 @@ from crosshom.linalg import (
 )
 
 from conftest import kernel_setups, random_fraction_vector, ref_apply
+from test_acceptance import _rank_mod_p_rows
 
 
 def _random_sparse_matrix(rng: random.Random) -> Matrix:
@@ -278,3 +283,53 @@ def test_sparse_apply_and_mul_match_dense_reference_on_actions():
         for a, b in zip(square, rng.sample(square, min(len(square), 6))):
             _assert_same_matrix(a * b, _ref_mul(a, b))
         _assert_same_matrix(s.rho.matrices[0] * s.H.matrix, _ref_mul(s.rho.matrices[0], s.H.matrix))
+
+
+sparse_int_rows = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3).filter(bool), max_size=n),
+            max_size=10,
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sparse_int_rows)
+def test_echelon_of_int_rows_matches_fraction_rows_and_rank_mod_p(case):
+    ncols, rows = case
+    int_rows, int_pivots = _echelon([dict(r) for r in rows], ncols)
+    frac_rows, frac_pivots = _echelon([{j: Fraction(x) for j, x in r.items()} for r in rows], ncols)
+    assert int_pivots == frac_pivots
+    assert int_rows == frac_rows
+    assert len(int_pivots) == _rank_mod_p_rows(rows)
+    for r, c in zip(int_rows, int_pivots):
+        assert min(r) == c and r[c] == 1
+
+
+def test_echelon_keeps_ints_through_unit_pivots():
+    # shuffled rows of a triangular integer matrix with diagonal +-1: every
+    # pivot is 1 or -1, so the (reduced) echelon form is all ints
+    rng = random.Random(83)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        rows = [
+            {i: rng.choice((1, -1)), **{j: rng.randint(1, 4) for j in range(i + 1, n) if rng.random() < 0.5}}
+            for i in range(n)
+        ]
+        rng.shuffle(rows)
+        for eliminate in (_echelon, _reduced_echelon):
+            pivot_rows, pivots = eliminate([dict(r) for r in rows], n)
+            assert pivots == list(range(n))
+            assert all(type(x) is int for r in pivot_rows for x in r.values())
+
+
+def test_kernel_and_inverse_of_integral_matrices_are_fractions():
+    basis = kernel_basis(Matrix.from_rows([[1, 2, 0], [2, 4, 0]]))
+    assert basis == [(-2, 1, 0), (0, 0, 1)]
+    assert all(type(x) is Fraction for v in basis for x in v)
+    inv = invert(Matrix.from_rows([[2, 1], [1, 1]]))
+    assert inv == Matrix.from_rows([[1, -1], [-1, 2]])
+    assert all(type(x) is Fraction for x in inv.data)
