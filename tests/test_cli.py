@@ -454,9 +454,8 @@ def test_cohomology_large_generalized_witt_setup(capsys, tmp_path):
 
 
 def test_cohomology_generalized_witt_222_setup_in_budget(capsys, tmp_path):
-    # the setup checks (Jacobi on g and h, the action, the crossed-hom
-    # identity) run over nonzeros; on this 24 + 72 dimensional setup they
-    # used to take most of a minute
+    # the budget covers the setup checks (Jacobi on g and h, the action, the
+    # crossed-hom identity) on this 24 + 72 dimensional setup, not only H^<=2
     path = tmp_path / "gw222.setup.json"
     path.write_text(json.dumps(formats.setup_to_dict(generalized_witt_bounds((2, 2, 2)))))
     t0 = time.monotonic()
