@@ -21,18 +21,19 @@ It is computed in scatter form, from the nonzero values v = f(T) only:
   S = R + {a, b}; (-1)^p moves e_t from the front of (t, R) to its place in T.
 
 The tables behind it, the sparse columns of each rho(e_i) and the structure
-constants grouped by target index t, are built once per call.  The sites of
-a tuple T (where its action and bracket terms land) do not depend on the
-value at T and are found once per T (`_scatter_sites`).  The matrix of d_k
+constants grouped by target index t, are built once per call and read by
+one loop, `_differential`.  The sites of a tuple T (where its action and
+bracket terms land) do not depend on the value at T and are found once per T
+(`_scatter_sites`).  The matrix of d_k
 has one row assembly, `_coboundary_rows`: column (T, u) is the same step
 applied to the unit value e_u at T, written into sparse {column: value} rows,
-so the work follows the nonzeros.  `cohomology_dims` builds the tables of
-rho_H once, straight from the setup (`_induced_tables`: the nonzeros of rho
-and H and the bracket terms of h, with no dense rho_H), with integral
-entries as ints, then ranks each degree's rows with the sparse elimination
-of `linalg` directly, in int arithmetic while the pivots are units;
-`differential_matrix` writes the same rows, built from the dense rho_H, into
-a `Matrix` for callers that want one.
+so the work follows the nonzeros.  rho_H's tables are built in one place,
+`_induced_tables`, which reads the nonzeros of rho and H and the bracket
+terms of h (no dense rho_H) and keeps integral entries as ints.
+`cohomology_dims` builds them once and ranks each degree's rows with the
+sparse elimination of `linalg`, in int arithmetic while the pivots are
+units; `differential_matrix` (a `Matrix` of Fractions) and the twisted
+differential read the same tables.
 
 The cohomology of a crossed homomorphism H is the Chevalley-Eilenberg
 cohomology of g with coefficients in the induced action
@@ -60,18 +61,13 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, SearchSpaceTooLarge
-from .liealg import (
-    FinLieAlgebra,
-    LieAction,
-    Setup,
-    _induced_action_unchecked,
-    check_crossed_hom,
-)
+from .liealg import FinLieAlgebra, LieAction, Setup, check_crossed_hom
 from .linalg import (
     Coeff,
     Matrix,
     Vector,
     _add_scaled,
+    _dense,
     _echelon,
     exact_coeff,
     is_zero_vector,
@@ -304,59 +300,57 @@ def _scatter(tables, g_dim: int, T: tuple[int, ...], v, out: dict):
             out[S, u] = out.get((S, u), ZERO) + c * x
 
 
-def plain_differential(rho: LieAction, f: Cochain) -> Cochain:
-    """Degree-raising differential built from the action alone."""
-    g, h = rho.source, rho.target
-    if (f.g_dim, f.h_dim) != (g.dim, h.dim):
-        raise DimensionMismatch("cochain does not match the action's algebras")
-    tables = _coboundary_tables(rho)
+def _differential(tables, f: Cochain) -> Cochain:
+    """The plain differential of f with the scatter tables of an action."""
     out: dict = {}
     for T, v in f.values.items():
-        _scatter(tables, g.dim, T, [(u, x) for u, x in enumerate(v) if x], out)
+        _scatter(tables, f.g_dim, T, [(u, x) for u, x in enumerate(v) if x], out)
     values: dict = {}
     for (S, w), c in out.items():
         if c:
-            values.setdefault(S, [ZERO] * h.dim)[w] = c
-    return Cochain(f.degree + 1, g.dim, h.dim, {S: tuple(values[S]) for S in sorted(values)})
+            values.setdefault(S, [ZERO] * f.h_dim)[w] = c
+    return Cochain(f.degree + 1, f.g_dim, f.h_dim, {S: tuple(values[S]) for S in sorted(values)})
 
 
-def _shuffle_sign(positions: Sequence[int], complement: Sequence[int]) -> int:
-    inv = 0
-    for a in positions:
-        for b in complement:
-            if b < a:
-                inv += 1
-    return -1 if inv % 2 else 1
+def plain_differential(rho: LieAction, f: Cochain) -> Cochain:
+    """Degree-raising differential built from the action alone."""
+    if (f.g_dim, f.h_dim) != (rho.source.dim, rho.target.dim):
+        raise DimensionMismatch("cochain does not match the action's algebras")
+    return _differential(_coboundary_tables(rho), f)
 
 
 def derived_bracket(h: FinLieAlgebra, f1: Cochain, f2: Cochain) -> Cochain:
-    """Skew bracket with sign (-1)^(mn+1) over all (m, n)-shuffles."""
+    """Skew bracket with sign (-1)^(mn+1) over all (m, n)-shuffles.
+
+    Each pair of nonzero values f1(T1), f2(T2) with disjoint T1, T2 adds
+    +-[f1(T1), f2(T2)] at S = sorted(T1 + T2), signed by that shuffle.
+    """
     if f1.g_dim != f2.g_dim or f1.h_dim != f2.h_dim:
         raise DimensionMismatch("cochains live over different ambients")
     if f1.h_dim != h.dim:
         raise DimensionMismatch("cochain values do not live in the given algebra")
     m, n = f1.degree, f2.degree
-    g_dim = f1.g_dim
     global_sign = -1 if (m * n + 1) % 2 else 1
-    values = {}
-    for S in itertools.combinations(range(g_dim), m + n):
-        total = vzero(h.dim)
-        for positions in itertools.combinations(range(m + n), m):
-            complement = tuple(t for t in range(m + n) if t not in positions)
-            sgn = _shuffle_sign(positions, complement)
-            v1 = eval_basis(f1, tuple(S[t] for t in positions))
-            if is_zero_vector(v1):
+    terms = h.bracket_terms
+
+    def nonzeros(f: Cochain):
+        return [(T, [(a, x) for a, x in enumerate(v) if x]) for T, v in f.values.items()]
+
+    ones, twos = nonzeros(f1), nonzeros(f2)
+    totals: dict = {}
+    for T1, v1 in ones:
+        for T2, v2 in twos:
+            merged = _sort_with_sign(T1 + T2)
+            if merged is None:
                 continue
-            v2 = eval_basis(f2, tuple(S[t] for t in complement))
-            if is_zero_vector(v2):
-                continue
-            term = h.bracket(v1, v2)
-            total = vadd(total, term) if sgn == 1 else vsub(total, term)
-        if global_sign == -1:
-            total = vscale(Fraction(-1), total)
-        if not is_zero_vector(total):
-            values[S] = total
-    return Cochain(m + n, g_dim, h.dim, values)
+            S, sign = merged
+            acc = totals.setdefault(S, {})
+            for a, x in v1:
+                xs = x if sign == global_sign else -x
+                for b, y in v2:
+                    _add_scaled(acc, xs * y, terms.get((a, b), ()))
+    values = {S: _dense(totals[S], h.dim) for S in sorted(totals) if totals[S]}
+    return Cochain(m + n, f1.g_dim, h.dim, values)
 
 
 def mc_residual(s: Setup) -> Cochain:
@@ -373,9 +367,9 @@ def _require_crossed_hom(s: Setup):
         raise NotCrossedHom("; ".join(str(f) for f in bad))
 
 
-def _twisted_differential(rho_H: LieAction, f: Cochain) -> Cochain:
+def _twisted_differential(s: Setup, f: Cochain) -> Cochain:
     """d_rho_H f = (-1)^(k+1) times the plain differential of rho_H."""
-    df = plain_differential(rho_H, f)
+    df = _differential(_induced_tables(s), f)
     return df if f.degree % 2 else cochain_scale(Fraction(-1), df)
 
 
@@ -384,7 +378,7 @@ def ce_differential(s: Setup, f: Cochain) -> Cochain:
     if (f.g_dim, f.h_dim) != (s.g.dim, s.h.dim):
         raise DimensionMismatch("cochain does not match the setup")
     _require_crossed_hom(s)
-    return _twisted_differential(_induced_action_unchecked(s), f)
+    return _twisted_differential(s, f)
 
 
 def sign_relation_check(s: Setup, f: Cochain) -> bool:
@@ -458,14 +452,14 @@ def _coboundary_rows(tables, g_dim: int, h_dim: int, k: int) -> dict[int, dict[i
 
 def differential_matrix(s: Setup, k: int) -> Matrix:
     """Matrix of the degree-k coboundary on the lexicographic tuple basis:
-    the rows of `_coboundary_rows`, written into a dense matrix."""
+    the rows of `_coboundary_rows`, written into a dense matrix of Fractions."""
     g_dim, h_dim = s.g.dim, s.h.dim
-    rows = _coboundary_rows(_coboundary_tables(_induced_action_unchecked(s)), g_dim, h_dim, k)
+    rows = _coboundary_rows(_induced_tables(s), g_dim, h_dim, k)
     nrows, ncols = comb(g_dim, k + 1) * h_dim, comb(g_dim, k) * h_dim
     data = [ZERO] * (nrows * ncols)
     for r, row in rows.items():
         for col, c in row.items():
-            data[r * ncols + col] = c
+            data[r * ncols + col] = Fraction(c)
     return Matrix(nrows, ncols, tuple(data))
 
 
@@ -537,7 +531,7 @@ def check_linear_deformation(s: Setup, frkH: Matrix) -> list[Finding]:
     if (frkH.rows, frkH.cols) != (s.h.dim, s.g.dim):
         raise DimensionMismatch("deformation direction has the wrong shape")
     findings = []
-    d = _twisted_differential(_induced_action_unchecked(s), cochain_from_matrix(frkH))
+    d = _twisted_differential(s, cochain_from_matrix(frkH))
     for S, v in sorted(d.values.items()):
         findings.append(
             Finding(

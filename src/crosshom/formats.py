@@ -10,6 +10,7 @@ mathematical checks to the subcommands.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -53,9 +54,9 @@ def _matrix_from_rows(rows, expected: tuple[int, int], where: str) -> Matrix:
         raise ShapeError(f"{where}: ragged matrix rows")
     if got != expected:
         raise ShapeError(f"{where}: matrix is {got[0]}x{got[1]}, expected {expected[0]}x{expected[1]}")
-    return Matrix.from_rows(
-        [[rational(e, where) for e in r] for r in rows]
-    )
+    parse = functools.cache(lambda e: rational(e, where))  # once per distinct string
+    data = tuple(parse(e) if isinstance(e, str) else rational(e, where) for r in rows for e in r)
+    return Matrix(got[0], got[1], data)
 
 
 def _entries(body: dict, key: str, where: str) -> list:

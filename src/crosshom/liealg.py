@@ -16,8 +16,10 @@ it over the nonzero coordinates of its arguments only.
 
 The checks (`check_lie_algebra`, `check_action`, `check_crossed_hom`) decide
 each basis identity over nonzeros: they accumulate its terms from
-`bracket_terms` and `Matrix.col_nonzeros` into one sparse dict, and form the
-dense residual, which a finding reports, only where that dict is nonempty.
+`bracket_terms` and `Matrix.col_nonzeros` into one sparse {index: value}
+dict, which is the residual a finding reports, as a dense tuple, where it is
+nonempty.  `homomorphism_violations` is the one Lie-homomorphism law, also
+for the anchors, betas and representations of `rinehart`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .linalg import (
     Matrix,
     Vector,
     _add_scaled,
+    _dense,
     is_zero_vector,
     lincomb,
     rational,
@@ -151,20 +154,10 @@ def sl2() -> FinLieAlgebra:
     )
 
 
-def _jacobi_residual(L: FinLieAlgebra, i: int, j: int, k: int) -> Vector:
-    ei, ej, ek = (L.basis_vector(t) for t in (i, j, k))
-    return vadd(
-        vadd(L.bracket(ei, L.bracket(ej, ek)), L.bracket(ej, L.bracket(ek, ei))),
-        L.bracket(ek, L.bracket(ei, ej)),
-    )
-
-
 def check_lie_algebra(L: FinLieAlgebra) -> list[Finding]:
-    """List every basis triple violating the Jacobi identity.
-
-    Each triple is decided over `bracket_terms`; the dense residual is formed
-    for the failing triples only.
-    """
+    """List every basis triple violating the Jacobi identity, with the
+    residual [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] accumulated
+    over `bracket_terms`."""
     terms = L.bracket_terms
     findings = []
     for i, j, k in itertools.combinations(range(L.dim), 3):
@@ -174,7 +167,7 @@ def check_lie_algebra(L: FinLieAlgebra) -> list[Finding]:
                 _add_scaled(acc, x, terms.get((a, m), ()))
         if acc:
             names = (L.basis_names[i], L.basis_names[j], L.basis_names[k])
-            findings.append(Finding("jacobi", names, _jacobi_residual(L, i, j, k)))
+            findings.append(Finding("jacobi", names, _dense(acc, L.dim)))
     return findings
 
 
@@ -215,22 +208,18 @@ def zero_action(g: FinLieAlgebra, h: FinLieAlgebra) -> LieAction:
     return LieAction(g, h, tuple(Matrix.zero(h.dim, h.dim) for _ in range(g.dim)))
 
 
-def _derivation_residual(rho: LieAction, i: int, u: int, v: int) -> Vector:
-    h, m = rho.target, rho.matrices[i]
-    eu, ev = h.basis_vector(u), h.basis_vector(v)
-    lhs = m.apply(h.bracket(eu, ev))
-    return vsub(lhs, vadd(h.bracket(m.col(u), ev), h.bracket(eu, m.col(v))))
+def homomorphism_violations(g: FinLieAlgebra, mats: Sequence[Matrix], rule: str) -> list[Finding]:
+    """Every pair i < j with rho([e_i, e_j]) != [rho(e_i), rho(e_j)], for the
+    square matrices rho(e_k) = mats[k].
 
+    The residual is accumulated column by column from `col_nonzeros` and
+    `bracket_terms`; the zero columns before the first nonzero one are
+    dropped, and a failing pair's residual matrix is assembled from the rest.
+    """
+    cols = [m.col_nonzeros for m in mats]
+    terms = g.bracket_terms
 
-def _homomorphism_residual(rho: LieAction, i: int, j: int) -> Matrix:
-    mi, mj = rho.matrices[i], rho.matrices[j]
-    return rho.of(rho.source.bracket_basis(i, j)) - (mi * mj - mj * mi)
-
-
-def _homomorphism_holds(cols, ij, i: int, j: int) -> bool:
-    """rho([e_i, e_j]) = [rho(e_i), rho(e_j)], decided column by column from
-    cols[k] = rho(e_k).col_nonzeros and ij = bracket_terms of (i, j)."""
-    for u in range(len(cols[i])):
+    def column(i: int, j: int, ij, u: int) -> dict:
         acc: dict = {}
         for k, c in ij:
             _add_scaled(acc, c, cols[k][u])
@@ -238,17 +227,28 @@ def _homomorphism_holds(cols, ij, i: int, j: int) -> bool:
             _add_scaled(acc, -a, cols[i][w])
         for w, a in cols[i][u]:
             _add_scaled(acc, a, cols[j][w])
-        if acc:
-            return False
-    return True
+        return acc
+
+    findings = []
+    for i, j in itertools.combinations(range(g.dim), 2):
+        ij, n = terms.get((i, j), ()), mats[i].cols
+        accs = enumerate(column(i, j, ij, u) for u in range(n))
+        failing = list(itertools.dropwhile(lambda p: not p[1], accs))
+        if failing:
+            data = [ZERO] * (n * n)
+            for u, acc in failing:
+                for w, x in acc.items():
+                    data[w * n + u] = rational(x)
+            names = (g.basis_names[i], g.basis_names[j])
+            findings.append(Finding(rule, names, Matrix(n, n, tuple(data))))
+    return findings
 
 
 def check_action(rho: LieAction) -> list[Finding]:
     """Derivation property of each rho(e_i) and the homomorphism law.
 
-    Each identity is decided over `bracket_terms` and `col_nonzeros`: the
-    derivation law per (i, u, v), the homomorphism law column by column.  The
-    dense residual is formed for the failing sites only.
+    The derivation law is accumulated per (i, u, v) over `bracket_terms` and
+    `col_nonzeros`; the homomorphism law is `homomorphism_violations`.
     """
     g, h = rho.source, rho.target
     terms = h.bracket_terms
@@ -268,19 +268,10 @@ def check_action(rho: LieAction) -> list[Finding]:
                     Finding(
                         "derivation",
                         (g.basis_names[i], h.basis_names[u], h.basis_names[v]),
-                        _derivation_residual(rho, i, u, v),
+                        _dense(acc, h.dim),
                     )
                 )
-    cols = [m.col_nonzeros for m in rho.matrices]
-    for i, j in itertools.combinations(range(g.dim), 2):
-        if not _homomorphism_holds(cols, g.bracket_terms.get((i, j), ()), i, j):
-            findings.append(
-                Finding(
-                    "homomorphism",
-                    (g.basis_names[i], g.basis_names[j]),
-                    _homomorphism_residual(rho, i, j),
-                )
-            )
+    findings.extend(homomorphism_violations(g, rho.matrices, "homomorphism"))
     return findings
 
 
@@ -318,47 +309,44 @@ class Setup:
             )
 
 
-def crossed_hom_residual(s: Setup, i: int, j: int) -> Vector:
-    """H[e_i,e_j] - rho(e_i)(He_j) + rho(e_j)(He_i) - [He_i, He_j]."""
-    Hi, Hj = s.H.column(i), s.H.column(j)
-    res = s.H.apply(s.g.bracket_basis(i, j))
-    res = vsub(res, s.rho.matrices[i].apply(Hj))
-    res = vadd(res, s.rho.matrices[j].apply(Hi))
-    res = vsub(res, s.h.bracket(Hi, Hj))
-    return res
-
-
-def check_crossed_hom(s: Setup) -> list[Finding]:
-    """Every basis pair (i, j), i < j, whose crossed-hom residual is nonzero.
-
-    Each pair is decided over nonzeros: the four terms of the residual are
-    accumulated from `col_nonzeros` of H and of the rho(e_i) and from the
-    `bracket_terms` of g and h.  `crossed_hom_residual` forms the dense
-    residual for the failing pairs only.
-    """
+def _crossed_hom_accumulator(s: Setup):
+    """acc(i, j): the crossed-hom residual of (e_i, e_j) as a sparse dict,
+    from `col_nonzeros` of H and rho and `bracket_terms` of g and h."""
     g_terms, h_terms = s.g.bracket_terms, s.h.bracket_terms
     H_cols = s.H.matrix.col_nonzeros
     rho_cols = [m.col_nonzeros for m in s.rho.matrices]
-    findings = []
-    for i, j in itertools.combinations(range(s.g.dim), 2):
-        acc: dict = {}
+
+    def acc(i: int, j: int) -> dict:
+        r: dict = {}
         for k, c in g_terms.get((i, j), ()):
-            _add_scaled(acc, c, H_cols[k])
+            _add_scaled(r, c, H_cols[k])
         for u, x in H_cols[j]:
-            _add_scaled(acc, -x, rho_cols[i][u])
+            _add_scaled(r, -x, rho_cols[i][u])
         for u, x in H_cols[i]:
-            _add_scaled(acc, x, rho_cols[j][u])
+            _add_scaled(r, x, rho_cols[j][u])
         for a, x in H_cols[i]:
             for b, y in H_cols[j]:
-                _add_scaled(acc, -x * y, h_terms.get((a, b), ()))
+                _add_scaled(r, -x * y, h_terms.get((a, b), ()))
+        return r
+
+    return acc
+
+
+def crossed_hom_residual(s: Setup, i: int, j: int) -> Vector:
+    """H[e_i,e_j] - rho(e_i)(He_j) + rho(e_j)(He_i) - [He_i, He_j], the dense
+    view of the accumulator `check_crossed_hom` reads."""
+    return _dense(_crossed_hom_accumulator(s)(i, j), s.h.dim)
+
+
+def check_crossed_hom(s: Setup) -> list[Finding]:
+    """Every basis pair (i, j), i < j, whose crossed-hom residual is nonzero."""
+    residual = _crossed_hom_accumulator(s)
+    findings = []
+    for i, j in itertools.combinations(range(s.g.dim), 2):
+        acc = residual(i, j)
         if acc:
-            findings.append(
-                Finding(
-                    "crossed-hom",
-                    (s.g.basis_names[i], s.g.basis_names[j]),
-                    crossed_hom_residual(s, i, j),
-                )
-            )
+            names = (s.g.basis_names[i], s.g.basis_names[j])
+            findings.append(Finding("crossed-hom", names, _dense(acc, s.h.dim)))
     return findings
 
 

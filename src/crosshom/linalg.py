@@ -294,6 +294,11 @@ def _add_scaled(r: dict[int, Coeff], f: Coeff, terms: Iterable[tuple[int, Coeff]
             del r[j]
 
 
+def _dense(acc: dict[int, Coeff], n: int) -> Vector:
+    """A sparse accumulator {index: value} as a length-n tuple of Fractions."""
+    return tuple(rational(acc.get(k, ZERO)) for k in range(n))
+
+
 def _echelon(
     rows: list[dict[int, Coeff]], ncols: int
 ) -> tuple[list[dict[int, Coeff]], list[int]]:

@@ -10,6 +10,10 @@ A Leibniz pair keeps only the Lie algebra and the homomorphism into Der(A).
 Weak representations act by first-order operators whose symbol is the anchor;
 admissible representations are the Leibniz-pair counterpart.
 
+Each law is coded once: the anchor, beta and representations are checked as
+Lie homomorphisms by `liealg.homomorphism_violations`, the first-order rule
+by `_first_order_violations`, A-linearity by `_a_linear_violations`.
+
 Given a crossed homomorphism H from L into gl_n (x) A, pulling the boxed-sum
 action back along x |-> (x, Hx) turns a gl_n-representation V and a module M
 into a new module on V (x) M.  The same recipe on the sparse side gives the
@@ -31,7 +35,15 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidPair, NotCrossedHom
-from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup, check_crossed_hom, check_lie_algebra
+from .liealg import (
+    CrossedHom,
+    FinLieAlgebra,
+    LieAction,
+    Setup,
+    check_crossed_hom,
+    check_lie_algebra,
+    homomorphism_violations,
+)
 from .linalg import ONE, Matrix, Vector, is_zero_vector, kron, lincomb
 from .report import Finding
 from .witt import (
@@ -124,16 +136,20 @@ class FirstOrderOp:
     sigma: Matrix
 
 
-def check_first_order_op(mod: AModuleStructure, op: FirstOrderOp) -> list[Finding]:
+def _first_order_violations(mod: AModuleStructure, D: Matrix, sigma: Matrix, rule: str, site=()):
+    """Every a_s with D(a_s m) != a_s D(m) + sigma(a_s) m, at site + (a_s,)."""
     A = mod.algebra
-    findings = list(derivation_violations(A, op.sigma))
+    findings = []
     for s in range(A.dim):
-        lhs = op.D * mod.action[s]
-        rhs = mod.action[s] * op.D + mod.of(op.sigma.col(s))
-        diff = lhs - rhs
+        diff = D * mod.action[s] - mod.action[s] * D - mod.of(sigma.col(s))
         if not diff.is_zero():
-            findings.append(Finding("first-order", (A.basis_names[s],), diff))
+            findings.append(Finding(rule, site + (A.basis_names[s],), diff))
     return findings
+
+
+def check_first_order_op(mod: AModuleStructure, op: FirstOrderOp) -> list[Finding]:
+    findings = derivation_violations(mod.algebra, op.sigma)
+    return findings + _first_order_violations(mod, op.D, op.sigma, "first-order")
 
 
 @dataclass(frozen=True)
@@ -160,9 +176,6 @@ class LieRinehart:
     def l_module(self) -> AModuleStructure:
         return AModuleStructure(self.algebra, self.lie.dim, self.a_action)
 
-    def anchor_of(self, x: Vector) -> Matrix:
-        return lincomb(self.anchor, x)
-
 
 @dataclass(frozen=True)
 class LeibnizPair:
@@ -185,16 +198,15 @@ def underlying_pair(lr: LieRinehart) -> LeibnizPair:
     return LeibnizPair(lr.algebra, lr.lie, lr.anchor)
 
 
-def _der_lie_hom_violations(
-    lie: FinLieAlgebra, A: FinCommAlgebra, mats: Sequence[Matrix], rule: str
-) -> list[Finding]:
+def _a_linear_violations(lr: LieRinehart, mod: AModuleStructure, mats, rule: str):
+    """Every (a_s, x_i) with rho(a_s x_i) != a_s rho(x_i) on mod, rho(x_k) = mats[k]."""
+    A, L = lr.algebra, lr.lie
     findings = []
-    for i, j in itertools.combinations(range(lie.dim), 2):
-        lhs = lincomb(mats, lie.bracket_basis(i, j))
-        rhs = mats[i] * mats[j] - mats[j] * mats[i]
-        diff = lhs - rhs
-        if not diff.is_zero():
-            findings.append(Finding(rule, (lie.basis_names[i], lie.basis_names[j]), diff))
+    for s in range(A.dim):
+        for i in range(L.dim):
+            diff = lincomb(mats, lr.a_action[s].col(i)) - mod.action[s] * mats[i]
+            if not diff.is_zero():
+                findings.append(Finding(rule, (A.basis_names[s], L.basis_names[i]), diff))
     return findings
 
 
@@ -207,18 +219,9 @@ def check_lie_rinehart(lr: LieRinehart) -> list[Finding]:
     for i in range(L.dim):
         for f in derivation_violations(A, lr.anchor[i]):
             findings.append(Finding("anchor-derivation", (L.basis_names[i],) + f.site, f.residual))
-    findings.extend(_der_lie_hom_violations(L, A, lr.anchor, "anchor-lie-hom"))
+    findings.extend(homomorphism_violations(L, lr.anchor, "anchor-lie-hom"))
     # anchor(a x) = a anchor(x): A-module homomorphism into Der(A)
-    for s in range(A.dim):
-        for i in range(L.dim):
-            w = lr.a_action[s].col(i)
-            lhs = lr.anchor_of(w)
-            rhs = A.mult_matrix(A.basis_vector(s)) * lr.anchor[i]
-            diff = lhs - rhs
-            if not diff.is_zero():
-                findings.append(
-                    Finding("anchor-a-linear", (A.basis_names[s], L.basis_names[i]), diff)
-                )
+    findings.extend(_a_linear_violations(lr, regular_module(A), lr.anchor, "anchor-a-linear"))
     # Leibniz compatibility [x, a y] = a [x, y] + anchor(x)(a) y
     for i in range(L.dim):
         ei = L.basis_vector(i)
@@ -252,7 +255,7 @@ def check_leibniz_pair(p: LeibnizPair) -> list[Finding]:
     for i in range(S.dim):
         for f in derivation_violations(A, p.beta[i]):
             findings.append(Finding("beta-derivation", (S.basis_names[i],) + f.site, f.residual))
-    findings.extend(_der_lie_hom_violations(S, A, p.beta, "beta-lie-hom"))
+    findings.extend(homomorphism_violations(S, p.beta, "beta-lie-hom"))
     return findings
 
 
@@ -263,29 +266,15 @@ def _rep_violations(
     ders: Sequence[Matrix],
     anchor_rule: str,
 ) -> list[Finding]:
-    findings = []
     dim_m = mod.dim_m
     for m in rho:
         if (m.rows, m.cols) != (dim_m, dim_m):
             raise DimensionMismatch("representation matrices must act on the module")
     if len(rho) != lie.dim:
         raise DimensionMismatch("one representation matrix per Lie basis vector is required")
-    for i, j in itertools.combinations(range(lie.dim), 2):
-        lhs = lincomb(rho, lie.bracket_basis(i, j))
-        rhs = rho[i] * rho[j] - rho[j] * rho[i]
-        diff = lhs - rhs
-        if not diff.is_zero():
-            findings.append(Finding("lie-hom", (lie.basis_names[i], lie.basis_names[j]), diff))
-    A = mod.algebra
-    for i in range(lie.dim):
-        for s in range(A.dim):
-            lhs = rho[i] * mod.action[s]
-            rhs = mod.action[s] * rho[i] + mod.of(ders[i].col(s))
-            diff = lhs - rhs
-            if not diff.is_zero():
-                findings.append(
-                    Finding(anchor_rule, (lie.basis_names[i], A.basis_names[s]), diff)
-                )
+    findings = homomorphism_violations(lie, rho, "lie-hom")
+    for i, name in enumerate(lie.basis_names):
+        findings.extend(_first_order_violations(mod, rho[i], ders[i], anchor_rule, (name,)))
     return findings
 
 
@@ -298,20 +287,7 @@ def check_weak_rep(
     """Weak representation axioms; with strict=True also A-linearity of rho."""
     findings = _rep_violations(lr.lie, mod, rho, lr.anchor, "first-order")
     if strict:
-        A = lr.algebra
-        for s in range(A.dim):
-            for i in range(lr.lie.dim):
-                lhs = lincomb(rho, lr.a_action[s].col(i))
-                rhs = mod.action[s] * rho[i]
-                diff = lhs - rhs
-                if not diff.is_zero():
-                    findings.append(
-                        Finding(
-                            "a-linear",
-                            (A.basis_names[s], lr.lie.basis_names[i]),
-                            diff,
-                        )
-                    )
+        findings.extend(_a_linear_violations(lr, mod, rho, "a-linear"))
     return findings
 
 

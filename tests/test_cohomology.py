@@ -28,6 +28,7 @@ from crosshom.cohomology import (
     zero_cochain,
 )
 import crosshom.cohomology
+import crosshom.liealg
 import crosshom.linalg
 from crosshom import formats
 from crosshom.errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, SearchSpaceTooLarge
@@ -174,6 +175,14 @@ def test_differential_matrix_is_the_coboundary():
             )
 
 
+def test_differential_matrix_entries_are_fractions():
+    for s in (sl2_setup(), _non_integral_setup(), generalized_witt_bounds((2, 2))):
+        for k in range(s.g.dim):
+            d = differential_matrix(s, k)
+            assert all(type(x) is Fraction for x in d.data)
+            assert not d.is_zero()
+
+
 def test_differential_matrices_compose_to_zero():
     s = generalized_witt_bounds((2, 2))
     for k in (0, 1):
@@ -232,6 +241,52 @@ def test_derived_bracket_graded_jacobi():
                 ),
             )
             assert lhs == rhs
+
+
+def _walk_derived_bracket(h, f1, f2):
+    """Reference: the bracket as a walk over every (m+n)-set S and every
+    (m, n)-shuffle of S, with dense evaluation."""
+    m, n = f1.degree, f2.degree
+    global_sign = -1 if (m * n + 1) % 2 else 1
+    values = {}
+    for S in itertools.combinations(range(f1.g_dim), m + n):
+        total = vzero(h.dim)
+        for positions in itertools.combinations(range(m + n), m):
+            complement = tuple(t for t in range(m + n) if t not in positions)
+            inversions = sum(1 for a in positions for b in complement if b < a)
+            v1 = eval_basis(f1, tuple(S[t] for t in positions))
+            v2 = eval_basis(f2, tuple(S[t] for t in complement))
+            if is_zero_vector(v1) or is_zero_vector(v2):
+                continue
+            term = h.bracket(v1, v2)
+            total = vsub(total, term) if inversions % 2 else vadd(total, term)
+        if global_sign == -1:
+            total = vscale(Fraction(-1), total)
+        if not is_zero_vector(total):
+            values[S] = total
+    return Cochain(m + n, f1.g_dim, h.dim, values)
+
+
+def test_derived_bracket_matches_the_shuffle_walk():
+    rng = random.Random(61)
+    compared = nonzero = 0
+    for s in kernel_setups():
+        g_dim, h_dim = s.g.dim, s.h.dim
+        top = min(g_dim, 4 if g_dim <= 8 else 3)  # the walk is slow on large g
+        for m, n in itertools.product(range(4), repeat=2):
+            if m + n > top:
+                continue
+            for make in (random_cochain, _sparse_random_cochain):
+                f1 = make(rng, m, g_dim, h_dim)
+                f2 = make(rng, n, g_dim, h_dim)
+                got = derived_bracket(s.h, f1, f2)
+                expected = _walk_derived_bracket(s.h, f1, f2)
+                assert got.values == expected.values
+                assert list(got.values) == sorted(got.values)
+                assert all(type(x) is Fraction for v in got.values.values() for x in v)
+                compared += 1
+                nonzero += bool(expected.values)
+    assert compared >= 140 and nonzero >= 100, (compared, nonzero)
 
 
 def test_mc_residual_zero_iff_crossed_hom():
@@ -376,7 +431,7 @@ def test_cohomology_dims_builds_rho_H_once_and_no_dense_matrix(monkeypatch):
         raise AssertionError("a dense matrix was formed")
 
     monkeypatch.setattr(crosshom.cohomology, "_induced_tables", counted)
-    monkeypatch.setattr(crosshom.cohomology, "_induced_action_unchecked", refuse)
+    monkeypatch.setattr(crosshom.liealg, "_induced_action_unchecked", refuse)
     monkeypatch.setattr(crosshom.cohomology, "differential_matrix", refuse)
     monkeypatch.setattr(crosshom.linalg, "_sparse_rows", refuse)
     for s, ranks in zip(setups, expected):

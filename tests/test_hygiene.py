@@ -55,6 +55,20 @@ def test_no_unused_module_level_import(path):
     assert unused == []
 
 
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and the methods and properties of
+    those classes apart from dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
+
+
 def test_every_definition_is_named_outside_itself():
     corpus = _corpus()
     words = Counter(w for text in corpus.values() for w in WORD.findall(text))
@@ -62,9 +76,7 @@ def test_every_definition_is_named_outside_itself():
     for path in MODULES:
         source = corpus[path]
         lines = source.splitlines()
-        for node in ast.parse(source).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for node in _definitions(ast.parse(source)):
             first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
             own = WORD.findall("\n".join(lines[first - 1 : node.end_lineno]))
             if words[node.name] - own.count(node.name) < 1:

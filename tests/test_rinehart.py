@@ -1,13 +1,15 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from crosshom import formats
 from crosshom.errors import InvalidPair, NotCrossedHom, SearchSpaceTooLarge
 from crosshom.liealg import abelian, lie_algebra
-from crosshom.linalg import Matrix, kron
+from crosshom.linalg import Matrix, kron, lincomb
 from crosshom.report import Finding
 from crosshom.rinehart import (
     AModuleStructure,
@@ -51,7 +53,7 @@ from crosshom.witt import (
     witt_bracket,
     witt_window_basis,
 )
-from conftest import assert_exact_terms, random_exponent, random_sparse_sum, ref_add_term
+from conftest import FIXTURES, assert_exact_terms, random_exponent, random_sparse_sum, ref_add_term
 
 
 def derivation_model():
@@ -621,3 +623,98 @@ def test_poly_scale_int_path_matches_fraction_reference():
             got = t.poly_scale(a)
             assert got == ref_poly_scale(t, a)
             assert_exact_terms(got, integral)
+
+
+# --- the merged laws against the dense loops they replace ---
+
+
+def _ref_lie_hom(lie, mats, rule):
+    """mats[[i, j]] - [mats[i], mats[j]] of every pair, kept where it is nonzero."""
+    findings = []
+    for i, j in itertools.combinations(range(lie.dim), 2):
+        diff = lincomb(mats, lie.bracket_basis(i, j)) - (mats[i] * mats[j] - mats[j] * mats[i])
+        if not diff.is_zero():
+            findings.append(Finding(rule, (lie.basis_names[i], lie.basis_names[j]), diff))
+    return findings
+
+
+def _ref_first_order(mod, D, sigma, rule, site=()):
+    """D a_s - (a_s D + sigma(a_s)) of every a_s, kept where it is nonzero."""
+    A = mod.algebra
+    findings = []
+    for s in range(A.dim):
+        diff = D * mod.action[s] - (mod.action[s] * D + mod.of(sigma.col(s)))
+        if not diff.is_zero():
+            findings.append(Finding(rule, site + (A.basis_names[s],), diff))
+    return findings
+
+
+def _ref_a_linear(lr, left, mats, rule):
+    """mats(a_s x_i) - left(a_s) mats(x_i) of every (a_s, x_i), kept where it is nonzero."""
+    A, L = lr.algebra, lr.lie
+    findings = []
+    for s in range(A.dim):
+        for i in range(L.dim):
+            diff = lincomb(mats, lr.a_action[s].col(i)) - left(s) * mats[i]
+            if not diff.is_zero():
+                findings.append(Finding(rule, (A.basis_names[s], L.basis_names[i]), diff))
+    return findings
+
+
+def _perturbed_matrices(rng, mats):
+    mats = list(mats)
+    for k in rng.sample(range(len(mats)), rng.randint(1, len(mats))):
+        data = list(mats[k].data)
+        for p in rng.sample(range(len(data)), rng.randint(1, 2)):
+            data[p] += Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+        mats[k] = Matrix(mats[k].rows, mats[k].cols, tuple(data))
+    return tuple(mats)
+
+
+def _rules(findings, *rules):
+    return [f for f in findings if f.rule in rules]
+
+
+def test_merged_laws_match_the_dense_references():
+    lr, block = formats.load_file(str(FIXTURES / "derivations_trunc3.lr.json"))
+    mod, rho = formats.module_from_dict(lr.algebra, lr.lie.basis_names, block, "module")
+    pair = formats.load_file(str(FIXTURES / "derivations_trunc3.pair.json"))
+    A, L = lr.algebra, lr.lie
+    rng = random.Random(91)
+    seen = Counter()
+    for round_ in range(30):
+        a_action = _perturbed_matrices(rng, lr.a_action) if round_ % 3 == 0 else lr.a_action
+        lr2 = LieRinehart(A, L, a_action, _perturbed_matrices(rng, lr.anchor))
+        mod2 = AModuleStructure(A, mod.dim_m, _perturbed_matrices(rng, mod.action)) if round_ % 4 == 0 else mod
+        rho2 = _perturbed_matrices(rng, rho)
+        p2 = LeibnizPair(A, pair.lie, _perturbed_matrices(rng, pair.beta))
+
+        got = check_lie_rinehart(lr2)
+        assert _rules(got, "anchor-lie-hom") == _ref_lie_hom(L, lr2.anchor, "anchor-lie-hom")
+        mult = lambda s: A.mult_matrix(A.basis_vector(s))
+        assert _rules(got, "anchor-a-linear") == _ref_a_linear(lr2, mult, lr2.anchor, "anchor-a-linear")
+        got_pair = check_leibniz_pair(p2)
+        assert _rules(got_pair, "beta-lie-hom") == _ref_lie_hom(p2.lie, p2.beta, "beta-lie-hom")
+
+        for carrier in (lr, lr2):
+            expected = _ref_lie_hom(L, rho2, "lie-hom")
+            for i in range(L.dim):
+                expected += _ref_first_order(mod2, rho2[i], carrier.anchor[i], "first-order", (L.basis_names[i],))
+            expected += _ref_a_linear(carrier, lambda s: mod2.action[s], rho2, "a-linear")
+            got = check_weak_rep(carrier, mod2, rho2, strict=True)
+            assert got == expected
+            seen.update(f.rule for f in got)
+        for p in (pair, p2):
+            expected = _ref_lie_hom(p.lie, rho2, "lie-hom")
+            for i in range(p.lie.dim):
+                expected += _ref_first_order(mod2, rho2[i], p.beta[i], "admissible-anchor", (p.lie.basis_names[i],))
+            assert check_admissible_rep(p, mod2, rho2) == expected
+            seen.update(f.rule for f in expected)
+        op = FirstOrderOp(rho2[0], lr2.anchor[1])
+        got = check_first_order_op(mod2, op)
+        assert _rules(got, "first-order") == _ref_first_order(mod2, op.D, op.sigma, "first-order")
+        for f in _rules(got, "first-order") + _rules(check_lie_rinehart(lr2), "anchor-lie-hom", "anchor-a-linear"):
+            assert all(type(x) is Fraction for x in f.residual.data)
+        seen.update(f.rule for f in check_lie_rinehart(lr2) + got_pair)
+    for rule in ("anchor-lie-hom", "anchor-a-linear", "beta-lie-hom", "lie-hom", "first-order", "a-linear", "admissible-anchor"):
+        assert seen[rule] >= 10, seen
