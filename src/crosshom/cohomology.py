@@ -27,8 +27,9 @@ bracket terms land) do not depend on the value at T and are found once per T
 (`_scatter_sites`).  The matrix of d_k
 has one row assembly, `_coboundary_rows`: column (T, u) is the same step
 applied to the unit value e_u at T, written into sparse {column: value} rows,
-so the work follows the nonzeros.  rho_H's tables are built in one place,
-`_induced_tables`, which reads the nonzeros of rho and H and the bracket
+so the work follows the nonzeros.  rho_H's tables are `_induced_tables`:
+its columns come from `liealg._induced_columns`, the one place the rho_H
+formula is written, which reads the nonzeros of rho and H and the bracket
 terms of h (no dense rho_H) and keeps integral entries as ints.
 `cohomology_dims` builds them once and ranks each degree's rows with the
 sparse elimination of `linalg`, in int arithmetic while the pivots are
@@ -61,7 +62,7 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, SearchSpaceTooLarge
-from .liealg import FinLieAlgebra, LieAction, Setup, check_crossed_hom
+from .liealg import FinLieAlgebra, LieAction, Setup, _induced_columns, check_crossed_hom
 from .linalg import (
     Coeff,
     Matrix,
@@ -231,27 +232,10 @@ def _coboundary_tables(rho: LieAction):
 
 
 def _induced_tables(s: Setup):
-    """The tables of `_coboundary_tables` for rho_H, built from the setup with
-    no dense rho_H: column u of rho_H(e_i) is
-
-        rho_H(e_i) e_u = rho(e_i) e_u + sum_a H[a, i] [e_a, e_u],
-
-    read from `col_nonzeros` and `bracket_terms`.  Entries are `exact_coeff`
-    values, ints when integral, so integral setups assemble and eliminate in
-    int arithmetic."""
-    h_terms = s.h.bracket_terms
-    H_cols = s.H.matrix.col_nonzeros
-    columns = []
-    for i, m in enumerate(s.rho.matrices):
-        cols_i = []
-        for u, col in enumerate(m.col_nonzeros):
-            acc = dict(col)
-            for a, x in H_cols[i]:
-                _add_scaled(acc, x, h_terms.get((a, u), ()))
-            cols_i.append(tuple((w, exact_coeff(c)) for w, c in sorted(acc.items())))
-        columns.append(cols_i)
+    """The tables of `_coboundary_tables` for rho_H, from
+    `liealg._induced_columns`, with `exact_coeff` entries throughout."""
     by_target = [[(a, b, exact_coeff(c)) for a, b, c in t] for t in _by_target(s.g)]
-    return columns, by_target
+    return _induced_columns(s), by_target
 
 
 def _scatter_sites(tables, g_dim: int, T: tuple[int, ...]):
@@ -603,17 +587,23 @@ def _nij4(s: Setup, x: Vector, rx: Matrix) -> list[Finding]:
     return out
 
 
+def _nijenhuis_findings(s: Setup, x: Vector) -> list[Finding]:
+    """The four Nijenhuis conditions at x, for a certified H."""
+    rx = s.rho.of(x)
+    return _nij1(s, x) + _nij2(s, rx) + _nij3(s, x, rx) + _nij4(s, x, rx)
+
+
 def check_nijenhuis(s: Setup, x: Vector) -> list[Finding]:
     """The four Nijenhuis conditions at x, reported per failing basis site."""
     _require_crossed_hom(s)
     if len(x) != s.g.dim:
         raise DimensionMismatch("element has the wrong length for g")
-    rx = s.rho.of(x)
-    return _nij1(s, x) + _nij2(s, rx) + _nij3(s, x, rx) + _nij4(s, x, rx)
+    return _nijenhuis_findings(s, x)
 
 
 def nijenhuis_grid(s: Setup, grid: Sequence, max_candidates: int = 10**7) -> list[Vector]:
-    """All coordinate tuples over the grid passing check_nijenhuis."""
+    """All coordinate tuples over the grid passing check_nijenhuis; H is
+    certified once."""
     _require_crossed_hom(s)
     entries = [rational(v) for v in grid]
     total = len(entries) ** s.g.dim
@@ -621,7 +611,7 @@ def nijenhuis_grid(s: Setup, grid: Sequence, max_candidates: int = 10**7) -> lis
         raise SearchSpaceTooLarge(f"{total} candidates exceed the {max_candidates} guard")
     out = []
     for combo in itertools.product(entries, repeat=s.g.dim):
-        if not check_nijenhuis(s, combo):
+        if not _nijenhuis_findings(s, combo):
             out.append(combo)
     return out
 

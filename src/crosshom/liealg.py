@@ -18,8 +18,12 @@ The checks (`check_lie_algebra`, `check_action`, `check_crossed_hom`) decide
 each basis identity over nonzeros: they accumulate its terms from
 `bracket_terms` and `Matrix.col_nonzeros` into one sparse {index: value}
 dict, which is the residual a finding reports, as a dense tuple, where it is
-nonempty.  `homomorphism_violations` is the one Lie-homomorphism law, also
-for the anchors, betas and representations of `rinehart`.
+nonempty.  `homomorphism_violations` is the one Lie-homomorphism law of a
+representation, also for `rinehart`; `is_lie_homomorphism` is the one law of
+a map between algebras.  The twist map and the graph x |-> (x, Hx) are
+checked with it between the structure constants of `_semidirect_structure`,
+which takes any matrices (rho_H need not be an action).  rho_H's sparse
+columns are built in one place, `_induced_columns`.
 """
 
 from __future__ import annotations
@@ -39,17 +43,16 @@ from .errors import (
 from .linalg import (
     ONE,
     ZERO,
+    Coeff,
     Matrix,
     Vector,
     _add_scaled,
     _dense,
+    exact_coeff,
     is_zero_vector,
     lincomb,
     rational,
-    vadd,
     vector,
-    vscale,
-    vsub,
     vzero,
 )
 from .report import Finding
@@ -358,11 +361,32 @@ def induced_action(s: Setup) -> LieAction:
     return _induced_action_unchecked(s)
 
 
+def _induced_columns(s: Setup) -> list[list[tuple[tuple[int, Coeff], ...]]]:
+    """columns[i][u]: the nonzero (w, entry) of column u of rho_H(e_i), where
+
+        rho_H(e_i) e_u = rho(e_i) e_u + sum_a H[a, i] [e_a, e_u],
+
+    read from `col_nonzeros` and `bracket_terms` with no dense rho_H.  The
+    formula holds for any H; entries are `exact_coeff` values, ints when
+    integral."""
+    h_terms = s.h.bracket_terms
+    H_cols = s.H.matrix.col_nonzeros
+    columns = []
+    for i, m in enumerate(s.rho.matrices):
+        cols_i = []
+        for u, col in enumerate(m.col_nonzeros):
+            acc = dict(col)
+            for a, x in H_cols[i]:
+                _add_scaled(acc, x, h_terms.get((a, u), ()))
+            cols_i.append(tuple((w, exact_coeff(c)) for w, c in sorted(acc.items())))
+        columns.append(cols_i)
+    return columns
+
+
 def _induced_action_unchecked(s: Setup) -> LieAction:
-    mats = tuple(
-        s.rho.matrices[i] + s.h.ad(s.H.column(i)) for i in range(s.g.dim)
-    )
-    return LieAction(s.g, s.h, mats)
+    n = s.h.dim
+    mats = (Matrix.from_columns([_dense(dict(c), n) for c in cols]) for cols in _induced_columns(s))
+    return LieAction(s.g, s.h, tuple(mats))
 
 
 def _merged_names(g: FinLieAlgebra, h: FinLieAlgebra) -> tuple[str, ...]:
@@ -371,79 +395,58 @@ def _merged_names(g: FinLieAlgebra, h: FinLieAlgebra) -> tuple[str, ...]:
     return g.basis_names + h.basis_names
 
 
+def _semidirect_structure(
+    g: FinLieAlgebra, h: FinLieAlgebra, matrices: Sequence[Matrix]
+) -> FinLieAlgebra:
+    """g x h with [(x,u),(y,v)] = ([x,y], rho(x)v - rho(y)u + [u,v]) for the
+    matrices rho(e_i) on h, which need not form an action."""
+    dg, n = g.dim, g.dim + h.dim
+    structure: dict[tuple[int, int], Vector] = {}
+
+    def put(i: int, j: int, shift: int, terms):
+        if terms:
+            full = [ZERO] * n
+            for k, c in terms:
+                full[shift + k] = c
+            structure[i, j] = tuple(full)
+
+    for i, j in itertools.combinations(range(dg), 2):
+        put(i, j, 0, g.bracket_terms.get((i, j)))
+    for i, m in enumerate(matrices):
+        for u, col in enumerate(m.col_nonzeros):
+            put(i, dg + u, dg, col)
+    for u, v in itertools.combinations(range(h.dim), 2):
+        put(dg + u, dg + v, dg, h.bracket_terms.get((u, v)))
+    return FinLieAlgebra(_merged_names(g, h), structure)
+
+
 def semidirect(g: FinLieAlgebra, h: FinLieAlgebra, rho: LieAction) -> FinLieAlgebra:
     """g x h with [(x,u),(y,v)] = ([x,y], rho(x)v - rho(y)u + [u,v])."""
     bad = check_action(rho)
     if bad:
         raise NotAction("; ".join(str(f) for f in bad))
-    dg, dh = g.dim, h.dim
-    names = _merged_names(g, h)
-    structure: dict[tuple[int, int], Vector] = {}
-
-    def put(i: int, j: int, gpart: Vector, hpart: Vector):
-        full = tuple(gpart) + tuple(hpart)
-        if not is_zero_vector(full):
-            structure[(i, j)] = full
-
-    for i, j in itertools.combinations(range(dg), 2):
-        put(i, j, g.bracket_basis(i, j), vzero(dh))
-    for i in range(dg):
-        for u in range(dh):
-            put(i, dg + u, vzero(dg), rho.matrices[i].col(u))
-    for u, v in itertools.combinations(range(dh), 2):
-        put(dg + u, dg + v, vzero(dg), h.bracket_basis(u, v))
-    return FinLieAlgebra(names, structure)
+    return _semidirect_structure(g, h, rho.matrices)
 
 
-def _formal_semidirect_bracket(
-    g: FinLieAlgebra,
-    h: FinLieAlgebra,
-    matrices: Sequence[Matrix],
-    a: tuple[Vector, Vector],
-    b: tuple[Vector, Vector],
-) -> tuple[Vector, Vector]:
-    """Semidirect-product bracket formula; the matrices need not be an action."""
-    xg, xh = a
-    yg, yh = b
-
-    def act(gvec: Vector, hvec: Vector) -> Vector:
-        out = vzero(h.dim)
-        for i, c in enumerate(gvec):
-            if c:
-                out = vadd(out, vscale(c, matrices[i].apply(hvec)))
-        return out
-
-    zg = g.bracket(xg, yg)
-    zh = vadd(vsub(act(xg, yh), act(yg, xh)), h.bracket(xh, yh))
-    return zg, zh
+def _graph(s: Setup) -> Matrix:
+    """[I; H], the matrix of x |-> (x, Hx)."""
+    return Matrix(s.g.dim + s.h.dim, s.g.dim, Matrix.identity(s.g.dim).data + s.H.matrix.data)
 
 
 def twist_iso_check(s: Setup) -> bool:
-    """Whether (x,u) |-> (x, Hx+u) is a homomorphism between semidirect brackets.
+    """Whether (x,u) |-> (x, Hx+u), the matrix [[I, 0], [H, I]], is a Lie
+    homomorphism from the rho_H-semidirect structure to the rho one.
 
-    The source carries the bracket built from rho_H (formed unconditionally
-    from its defining formula), the target the one built from rho.  The
-    result must coincide with emptiness of check_crossed_hom; both are
+    rho_H is formed from its defining formula whether or not it is an action.
+    The result must coincide with emptiness of check_crossed_hom; both are
     computed and compared, and disagreement raises RuntimeError since it
     would mean an internal formula error.
     """
     g, h = s.g, s.h
-    rho_h_mats = _induced_action_unchecked(s).matrices
-
-    def hat(p: tuple[Vector, Vector]) -> tuple[Vector, Vector]:
-        return p[0], vadd(s.H.apply(p[0]), p[1])
-
-    basis: list[tuple[Vector, Vector]] = [
-        (g.basis_vector(i), vzero(h.dim)) for i in range(g.dim)
-    ] + [(vzero(g.dim), h.basis_vector(u)) for u in range(h.dim)]
-
-    holds = True
-    for a, b in itertools.combinations(basis, 2):
-        lhs = hat(_formal_semidirect_bracket(g, h, rho_h_mats, a, b))
-        rhs = _formal_semidirect_bracket(g, h, s.rho.matrices, hat(a), hat(b))
-        if lhs != rhs:
-            holds = False
-            break
+    graph, eye = _graph(s), Matrix.identity(g.dim + h.dim)
+    twist = Matrix.from_rows([graph.row(r) + eye.row(r)[g.dim :] for r in range(eye.rows)])
+    src = _semidirect_structure(g, h, _induced_action_unchecked(s).matrices)
+    holds = not is_lie_homomorphism(src, _semidirect_structure(g, h, s.rho.matrices), twist)
     expected = not check_crossed_hom(s)
     if holds != expected:
         raise RuntimeError(
@@ -455,14 +458,8 @@ def twist_iso_check(s: Setup) -> bool:
 
 def iota_graph_is_homomorphism(s: Setup) -> bool:
     """Whether x |-> (x, Hx) lands homomorphically in the rho-semidirect product."""
-    g, h = s.g, s.h
-    for i, j in itertools.combinations(range(g.dim), 2):
-        xi = (g.basis_vector(i), s.H.column(i))
-        xj = (g.basis_vector(j), s.H.column(j))
-        zg, zh = _formal_semidirect_bracket(g, h, s.rho.matrices, xi, xj)
-        if (zg, zh) != (g.bracket_basis(i, j), s.H.apply(g.bracket_basis(i, j))):
-            return False
-    return True
+    dst = _semidirect_structure(s.g, s.h, s.rho.matrices)
+    return not is_lie_homomorphism(s.g, dst, _graph(s))
 
 
 def solve_crossed_homs_grid(
@@ -492,18 +489,25 @@ def solve_crossed_homs_grid(
 
 
 def is_lie_homomorphism(src: FinLieAlgebra, dst: FinLieAlgebra, phi: Matrix) -> list[Finding]:
-    """phi[x,y] = [phi x, phi y] on basis pairs."""
-    findings = []
+    """Every basis pair i < j with phi[e_i, e_j] != [phi e_i, phi e_j].
+
+    The residual is accumulated from `bracket_terms` of both algebras and
+    `col_nonzeros` of phi; a failing pair reports it as a dense vector."""
     if (phi.rows, phi.cols) != (dst.dim, src.dim):
         raise DimensionMismatch(f"map is {phi.rows}x{phi.cols}, expected {dst.dim}x{src.dim}")
+    src_terms, dst_terms = src.bracket_terms, dst.bracket_terms
+    cols = phi.col_nonzeros
+    findings = []
     for i, j in itertools.combinations(range(src.dim), 2):
-        lhs = phi.apply(src.bracket_basis(i, j))
-        rhs = dst.bracket(phi.col(i), phi.col(j))
-        diff = vsub(lhs, rhs)
-        if not is_zero_vector(diff):
-            findings.append(
-                Finding("lie-hom", (src.basis_names[i], src.basis_names[j]), diff)
-            )
+        acc: dict = {}
+        for k, c in src_terms.get((i, j), ()):
+            _add_scaled(acc, c, cols[k])
+        for a, x in cols[i]:
+            for b, y in cols[j]:
+                _add_scaled(acc, -x * y, dst_terms.get((a, b), ()))
+        if acc:
+            names = (src.basis_names[i], src.basis_names[j])
+            findings.append(Finding("lie-hom", names, _dense(acc, dst.dim)))
     return findings
 
 

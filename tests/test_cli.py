@@ -4,6 +4,7 @@ import io
 import json
 import shutil
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -465,6 +466,43 @@ def test_cohomology_generalized_witt_222_setup_in_budget(capsys, tmp_path):
     assert body["status"] == "pass"
     assert [d["dim_H"] for d in body["payload"]["degrees"]] == [1, 7, 84]
     assert elapsed < 30.0
+
+
+def test_check_crossed_hom_generalized_witt_222_twist_in_budget(capsys, tmp_path):
+    # the budget covers the setup checks and the twist-map check on this
+    # 24 + 72 dimensional setup, for H as generated and with one entry moved
+    body = formats.setup_to_dict(generalized_witt_bounds((2, 2, 2)))
+    moved = copy.deepcopy(body)
+    row = next(r for r in moved["H"] if any(e != "0" for e in r))
+    k = next(k for k, e in enumerate(row) if e != "0")
+    row[k] = str(Fraction(row[k]) + Fraction(1, 3))
+    for name, setup, code_expected, twist in (("gw222", body, 0, True), ("gw222_moved", moved, 1, False)):
+        path = tmp_path / f"{name}.setup.json"
+        path.write_text(json.dumps(setup))
+        t0 = time.monotonic()
+        code, out = run_json(capsys, "check-crossed-hom", str(path))
+        elapsed = time.monotonic() - t0
+        assert code == code_expected
+        assert out["payload"]["twist_map_is_homomorphism"] is twist
+        assert bool(out["findings"]) is not twist
+        assert elapsed < 5.0
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        {"g": {"kind": "finite_lie", "basis": []}, "h": {"kind": "finite_lie", "basis": ["b"]}, "action": {}, "H": [[]]},
+        {"g": {"kind": "finite_lie", "basis": ["a"]}, "h": {"kind": "finite_lie", "basis": []}, "action": {"a": []}},
+    ],
+    ids=["empty-g", "empty-h"],
+)
+def test_check_crossed_hom_empty_g_or_h(capsys, tmp_path, setup):
+    path = tmp_path / "empty.setup.json"
+    path.write_text(json.dumps({"kind": "setup", **setup}))
+    code, out = run_json(capsys, "check-crossed-hom", str(path))
+    assert code == 0
+    assert out["findings"] == []
+    assert out["payload"] == {"twist_map_is_homomorphism": True}
 
 
 def test_cohomology_too_many_cochains_exit_two(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from crosshom.liealg import (
     heisenberg,
     induced_action,
     iota_graph_is_homomorphism,
+    is_lie_homomorphism,
     lie_algebra,
     semidirect,
     sl2,
@@ -28,7 +30,8 @@ from crosshom.liealg import (
     two_dim_nonabelian,
     zero_action,
 )
-from crosshom.linalg import Matrix, vadd, vsub, vzero
+from crosshom.liealg import _graph, _semidirect_structure
+from crosshom.linalg import Matrix, vadd, vscale, vsub, vzero
 from crosshom.report import Finding
 
 from conftest import (
@@ -496,3 +499,128 @@ def test_sparse_check_lie_algebra_and_action_match_dense_references():
             compared += 1
             failing += bool(expected)
     assert failing >= 20, (compared, failing)
+
+
+# --- the twist and graph maps against dense semidirect references ---
+
+
+def _ref_semidirect_bracket(g, h, matrices, a, b):
+    """[(x,u),(y,v)] = ([x,y], A(x)v - A(y)u + [u,v]) on dense (g-part, h-part)
+    pairs, for matrices A(e_i) that need not form an action."""
+    (xg, xh), (yg, yh) = a, b
+
+    def act(gvec, hvec):
+        out = vzero(h.dim)
+        for i, c in enumerate(gvec):
+            if c:
+                out = vadd(out, vscale(c, matrices[i].apply(hvec)))
+        return out
+
+    return g.bracket(xg, yg), vadd(vsub(act(xg, yh), act(yg, xh)), h.bracket(xh, yh))
+
+
+def _ref_rho_H(s: Setup) -> list[Matrix]:
+    """rho_H(e_i) = rho(e_i) + ad(He_i), dense, whether or not H is a crossed hom."""
+    return [s.rho.matrices[i] + s.h.ad(s.H.column(i)) for i in range(s.g.dim)]
+
+
+def _ref_twist_holds(s: Setup) -> bool:
+    """(x,u) |-> (x, Hx+u) against the dense brackets on every pair of basis vectors."""
+    g, h = s.g, s.h
+    rho_H = _ref_rho_H(s)
+
+    def hat(p):
+        return p[0], vadd(s.H.apply(p[0]), p[1])
+
+    basis = [(g.basis_vector(i), vzero(h.dim)) for i in range(g.dim)]
+    basis += [(vzero(g.dim), h.basis_vector(u)) for u in range(h.dim)]
+    return all(
+        hat(_ref_semidirect_bracket(g, h, rho_H, a, b))
+        == _ref_semidirect_bracket(g, h, s.rho.matrices, hat(a), hat(b))
+        for a, b in itertools.combinations(basis, 2)
+    )
+
+
+def _ref_graph_holds(s: Setup) -> bool:
+    """x |-> (x, Hx) against the dense rho-bracket on every basis pair."""
+    g = s.g
+    for i, j in itertools.combinations(range(g.dim), 2):
+        xi = (g.basis_vector(i), s.H.column(i))
+        xj = (g.basis_vector(j), s.H.column(j))
+        bij = g.bracket_basis(i, j)
+        if _ref_semidirect_bracket(g, s.h, s.rho.matrices, xi, xj) != (bij, s.H.apply(bij)):
+            return False
+    return True
+
+
+def test_twist_and_graph_checks_match_the_dense_references():
+    rng = random.Random(81)
+    triples = action_library()
+    seen = Counter()
+    for n in range(160):
+        g, h, rho = triples[n % len(triples)]
+        if n % 4 == 0:
+            H = Matrix.zero(h.dim, g.dim)
+        else:
+            H = Matrix.from_rows(
+                [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(g.dim)] for _ in range(h.dim)]
+            )
+        s = Setup(g, h, rho, CrossedHom(H))
+        rho_H = _ref_rho_H(s)
+        sd_H = _semidirect_structure(g, h, rho_H)
+        for p, q in itertools.combinations(range(g.dim + h.dim), 2):
+            a = (sd_H.basis_vector(p)[: g.dim], sd_H.basis_vector(p)[g.dim :])
+            b = (sd_H.basis_vector(q)[: g.dim], sd_H.basis_vector(q)[g.dim :])
+            zg, zh = _ref_semidirect_bracket(g, h, rho_H, a, b)
+            assert sd_H.bracket_basis(p, q) == zg + zh
+        holds = _ref_twist_holds(s)
+        assert twist_iso_check(s) is holds
+        assert iota_graph_is_homomorphism(s) is _ref_graph_holds(s) is holds
+        seen["holds" if holds else "fails"] += 1
+        seen["rho_H not an action"] += bool(check_action(LieAction(g, h, tuple(rho_H))))
+    assert seen["holds"] >= 40 and seen["fails"] >= 40 and seen["rho_H not an action"] >= 40, seen
+
+
+def _ref_lie_hom(src, dst, phi: Matrix) -> list[Finding]:
+    """phi[e_i, e_j] - [phi e_i, phi e_j] on every pair, dense, kept where nonzero."""
+    findings = []
+    for i, j in itertools.combinations(range(src.dim), 2):
+        diff = vsub(ref_apply(phi, src.bracket_basis(i, j)), ref_bracket(dst, phi.col(i), phi.col(j)))
+        if any(diff):
+            findings.append(Finding("lie-hom", (src.basis_names[i], src.basis_names[j]), diff))
+    return findings
+
+
+def test_is_lie_homomorphism_matches_the_dense_law():
+    rng = random.Random(82)
+    cases = [(L, L, Matrix.identity(L.dim)) for L in (two_dim_nonabelian(), heisenberg(), sl2())]
+    for s in kernel_setups():
+        if s.h.dim <= 16:
+            sd = _semidirect_structure(s.g, s.h, s.rho.matrices)
+            cases.append((s.g, sd, _graph(s)))
+    compared = failing = 0
+    for src, dst, phi in cases:
+        variants = [phi] + [Matrix(phi.rows, phi.cols, _perturbed(rng, phi.data)) for _ in range(4)]
+        for m in variants:
+            expected = _ref_lie_hom(src, dst, m)
+            got = is_lie_homomorphism(src, dst, m)
+            assert got == expected
+            for f in got:
+                assert type(f.residual) is tuple and all(type(x) is Fraction for x in f.residual)
+            compared += 1
+            failing += bool(expected)
+    assert compared == 5 * len(cases) and failing >= 30, (compared, failing)
+
+
+def test_empty_g_or_h_twist_and_graph():
+    empty = abelian(())
+    for g, h in ((empty, two_dim_nonabelian()), (sl2(), empty), (empty, empty)):
+        s = Setup(g, h, zero_action(g, h), CrossedHom(Matrix.zero(h.dim, g.dim)))
+        graph = _graph(s)
+        assert (graph.rows, graph.cols) == (g.dim + h.dim, g.dim)
+        assert semidirect(g, h, s.rho).dim == g.dim + h.dim
+        assert check_crossed_hom(s) == []
+        assert twist_iso_check(s) is True
+        assert iota_graph_is_homomorphism(s) is True
+    with pytest.raises(DimensionMismatch):
+        is_lie_homomorphism(empty, two_dim_nonabelian(), Matrix.zero(0, 0))
