@@ -49,7 +49,8 @@ def _value_vector(value: dict, names: list[str], where: str) -> Vector:
 def _matrix_from_rows(rows, expected: tuple[int, int], where: str) -> Matrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ParseError(f"{where}: expected a list of rows")
-    got = (len(rows), len(rows[0]) if rows else 0)
+    # a matrix with no rows is written as [], whatever its column count
+    got = (len(rows), len(rows[0]) if rows else expected[1])
     if any(len(r) != got[1] for r in rows):
         raise ShapeError(f"{where}: ragged matrix rows")
     if got != expected:

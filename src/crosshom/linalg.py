@@ -296,7 +296,10 @@ def _add_scaled(r: dict[int, Coeff], f: Coeff, terms: Iterable[tuple[int, Coeff]
 
 def _dense(acc: dict[int, Coeff], n: int) -> Vector:
     """A sparse accumulator {index: value} as a length-n tuple of Fractions."""
-    return tuple(rational(acc.get(k, ZERO)) for k in range(n))
+    out = [ZERO] * n
+    for k, x in acc.items():
+        out[k] = rational(x)
+    return tuple(out)
 
 
 def _echelon(

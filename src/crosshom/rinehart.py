@@ -57,6 +57,8 @@ from .witt import (
     _coeff_prefix,
     _exp_str,
     _render_terms,
+    action_structure,
+    block_diagonal,
     check_comm_algebra,
     crossed_hom_pq,
     derivation_violations,
@@ -311,68 +313,16 @@ def check_admissible_rep(
 
 def action_lie_rinehart(p: LeibnizPair) -> LieRinehart:
     """S (x) A with bracket [x(a), y(b)] = [x,y](ab) + y(a beta(x) b) - x(b beta(y) a)
-    and anchor x(a) |-> a beta(x)."""
+    and anchor x(a) |-> a beta(x), both from `witt.action_structure`."""
     bad = check_leibniz_pair(p)
     if bad:
         raise InvalidPair("; ".join(str(f) for f in bad))
     A, S = p.algebra, p.lie
-    dimA, dimS = A.dim, S.dim
-    dim = dimS * dimA
-
-    def idx(i: int, s: int) -> int:
-        return i * dimA + s
-
-    names = tuple(
-        f"{S.basis_names[i]}({A.basis_names[s]})"
-        for i in range(dimS)
-        for s in range(dimA)
-    )
-
-    def bracket_pair(i: int, s: int, j: int, t: int) -> tuple[Fraction, ...]:
-        out = [ZERO] * dim
-        w = S.bracket_basis(i, j)
-        prod = A.product_basis(s, t)
-        for k, ck in enumerate(w):
-            if ck:
-                for u, cu in enumerate(prod):
-                    if cu:
-                        out[idx(k, u)] += ck * cu
-        w1 = A.multiply(A.basis_vector(s), p.beta[i].col(t))
-        for u, cu in enumerate(w1):
-            if cu:
-                out[idx(j, u)] += cu
-        w2 = A.multiply(A.basis_vector(t), p.beta[j].col(s))
-        for u, cu in enumerate(w2):
-            if cu:
-                out[idx(i, u)] -= cu
-        return tuple(out)
-
-    structure = {}
-    for pi in range(dim):
-        i, s = divmod(pi, dimA)
-        for qi in range(pi + 1, dim):
-            j, t = divmod(qi, dimA)
-            vec = bracket_pair(i, s, j, t)
-            if not is_zero_vector(vec):
-                structure[(pi, qi)] = vec
-    lie = FinLieAlgebra(names, structure)
-
-    a_action = []
-    for r in range(dimA):
-        data = [ZERO] * (dim * dim)
-        for i in range(dimS):
-            for s in range(dimA):
-                prod = A.product_basis(r, s)
-                for u, cu in enumerate(prod):
-                    if cu:
-                        data[idx(i, u) * dim + idx(i, s)] = cu
-        a_action.append(Matrix(dim, dim, tuple(data)))
-
-    anchor = []
-    for pi in range(dim):
-        i, s = divmod(pi, dimA)
-        anchor.append(A.mult_matrix(A.basis_vector(s)) * p.beta[i])
-    return LieRinehart(A, lie, tuple(a_action), tuple(anchor))
+    names = (f"{x}({a})" for x in S.basis_names for a in A.basis_names)
+    lie, ops = action_structure(A, S, p.beta, tuple(names))
+    a_action = tuple(kron(Matrix.identity(S.dim), m) for m in regular_module(A).action)
+    anchor = tuple(block_diagonal(op, 1) for op in ops)
+    return LieRinehart(A, lie, a_action, anchor)
 
 
 def extend_to_action_rep(

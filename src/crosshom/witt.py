@@ -18,10 +18,16 @@ gl_n and Shen-Larsson kernels is an integer, so on integral input they run in
 int arithmetic; Fractions appear only through non-integral input, such as the
 pq twist with q = 1/2.  Dense `Matrix`/`Vector` values stay Fractions.
 
-Dense finite-dimensional commutative algebras and their derivation-generated
-Lie algebras (the generalized Witt construction) live here too, so the same
+Finite-dimensional commutative algebras and their derivation-generated Lie
+algebras (the generalized Witt construction) live here too, so the same
 crossed-homomorphism checker from `liealg` can certify the canonical maps on
-finite models.
+finite models.  `FinCommAlgebra` runs over nonzeros: `product_terms` lists
+each product's nonzero coordinates once, and `multiply`, `mult_matrix`, the
+associativity check and the Leibniz rule read it with `Matrix.col_nonzeros`.
+The generalized Witt algebra A (x) Delta is the action Lie-Rinehart algebra of
+the Leibniz pair (A, span Delta): one builder, `action_structure`, writes the
+S (x) A structure constants and the coefficient operators mult(a_s) beta_i for
+both `generalized_witt` (S abelian on Delta) and `rinehart.action_lie_rinehart`.
 
 Direction indices are 0-based in the Python API and rendered 1-based (d_1,
 E_11, ...) in strings and JSON.
@@ -44,13 +50,11 @@ from .errors import (
     NotDerivation,
     SearchSpaceTooLarge,
 )
-from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup
-from .linalg import Coeff, Matrix, Vector, exact_coeff, is_zero_vector, rational, vzero
+from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup, abelian
+from .linalg import ONE, ZERO, Coeff, Matrix, Vector, _add_scaled, _dense, exact_coeff, rational, vzero
 from .report import Finding
 
 MultiIndex = tuple[int, ...]
-
-ZERO = Fraction(0)
 
 
 def _add_term(terms: dict, key, coeff: Coeff):
@@ -551,33 +555,40 @@ class FinCommAlgebra:
         return len(self.basis_names)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
+        return tuple(ONE if k == i else ZERO for k in range(self.dim))
 
     def product_basis(self, i: int, j: int) -> Vector:
         key = (i, j) if i <= j else (j, i)
         return self.structure.get(key, vzero(self.dim))
 
+    @functools.cached_property
+    def product_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Coeff], ...]]:
+        """product_terms[(i, j)]: the nonzero (k, c) with a_i a_j = sum c a_k,
+        as `exact_coeff` values."""
+        terms = {}
+        for (i, j), v in self.structure.items():
+            nz = tuple((k, exact_coeff(c)) for k, c in enumerate(v) if c)
+            if nz:
+                terms[i, j] = terms[j, i] = nz
+        return terms
+
     def multiply(self, a: Vector, b: Vector) -> Vector:
         if len(a) != self.dim or len(b) != self.dim:
             raise DimensionMismatch("operand lengths differ from the algebra dimension")
-        out = [ZERO] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                v = self.product_basis(i, j)
-                c = ai * bj
-                for k, vk in enumerate(v):
-                    if vk:
-                        out[k] += c * vk
-        return tuple(out)
+        return self.mult_matrix(a).apply(b)
 
     def mult_matrix(self, a: Vector) -> Matrix:
-        """Left (= right) multiplication operator by a."""
-        cols = [self.multiply(a, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols) if self.dim else Matrix.zero(0, 0)
+        """Left (= right) multiplication operator by a, over the nonzeros of a."""
+        n = self.dim
+        if len(a) != n:
+            raise DimensionMismatch("operand lengths differ from the algebra dimension")
+        data = [ZERO] * (n * n)
+        for i, x in enumerate(a):
+            if x:
+                for j in range(n):
+                    for k, c in self.product_terms.get((i, j), ()):
+                        data[k * n + j] += x * c
+        return Matrix(n, n, tuple(data))
 
 
 def truncated_polynomial_algebra(bounds: Sequence[int]) -> FinCommAlgebra:
@@ -624,50 +635,46 @@ def scaling_derivation(bounds: Sequence[int], var: int) -> Matrix:
 
 
 def check_comm_algebra(A: FinCommAlgebra) -> list[Finding]:
-    """Associativity on basis triples; the unit must act as the identity."""
+    """Associativity on basis triples; the unit must act as the identity.
+
+    The residual (a_i a_j) a_k - a_i (a_j a_k) is accumulated over
+    `product_terms`."""
+    terms = A.product_terms
     findings = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                lhs = A.multiply(A.product_basis(i, j), A.basis_vector(k))
-                rhs = A.multiply(A.basis_vector(i), A.product_basis(j, k))
-                diff = tuple(x - y for x, y in zip(lhs, rhs))
-                if not is_zero_vector(diff):
-                    findings.append(
-                        Finding(
-                            "associativity",
-                            (A.basis_names[i], A.basis_names[j], A.basis_names[k]),
-                            diff,
-                        )
-                    )
+    for i, j, k in itertools.product(range(A.dim), repeat=3):
+        acc: dict = {}
+        for m, c in terms.get((i, j), ()):
+            _add_scaled(acc, c, terms.get((m, k), ()))
+        for m, c in terms.get((j, k), ()):
+            _add_scaled(acc, -c, terms.get((i, m), ()))
+        if acc:
+            names = (A.basis_names[i], A.basis_names[j], A.basis_names[k])
+            findings.append(Finding("associativity", names, _dense(acc, A.dim)))
     if A.unit is not None:
-        m = A.mult_matrix(A.unit)
-        diff = m - Matrix.identity(A.dim)
+        diff = A.mult_matrix(A.unit) - Matrix.identity(A.dim)
         if not diff.is_zero():
             findings.append(Finding("unit", ("1",), diff))
     return findings
 
 
 def derivation_violations(A: FinCommAlgebra, D: Matrix) -> list[Finding]:
-    """Leibniz rule D(ab) = D(a)b + aD(b) on basis pairs."""
+    """Leibniz rule D(ab) = D(a)b + aD(b) on basis pairs, its residual
+    accumulated over `product_terms` and `col_nonzeros`."""
     if (D.rows, D.cols) != (A.dim, A.dim):
         raise DimensionMismatch(f"operator is {D.rows}x{D.cols}, expected {A.dim}x{A.dim}")
+    terms, cols = A.product_terms, D.col_nonzeros
     findings = []
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            lhs = D.apply(A.product_basis(i, j))
-            rhs = tuple(
-                x + y
-                for x, y in zip(
-                    A.multiply(D.col(i), A.basis_vector(j)),
-                    A.multiply(A.basis_vector(i), D.col(j)),
-                )
-            )
-            diff = tuple(x - y for x, y in zip(lhs, rhs))
-            if not is_zero_vector(diff):
-                findings.append(
-                    Finding("leibniz", (A.basis_names[i], A.basis_names[j]), diff)
-                )
+    for i, j in itertools.combinations_with_replacement(range(A.dim), 2):
+        acc: dict = {}
+        for k, c in terms.get((i, j), ()):
+            _add_scaled(acc, c, cols[k])
+        for u, x in cols[i]:
+            _add_scaled(acc, -x, terms.get((u, j), ()))
+        for u, x in cols[j]:
+            _add_scaled(acc, -x, terms.get((i, u), ()))
+        if acc:
+            names = (A.basis_names[i], A.basis_names[j])
+            findings.append(Finding("leibniz", names, _dense(acc, A.dim)))
     return findings
 
 
@@ -681,48 +688,90 @@ def _validate_delta(A: FinCommAlgebra, Delta: Sequence[Matrix]):
             raise NotCommuting(f"Delta[{a}] and Delta[{b}] do not commute")
 
 
-def _gw_names(A: FinCommAlgebra, m: int) -> tuple[str, ...]:
-    return tuple(
-        f"{A.basis_names[s]}*D{i + 1}" for i in range(m) for s in range(A.dim)
-    )
+SparseColumns = list[tuple[tuple[int, Coeff], ...]]
+
+
+def coefficient_columns(A: FinCommAlgebra, beta: Sequence[Matrix]) -> list[SparseColumns]:
+    """columns[i * dim A + s][t]: the nonzero (u, c) of a_s beta_i(a_t), that is
+    column t of the coefficient operator mult(a_s) beta_i, read from
+    `product_terms` and `col_nonzeros`."""
+    terms = A.product_terms
+    columns = []
+    for D in beta:
+        for s in range(A.dim):
+            op = []
+            for col in D.col_nonzeros:
+                acc: dict = {}
+                for u, x in col:
+                    _add_scaled(acc, x, terms.get((s, u), ()))
+                op.append(tuple((u, exact_coeff(c)) for u, c in sorted(acc.items())))
+            columns.append(op)
+    return columns
+
+
+def block_diagonal(columns: SparseColumns, copies: int) -> Matrix:
+    """I_copies (x) M as a Matrix of Fractions, for M given by its sparse columns."""
+    d = len(columns)
+    n = copies * d
+    data = [ZERO] * (n * n)
+    for t, col in enumerate(columns):
+        for u, c in col:
+            c = rational(c)
+            for base in range(0, n, d):
+                data[(base + u) * n + base + t] = c
+    return Matrix(n, n, tuple(data))
+
+
+def action_structure(
+    A: FinCommAlgebra, S: FinLieAlgebra, beta: Sequence[Matrix], names: Sequence[str]
+) -> tuple[FinLieAlgebra, list[SparseColumns]]:
+    """The Lie algebra S (x) A of a Leibniz pair (A, S, beta), basis a_s x_i
+    at i * dim A + s, with
+
+        [a_s x_i, a_t x_j] = [x_i, x_j] (x) a_s a_t + a_s beta_i(a_t) x_j - a_t beta_j(a_s) x_i,
+
+    built over `bracket_terms`, `product_terms` and the coefficient columns,
+    which are returned with it.  beta is not checked here.
+    """
+    dimA = A.dim
+    ops = coefficient_columns(A, beta)
+    a_terms, s_terms = A.product_terms, S.bracket_terms
+    structure: dict[tuple[int, int], Vector] = {}
+    for p, q in itertools.combinations(range(len(names)), 2):
+        (i, s), (j, t) = divmod(p, dimA), divmod(q, dimA)
+        acc: dict = {}
+        for k, c in s_terms.get((i, j), ()):
+            _add_scaled(acc, c, ((k * dimA + u, d) for u, d in a_terms.get((s, t), ())))
+        _add_scaled(acc, 1, ((j * dimA + u, c) for u, c in ops[p][t]))
+        _add_scaled(acc, -1, ((i * dimA + u, c) for u, c in ops[q][s]))
+        if acc:
+            structure[p, q] = _dense(acc, len(names))
+    return FinLieAlgebra(tuple(names), structure), ops
+
+
+def _generalized_witt(A: FinCommAlgebra, Delta: Sequence[Matrix]):
+    _validate_delta(A, Delta)
+    S = abelian(tuple(f"D{i + 1}" for i in range(len(Delta))))
+    names = (f"{a}*{d}" for d in S.basis_names for a in A.basis_names)
+    return action_structure(A, S, Delta, tuple(names))
 
 
 def generalized_witt(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> FinLieAlgebra:
     """Free module A (x) Delta with [a p, b q] = a p(b) q - b q(a) p.
 
     Requires every member of Delta to be a derivation of A and all pairs to
-    commute; the basis is a_s (x) D_i ordered with i major.
+    commute; the basis is a_s (x) D_i ordered with i major.  It is the Lie
+    algebra of the action Lie-Rinehart algebra of (A, span Delta), with the
+    abelian S on Delta: one `action_structure` builds both.
     """
-    _validate_delta(A, Delta)
-    m = len(Delta)
-    dimA = A.dim
-    dim = m * dimA
-    structure: dict[tuple[int, int], Vector] = {}
-
-    def bracket_pair(i: int, s: int, j: int, t: int) -> list[Fraction]:
-        out = [ZERO] * dim
-        w1 = A.multiply(A.basis_vector(s), Delta[i].col(t))
-        for u, c in enumerate(w1):
-            if c:
-                out[j * dimA + u] += c
-        w2 = A.multiply(A.basis_vector(t), Delta[j].col(s))
-        for u, c in enumerate(w2):
-            if c:
-                out[i * dimA + u] -= c
-        return out
-
-    for p in range(dim):
-        i, s = divmod(p, dimA)
-        for qx in range(p + 1, dim):
-            j, t = divmod(qx, dimA)
-            vec = tuple(bracket_pair(i, s, j, t))
-            if not is_zero_vector(vec):
-                structure[(p, qx)] = vec
-    return FinLieAlgebra(_gw_names(A, m), structure)
+    return _generalized_witt(A, Delta)[0]
 
 
 def gl_tensor_algebra(m: int, A: FinCommAlgebra) -> FinLieAlgebra:
-    """gl_m (x) A as a finite Lie algebra; basis E_ij (x) a_s with (i, j) major."""
+    """gl_m (x) A as a finite Lie algebra; basis E_ij (x) a_s with (i, j) major.
+
+    [E_ij a_s, E_kl a_t] = (d_jk E_il - d_li E_kj) (x) a_s a_t is formed only
+    for the pairs with j == k or l == i and a_s a_t != 0."""
     dimA = A.dim
     dim = m * m * dimA
 
@@ -735,26 +784,21 @@ def gl_tensor_algebra(m: int, A: FinCommAlgebra) -> FinLieAlgebra:
         for j in range(m)
         for s in range(dimA)
     )
+    terms = A.product_terms
     structure: dict[tuple[int, int], Vector] = {}
-    for p in range(dim):
-        ij, s = divmod(p, dimA)
-        i, j = divmod(ij, m)
-        for qx in range(p + 1, dim):
-            kl, t = divmod(qx, dimA)
-            k, l = divmod(kl, m)
-            out = [ZERO] * dim
-            prod = A.product_basis(s, t)
-            if j == k:
-                for u, c in enumerate(prod):
-                    if c:
-                        out[idx(i, l, u)] += c
-            if l == i:
-                for u, c in enumerate(prod):
-                    if c:
-                        out[idx(k, j, u)] -= c
-            vec = tuple(out)
-            if not is_zero_vector(vec):
-                structure[(p, qx)] = vec
+    for p, (i, j, s) in enumerate(itertools.product(range(m), range(m), range(dimA))):
+        for k, l in sorted({(j, l) for l in range(m)} | {(k, i) for k in range(m)}):
+            for t in range(dimA):
+                q, prod = idx(k, l, t), terms.get((s, t))
+                if q <= p or not prod or i == j == k == l:
+                    continue
+                vec = [ZERO] * dim
+                for u, c in prod:
+                    if j == k:
+                        vec[idx(i, l, u)] = rational(c)
+                    if l == i:
+                        vec[idx(k, j, u)] = rational(-c)
+                structure[p, q] = tuple(vec)
     return FinLieAlgebra(names, structure)
 
 
@@ -764,41 +808,20 @@ def generalized_witt_setup(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Setup:
     g is the derivation-generated algebra, h = gl_m (x) A, rho acts through
     the coefficients, and H sends a_s D_j to sum_i E_ij (x) D_i(a_s).
     """
-    g = generalized_witt(A, Delta)
+    g, ops = _generalized_witt(A, Delta)
     m = len(Delta)
     dimA = A.dim
     h = gl_tensor_algebra(m, A)
-
-    def idx(i: int, j: int, s: int) -> int:
-        return (i * m + j) * dimA + s
-
-    mats = []
-    for p in range(g.dim):
-        i, s = divmod(p, dimA)
-        # rho(a_s D_i) multiplies the coefficient by a_s after applying D_i.
-        coeff_op = A.mult_matrix(A.basis_vector(s)) * Delta[i]
-        data = [ZERO] * (h.dim * h.dim)
-        for kl in range(m * m):
-            base = kl * dimA
-            for t in range(dimA):
-                for u in range(dimA):
-                    e = coeff_op.entry(u, t)
-                    if e:
-                        data[(base + u) * h.dim + (base + t)] = e
-        mats.append(Matrix(h.dim, h.dim, tuple(data)))
-
-    cols = []
+    # rho(a_s D_i) multiplies the coefficient by a_s after applying D_i.
+    mats = tuple(block_diagonal(op, m * m) for op in ops)
+    data = [ZERO] * (h.dim * g.dim)
     for p in range(g.dim):
         j, s = divmod(p, dimA)
-        col = [ZERO] * h.dim
-        for i in range(m):
-            v = Delta[i].col(s)
-            for u, c in enumerate(v):
-                if c:
-                    col[idx(i, j, u)] += c
-        cols.append(tuple(col))
-    H = CrossedHom(Matrix.from_columns(cols))
-    return Setup(g, h, LieAction(g, h, tuple(mats)), H)
+        for i, D in enumerate(Delta):
+            for u, c in D.col_nonzeros[s]:
+                data[((i * m + j) * dimA + u) * g.dim + p] = rational(c)
+    H = CrossedHom(Matrix(h.dim, g.dim, tuple(data)))
+    return Setup(g, h, LieAction(g, h, mats), H)
 
 
 def canonical_crossed_hom_GW(

@@ -141,6 +141,38 @@ def ref_bracket(L, x, y) -> tuple:
     return tuple(out)
 
 
+def ref_multiply(A, a, b) -> tuple:
+    """The dense product in a commutative algebra: every pair of coordinates."""
+    out = [Fraction(0)] * A.dim
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        for k, c in enumerate(A.structure.get((min(i, j), max(i, j)), ())):
+            out[k] += a[i] * b[j] * c
+    return tuple(out)
+
+
+def ref_action_bracket(A, S, beta) -> dict:
+    """The structure constants of S (x) A, basis a_s x_i at i * dim A + s, from
+    dense products: [a_s x_i, a_t x_j] = [x_i, x_j] (x) a_s a_t
+    + a_s beta_i(a_t) x_j - a_t beta_j(a_s) x_i."""
+    n, dim = A.dim, S.dim * A.dim
+    unit = [tuple(Fraction(int(k == s)) for k in range(n)) for s in range(n)]
+    out = {}
+    for p, q in itertools.combinations(range(dim), 2):
+        (i, s), (j, t) = divmod(p, n), divmod(q, n)
+        vec = [Fraction(0)] * dim
+        prod = ref_multiply(A, unit[s], unit[t])
+        for k, ck in enumerate(S.bracket_basis(i, j)):
+            for u, cu in enumerate(prod):
+                vec[k * n + u] += ck * cu
+        for u, c in enumerate(ref_multiply(A, unit[s], beta[i].col(t))):
+            vec[j * n + u] += c
+        for u, c in enumerate(ref_multiply(A, unit[t], beta[j].col(s))):
+            vec[i * n + u] -= c
+        if any(vec):
+            out[p, q] = tuple(vec)
+    return out
+
+
 def random_fraction_vector(rng: random.Random, n: int) -> tuple:
     """Length-n Fractions, dense, sparse or zero by a random density."""
     density = rng.choice((0.0, 0.1, 0.4, 1.0))

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from crosshom import cli, formats
 from crosshom.cohomology import cohomology_dims
-from crosshom.liealg import CrossedHom, Setup, abelian, zero_action
+from crosshom.liealg import CrossedHom, Setup, abelian, sl2, zero_action
 from crosshom.linalg import Matrix
-from conftest import FIXTURES as FIXTURES_DIR, generalized_witt_bounds
+from conftest import FIXTURES as FIXTURES_DIR, generalized_witt_bounds, kernel_setups
 
 
 def run(capsys, *argv):
@@ -346,6 +346,20 @@ def test_fixture_round_trip(fixtures_dir):
         elif hasattr(obj, "bracket_basis"):
             body = formats.algebra_to_dict(obj)
             assert formats.algebra_from_dict(body) == obj
+
+
+def test_saved_setup_loads_back(tmp_path):
+    # setup_to_dict writes a matrix with no rows as [], also for dim h = 0, g = sl2
+    empty, s3 = abelian(()), sl2()
+    setups = kernel_setups() + [
+        Setup(s3, empty, zero_action(s3, empty), CrossedHom(Matrix.zero(0, 3))),
+        Setup(empty, s3, zero_action(empty, s3), CrossedHom(Matrix.zero(3, 0))),
+        Setup(empty, empty, zero_action(empty, empty), CrossedHom(Matrix.zero(0, 0))),
+    ]
+    for k, s in enumerate(setups):
+        path = tmp_path / f"saved{k}.setup.json"
+        path.write_text(json.dumps(formats.setup_to_dict(s)))
+        assert formats.load_file(str(path)) == s
 
 
 def test_all_fixtures_mathematically_valid(capsys, fixtures_dir):

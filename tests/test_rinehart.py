@@ -48,12 +48,23 @@ from crosshom.witt import (
     LaurentPoly,
     Window,
     WittElem,
+    block_diagonal,
+    coefficient_columns,
+    generalized_witt,
+    generalized_witt_setup,
     scaling_derivation,
     truncated_polynomial_algebra,
     witt_bracket,
     witt_window_basis,
 )
-from conftest import FIXTURES, assert_exact_terms, random_exponent, random_sparse_sum, ref_add_term
+from conftest import (
+    FIXTURES,
+    assert_exact_terms,
+    random_exponent,
+    random_sparse_sum,
+    ref_action_bracket,
+    ref_add_term,
+)
 
 
 def derivation_model():
@@ -217,6 +228,51 @@ def test_action_lie_rinehart_requires_valid_pair():
     p = LeibnizPair(A, abelian(("s",)), (shift,))
     with pytest.raises(InvalidPair):
         action_lie_rinehart(p)
+
+
+def test_action_lie_rinehart_bracket_and_anchor_match_dense_oracle(fixtures_dir):
+    pairs = [underlying_pair(derivation_model())]
+    pairs += [formats.load_file(str(fixtures_dir / "derivations_trunc3.pair.json"))]
+    for pair in pairs:
+        A = pair.algebra
+        alr = action_lie_rinehart(pair)
+        assert alr.lie.structure == ref_action_bracket(A, pair.lie, pair.beta)
+        for p, anchor in enumerate(alr.anchor):
+            i, s = divmod(p, A.dim)
+            assert anchor == A.mult_matrix(A.basis_vector(s)) * pair.beta[i]
+        for r, m in enumerate(alr.a_action):
+            assert m == kron(Matrix.identity(pair.lie.dim), A.mult_matrix(A.basis_vector(r)))
+
+
+@pytest.mark.parametrize("bounds", [(3,), (4,), (2, 2), (2, 3)], ids=str)
+def test_generalized_witt_is_the_action_lie_rinehart_algebra(bounds):
+    # A (x) Delta is S (x) A for the Leibniz pair (A, S abelian on Delta, Delta)
+    A = truncated_polynomial_algebra(bounds)
+    deltas = [scaling_derivation(bounds, v) for v in range(len(bounds))]
+    m = len(deltas)
+    alr = action_lie_rinehart(LeibnizPair(A, abelian(tuple(f"D{i + 1}" for i in range(m))), tuple(deltas)))
+    assert generalized_witt(A, deltas).structure == alr.lie.structure
+    s = generalized_witt_setup(A, deltas)
+    ops = coefficient_columns(A, deltas)
+    assert len(ops) == len(alr.anchor) == s.g.dim
+    for op, anchor, rho in zip(ops, alr.anchor, s.rho.matrices):
+        assert block_diagonal(op, 1) == anchor
+        assert rho == kron(Matrix.identity(m * m), anchor)
+
+
+def test_invalid_pair_messages_are_the_findings(fixtures_dir):
+    bad = formats.load_file(str(fixtures_dir / "beta_bad.pair.json"))
+    with pytest.raises(InvalidPair) as err:
+        action_lie_rinehart(bad)
+    assert str(err.value) == (
+        "beta-derivation at (D1, x, x): residual (0, 0, -2); "
+        "beta-lie-hom at (D1, D2): residual [0, 0, 0; 0, 0, 0; 0, 1, 0]"
+    )
+    A = truncated_polynomial_algebra([3])
+    commuting_only_in_s = (scaling_derivation([3], 0), Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]]))
+    with pytest.raises(InvalidPair) as err:
+        action_lie_rinehart(LeibnizPair(A, abelian(("D1", "D2")), commuting_only_in_s))
+    assert str(err.value) == "beta-lie-hom at (D1, D2): residual [0, 0, 0; 0, 0, 0; 0, -1, 0]"
 
 
 def test_extension_to_action_algebra_is_representation():

@@ -14,10 +14,12 @@ from crosshom.errors import (
     ParseError,
     SearchSpaceTooLarge,
 )
-from crosshom.liealg import check_crossed_hom, check_lie_algebra
+from crosshom import formats
+from crosshom.liealg import abelian, check_action, check_crossed_hom, check_lie_algebra
 from crosshom.linalg import Matrix, rational
 from crosshom.report import Finding
 from crosshom.witt import (
+    FinCommAlgebra,
     GlLaurent,
     LaurentPoly,
     Window,
@@ -47,7 +49,15 @@ from crosshom.witt import (
     witt_bracket,
     witt_window_basis,
 )
-from conftest import assert_exact_terms, random_exponent, random_sparse_sum, ref_add_term
+from conftest import (
+    assert_exact_terms,
+    random_exponent,
+    random_fraction_vector,
+    random_sparse_sum,
+    ref_action_bracket,
+    ref_add_term,
+    ref_multiply,
+)
 
 
 def w(n, r, i, c=1):
@@ -382,6 +392,78 @@ def test_canonical_gw_matches_sparse_canonical_map():
         for (_, _, r), c in sparse.terms.items():
             expected[r[0]] = c
         assert list(col) == expected
+
+
+# x^2 d/dx on K[x]/(x^3): 1 -> 0, x -> x^2, x^2 -> 0; a derivation that is not diagonal
+X2_DX = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+SHIFT = Matrix.from_rows([[0, 1, 0], [0, 0, 2], [0, 0, 0]])  # d/dx, not a derivation mod x^3
+
+
+def _golden_ratio_algebra() -> FinCommAlgebra:
+    """K[x]/(x^2 - x - 1): a product with two nonzero coordinates."""
+    one, zero = Fraction(1), Fraction(0)
+    structure = {(0, 0): (one, zero), (0, 1): (zero, one), (1, 1): (one, one)}
+    return FinCommAlgebra(("1", "x"), structure, (one, zero))
+
+
+def test_multiply_and_mult_matrix_match_dense_oracle(fixtures_dir):
+    rng = random.Random(11)
+    algebras = [truncated_polynomial_algebra(b) for b in ([4], [2, 3], [2, 2, 2])]
+    algebras += [formats.load_file(str(fixtures_dir / "derivations_trunc3.pair.json")).algebra]
+    algebras += [_golden_ratio_algebra()]
+    for A in algebras:
+        for _ in range(20):
+            a = random_fraction_vector(rng, A.dim)
+            b = random_fraction_vector(rng, A.dim)
+            prod = A.multiply(a, b)
+            assert prod == ref_multiply(A, a, b)
+            assert all(type(c) is Fraction for c in prod)
+            m = A.mult_matrix(a)
+            cols = [ref_multiply(A, a, A.basis_vector(j)) for j in range(A.dim)]
+            assert m == Matrix.from_columns(cols)
+            assert all(type(c) is Fraction for c in m.data)
+            assert m.apply(b) == prod
+
+
+def test_check_comm_algebra_reports_each_failing_triple():
+    # a b = a + 2b and b b = 3b with unit a + b is commutative but not associative
+    f = Fraction
+    A = FinCommAlgebra(("a", "b"), {(0, 1): (f(1), f(2)), (1, 1): (f(0), f(3))}, (f(1), f(1)))
+    assert [str(x) for x in check_comm_algebra(A)] == [
+        "associativity at (a, a, b): residual (-2, -4)",
+        "associativity at (a, b, b): residual (-2, 2)",
+        "associativity at (b, a, a): residual (2, 4)",
+        "associativity at (b, b, a): residual (2, -2)",
+        "unit at (1): residual [0, 1; 2, 4]",
+    ]
+    assert check_comm_algebra(_golden_ratio_algebra()) == []
+
+
+def test_generalized_witt_non_diagonal_derivation():
+    # x^2 d/dx on K[x]/(x^3) and K[x]/(x^4): [1 D, x D] = x^2 D, ...
+    for m, D in ((3, X2_DX), (4, Matrix.from_rows([[0] * 4, [0] * 4, [0, 1, 0, 0], [0, 0, 2, 0]]))):
+        A = truncated_polynomial_algebra([m])
+        assert derivation_violations(A, D) == []
+        gw = generalized_witt(A, [D])
+        assert gw.structure == ref_action_bracket(A, abelian(("D1",)), [D])
+        assert gw.bracket_basis(0, 1) == (Fraction(0), Fraction(0), Fraction(1)) + (Fraction(0),) * (m - 3)
+        s = generalized_witt_setup(A, [D])
+        assert s.g == gw
+        assert check_lie_algebra(s.g) == [] and check_action(s.rho) == []
+        assert check_crossed_hom(s) == []
+
+
+def test_generalized_witt_errors_keep_their_messages():
+    A = truncated_polynomial_algebra([3])
+    assert [str(f) for f in derivation_violations(A, SHIFT)] == [
+        "leibniz at (x, x^2): residual (0, 0, -3)"
+    ]
+    with pytest.raises(NotDerivation) as err:
+        generalized_witt(A, [SHIFT])
+    assert str(err.value) == "Delta[0] violates the Leibniz rule: leibniz at (x, x^2): residual (0, 0, -3)"
+    with pytest.raises(NotCommuting) as err:
+        generalized_witt_setup(A, [scaling_derivation([3], 0), X2_DX])
+    assert str(err.value) == "Delta[0] and Delta[1] do not commute"
 
 
 def test_window_validation():
