@@ -37,6 +37,7 @@ from .liealg import (
     check_crossed_hom,
     check_hom_pair,
     check_lie_algebra,
+    gl_algebra,
     heisenberg,
     induced_action,
     lie_algebra,

@@ -7,6 +7,8 @@ Covers actions by derivations, crossed homomorphisms H: g -> h satisfying
 the induced (twisted) action rho_H(x)u = rho(x)u + [Hx, u], semidirect
 products, the twist map (x, u) |-> (x, Hx + u) between the two semidirect
 products, and exhaustive grid classification of crossed homomorphisms.
+`gl_algebra(n)` is gl_n on its matrix units, the one finite model of
+[E_ij, E_kl] = d_jk E_il - d_li E_kj that `witt` and `rinehart` read.
 
 Structure constants are stored for index pairs i < j only, so antisymmetry
 holds by construction and every bilinear identity is decided exactly by
@@ -155,6 +157,22 @@ def sl2() -> FinLieAlgebra:
         ("e", "f", "h"),
         {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)},
     )
+
+
+def gl_algebra(n: int) -> FinLieAlgebra:
+    """Basis E_11, E_12, ..., E_nn in row-major order (E_ij at i * n + j), with
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    units = list(itertools.product(range(n), repeat=2))
+    structure = {}
+    for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(units), 2):
+        if j == k or l == i:
+            v = [ZERO] * (n * n)
+            if j == k:
+                v[i * n + l] += ONE
+            if l == i:
+                v[k * n + j] -= ONE
+            structure[a, b] = tuple(v)
+    return FinLieAlgebra(tuple(f"E{i + 1}{j + 1}" for i, j in units), structure)
 
 
 def check_lie_algebra(L: FinLieAlgebra) -> list[Finding]:

@@ -10,9 +10,12 @@ A Leibniz pair keeps only the Lie algebra and the homomorphism into Der(A).
 Weak representations act by first-order operators whose symbol is the anchor;
 admissible representations are the Leibniz-pair counterpart.
 
-Each law is coded once: the anchor, beta and representations are checked as
-Lie homomorphisms by `liealg.homomorphism_violations`, the first-order rule
-by `_first_order_violations`, A-linearity by `_a_linear_violations`.
+Each law is coded once: Lie homomorphisms by `liealg.homomorphism_violations`
+(the anchor, beta, representations, and theta on `liealg.gl_algebra`), the
+checks a Lie-Rinehart algebra shares with a Leibniz pair by `_pair_violations`,
+A-linearity by `_a_linear_violations`, and the first-order rule
+D(a m) = a D(m) + sigma(a) m by `_first_order_residuals`, over sparse columns.
+The Lie-Rinehart compatibility is that rule for ad(x) with symbol anchor(x).
 
 Given a crossed homomorphism H from L into gl_n (x) A, pulling the boxed-sum
 action back along x |-> (x, Hx) turns a gl_n-representation V and a module M
@@ -40,11 +43,13 @@ from .liealg import (
     FinLieAlgebra,
     LieAction,
     Setup,
+    adjoint_action,
     check_crossed_hom,
     check_lie_algebra,
+    gl_algebra,
     homomorphism_violations,
 )
-from .linalg import ONE, Matrix, Vector, is_zero_vector, kron, lincomb
+from .linalg import ONE, Matrix, Vector, _add_scaled, _dense, kron, lincomb
 from .report import Finding
 from .witt import (
     Coeff,
@@ -138,19 +143,39 @@ class FirstOrderOp:
     sigma: Matrix
 
 
+def _first_order_residuals(act, D, sigma):
+    """(s, columns) for each a_s where D(a_s m) - a_s D(m) - sigma(a_s) m is
+    nonzero; column u is a sparse dict accumulated over the sparse columns
+    act[t] of each a_t, D of the operator and sigma of the derivation."""
+    for s, sigma_s in enumerate(sigma):
+        columns = []
+        for u, Du in enumerate(D):
+            acc: dict = {}
+            for w, x in act[s][u]:
+                _add_scaled(acc, x, D[w])
+            for w, x in Du:
+                _add_scaled(acc, -x, act[s][w])
+            for t, y in sigma_s:
+                _add_scaled(acc, -y, act[t][u])
+            columns.append(acc)
+        if any(columns):
+            yield s, columns
+
+
 def _first_order_violations(mod: AModuleStructure, D: Matrix, sigma: Matrix, rule: str, site=()):
     """Every a_s with D(a_s m) != a_s D(m) + sigma(a_s) m, at site + (a_s,)."""
-    A = mod.algebra
-    findings = []
-    for s in range(A.dim):
-        diff = D * mod.action[s] - mod.action[s] * D - mod.of(sigma.col(s))
-        if not diff.is_zero():
-            findings.append(Finding(rule, site + (A.basis_names[s],), diff))
-    return findings
+    act, names = [m.col_nonzeros for m in mod.action], mod.algebra.basis_names
+    residuals = _first_order_residuals(act, D.col_nonzeros, sigma.col_nonzeros)
+    return [
+        Finding(rule, site + (names[s],), Matrix.from_columns([_dense(c, mod.dim_m) for c in cols]))
+        for s, cols in residuals
+    ]
 
 
 def check_first_order_op(mod: AModuleStructure, op: FirstOrderOp) -> list[Finding]:
     findings = derivation_violations(mod.algebra, op.sigma)
+    if (op.D.rows, op.D.cols) != (mod.dim_m, mod.dim_m):
+        raise DimensionMismatch(f"operator is {op.D.rows}x{op.D.cols}, module dim {mod.dim_m}")
     return findings + _first_order_violations(mod, op.D, op.sigma, "first-order")
 
 
@@ -212,53 +237,39 @@ def _a_linear_violations(lr: LieRinehart, mod: AModuleStructure, mats, rule: str
     return findings
 
 
+def _pair_violations(p: LeibnizPair, prefix: str, module_findings: Sequence[Finding] = ()):
+    """The laws a Lie-Rinehart algebra and a Leibniz pair share: A commutative,
+    S a Lie algebra, each beta_i a derivation of A and beta a Lie homomorphism,
+    under rules `prefix`-derivation and `prefix`-lie-hom.  A Lie-Rinehart
+    algebra's A-module law on L goes in `module_findings`, after S's Jacobi law."""
+    A, S = p.algebra, p.lie
+    findings = check_comm_algebra(A) + check_lie_algebra(S) + list(module_findings)
+    for name, D in zip(S.basis_names, p.beta):
+        for f in derivation_violations(A, D):
+            findings.append(Finding(f"{prefix}-derivation", (name,) + f.site, f.residual))
+    return findings + homomorphism_violations(S, p.beta, f"{prefix}-lie-hom")
+
+
 def check_lie_rinehart(lr: LieRinehart) -> list[Finding]:
     """All defining axioms on basis tuples; empty report = valid."""
     A, L = lr.algebra, lr.lie
-    findings = list(check_comm_algebra(A))
-    findings.extend(check_lie_algebra(L))
-    findings.extend(check_a_module(lr.l_module()))
-    for i in range(L.dim):
-        for f in derivation_violations(A, lr.anchor[i]):
-            findings.append(Finding("anchor-derivation", (L.basis_names[i],) + f.site, f.residual))
-    findings.extend(homomorphism_violations(L, lr.anchor, "anchor-lie-hom"))
+    findings = _pair_violations(underlying_pair(lr), "anchor", check_a_module(lr.l_module()))
     # anchor(a x) = a anchor(x): A-module homomorphism into Der(A)
     findings.extend(_a_linear_violations(lr, regular_module(A), lr.anchor, "anchor-a-linear"))
-    # Leibniz compatibility [x, a y] = a [x, y] + anchor(x)(a) y
-    for i in range(L.dim):
-        ei = L.basis_vector(i)
-        for s in range(A.dim):
-            for j in range(L.dim):
-                ay = lr.a_action[s].col(j)
-                lhs = L.bracket(ei, ay)
-                rhs = lr.a_action[s].apply(L.bracket_basis(i, j))
-                w = lr.anchor[i].col(s)
-                for t, c in enumerate(w):
-                    if c:
-                        rhs = tuple(
-                            p + c * q for p, q in zip(rhs, lr.a_action[t].col(j))
-                        )
-                diff = tuple(p - q for p, q in zip(lhs, rhs))
-                if not is_zero_vector(diff):
-                    findings.append(
-                        Finding(
-                            "leibniz",
-                            (L.basis_names[i], A.basis_names[s], L.basis_names[j]),
-                            diff,
-                        )
-                    )
+    # [x, a y] = a [x, y] + anchor(x)(a) y: the first-order rule of ad(x), per (x, a, y)
+    act = [m.col_nonzeros for m in lr.a_action]
+    for i, x in enumerate(L.basis_names):
+        ad = [L.bracket_terms.get((i, j), ()) for j in range(L.dim)]
+        for s, columns in _first_order_residuals(act, ad, lr.anchor[i].col_nonzeros):
+            for y, acc in zip(L.basis_names, columns):
+                if acc:
+                    site = (x, A.basis_names[s], y)
+                    findings.append(Finding("leibniz", site, _dense(acc, L.dim)))
     return findings
 
 
 def check_leibniz_pair(p: LeibnizPair) -> list[Finding]:
-    A, S = p.algebra, p.lie
-    findings = list(check_comm_algebra(A))
-    findings.extend(check_lie_algebra(S))
-    for i in range(S.dim):
-        for f in derivation_violations(A, p.beta[i]):
-            findings.append(Finding("beta-derivation", (S.basis_names[i],) + f.site, f.residual))
-    findings.extend(homomorphism_violations(S, p.beta, "beta-lie-hom"))
-    return findings
+    return _pair_violations(p, "beta")
 
 
 def _rep_violations(
@@ -383,20 +394,8 @@ def natural_rep_gl(n: int) -> GlnRep:
 
 def adjoint_rep_gl(n: int) -> GlnRep:
     """gl_n acting on itself; basis E_kl flattened as k*n + l."""
-    dim = n * n
-    theta = {}
-    for i in range(n):
-        for j in range(n):
-            data = [ZERO] * (dim * dim)
-            for k in range(n):
-                for l in range(n):
-                    col = k * n + l
-                    if j == k:
-                        data[(i * n + l) * dim + col] += Fraction(1)
-                    if l == i:
-                        data[(k * n + j) * dim + col] -= Fraction(1)
-            theta[(i, j)] = Matrix(dim, dim, tuple(data))
-    return GlnRep(n, dim, theta)
+    mats = adjoint_action(gl_algebra(n)).matrices
+    return GlnRep(n, n * n, {divmod(a, n): m for a, m in enumerate(mats)})
 
 
 def tensor_rep(r1: GlnRep, r2: GlnRep) -> GlnRep:
@@ -411,29 +410,10 @@ def tensor_rep(r1: GlnRep, r2: GlnRep) -> GlnRep:
 
 
 def check_gln_rep(rep: GlnRep) -> list[Finding]:
-    """Commutator relations of the matrix units."""
-    findings = []
-    n = rep.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    lhs = rep.theta[(i, j)] * rep.theta[(k, l)] - rep.theta[(k, l)] * rep.theta[(i, j)]
-                    rhs = Matrix.zero(rep.dim_v, rep.dim_v)
-                    if j == k:
-                        rhs = rhs + rep.theta[(i, l)]
-                    if l == i:
-                        rhs = rhs - rep.theta[(k, j)]
-                    diff = lhs - rhs
-                    if not diff.is_zero():
-                        findings.append(
-                            Finding(
-                                "gl-relation",
-                                (f"E{i + 1}{j + 1}", f"E{k + 1}{l + 1}"),
-                                diff,
-                            )
-                        )
-    return findings
+    """The Lie-homomorphism law of theta on `gl_algebra(n)`, one finding per
+    failing pair E_a, E_b (a < b) with residual theta([E_a, E_b]) - [theta(E_a), theta(E_b)]."""
+    mats = [rep.theta[divmod(a, rep.n)] for a in range(rep.n * rep.n)]
+    return homomorphism_violations(gl_algebra(rep.n), mats, "gl-relation")
 
 
 def _carrier_parts(carrier) -> tuple[FinLieAlgebra, tuple[Matrix, ...], FinCommAlgebra]:

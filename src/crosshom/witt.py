@@ -28,6 +28,8 @@ The generalized Witt algebra A (x) Delta is the action Lie-Rinehart algebra of
 the Leibniz pair (A, span Delta): one builder, `action_structure`, writes the
 S (x) A structure constants and the coefficient operators mult(a_s) beta_i for
 both `generalized_witt` (S abelian on Delta) and `rinehart.action_lie_rinehart`.
+gl_m (x) A pairs the brackets of `liealg.gl_algebra(m)` with A's products,
+and one `_canonical_matrix` serves the setup and `canonical_crossed_hom_GW`.
 
 Direction indices are 0-based in the Python API and rendered 1-based (d_1,
 E_11, ...) in strings and JSON.
@@ -50,7 +52,7 @@ from .errors import (
     NotDerivation,
     SearchSpaceTooLarge,
 )
-from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup, abelian
+from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup, abelian, gl_algebra
 from .linalg import ONE, ZERO, Coeff, Matrix, Vector, _add_scaled, _dense, exact_coeff, rational, vzero
 from .report import Finding
 
@@ -770,36 +772,37 @@ def generalized_witt(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> FinLieAlgebr
 def gl_tensor_algebra(m: int, A: FinCommAlgebra) -> FinLieAlgebra:
     """gl_m (x) A as a finite Lie algebra; basis E_ij (x) a_s with (i, j) major.
 
-    [E_ij a_s, E_kl a_t] = (d_jk E_il - d_li E_kj) (x) a_s a_t is formed only
-    for the pairs with j == k or l == i and a_s a_t != 0."""
-    dimA = A.dim
-    dim = m * m * dimA
-
-    def idx(i: int, j: int, s: int) -> int:
-        return (i * m + j) * dimA + s
-
-    names = tuple(
-        f"E{i + 1}{j + 1}({A.basis_names[s]})"
-        for i in range(m)
-        for j in range(m)
-        for s in range(dimA)
-    )
-    terms = A.product_terms
+    [E_a (x) a_s, E_b (x) a_t] = [E_a, E_b] (x) a_s a_t pairs each nonzero
+    bracket of `gl_algebra(m)` with each nonzero product of A."""
+    gl, dimA = gl_algebra(m), A.dim
+    names = tuple(f"{e}({a})" for e in gl.basis_names for a in A.basis_names)
+    products = A.product_terms
     structure: dict[tuple[int, int], Vector] = {}
-    for p, (i, j, s) in enumerate(itertools.product(range(m), range(m), range(dimA))):
-        for k, l in sorted({(j, l) for l in range(m)} | {(k, i) for k in range(m)}):
-            for t in range(dimA):
-                q, prod = idx(k, l, t), terms.get((s, t))
-                if q <= p or not prod or i == j == k == l:
-                    continue
-                vec = [ZERO] * dim
-                for u, c in prod:
-                    if j == k:
-                        vec[idx(i, l, u)] = rational(c)
-                    if l == i:
-                        vec[idx(k, j, u)] = rational(-c)
-                structure[p, q] = tuple(vec)
-    return FinLieAlgebra(names, structure)
+    for (a, b), terms in gl.bracket_terms.items():
+        if a > b:
+            continue
+        ab = [(k, exact_coeff(c)) for k, c in terms]
+        for (s, t), st in products.items():
+            vec = [ZERO] * len(names)
+            for k, c in ab:
+                for u, d in st:
+                    vec[k * dimA + u] = rational(c * d)
+            structure[a * dimA + s, b * dimA + t] = tuple(vec)
+    return FinLieAlgebra(names, dict(sorted(structure.items())))
+
+
+def _canonical_matrix(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Matrix:
+    """The canonical H: a_s D_j |-> sum_i E_ij (x) D_i(a_s), read from the
+    nonzeros of each D_i's columns."""
+    m, dimA = len(Delta), A.dim
+    rows, cols = m * m * dimA, m * dimA
+    data = [ZERO] * (rows * cols)
+    for p in range(cols):
+        j, s = divmod(p, dimA)
+        for i, D in enumerate(Delta):
+            for u, c in D.col_nonzeros[s]:
+                data[((i * m + j) * dimA + u) * cols + p] = c
+    return Matrix(rows, cols, tuple(data))
 
 
 def generalized_witt_setup(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Setup:
@@ -809,28 +812,19 @@ def generalized_witt_setup(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Setup:
     the coefficients, and H sends a_s D_j to sum_i E_ij (x) D_i(a_s).
     """
     g, ops = _generalized_witt(A, Delta)
-    m = len(Delta)
-    dimA = A.dim
-    h = gl_tensor_algebra(m, A)
+    h = gl_tensor_algebra(len(Delta), A)
     # rho(a_s D_i) multiplies the coefficient by a_s after applying D_i.
-    mats = tuple(block_diagonal(op, m * m) for op in ops)
-    data = [ZERO] * (h.dim * g.dim)
-    for p in range(g.dim):
-        j, s = divmod(p, dimA)
-        for i, D in enumerate(Delta):
-            for u, c in D.col_nonzeros[s]:
-                data[((i * m + j) * dimA + u) * g.dim + p] = rational(c)
-    H = CrossedHom(Matrix(h.dim, g.dim, tuple(data)))
-    return Setup(g, h, LieAction(g, h, mats), H)
+    mats = tuple(block_diagonal(op, len(Delta) ** 2) for op in ops)
+    return Setup(g, h, LieAction(g, h, mats), CrossedHom(_canonical_matrix(A, Delta)))
 
 
 def canonical_crossed_hom_GW(
     A: FinCommAlgebra, Delta: Sequence[Matrix], element: Vector
 ) -> Vector:
     """Image of an element (coordinates in the a_s D_i basis) under the canonical map."""
-    setup = generalized_witt_setup(A, Delta)
-    if len(element) != setup.g.dim:
+    _validate_delta(A, Delta)
+    if len(element) != len(Delta) * A.dim:
         raise DimensionMismatch(
-            f"element has length {len(element)}, expected {setup.g.dim}"
+            f"element has length {len(element)}, expected {len(Delta) * A.dim}"
         )
-    return setup.H.apply(element)
+    return _canonical_matrix(A, Delta).apply(element)

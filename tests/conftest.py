@@ -10,15 +10,21 @@ import crosshom.witt
 from crosshom.cohomology import Cochain
 from crosshom.liealg import (
     CrossedHom,
+    FinLieAlgebra,
     Setup,
     abelian,
     adjoint_action,
+    check_lie_algebra,
     heisenberg,
+    homomorphism_violations,
     sl2,
     two_dim_nonabelian,
     zero_action,
 )
 from crosshom.linalg import Matrix
+from crosshom.report import Finding
+from crosshom.rinehart import check_a_module, regular_module
+from crosshom.witt import check_comm_algebra, derivation_violations
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -195,3 +201,119 @@ def kernel_setups() -> list[Setup]:
 
     setups = [formats.load_file(str(p)) for p in sorted(FIXTURES.glob("*.setup.json"))]
     return setups + [generalized_witt_bounds(b) for b in ((2, 2), (3, 2))]
+
+
+# --- dense oracles for the first-order rule and the gl_n relations ---
+
+
+def ref_first_order_findings(mod, D, sigma, rule, site=()) -> list:
+    """The dense first-order rule: D*A_s - A_s*D - sigma(a_s) for each a_s."""
+    A = mod.algebra
+    findings = []
+    for s in range(A.dim):
+        diff = D * mod.action[s] - mod.action[s] * D - mod.of(sigma.col(s))
+        if not diff.is_zero():
+            findings.append(Finding(rule, site + (A.basis_names[s],), diff))
+    return findings
+
+
+def ref_leibniz_findings(lr) -> list:
+    """[x, a y] = a [x, y] + anchor(x)(a) y by a dense loop over every
+    (x_i, a_s, y_j), with the bracket of whole vectors."""
+    A, L = lr.algebra, lr.lie
+    findings = []
+    for i in range(L.dim):
+        ei = L.basis_vector(i)
+        for s in range(A.dim):
+            for j in range(L.dim):
+                lhs = L.bracket(ei, lr.a_action[s].col(j))
+                rhs = lr.a_action[s].apply(L.bracket_basis(i, j))
+                for t, c in enumerate(lr.anchor[i].col(s)):
+                    if c:
+                        rhs = tuple(p + c * q for p, q in zip(rhs, lr.a_action[t].col(j)))
+                diff = tuple(p - q for p, q in zip(lhs, rhs))
+                if any(diff):
+                    site = (L.basis_names[i], A.basis_names[s], L.basis_names[j])
+                    findings.append(Finding("leibniz", site, diff))
+    return findings
+
+
+def _ref_resited(A, names, ders, rule) -> list:
+    findings = []
+    for name, D in zip(names, ders):
+        for f in derivation_violations(A, D):
+            findings.append(Finding(rule, (name,) + f.site, f.residual))
+    return findings
+
+
+def ref_lie_rinehart_findings(lr) -> list:
+    """Every Lie-Rinehart law in the report order, Leibniz by the dense loop."""
+    A, L = lr.algebra, lr.lie
+    findings = check_comm_algebra(A) + check_lie_algebra(L) + check_a_module(lr.l_module())
+    findings += _ref_resited(A, L.basis_names, lr.anchor, "anchor-derivation")
+    findings += homomorphism_violations(L, lr.anchor, "anchor-lie-hom")
+    findings += crosshom.rinehart._a_linear_violations(
+        lr, regular_module(A), lr.anchor, "anchor-a-linear"
+    )
+    return findings + ref_leibniz_findings(lr)
+
+
+def ref_leibniz_pair_findings(p) -> list:
+    A, S = p.algebra, p.lie
+    findings = check_comm_algebra(A) + check_lie_algebra(S)
+    findings += _ref_resited(A, S.basis_names, p.beta, "beta-derivation")
+    return findings + homomorphism_violations(S, p.beta, "beta-lie-hom")
+
+
+def ref_rep_findings(lie, mod, rho, ders, rule) -> list:
+    """The weak or admissible law: the Lie-homomorphism law, then the dense
+    first-order rule of each rho(x_i) with symbol ders[i]."""
+    findings = homomorphism_violations(lie, rho, "lie-hom")
+    for name, D, sigma in zip(lie.basis_names, rho, ders):
+        findings += ref_first_order_findings(mod, D, sigma, rule, (name,))
+    return findings
+
+
+def ref_gl_tensor_algebra(m: int, A) -> FinLieAlgebra:
+    """gl_m (x) A from [E_ij a_s, E_kl a_t] = (d_jk E_il - d_li E_kj) (x) a_s a_t,
+    looped over every pair of basis vectors."""
+    dimA = A.dim
+    dim = m * m * dimA
+
+    def idx(i, j, s):
+        return (i * m + j) * dimA + s
+
+    units = list(itertools.product(range(m), range(m), range(dimA)))
+    names = tuple(f"E{i + 1}{j + 1}({A.basis_names[s]})" for i, j, s in units)
+    products = {
+        (s, t): ref_multiply(A, A.basis_vector(s), A.basis_vector(t))
+        for s, t in itertools.product(range(dimA), repeat=2)
+    }
+    structure = {}
+    for p, q in itertools.combinations(range(dim), 2):
+        (i, j, s), (k, l, t) = units[p], units[q]
+        vec = [Fraction(0)] * dim
+        for u, c in enumerate(products[s, t]):
+            if j == k:
+                vec[idx(i, l, u)] += c
+            if l == i:
+                vec[idx(k, j, u)] -= c
+        if any(vec):
+            structure[p, q] = tuple(vec)
+    return FinLieAlgebra(names, structure)
+
+
+def ref_adjoint_rep_gl(n: int) -> dict:
+    """theta(E_ij) E_kl = d_jk E_il - d_li E_kj as dense matrices, E_kl at k*n + l."""
+    dim = n * n
+    theta = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        data = [Fraction(0)] * (dim * dim)
+        for k, l in itertools.product(range(n), repeat=2):
+            col = k * n + l
+            if j == k:
+                data[(i * n + l) * dim + col] += 1
+            if l == i:
+                data[(k * n + j) * dim + col] -= 1
+        theta[(i, j)] = Matrix(dim, dim, tuple(data))
+    return theta

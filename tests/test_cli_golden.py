@@ -3,7 +3,9 @@
 `cli_golden.json` holds the exit code and the sha256 of the --json stdout of
 every fixture through each subcommand that takes it, of every command line in
 README.md, and of one missing-file error.  Each argv runs from the repository
-root with relative paths, as when it was recorded.
+root with relative paths, as when it was recorded.  The fixture rows are
+complete: `test_every_fixture_has_a_golden_row_per_subcommand` fails when a
+fixture lacks a row for a subcommand that takes it.
 
 `GW_GOLDEN` pins the generalized Witt setups, which no fixture covers: the
 sha256 of `json.dumps(formats.setup_to_dict(s))` for the truncated algebra
@@ -30,6 +32,37 @@ def test_json_stdout_is_byte_identical(entry, capsys, monkeypatch):
     code = cli.main(list(entry["argv"]))
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == (entry["code"], entry["sha256"])
+
+
+# The suffix map of `test_cli.test_all_fixtures_mathematically_valid`, with
+# a setup file taken by every subcommand that reads one.
+FIXTURE_SUBCOMMANDS = {
+    ".alg.json": ("check-lie",),
+    ".setup.json": (
+        "check-action",
+        "check-crossed-hom",
+        "cohomology",
+        "mc-residual",
+        "nijenhuis",
+        "deform",
+        "solve-grid",
+    ),
+    ".lr.json": ("check-rinehart",),
+    ".pair.json": ("check-leibniz",),
+}
+
+
+def test_every_fixture_has_a_golden_row_per_subcommand():
+    covered = {(e["argv"][0], a) for e in GOLDEN for a in e["argv"][1:]}
+    missing = [
+        (command, f"fixtures/{path.name}")
+        for path in sorted((ROOT / "fixtures").iterdir())
+        for suffix, commands in FIXTURE_SUBCOMMANDS.items()
+        if path.name.endswith(suffix)
+        for command in commands
+        if (command, f"fixtures/{path.name}") not in covered
+    ]
+    assert missing == []
 
 
 CHECK = "1c3a4dc183a0e23746defe6f1f18c26c1fd78e9196386073b18834c9a889c91a"

@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+import crosshom.rinehart
 from crosshom import formats
-from crosshom.errors import InvalidPair, NotCrossedHom, SearchSpaceTooLarge
+from crosshom.errors import DimensionMismatch, InvalidPair, NotCrossedHom, SearchSpaceTooLarge
 from crosshom.liealg import abelian, lie_algebra
 from crosshom.linalg import Matrix, kron, lincomb
 from crosshom.report import Finding
 from crosshom.rinehart import (
     AModuleStructure,
     FirstOrderOp,
+    GlnRep,
     LeibnizPair,
     LieRinehart,
     VTensorA,
@@ -50,6 +52,7 @@ from crosshom.witt import (
     WittElem,
     block_diagonal,
     coefficient_columns,
+    derivation_violations,
     generalized_witt,
     generalized_witt_setup,
     scaling_derivation,
@@ -64,6 +67,11 @@ from conftest import (
     random_sparse_sum,
     ref_action_bracket,
     ref_add_term,
+    ref_adjoint_rep_gl,
+    ref_first_order_findings,
+    ref_leibniz_pair_findings,
+    ref_lie_rinehart_findings,
+    ref_rep_findings,
 )
 
 
@@ -774,3 +782,140 @@ def test_merged_laws_match_the_dense_references():
         seen.update(f.rule for f in check_lie_rinehart(lr2) + got_pair)
     for rule in ("anchor-lie-hom", "anchor-a-linear", "beta-lie-hom", "lie-hom", "first-order", "a-linear", "admissible-anchor"):
         assert seen[rule] >= 10, seen
+
+
+# --- the first-order rule and the gl_n relations against the dense oracles ---
+
+
+def _scaling_pair(bounds):
+    A = truncated_polynomial_algebra(bounds)
+    deltas = tuple(scaling_derivation(bounds, v) for v in range(len(bounds)))
+    return LeibnizPair(A, abelian(tuple(f"D{i + 1}" for i in range(len(bounds)))), deltas)
+
+
+def _oracle_bundle(name):
+    """(Lie-Rinehart algebra, module block or {}) for a fixture bundle or an
+    action Lie-Rinehart algebra."""
+    if name.endswith(".lr.json"):
+        return formats.load_file(str(FIXTURES / name))
+    if name.endswith(".pair.json"):
+        return action_lie_rinehart(formats.load_file(str(FIXTURES / name))), {}
+    return action_lie_rinehart(_scaling_pair(tuple(int(b) for b in name.split(",")))), {}
+
+
+ORACLE_BUNDLES = sorted(p.name for p in FIXTURES.glob("*.lr.json")) + [
+    "3",
+    "2,2",
+    "2,3",
+    "derivations_trunc3.pair.json",
+]
+
+
+def _weak_reps(lr, block):
+    """(module, rho) pairs to perturb: the bundle's own module, the natural
+    and the adjoint weak representations."""
+    reps = [natural_rep(lr), adjoint_weak_rep(lr)]
+    if block:
+        reps.append(formats.module_from_dict(lr.algebra, lr.lie.basis_names, block, "module"))
+    return reps
+
+
+@pytest.mark.parametrize("name", ORACLE_BUNDLES)
+def test_lie_rinehart_findings_match_the_dense_leibniz_loop(name):
+    lr, _ = _oracle_bundle(name)
+    A, L = lr.algebra, lr.lie
+    rng = random.Random(ORACLE_BUNDLES.index(name))
+    variants = [lr]
+    for _ in range(10):
+        variants.append(LieRinehart(A, L, _perturbed_matrices(rng, lr.a_action), lr.anchor))
+        variants.append(LieRinehart(A, L, lr.a_action, _perturbed_matrices(rng, lr.anchor)))
+    seen = Counter()
+    for variant in variants:
+        got = check_lie_rinehart(variant)
+        assert got == ref_lie_rinehart_findings(variant)
+        seen.update(f.rule for f in got)
+    assert seen["leibniz"] >= 10, seen
+
+
+def test_leibniz_pair_findings_match_the_dense_reference():
+    pairs = [formats.load_file(str(FIXTURES / n)) for n in ("derivations_trunc3.pair.json", "beta_bad.pair.json")]
+    pairs += [_scaling_pair(b) for b in ((3,), (2, 2))]
+    rng = random.Random(5)
+    seen = Counter()
+    for p in pairs:
+        for beta in [p.beta] + [_perturbed_matrices(rng, p.beta) for _ in range(10)]:
+            q = LeibnizPair(p.algebra, p.lie, beta)
+            got = check_leibniz_pair(q)
+            assert got == ref_leibniz_pair_findings(q)
+            seen.update(f.rule for f in got)
+    assert seen["beta-derivation"] >= 10 and seen["beta-lie-hom"] >= 1, seen
+
+
+@pytest.mark.parametrize("name", [n for n in ORACLE_BUNDLES if n != "2,3"])
+def test_representation_findings_match_the_dense_first_order_rule(name):
+    lr, block = _oracle_bundle(name)
+    A, L = lr.algebra, lr.lie
+    pair = underlying_pair(lr)
+    rng = random.Random(100 + ORACLE_BUNDLES.index(name))
+    seen = Counter()
+    for mod, rho in _weak_reps(lr, block):
+        variants = [(mod, rho)]
+        for _ in range(10):
+            variants.append((mod, _perturbed_matrices(rng, rho)))
+            variants.append((AModuleStructure(A, mod.dim_m, _perturbed_matrices(rng, mod.action)), rho))
+        for mod2, rho2 in variants:
+            weak = ref_rep_findings(L, mod2, rho2, lr.anchor, "first-order")
+            assert check_weak_rep(lr, mod2, rho2) == weak
+            strict = weak + crosshom.rinehart._a_linear_violations(lr, mod2, rho2, "a-linear")
+            assert check_weak_rep(lr, mod2, rho2, strict=True) == strict
+            admissible = ref_rep_findings(L, mod2, rho2, pair.beta, "admissible-anchor")
+            assert check_admissible_rep(pair, mod2, rho2) == admissible
+            for D, sigma in zip(rho2, lr.anchor):
+                expected = derivation_violations(A, sigma)
+                expected += ref_first_order_findings(mod2, D, sigma, "first-order")
+                assert check_first_order_op(mod2, FirstOrderOp(D, sigma)) == expected
+            seen.update(f.rule for f in weak + admissible)
+    assert seen["first-order"] >= 10 and seen["admissible-anchor"] >= 10, seen
+
+
+def test_first_order_op_rejects_a_wrongly_sized_operator():
+    lr = derivation_model()
+    mod = regular_module(lr.algebra)
+    for D in (Matrix.identity(2), Matrix.zero(3, 2), Matrix.zero(2, 3), Matrix.identity(4)):
+        with pytest.raises(DimensionMismatch):
+            check_first_order_op(mod, FirstOrderOp(D, lr.anchor[0]))
+
+
+def test_leibniz_bad_fixture_fires_leibniz_and_module_assoc():
+    lr, block = formats.load_file(str(FIXTURES / "leibniz_bad.lr.json"))
+    mod, rho = formats.module_from_dict(lr.algebra, lr.lie.basis_names, block, "module")
+    assert [str(f) for f in check_lie_rinehart(lr)] == [
+        "module-assoc at (x, x): residual [0, 0; -1, 0]",
+        "anchor-a-linear at (x^2, D1): residual [0, 0, 0; 0, 0, 0; 0, 1, 0]",
+        "leibniz at (D1, x^2, D1): residual (0, -1)",
+        "leibniz at (D2, x, D1): residual (0, -1)",
+    ]
+    assert [str(f) for f in check_weak_rep(lr, mod, rho)] == [
+        "first-order at (D2, x): residual [0, 0, 0; 0, 0, 0; 1, 0, 0]",
+    ]
+
+
+def test_adjoint_rep_gl_matches_the_dense_loop():
+    for n in range(1, 5):
+        rep = adjoint_rep_gl(n)
+        assert rep.theta == ref_adjoint_rep_gl(n)
+        assert list(rep.theta) == [(i, j) for i in range(n) for j in range(n)]
+        assert all(type(x) is Fraction for m in rep.theta.values() for x in m.data)
+
+
+def test_gln_rep_reports_each_broken_pair_once():
+    rep = natural_rep_gl(2)
+    theta = dict(rep.theta)
+    theta[(0, 1)] = theta[(0, 1)].scale(2)  # E_12 acts as 2 E_12
+    theta[(1, 0)] = theta[(0, 1)]  # E_21 acts as 2 E_12
+    broken = GlnRep(2, 2, theta)
+    assert [str(f) for f in check_gln_rep(broken)] == [
+        "gl-relation at (E11, E21): residual [0, -4; 0, 0]",
+        "gl-relation at (E12, E21): residual [1, 0; 0, -1]",
+        "gl-relation at (E21, E22): residual [0, -4; 0, 0]",
+    ]

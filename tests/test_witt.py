@@ -15,7 +15,7 @@ from crosshom.errors import (
     SearchSpaceTooLarge,
 )
 from crosshom import formats
-from crosshom.liealg import abelian, check_action, check_crossed_hom, check_lie_algebra
+from crosshom.liealg import abelian, check_action, check_crossed_hom, check_lie_algebra, gl_algebra
 from crosshom.linalg import Matrix, rational
 from crosshom.report import Finding
 from crosshom.witt import (
@@ -34,6 +34,7 @@ from crosshom.witt import (
     generalized_witt,
     generalized_witt_setup,
     gl_bracket,
+    gl_tensor_algebra,
     hamiltonian_bracket_coefficient,
     hamiltonian_field,
     ham_window_basis,
@@ -56,6 +57,7 @@ from conftest import (
     random_sparse_sum,
     ref_action_bracket,
     ref_add_term,
+    ref_gl_tensor_algebra,
     ref_multiply,
 )
 
@@ -668,3 +670,60 @@ def test_pq_single_loop_matches_reference(monkeypatch, n, bound, q, broken):
     got = verify_witt_crossed_hom(n, "pq", Window(bound), p=p, q=q)
     assert got == reference_pq_findings(n, Window(bound), p, q)
     assert bool(got) == broken
+
+
+# --- gl_m (x) A and the canonical map against the dense loops ---
+
+GOLDEN_RATIO = FinCommAlgebra(  # K[x]/(x^2 - x - 1)
+    ("1", "x"),
+    {(0, 0): (Fraction(1), Fraction(0)), (0, 1): (Fraction(0), Fraction(1)), (1, 1): (Fraction(1), Fraction(1))},
+    (Fraction(1), Fraction(0)),
+)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gl_tensor_algebra_matches_the_dense_loop(m):
+    algebras = [truncated_polynomial_algebra(b) for b in ((1,), (3,), (2, 2), (2, 2, 2))]
+    for A in algebras + [GOLDEN_RATIO]:
+        h = gl_tensor_algebra(m, A)
+        assert h == ref_gl_tensor_algebra(m, A)
+        assert all(type(x) is Fraction for v in h.structure.values() for x in v)
+    assert check_lie_algebra(gl_tensor_algebra(m, GOLDEN_RATIO)) == []
+
+
+def test_gl_algebra_is_the_matrix_unit_algebra():
+    for n in range(1, 4):
+        gl = gl_algebra(n)
+        assert gl.basis_names == tuple(f"E{i + 1}{j + 1}" for i in range(n) for j in range(n))
+        assert check_lie_algebra(gl) == []
+        # gl_n (x) K over the one-dimensional K has gl_n's indices
+        assert gl.structure == ref_gl_tensor_algebra(n, truncated_polynomial_algebra([1])).structure
+
+
+@pytest.mark.parametrize("bounds", [(3,), (2, 2), (2, 3)], ids=str)
+def test_canonical_gw_is_the_setup_map(bounds):
+    A = truncated_polynomial_algebra(bounds)
+    deltas = [scaling_derivation(bounds, v) for v in range(len(bounds))]
+    H = generalized_witt_setup(A, deltas).H
+    rng = random.Random(len(bounds))
+    for _ in range(5):
+        x = random_fraction_vector(rng, len(deltas) * A.dim)
+        assert canonical_crossed_hom_GW(A, deltas, x) == H.apply(x)
+
+
+def test_canonical_gw_validates_delta_and_builds_no_setup(monkeypatch):
+    A = truncated_polynomial_algebra([3])
+    d = scaling_derivation([3], 0)
+    with pytest.raises(NotDerivation):
+        canonical_crossed_hom_GW(A, [SHIFT], (Fraction(1),))
+    with pytest.raises(NotCommuting):
+        canonical_crossed_hom_GW(A, [d, X2_DX], (Fraction(1),))
+    with pytest.raises(DimensionMismatch, match="element has length 2, expected 3"):
+        canonical_crossed_hom_GW(A, [d], (Fraction(1), Fraction(0)))
+
+    def refuse(*args):
+        raise AssertionError("g, h or rho was built")
+
+    for name in ("action_structure", "gl_tensor_algebra", "block_diagonal"):
+        monkeypatch.setattr(crosshom.witt, name, refuse)
+    assert canonical_crossed_hom_GW(A, [d], (0, 0, 1)) == (Fraction(0), Fraction(0), Fraction(2))
