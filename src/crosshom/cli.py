@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import cohomology as coh
 from . import formats
-from .errors import NotCrossedHom, NotNijenhuis, ParseError, ToolkitError
+from .errors import NotCrossedHom, NotNijenhuis, ParseError, ToolkitError, require_window_count
 from .liealg import (
     Setup,
     check_action,
@@ -29,7 +29,7 @@ from .liealg import (
     twist_iso_check,
 )
 from .linalg import rational
-from .report import Finding, Report
+from .report import Report
 from .rinehart import (
     LeibnizPair,
     LieRinehart,
@@ -44,13 +44,7 @@ from .rinehart import (
     trivial_rep,
     vtensor_window_basis,
 )
-from .witt import (
-    Window,
-    require_window_count,
-    verify_witt_crossed_hom,
-    window_size,
-    witt_window_basis,
-)
+from .witt import Window, verify_witt_crossed_hom, window_size, witt_window_basis
 
 REPS = {"trivial": trivial_rep, "natural": natural_rep_gl, "adjoint": adjoint_rep_gl}
 
@@ -140,22 +134,11 @@ def cmd_mc_residual(args, report: Report):
     if not _require_sound_setup(report, s):
         return
     res = coh.mc_residual(s)
-    entries = []
-    for key in sorted(res.values):
-        entries.append(
-            {
-                "site": [s.g.basis_names[t] for t in key],
-                "value": [str(c) for c in res.values[key]],
-            }
-        )
-    report.payload["residual"] = entries
-    if entries:
-        report.add_findings(
-            [
-                Finding("maurer-cartan", tuple(e["site"]), res.values[k])
-                for e, k in zip(entries, sorted(res.values))
-            ]
-        )
+    report.payload["residual"] = [
+        {"site": [s.g.basis_names[t] for t in key], "value": [str(c) for c in v]}
+        for key, v in sorted(res.values.items())
+    ]
+    report.add_findings(coh.cochain_findings("maurer-cartan", s.g.basis_names, res))
 
 
 def cmd_nijenhuis(args, report: Report):

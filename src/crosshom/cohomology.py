@@ -50,6 +50,18 @@ The skew bracket [[f1, f2]] carries the global sign (-1)^(mn+1) over all
 (m, n)-shuffles.  A linear map H is a crossed homomorphism exactly when
 d H + (1/2)[[H, H]] vanishes, and the residual of that expression at (x, y)
 is the negative of the pairwise crossed-homomorphism residual.
+
+Linear deformations and Nijenhuis elements read the same two pieces.
+H + tF is a crossed homomorphism for every t exactly when F is a 1-cocycle
+of d_rho_H and (1/2)[[F, F]] = 0.  For a 1-cochain phi, (1/2)[[phi, phi]] at
+(a, b) is [phi e_a, phi e_b], so that one bracket is each commuting law:
+deformation-commute for F, Nij1 for ad x on g and Nij2 for rho(x) on h.
+`cochain_findings` reports a cochain at its basis sites, for these laws, the
+cocycle law and the Maurer-Cartan residual alike.  A Nijenhuis element x
+gives the trivial deformation F = d_rho_H(-Hx); Nij4 (rho(x) kills each
+rho_H(e_j)(Hx)) and deforiso-1 read that same coboundary.  `nijenhuis_grid`
+builds the tables of rho_H once per grid, and a candidate's conditions are
+computed in order up to the first that fails.
 """
 
 from __future__ import annotations
@@ -61,7 +73,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, SearchSpaceTooLarge
+from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, require_window_count
 from .liealg import FinLieAlgebra, LieAction, Setup, _induced_columns, check_crossed_hom
 from .linalg import (
     Coeff,
@@ -75,11 +87,9 @@ from .linalg import (
     rational,
     vadd,
     vscale,
-    vsub,
     vzero,
 )
 from .report import Finding
-from .witt import require_window_count
 
 ZERO = Fraction(0)
 
@@ -337,12 +347,16 @@ def derived_bracket(h: FinLieAlgebra, f1: Cochain, f2: Cochain) -> Cochain:
     return Cochain(m + n, f1.g_dim, h.dim, values)
 
 
+def _half_square(h: FinLieAlgebra, f: Cochain) -> Cochain:
+    """(1/2)[[f, f]]; for a 1-cochain its value at (a, b) is [f e_a, f e_b]."""
+    return cochain_scale(Fraction(1, 2), derived_bracket(h, f, f))
+
+
 def mc_residual(s: Setup) -> Cochain:
     """d H + (1/2)[[H, H]]; vanishes exactly when H is a crossed homomorphism."""
     Hc = cochain_from_matrix(s.H.matrix)
     dH = plain_differential(s.rho, Hc)
-    br = derived_bracket(s.h, Hc, Hc)
-    return cochain_add(dH, cochain_scale(Fraction(1, 2), br))
+    return cochain_add(dH, _half_square(s.h, Hc))
 
 
 def _require_crossed_hom(s: Setup):
@@ -351,9 +365,10 @@ def _require_crossed_hom(s: Setup):
         raise NotCrossedHom("; ".join(str(f) for f in bad))
 
 
-def _twisted_differential(s: Setup, f: Cochain) -> Cochain:
-    """d_rho_H f = (-1)^(k+1) times the plain differential of rho_H."""
-    df = _differential(_induced_tables(s), f)
+def _twisted_differential(tables, f: Cochain) -> Cochain:
+    """d_rho_H f = (-1)^(k+1) times the plain differential of rho_H, with the
+    tables of `_induced_tables`."""
+    df = _differential(tables, f)
     return df if f.degree % 2 else cochain_scale(Fraction(-1), df)
 
 
@@ -362,7 +377,7 @@ def ce_differential(s: Setup, f: Cochain) -> Cochain:
     if (f.g_dim, f.h_dim) != (s.g.dim, s.h.dim):
         raise DimensionMismatch("cochain does not match the setup")
     _require_crossed_hom(s)
-    return _twisted_differential(s, f)
+    return _twisted_differential(_induced_tables(s), f)
 
 
 def sign_relation_check(s: Setup, f: Cochain) -> bool:
@@ -505,92 +520,64 @@ def cochain_map_phi(phi_g: Matrix, phi_h: Matrix, f: Cochain) -> Cochain:
 # linear deformations and Nijenhuis elements
 
 
+def cochain_findings(rule: str, names: Sequence[str], f: Cochain) -> list[Finding]:
+    """One finding per nonzero value of f, at the basis names of its tuple, in
+    tuple order."""
+    return [
+        Finding(rule, tuple(names[t] for t in S), v)
+        for S, v in sorted(f.values.items())
+        if not is_zero_vector(v)
+    ]
+
+
+def _commuting_findings(
+    rule: str, names: Sequence[str], h: FinLieAlgebra, phi: Matrix
+) -> list[Finding]:
+    """Every basis pair a < b of phi's source with [phi e_a, phi e_b] != 0 in h."""
+    return cochain_findings(rule, names, _half_square(h, cochain_from_matrix(phi)))
+
+
+def _trivial_generator(s: Setup, tables, x: Vector) -> Matrix:
+    """The matrix of d_rho_H(-Hx): column i is -rho_H(e_i)(Hx)."""
+    minus_Hx = Cochain(0, s.g.dim, s.h.dim, {(): vscale(-1, s.H.apply(x))})
+    d = _twisted_differential(tables, minus_Hx).values
+    cols = [d.get((i,), vzero(s.h.dim)) for i in range(s.g.dim)]
+    return Matrix(s.h.dim, s.g.dim, tuple(c[r] for r in range(s.h.dim) for c in cols))
+
+
 def check_linear_deformation(s: Setup, frkH: Matrix) -> list[Finding]:
     """Whether H + t*frkH stays a crossed homomorphism for every t.
 
-    Requires frkH to be a 1-cocycle of the twisted coboundary and the images
-    frkH(x), frkH(y) to commute in h, checked on basis pairs.
+    Requires frkH to be a 1-cocycle of the twisted coboundary and
+    (1/2)[[frkH, frkH]] to vanish, i.e. the images of basis pairs to commute.
     """
     _require_crossed_hom(s)
     if (frkH.rows, frkH.cols) != (s.h.dim, s.g.dim):
         raise DimensionMismatch("deformation direction has the wrong shape")
-    findings = []
-    d = _twisted_differential(s, cochain_from_matrix(frkH))
-    for S, v in sorted(d.values.items()):
-        findings.append(
-            Finding(
-                "deformation-cocycle",
-                tuple(s.g.basis_names[t] for t in S),
-                v,
-            )
-        )
-    for i, j in itertools.combinations(range(s.g.dim), 2):
-        w = s.h.bracket(frkH.col(i), frkH.col(j))
-        if not is_zero_vector(w):
-            findings.append(
-                Finding(
-                    "deformation-commute",
-                    (s.g.basis_names[i], s.g.basis_names[j]),
-                    w,
-                )
-            )
-    return findings
+    names = s.g.basis_names
+    d = _twisted_differential(_induced_tables(s), cochain_from_matrix(frkH))
+    return cochain_findings("deformation-cocycle", names, d) + _commuting_findings(
+        "deformation-commute", names, s.h, frkH
+    )
 
 
-def _nij1(s: Setup, x: Vector) -> list[Finding]:
-    g = s.g
-    out = []
-    for j, k in itertools.combinations(range(g.dim), 2):
-        res = g.bracket(g.bracket(x, g.basis_vector(j)), g.bracket(x, g.basis_vector(k)))
-        if not is_zero_vector(res):
-            out.append(Finding("Nij1", (g.basis_names[j], g.basis_names[k]), res))
-    return out
-
-
-def _nij2(s: Setup, rx: Matrix) -> list[Finding]:
-    h = s.h
-    out = []
-    for u, v in itertools.combinations(range(h.dim), 2):
-        res = h.bracket(rx.col(u), rx.col(v))
-        if not is_zero_vector(res):
-            out.append(Finding("Nij2", (h.basis_names[u], h.basis_names[v]), res))
-    return out
-
-
-def _nij3(s: Setup, x: Vector, rx: Matrix) -> list[Finding]:
-    g = s.g
-    out = []
-    for j in range(g.dim):
-        m = s.rho.of(g.bracket(x, g.basis_vector(j))) * rx
-        if not m.is_zero():
-            out.append(Finding("Nij3", (g.basis_names[j],), m))
-    return out
-
-
-def _twisted_images(s: Setup, x: Vector) -> Matrix:
-    """Column i is rho_H(e_i)(Hx) = rho(e_i)(Hx) + [He_i, Hx], the coboundary of Hx."""
-    Hx = s.H.apply(x)
-    cols = [
-        vadd(s.rho.matrices[i].apply(Hx), s.h.bracket(s.H.column(i), Hx))
-        for i in range(s.g.dim)
-    ]
-    return Matrix.from_columns(cols) if cols else Matrix.zero(s.h.dim, 0)
-
-
-def _nij4(s: Setup, x: Vector, rx: Matrix) -> list[Finding]:
-    images = _twisted_images(s, x)
-    out = []
-    for j in range(s.g.dim):
-        res = rx.apply(images.col(j))
-        if not is_zero_vector(res):
-            out.append(Finding("Nij4", (s.g.basis_names[j],), res))
-    return out
-
-
-def _nijenhuis_findings(s: Setup, x: Vector) -> list[Finding]:
-    """The four Nijenhuis conditions at x, for a certified H."""
+def _nijenhuis_conditions(s: Setup, tables, x: Vector):
+    """The findings of Nij1, ..., Nij4 at x, for a certified H: one list per
+    condition, each computed only when the next one is asked for."""
+    g, h = s.g, s.h
+    adx = g.ad(x)
+    yield _commuting_findings("Nij1", g.basis_names, g, adx)
     rx = s.rho.of(x)
-    return _nij1(s, x) + _nij2(s, rx) + _nij3(s, x, rx) + _nij4(s, x, rx)
+    yield _commuting_findings("Nij2", h.basis_names, h, rx)
+    nij3 = []
+    for j in range(g.dim):
+        m = s.rho.of(adx.col(j)) * rx
+        if not m.is_zero():
+            nij3.append(Finding("Nij3", (g.basis_names[j],), m))
+    yield nij3
+    # rho(x) rho_H(e_j)(Hx) = 0: rho(x) times minus the trivial generator
+    images = rx * -_trivial_generator(s, tables, x)
+    yield cochain_findings("Nij4", g.basis_names, cochain_from_matrix(images))
 
 
 def check_nijenhuis(s: Setup, x: Vector) -> list[Finding]:
@@ -598,26 +585,25 @@ def check_nijenhuis(s: Setup, x: Vector) -> list[Finding]:
     _require_crossed_hom(s)
     if len(x) != s.g.dim:
         raise DimensionMismatch("element has the wrong length for g")
-    return _nijenhuis_findings(s, x)
+    return list(itertools.chain.from_iterable(_nijenhuis_conditions(s, _induced_tables(s), x)))
 
 
-def nijenhuis_grid(s: Setup, grid: Sequence, max_candidates: int = 10**7) -> list[Vector]:
+def nijenhuis_grid(s: Setup, grid: Sequence) -> list[Vector]:
     """All coordinate tuples over the grid passing check_nijenhuis; H is
-    certified once."""
+    certified and the tables of rho_H are built once."""
     _require_crossed_hom(s)
     entries = [rational(v) for v in grid]
-    total = len(entries) ** s.g.dim
-    if total > max_candidates:
-        raise SearchSpaceTooLarge(f"{total} candidates exceed the {max_candidates} guard")
-    out = []
-    for combo in itertools.product(entries, repeat=s.g.dim):
-        if not _nijenhuis_findings(s, combo):
-            out.append(combo)
-    return out
+    require_window_count(len(entries) ** s.g.dim, "candidates")
+    tables = _induced_tables(s)
+    return [
+        x
+        for x in itertools.product(entries, repeat=s.g.dim)
+        if not any(_nijenhuis_conditions(s, tables, x))
+    ]
 
 
 def trivial_deformation_generator(s: Setup, x: Vector) -> Matrix:
-    """Coboundary direction of -Hx: column i is -rho(e_i)(Hx) - [He_i, Hx].
+    """The coboundary d_rho_H(-Hx) of the 0-cochain -Hx: column i is -rho_H(e_i)(Hx).
 
     For a Nijenhuis x this generates a deformation that is trivial; the
     result always passes check_linear_deformation.
@@ -625,7 +611,7 @@ def trivial_deformation_generator(s: Setup, x: Vector) -> Matrix:
     bad = check_nijenhuis(s, x)
     if bad:
         raise NotNijenhuis("; ".join(str(f) for f in bad))
-    return -_twisted_images(s, x)
+    return _trivial_generator(s, _induced_tables(s), x)
 
 
 def check_deformation_equivalence(
@@ -638,18 +624,13 @@ def check_deformation_equivalence(
     Nijenhuis constraints on the witness.
     """
     _require_crossed_hom(s)
+    tables = _induced_tables(s)
     findings = []
-    diff = (frkH2 - frkH1) + _twisted_images(s, x)
+    diff = (frkH2 - frkH1) - _trivial_generator(s, tables, x)
     if not diff.is_zero():
         findings.append(Finding("deforiso-1", ("frkH2 - frkH1",), diff))
-    rx = s.rho.of(x)
-    for j in range(s.g.dim):
-        lhs = frkH1.apply(s.g.bracket(x, s.g.basis_vector(j)))
-        rhs = rx.apply(frkH2.col(j))
-        d = vsub(lhs, rhs)
-        if not is_zero_vector(d):
-            findings.append(Finding("deforiso-2", (s.g.basis_names[j],), d))
-    findings.extend(_nij1(s, x))
-    findings.extend(_nij2(s, rx))
-    findings.extend(_nij3(s, x, rx))
+    twisted = frkH1 * s.g.ad(x) - s.rho.of(x) * frkH2
+    findings += cochain_findings("deforiso-2", s.g.basis_names, cochain_from_matrix(twisted))
+    for nij in itertools.islice(_nijenhuis_conditions(s, tables, x), 3):
+        findings += nij
     return findings

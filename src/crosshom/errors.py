@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the size guard behind SearchSpaceTooLarge."""
 
 
 class ToolkitError(Exception):
@@ -27,6 +27,17 @@ class NotNijenhuis(ToolkitError):
 
 class SearchSpaceTooLarge(ToolkitError):
     """A grid enumeration would exceed the candidate guard."""
+
+
+# Cap on what an enumeration visits: the exponent tuples of a window, the
+# identities a windowed check tests, and the candidates of the grid searches.
+MAX_WINDOW_COUNT = 10**7
+
+
+def require_window_count(count: int, what: str) -> int:
+    if count > MAX_WINDOW_COUNT:
+        raise SearchSpaceTooLarge(f"{count} {what} exceed the {MAX_WINDOW_COUNT} guard")
+    return count
 
 
 class IndexOutOfRange(ToolkitError):

@@ -36,12 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    NotAction,
-    NotCrossedHom,
-    SearchSpaceTooLarge,
-)
+from .errors import DimensionMismatch, NotAction, NotCrossedHom, require_window_count
 from .linalg import (
     ONE,
     ZERO,
@@ -485,7 +480,6 @@ def solve_crossed_homs_grid(
     h: FinLieAlgebra,
     rho: LieAction,
     grid: Sequence,
-    max_candidates: int = 10**7,
 ) -> list[CrossedHom]:
     """Exhaustively enumerate H with entries in grid; keep the crossed homs.
 
@@ -494,9 +488,7 @@ def solve_crossed_homs_grid(
     """
     entries = [rational(x) for x in grid]
     cells = h.dim * g.dim
-    total = len(entries) ** cells if cells else 1
-    if total > max_candidates:
-        raise SearchSpaceTooLarge(f"{total} candidates exceed the {max_candidates} guard")
+    require_window_count(len(entries) ** cells, "candidates")
     solutions = []
     for combo in itertools.product(entries, repeat=cells):
         H = CrossedHom(Matrix(h.dim, g.dim, combo))

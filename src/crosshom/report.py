@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .linalg import Matrix, render_vector
+from .linalg import render_vector
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,6 @@ class Finding:
             return ""
         if isinstance(r, tuple):
             return render_vector(r)
-        if isinstance(r, Matrix):
-            return str(r)
         return str(r)
 
     def to_json(self) -> dict:

@@ -13,8 +13,9 @@ admissible representations are the Leibniz-pair counterpart.
 Each law is coded once: Lie homomorphisms by `liealg.homomorphism_violations`
 (the anchor, beta, representations, and theta on `liealg.gl_algebra`), the
 checks a Lie-Rinehart algebra shares with a Leibniz pair by `_pair_violations`,
-A-linearity by `_a_linear_violations`, and the first-order rule
-D(a m) = a D(m) + sigma(a) m by `_first_order_residuals`, over sparse columns.
+the A-module law by `check_a_module`, A-linearity by `_a_linear_violations`, and
+the first-order rule D(a m) = a D(m) + sigma(a) m by `_first_order_residuals`,
+each residual column accumulated over sparse columns.
 The Lie-Rinehart compatibility is that rule for ad(x) with symbol anchor(x).
 
 Given a crossed homomorphism H from L into gl_n (x) A, pulling the boxed-sum
@@ -37,7 +38,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import DimensionMismatch, InvalidPair, NotCrossedHom
+from .errors import DimensionMismatch, InvalidPair, NotCrossedHom, require_window_count
 from .liealg import (
     CrossedHom,
     FinLieAlgebra,
@@ -69,7 +70,6 @@ from .witt import (
     derivation_violations,
     exact_coeff,
     gl_tensor_algebra,
-    require_window_count,
     window_exponents,
     window_size,
     witt_bracket,
@@ -114,23 +114,41 @@ def regular_module(A: FinCommAlgebra) -> AModuleStructure:
     )
 
 
+def _column_matrix(columns: Sequence[dict], n: int) -> Matrix:
+    """The n x n matrix whose column u is the sparse dict columns[u]."""
+    return Matrix.from_columns([_dense(c, n) for c in columns])
+
+
 def check_a_module(mod: AModuleStructure) -> list[Finding]:
-    """a(b m) = (ab) m on all ordered basis pairs; the unit acts as identity."""
-    A = mod.algebra
+    """a(b m) = (ab) m on all ordered basis pairs; the unit acts as identity.
+
+    Each residual column is accumulated over `col_nonzeros` of the action and
+    `product_terms` of A."""
+    A, n = mod.algebra, mod.dim_m
+    act = [m.col_nonzeros for m in mod.action]
+
+    def assoc(s: int, t: int, u: int) -> dict:
+        acc: dict = {}
+        for w, x in act[t][u]:
+            _add_scaled(acc, x, act[s][w])
+        for k, c in A.product_terms.get((s, t), ()):
+            _add_scaled(acc, -c, act[k][u])
+        return acc
+
     findings = []
-    for s in range(A.dim):
-        for t in range(A.dim):
-            lhs = mod.action[s] * mod.action[t]
-            rhs = mod.of(A.product_basis(s, t))
-            diff = lhs - rhs
-            if not diff.is_zero():
-                findings.append(
-                    Finding("module-assoc", (A.basis_names[s], A.basis_names[t]), diff)
-                )
+    for s, t in itertools.product(range(A.dim), repeat=2):
+        columns = [assoc(s, t, u) for u in range(n)]
+        if any(columns):
+            site = (A.basis_names[s], A.basis_names[t])
+            findings.append(Finding("module-assoc", site, _column_matrix(columns, n)))
     if A.unit is not None:
-        diff = mod.of(A.unit) - Matrix.identity(mod.dim_m)
-        if not diff.is_zero():
-            findings.append(Finding("module-unit", ("1",), diff))
+        unit = [(k, c) for k, c in enumerate(A.unit) if c]
+        columns = [{u: -1} for u in range(n)]
+        for u, acc in enumerate(columns):
+            for k, c in unit:
+                _add_scaled(acc, c, act[k][u])
+        if any(columns):
+            findings.append(Finding("module-unit", ("1",), _column_matrix(columns, n)))
     return findings
 
 
@@ -166,10 +184,7 @@ def _first_order_violations(mod: AModuleStructure, D: Matrix, sigma: Matrix, rul
     """Every a_s with D(a_s m) != a_s D(m) + sigma(a_s) m, at site + (a_s,)."""
     act, names = [m.col_nonzeros for m in mod.action], mod.algebra.basis_names
     residuals = _first_order_residuals(act, D.col_nonzeros, sigma.col_nonzeros)
-    return [
-        Finding(rule, site + (names[s],), Matrix.from_columns([_dense(c, mod.dim_m) for c in cols]))
-        for s, cols in residuals
-    ]
+    return [Finding(rule, site + (names[s],), _column_matrix(cols, mod.dim_m)) for s, cols in residuals]
 
 
 def check_first_order_op(mod: AModuleStructure, op: FirstOrderOp) -> list[Finding]:
@@ -226,14 +241,25 @@ def underlying_pair(lr: LieRinehart) -> LeibnizPair:
 
 
 def _a_linear_violations(lr: LieRinehart, mod: AModuleStructure, mats, rule: str):
-    """Every (a_s, x_i) with rho(a_s x_i) != a_s rho(x_i) on mod, rho(x_k) = mats[k]."""
-    A, L = lr.algebra, lr.lie
+    """Every (a_s, x_i) with rho(a_s x_i) != a_s rho(x_i) on mod, rho(x_k) = mats[k];
+    each residual column is accumulated over `col_nonzeros`."""
+    A, L, n = lr.algebra, lr.lie, mod.dim_m
+    act, rho = [m.col_nonzeros for m in mod.action], [m.col_nonzeros for m in mats]
+
+    def column(s: int, i: int, u: int) -> dict:
+        acc: dict = {}
+        for k, c in lr.a_action[s].col_nonzeros[i]:
+            _add_scaled(acc, c, rho[k][u])
+        for w, x in rho[i][u]:
+            _add_scaled(acc, -x, act[s][w])
+        return acc
+
     findings = []
-    for s in range(A.dim):
-        for i in range(L.dim):
-            diff = lincomb(mats, lr.a_action[s].col(i)) - mod.action[s] * mats[i]
-            if not diff.is_zero():
-                findings.append(Finding(rule, (A.basis_names[s], L.basis_names[i]), diff))
+    for s, i in itertools.product(range(A.dim), range(L.dim)):
+        columns = [column(s, i, u) for u in range(n)]
+        if any(columns):
+            site = (A.basis_names[s], L.basis_names[i])
+            findings.append(Finding(rule, site, _column_matrix(columns, n)))
     return findings
 
 

@@ -45,15 +45,17 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
+    MAX_WINDOW_COUNT,
     DimensionMismatch,
     IndexOutOfRange,
     MalformedP,
     NotCommuting,
     NotDerivation,
     SearchSpaceTooLarge,
+    require_window_count,
 )
 from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup, abelian, gl_algebra
-from .linalg import ONE, ZERO, Coeff, Matrix, Vector, _add_scaled, _dense, exact_coeff, rational, vzero
+from .linalg import ONE, ZERO, Coeff, Matrix, Vector, _add_scaled, _dense, exact_coeff, rational
 from .report import Finding
 
 MultiIndex = tuple[int, ...]
@@ -92,17 +94,6 @@ class Window:
     def __post_init__(self):
         if self.bound < 1:
             raise DimensionMismatch("window bound must be >= 1")
-
-
-# Cap on what a windowed check enumerates: the exponent tuples of a window, and
-# the identities a check tests.  It is the candidate cap of the grid searches.
-MAX_WINDOW_COUNT = 10**7
-
-
-def require_window_count(count: int, what: str) -> int:
-    if count > MAX_WINDOW_COUNT:
-        raise SearchSpaceTooLarge(f"{count} {what} exceed the {MAX_WINDOW_COUNT} guard")
-    return count
 
 
 def window_size(n: int, bound: int) -> int:
@@ -558,10 +549,6 @@ class FinCommAlgebra:
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
-
-    def product_basis(self, i: int, j: int) -> Vector:
-        key = (i, j) if i <= j else (j, i)
-        return self.structure.get(key, vzero(self.dim))
 
     @functools.cached_property
     def product_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Coeff], ...]]:

@@ -7,7 +7,7 @@ import pytest
 
 import crosshom.rinehart
 import crosshom.witt
-from crosshom.cohomology import Cochain
+from crosshom.cohomology import Cochain, ce_differential, cochain_from_matrix
 from crosshom.liealg import (
     CrossedHom,
     FinLieAlgebra,
@@ -21,9 +21,9 @@ from crosshom.liealg import (
     two_dim_nonabelian,
     zero_action,
 )
-from crosshom.linalg import Matrix
+from crosshom.linalg import Matrix, is_zero_vector, lincomb, vadd, vsub
 from crosshom.report import Finding
-from crosshom.rinehart import check_a_module, regular_module
+from crosshom.rinehart import regular_module
 from crosshom.witt import check_comm_algebra, derivation_violations
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -249,12 +249,10 @@ def _ref_resited(A, names, ders, rule) -> list:
 def ref_lie_rinehart_findings(lr) -> list:
     """Every Lie-Rinehart law in the report order, Leibniz by the dense loop."""
     A, L = lr.algebra, lr.lie
-    findings = check_comm_algebra(A) + check_lie_algebra(L) + check_a_module(lr.l_module())
+    findings = check_comm_algebra(A) + check_lie_algebra(L) + ref_check_a_module(lr.l_module())
     findings += _ref_resited(A, L.basis_names, lr.anchor, "anchor-derivation")
     findings += homomorphism_violations(L, lr.anchor, "anchor-lie-hom")
-    findings += crosshom.rinehart._a_linear_violations(
-        lr, regular_module(A), lr.anchor, "anchor-a-linear"
-    )
+    findings += ref_a_linear_violations(lr, regular_module(A), lr.anchor, "anchor-a-linear")
     return findings + ref_leibniz_findings(lr)
 
 
@@ -317,3 +315,137 @@ def ref_adjoint_rep_gl(n: int) -> dict:
                 data[(k * n + j) * dim + col] -= 1
         theta[(i, j)] = Matrix(dim, dim, tuple(data))
     return theta
+
+
+# --- dense oracles for the A-module laws ---
+
+
+def ref_check_a_module(mod) -> list:
+    """a(b m) = (ab) m and 1 m = m by dense matrix products and sums."""
+    A = mod.algebra
+    findings = []
+    for s in range(A.dim):
+        for t in range(A.dim):
+            lhs = mod.action[s] * mod.action[t]
+            rhs = mod.of(ref_multiply(A, A.basis_vector(s), A.basis_vector(t)))
+            diff = lhs - rhs
+            if not diff.is_zero():
+                findings.append(Finding("module-assoc", (A.basis_names[s], A.basis_names[t]), diff))
+    if A.unit is not None:
+        diff = mod.of(A.unit) - Matrix.identity(mod.dim_m)
+        if not diff.is_zero():
+            findings.append(Finding("module-unit", ("1",), diff))
+    return findings
+
+
+def ref_a_linear_violations(lr, mod, mats, rule) -> list:
+    """rho(a_s x_i) - a_s rho(x_i) on mod by dense lincomb and products."""
+    A, L = lr.algebra, lr.lie
+    findings = []
+    for s in range(A.dim):
+        for i in range(L.dim):
+            diff = lincomb(mats, lr.a_action[s].col(i)) - mod.action[s] * mats[i]
+            if not diff.is_zero():
+                findings.append(Finding(rule, (A.basis_names[s], L.basis_names[i]), diff))
+    return findings
+
+
+# --- dense oracles for the Nijenhuis conditions and linear deformations ---
+
+
+def ref_nij1(s, x) -> list:
+    """[[x, e_j], [x, e_k]] for each j < k, by brackets of whole vectors."""
+    g = s.g
+    out = []
+    for j, k in itertools.combinations(range(g.dim), 2):
+        res = g.bracket(g.bracket(x, g.basis_vector(j)), g.bracket(x, g.basis_vector(k)))
+        if not is_zero_vector(res):
+            out.append(Finding("Nij1", (g.basis_names[j], g.basis_names[k]), res))
+    return out
+
+
+def ref_nij2(s, rx) -> list:
+    """[rho(x) e_u, rho(x) e_v] for each u < v in h."""
+    h = s.h
+    out = []
+    for u, v in itertools.combinations(range(h.dim), 2):
+        res = h.bracket(rx.col(u), rx.col(v))
+        if not is_zero_vector(res):
+            out.append(Finding("Nij2", (h.basis_names[u], h.basis_names[v]), res))
+    return out
+
+
+def ref_nij3(s, x, rx) -> list:
+    """rho([x, e_j]) rho(x) for each j, as dense matrices."""
+    g = s.g
+    out = []
+    for j in range(g.dim):
+        m = s.rho.of(g.bracket(x, g.basis_vector(j))) * rx
+        if not m.is_zero():
+            out.append(Finding("Nij3", (g.basis_names[j],), m))
+    return out
+
+
+def ref_twisted_images(s, x) -> Matrix:
+    """Column i is rho_H(e_i)(Hx) = rho(e_i)(Hx) + [He_i, Hx], from dense rho and H."""
+    Hx = s.H.apply(x)
+    cols = [
+        vadd(s.rho.matrices[i].apply(Hx), s.h.bracket(s.H.column(i), Hx))
+        for i in range(s.g.dim)
+    ]
+    return Matrix.from_columns(cols) if cols else Matrix.zero(s.h.dim, 0)
+
+
+def ref_nij4(s, x, rx) -> list:
+    """rho(x) rho_H(e_j)(Hx) for each j."""
+    images = ref_twisted_images(s, x)
+    out = []
+    for j in range(s.g.dim):
+        res = rx.apply(images.col(j))
+        if not is_zero_vector(res):
+            out.append(Finding("Nij4", (s.g.basis_names[j],), res))
+    return out
+
+
+def ref_nijenhuis_findings(s, x) -> list:
+    rx = s.rho.of(x)
+    return ref_nij1(s, x) + ref_nij2(s, rx) + ref_nij3(s, x, rx) + ref_nij4(s, x, rx)
+
+
+def ref_check_linear_deformation(s, frkH) -> list:
+    """The twisted coboundary of frkH, then [frkH e_i, frkH e_j] for i < j."""
+    d = ce_differential(s, cochain_from_matrix(frkH))
+    findings = [
+        Finding("deformation-cocycle", tuple(s.g.basis_names[t] for t in S), v)
+        for S, v in sorted(d.values.items())
+    ]
+    for i, j in itertools.combinations(range(s.g.dim), 2):
+        w = s.h.bracket(frkH.col(i), frkH.col(j))
+        if not is_zero_vector(w):
+            findings.append(Finding("deformation-commute", (s.g.basis_names[i], s.g.basis_names[j]), w))
+    return findings
+
+
+def ref_check_deformation_equivalence(s, frkH1, frkH2, x) -> list:
+    """deforiso-1 and deforiso-2 by dense sums, then Nij1 to Nij3."""
+    findings = []
+    diff = (frkH2 - frkH1) + ref_twisted_images(s, x)
+    if not diff.is_zero():
+        findings.append(Finding("deforiso-1", ("frkH2 - frkH1",), diff))
+    rx = s.rho.of(x)
+    for j in range(s.g.dim):
+        d = vsub(frkH1.apply(s.g.bracket(x, s.g.basis_vector(j))), rx.apply(frkH2.col(j)))
+        if not is_zero_vector(d):
+            findings.append(Finding("deforiso-2", (s.g.basis_names[j],), d))
+    return findings + ref_nij1(s, x) + ref_nij2(s, rx) + ref_nij3(s, x, rx)
+
+
+def nijenhuis_setups() -> list:
+    """Every setup fixture whose H is a crossed homomorphism, then generalized
+    Witt [3] and [2,2]."""
+    from crosshom import formats
+    from crosshom.liealg import check_crossed_hom
+
+    setups = [formats.load_file(str(p)) for p in sorted(FIXTURES.glob("*.setup.json"))]
+    setups = [s for s in setups if not check_crossed_hom(s)]
+    return setups + [generalized_witt_bounds(b) for b in ((3,), (2, 2))]

@@ -10,7 +10,8 @@ fixture lacks a row for a subcommand that takes it.
 `GW_GOLDEN` pins the generalized Witt setups, which no fixture covers: the
 sha256 of `json.dumps(formats.setup_to_dict(s))` for the truncated algebra
 with its scaling derivations, and the exit code and sha256 of the --json
-stdout of two subcommands on the saved file.
+stdout of the subcommands of `GW_ARGS` on the saved file (`nijenhuis
+--grid=0,1` on [2,2] only).
 """
 
 import hashlib
@@ -81,6 +82,7 @@ GW_GOLDEN = {
         "setup": "b02cca8c2ab707f684705d465db7161464f93ae629e05d8ba003a09a0e7d1124",
         "check-crossed-hom": (0, CHECK),
         "cohomology": (0, "00cf9a23e8d49f301fd43aee578708a714451c2d2345032b1e64fbdebb845ce2"),
+        "nijenhuis": (0, "b56f93d7eae3368dc975aae8682552372ba1860cb14d5d18ffb10a2dc2374780"),
     },
     (3, 2): {
         "setup": "1505e8432877d1f712f567bf30e3bb36335a6b6fe333bfccfc619e55e2b1e6a9",
@@ -89,7 +91,7 @@ GW_GOLDEN = {
     },
     (2, 2, 2): {"setup": "aa57564648fe97c35cfc2e5dea8b3893d22ac332d574d39206a0707dbe9ac456"},
 }
-GW_ARGS = {"check-crossed-hom": [], "cohomology": ["--max-degree", "1"]}
+GW_ARGS = {"check-crossed-hom": [], "cohomology": ["--max-degree", "1"], "nijenhuis": ["--grid=0,1"]}
 
 
 @pytest.mark.parametrize("bounds", list(GW_GOLDEN), ids=str)

@@ -1,11 +1,13 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from crosshom.cohomology import (
+    _trivial_generator,
     Cochain,
     _coboundary_tables,
     _induced_tables,
@@ -63,7 +65,13 @@ from conftest import (
     generalized_witt_bounds,
     heisenberg_setup,
     kernel_setups,
+    nijenhuis_setups,
     random_cochain,
+    random_fraction_vector,
+    ref_check_deformation_equivalence,
+    ref_check_linear_deformation,
+    ref_nijenhuis_findings,
+    ref_twisted_images,
     sl2_setup,
 )
 
@@ -688,3 +696,152 @@ def test_deformation_equivalence_detects_mismatch():
     frk2 = Matrix.from_rows([[1, 0], [0, 0]])
     findings = check_deformation_equivalence(s, Matrix.zero(2, 2), frk2, x)
     assert any(f.rule == "deforiso-1" for f in findings)
+
+
+def _random_element(rng: random.Random, n: int) -> tuple:
+    return tuple(Fraction(rng.choice((-2, -1, 0, 0, 1, 2, Fraction(1, 2)))) for _ in range(n))
+
+
+def _random_map(rng: random.Random, rows: int, cols: int) -> Matrix:
+    return Matrix.from_columns([random_fraction_vector(rng, rows) for _ in range(cols)])
+
+
+def _same_findings(got, expected):
+    assert got == expected
+    assert [(f.rule, f.site, f.residual_str()) for f in got] == [
+        (f.rule, f.site, f.residual_str()) for f in expected
+    ]
+
+
+def test_nijenhuis_findings_match_the_dense_oracle():
+    rng = random.Random(131)
+    seen = Counter()
+    for s in nijenhuis_setups():
+        for _ in range(40):
+            x = _random_element(rng, s.g.dim)
+            got = check_nijenhuis(s, x)
+            _same_findings(got, ref_nijenhuis_findings(s, x))
+            seen.update(f.rule for f in got)
+    assert all(seen[rule] >= 10 for rule in ("Nij1", "Nij2", "Nij3", "Nij4")), seen
+
+
+def test_trivial_generator_is_the_coboundary_of_minus_Hx():
+    rng = random.Random(132)
+    for s in nijenhuis_setups():
+        tables = _induced_tables(s)
+        for _ in range(30):
+            x = _random_element(rng, s.g.dim)
+            assert _trivial_generator(s, tables, x) == -ref_twisted_images(s, x)
+
+
+def test_nijenhuis_grid_matches_the_dense_oracle():
+    """Every setup but generalized Witt [2,2], whose grid 0,1 is a golden CLI row."""
+    grid = (-1, 0, 1)
+    for s in nijenhuis_setups()[:-1]:
+        candidates = itertools.product(map(Fraction, grid), repeat=s.g.dim)
+        expected = [x for x in candidates if not ref_nijenhuis_findings(s, x)]
+        assert nijenhuis_grid(s, grid) == expected
+        for x in expected:
+            frk = trivial_deformation_generator(s, x)
+            assert frk == -ref_twisted_images(s, x)
+            assert check_linear_deformation(s, frk) == []
+
+
+def test_nijenhuis_grid_builds_the_tables_once(monkeypatch):
+    s = generalized_witt_bounds((3,))
+    builds = []
+    real = crosshom.cohomology._induced_tables
+
+    def counted(s):
+        builds.append(s)
+        return real(s)
+
+    monkeypatch.setattr(crosshom.cohomology, "_induced_tables", counted)
+    assert len(nijenhuis_grid(s, [-1, 0, Fraction(1, 2), 1])) == 4
+    assert len(builds) == 1
+
+
+def test_linear_deformation_matches_the_dense_oracle():
+    rng = random.Random(133)
+    seen = Counter()
+    for s in nijenhuis_setups():
+        for _ in range(30):
+            frk = _random_map(rng, s.h.dim, s.g.dim)
+            got = check_linear_deformation(s, frk)
+            _same_findings(got, ref_check_linear_deformation(s, frk))
+            seen.update(f.rule for f in got)
+    assert seen["deformation-cocycle"] >= 10 and seen["deformation-commute"] >= 10, seen
+
+
+def test_deformation_equivalence_matches_the_dense_oracle():
+    rng = random.Random(134)
+    seen = Counter()
+    for s in nijenhuis_setups():
+        for round_ in range(30):
+            x = _random_element(rng, s.g.dim)
+            frk1 = _random_map(rng, s.h.dim, s.g.dim)
+            if round_ % 3:
+                frk2 = _random_map(rng, s.h.dim, s.g.dim)
+            else:  # the exact difference, so that deforiso-1 holds
+                frk2 = frk1 - ref_twisted_images(s, x)
+            got = check_deformation_equivalence(s, frk1, frk2, x)
+            _same_findings(got, ref_check_deformation_equivalence(s, frk1, frk2, x))
+            seen.update(f.rule for f in got)
+    rules = ("deforiso-1", "deforiso-2", "Nij1", "Nij2", "Nij3")
+    assert all(seen[rule] >= 10 for rule in rules), seen
+
+
+def test_nijenhuis_and_deformation_findings_are_pinned():
+    """Exact reports, recorded before the conditions were rewritten on the
+    cohomology engine; no golden CLI row reaches these rules."""
+    ii = formats.load_file(str(FIXTURES / "dim2_case_ii.setup.json"))
+    sl = formats.load_file(str(FIXTURES / "sl2_adjoint.setup.json"))
+    gw3 = generalized_witt_bounds((3,))
+    half = Fraction(1, 2)
+
+    def strs(findings):
+        return [str(f) for f in findings]
+
+    assert strs(check_nijenhuis(ii, (half, Fraction(1)))) == ["Nij4 at (e2): residual (1, 0)"]
+    assert strs(check_nijenhuis(gw3, frac((1, 0, half)))) == [
+        "Nij3 at (x*D1): residual [0, 0, 0; 0, 0, 0; 0, 1, 0]",
+        "Nij4 at (1*D1): residual (0, 0, 4)",
+    ]
+    assert trivial_deformation_generator(gw3, frac((0, 0, -half))).render_rows() == [
+        ["0", "0", "0"],
+        ["0", "0", "0"],
+        ["2", "0", "0"],
+    ]
+    assert strs(check_linear_deformation(ii, Matrix.from_rows([[1, half], [2, 0]]))) == [
+        "deformation-cocycle at (e1, e2): residual (-3, -2)",
+        "deformation-commute at (e1, e2): residual (-1, 0)",
+    ]
+    frk = Matrix.from_rows([[1, 0, half], [0, 2, 0], [Fraction(-1, 3), 0, 1]])
+    assert strs(check_linear_deformation(sl, frk)) == [
+        "deformation-cocycle at (e, f): residual (-1/2, 2/3, 2)",
+        "deformation-cocycle at (e, h): residual (-2, 0, -2/3)",
+        "deformation-cocycle at (f, h): residual (0, 2, -1/2)",
+        "deformation-commute at (e, f): residual (0, 4/3, 2)",
+        "deformation-commute at (e, h): residual (-7/3, 0, 0)",
+        "deformation-commute at (f, h): residual (0, 4, -1)",
+    ]
+    frk1 = Matrix.from_rows([[0, 1], [half, 0]])
+    frk2 = Matrix.from_rows([[1, 0], [0, Fraction(-2, 3)]])
+    assert strs(check_deformation_equivalence(ii, frk1, frk2, (half, Fraction(1)))) == [
+        "deforiso-1 at (frkH2 - frkH1): residual [1, -2; -1/2, -2/3]",
+        "deforiso-2 at (e1): residual (1, -1/2)",
+        "deforiso-2 at (e2): residual (1/3, 1/4)",
+    ]
+    assert strs(check_deformation_equivalence(sl, frk, Matrix.identity(3), frac((1, 0, -half)))) == [
+        "deforiso-1 at (frkH2 - frkH1): residual [0, 0, -1/2; 0, -1, 0; 1/3, 0, 0]",
+        "deforiso-2 at (e): residual (0, 0, 1/3)",
+        "deforiso-2 at (f): residual (1/2, 1, 0)",
+        "deforiso-2 at (h): residual (0, 0, 2/3)",
+        "Nij1 at (e, f): residual (2, 0, -1)",
+        "Nij1 at (f, h): residual (-4, 0, 2)",
+        "Nij2 at (e, f): residual (2, 0, -1)",
+        "Nij2 at (f, h): residual (-4, 0, 2)",
+        "Nij3 at (e): residual [0, 2, 0; 0, 0, 0; 0, -1, 0]",
+        "Nij3 at (f): residual [-2, 0, -4; 0, 0, 0; 1, 0, 2]",
+        "Nij3 at (h): residual [0, 4, 0; 0, 0, 0; 0, -2, 0]",
+    ]

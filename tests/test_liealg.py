@@ -303,7 +303,7 @@ def test_solve_grid_sl2_zero_grid():
 def test_solve_grid_guard():
     g = sl2()
     with pytest.raises(SearchSpaceTooLarge):
-        solve_crossed_homs_grid(g, g, adjoint_action(g), list(range(10)), max_candidates=10**6)
+        solve_crossed_homs_grid(g, g, adjoint_action(g), list(range(10)))
 
 
 def test_hom_pair_conjugated_crossed_hom():

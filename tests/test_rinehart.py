@@ -67,7 +67,9 @@ from conftest import (
     random_sparse_sum,
     ref_action_bracket,
     ref_add_term,
+    ref_a_linear_violations,
     ref_adjoint_rep_gl,
+    ref_check_a_module,
     ref_first_order_findings,
     ref_leibniz_pair_findings,
     ref_lie_rinehart_findings,
@@ -918,4 +920,51 @@ def test_gln_rep_reports_each_broken_pair_once():
         "gl-relation at (E11, E21): residual [0, -4; 0, 0]",
         "gl-relation at (E12, E21): residual [1, 0; 0, -1]",
         "gl-relation at (E21, E22): residual [0, -4; 0, 0]",
+    ]
+
+
+def test_a_module_laws_match_the_dense_oracles():
+    lr, block = formats.load_file(str(FIXTURES / "derivations_trunc3.lr.json"))
+    mod, rho = formats.module_from_dict(lr.algebra, lr.lie.basis_names, block, "module")
+    bounds = (2, 2)
+    pair = LeibnizPair(
+        truncated_polynomial_algebra(bounds),
+        abelian(("D1", "D2")),
+        tuple(scaling_derivation(bounds, v) for v in range(2)),
+    )
+    scaling = action_lie_rinehart(pair)
+    rng = random.Random(92)
+    seen = Counter()
+    for base, mod0, mats0 in ((lr, mod, rho), (scaling, regular_module(pair.algebra), scaling.anchor)):
+        A, L = base.algebra, base.lie
+        for round_ in range(30):
+            a_action = _perturbed_matrices(rng, base.a_action) if round_ % 2 else base.a_action
+            lr2 = LieRinehart(A, L, a_action, base.anchor)
+            mod2 = AModuleStructure(A, mod0.dim_m, _perturbed_matrices(rng, mod0.action))
+            mats2 = _perturbed_matrices(rng, mats0) if round_ % 3 else mats0
+            for m in (mod2, lr2.l_module()):
+                got = check_a_module(m)
+                assert got == ref_check_a_module(m)
+                assert [str(f) for f in got] == [str(f) for f in ref_check_a_module(m)]
+                seen.update(f.rule for f in got)
+            for m in (mod2, mod0):
+                got = crosshom.rinehart._a_linear_violations(lr2, m, mats2, "a-linear")
+                expected = ref_a_linear_violations(lr2, m, mats2, "a-linear")
+                assert got == expected
+                assert [str(f) for f in got] == [str(f) for f in expected]
+                seen.update(f.rule for f in got)
+    assert seen["module-assoc"] >= 10 and seen["module-unit"] >= 10 and seen["a-linear"] >= 10, seen
+
+
+def test_module_unit_finding_is_pinned():
+    """No golden CLI row fires module-unit; this report was recorded before
+    the A-module laws were accumulated over nonzeros."""
+    A = truncated_polynomial_algebra((3,))
+    reg = regular_module(A)
+    bump = Matrix.from_rows([[0, 0, 0], [Fraction(1, 2), 0, 0], [0, 0, 0]])
+    bad = AModuleStructure(A, reg.dim_m, (reg.action[0] + bump,) + reg.action[1:])
+    assert [str(f) for f in check_a_module(bad)] == [
+        "module-assoc at (1, 1): residual [0, 0, 0; 1/2, 0, 0; 0, 0, 0]",
+        "module-assoc at (x, 1): residual [0, 0, 0; 0, 0, 0; 1/2, 0, 0]",
+        "module-unit at (1): residual [0, 0, 0; 1/2, 0, 0; 0, 0, 0]",
     ]
