@@ -24,17 +24,27 @@ The tables behind it, the sparse columns of each rho(e_i) and the structure
 constants grouped by target index t, are built once per call and read by
 one loop, `_differential`.  The sites of a tuple T (where its action and
 bracket terms land) do not depend on the value at T and are found once per T
-(`_scatter_sites`).  The matrix of d_k
-has one row assembly, `_coboundary_rows`: column (T, u) is the same step
-applied to the unit value e_u at T, written into sparse {column: value} rows,
-so the work follows the nonzeros.  rho_H's tables are `_induced_tables`:
-its columns come from `liealg._induced_columns`, the one place the rho_H
-formula is written, which reads the nonzeros of rho and H and the bracket
-terms of h (no dense rho_H) and keeps integral entries as ints.
-`cohomology_dims` builds them once and ranks each degree's rows with the
-sparse elimination of `linalg`, in int arithmetic while the pivots are
-units; `differential_matrix` (a `Matrix` of Fractions) and the twisted
-differential read the same tables.
+(`_scatter_sites`).  The matrix of d_k has one full row assembly,
+`_coboundary_rows`, which `differential_matrix` (a `Matrix` of Fractions)
+writes out: column (T, u) is the same step applied to the unit value e_u at
+T.  rho_H's tables are `_induced_tables`: its columns come from
+`liealg._induced_columns`, the one place the rho_H formula is written, and
+keep integral entries as ints, as do `bracket_terms` and
+`Matrix.col_nonzeros`, so the eliminations run in int arithmetic while the
+pivots are units.
+
+`cohomology_dims` ranks weight spaces, not whole coboundaries.  When a
+g-basis element e_i acts diagonally, ad(e_i) on g and rho_H(e_i) on h, the
+unit cochain (T, u) is an eigenvector of the Lie derivative L_(e_i) with
+eigenvalue w_i(u) - sum over t in T of w_i(e_t).  `_weights` finds such e_i
+(for a generalized Witt setup, the scaling derivations 1 (x) D_j), and d
+keeps the weight vector w.  By Cartan's homotopy formula
+L_x = d i_x + i_x d (H. Cartan, 1950; Hochschild and Serre, 1953), on the
+cochains of a weight with some w_i != 0 the map d i_(e_i) / w_i is the
+identity on cocycles, so that block is exact: its rank in degree k is
+sum over j <= k of (-1)^(k-j) (its dim C^j).  Only the weight-0 block is
+assembled (`_weight_zero_rows`) and eliminated; the counts give the rest,
+so the reported dimensions are those of the whole complex.
 
 The cohomology of a crossed homomorphism H is the Chevalley-Eilenberg
 cohomology of g with coefficients in the induced action
@@ -82,7 +92,6 @@ from .linalg import (
     _add_scaled,
     _dense,
     _echelon,
-    exact_coeff,
     is_zero_vector,
     rational,
     vadd,
@@ -224,13 +233,13 @@ def eval_vectors(f: Cochain, vecs: Sequence[Vector]) -> Vector:
     return out
 
 
-def _by_target(g: FinLieAlgebra) -> list[list[tuple[int, int, Fraction]]]:
+def _by_target(g: FinLieAlgebra) -> list[list[tuple[int, int, Coeff]]]:
     """For each target index t, the structure constants (a, b, [e_a, e_b]_t)
-    with a < b and a nonzero value."""
+    with a < b and a nonzero value, read from `bracket_terms`."""
     by_target = [[] for _ in range(g.dim)]
-    for (a, b), v in sorted(g.structure.items()):
-        for t, c in enumerate(v):
-            if c:
+    for (a, b), terms in sorted(g.bracket_terms.items()):
+        if a < b:
+            for t, c in terms:
                 by_target[t].append((a, b, c))
     return by_target
 
@@ -244,8 +253,7 @@ def _coboundary_tables(rho: LieAction):
 def _induced_tables(s: Setup):
     """The tables of `_coboundary_tables` for rho_H, from
     `liealg._induced_columns`, with `exact_coeff` entries throughout."""
-    by_target = [[(a, b, exact_coeff(c)) for a, b, c in t] for t in _by_target(s.g)]
-    return _induced_columns(s), by_target
+    return _induced_columns(s), _by_target(s.g)
 
 
 def _scatter_sites(tables, g_dim: int, T: tuple[int, ...]):
@@ -462,13 +470,102 @@ def differential_matrix(s: Setup, k: int) -> Matrix:
     return Matrix(nrows, ncols, tuple(data))
 
 
+def _eigenvalues(images) -> list[Coeff] | None:
+    """The diagonal of an operator given by images[j], the nonzero (k, c) of
+    its value at basis vector j; None when some image leaves its own line."""
+    diagonal = [0] * len(images)
+    for j, image in enumerate(images):
+        for k, c in image:
+            if k != j:
+                return None
+            diagonal[j] = c
+    return diagonal
+
+
+def _weights(s: Setup, tables) -> tuple[list[tuple], list[tuple]]:
+    """The weight vectors (w_g, w_h) of the g- and h-basis.
+
+    A g-basis index i counts when ad(e_i) (from `bracket_terms`) and rho_H(e_i)
+    (from the tables) are diagonal, with eigenvalues lam and mu, and the
+    tables are homogeneous for them: rho_H(e_j) e_u has only components e_w
+    with mu[w] - mu[u] = lam[j], and [e_a, e_b]_t != 0 only where
+    lam[t] = lam[a] + lam[b].  For an action of a Lie algebra these hold
+    whenever the diagonals do; they make every row of d_k one weight.
+    w_g[j] and w_h[u] list the eigenvalues over the counted indices; with
+    none counted they are all the empty weight.
+    """
+    g_dim, terms = s.g.dim, s.g.bracket_terms
+    columns, by_target = tables
+    lams, mus = [], []
+    for i in range(g_dim):
+        lam = _eigenvalues([terms.get((i, j), ()) for j in range(g_dim)])
+        mu = None if lam is None else _eigenvalues(columns[i])
+        if mu is None:
+            continue
+        if all(
+            mu[w] - mu[u] == lam[j]
+            for j, cols in enumerate(columns)
+            for u, col in enumerate(cols)
+            for w, _ in col
+        ) and all(lam[a] + lam[b] == lam[t] for t, abc in enumerate(by_target) for a, b, _ in abc):
+            lams.append(lam)
+            mus.append(mu)
+    w_g = [tuple(lam[j] for lam in lams) for j in range(g_dim)]
+    return w_g, [tuple(mu[u] for mu in mus) for u in range(s.h.dim)]
+
+
+def _weight_zero_rows(tables, weights, k: int) -> tuple[dict[tuple, dict[int, Coeff]], int]:
+    """The nonzero rows {(S, w): {column: value}} of the weight-0 block of d_k
+    up to sign, and its number of columns.
+
+    Column (T, u) has weight w_h[u] - sum of w_g[t], t in T; the u are
+    bucketed by weight, so each tuple T finds its weight-0 cells at once and
+    its sites (`_scatter_sites`) are found once for all of them.  Rows are
+    keyed by (S, w) as the scatter reaches them.  The global sign (-1)^(k+1)
+    of d_k is left out, and the columns are numbered sparsest first: neither
+    changes the rank.
+    """
+    w_g, w_h = weights
+    g_dim, zero = len(w_g), (0,) * len(w_g[0]) if w_g else ()
+    bucket: dict[tuple, list[int]] = {}
+    for u, w in enumerate(w_h):
+        bucket.setdefault(w, []).append(u)
+    cols = []
+    for T in itertools.combinations(range(g_dim), k):
+        us = bucket.get(tuple(map(sum, zip(zero, *(w_g[t] for t in T)))))
+        if not us:
+            continue
+        acts, brackets = _scatter_sites(tables, g_dim, T)
+        for u in us:
+            out = {(S, u): c for S, c in brackets}
+            for S, col_i, neg in acts:
+                for w, a in col_i[u]:
+                    out[S, w] = out.get((S, w), 0) + (-a if neg else a)
+            cols.append([(key, c) for key, c in out.items() if c])
+    rows: dict[tuple, dict[int, Coeff]] = {}
+    for col, entries in enumerate(sorted(cols, key=len)):
+        for key, c in entries:
+            rows.setdefault(key, {})[col] = c
+    return rows, len(cols)
+
+
 def cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
     """Exact cocycle/coboundary/cohomology dimensions for degrees 0..k_max.
 
     Coboundaries in degree 0 are taken to be zero, so dim H^0 counts the
-    invariants of the twisted action.  The tables of rho_H are built once,
-    from the setup; each d_k is assembled as sparse rows and eliminated
-    there, never as a dense matrix.
+    invariants of the twisted action.  The tables of rho_H are built once.
+    Only the weight-0 block of each d_k is assembled, as sparse rows, and
+    eliminated.  By Cartan's formula L_x = d i_x + i_x d the blocks of
+    nonzero weight are exact (see the module docstring), so their rank in
+    degree k is the count
+
+        sum over j <= k of (-1)^(k-j) (dim C^j - dim C^j(0)),
+
+    and the dimensions reported are those of the whole complex.  With no
+    diagonal element every cochain has weight 0 and the whole complex is
+    ranked.  Like the cohomology itself, this assumes d o d = 0: g a Lie
+    algebra and rho an action, which the CLI checks first.  `_weights` uses
+    an e_i only where d keeps its weights, so no row mixes weights even then.
     Raises SearchSpaceTooLarge before any assembly when some C^(k+1),
     k <= k_max, has more than MAX_WINDOW_COUNT coordinates.
     """
@@ -480,10 +577,12 @@ def cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
         require_window_count(c, "cochain coordinates")
     _require_crossed_hom(s)
     tables = _induced_tables(s)
-    ranks = [
-        len(_echelon(list(_coboundary_rows(tables, g_dim, h_dim, k).values()), dims_C[k])[1])
-        for k in range(k_max + 1)
-    ]
+    weights = _weights(s, tables)
+    ranks, nonzero_rank = [], 0
+    for k in range(k_max + 1):
+        rows, weight_zero = _weight_zero_rows(tables, weights, k)
+        nonzero_rank = dims_C[k] - weight_zero - nonzero_rank
+        ranks.append(len(_echelon(list(rows.values()), weight_zero)[1]) + nonzero_rank)
     degrees = []
     for k in range(k_max + 1):
         z = dims_C[k] - ranks[k]

@@ -13,7 +13,8 @@ products, and exhaustive grid classification of crossed homomorphisms.
 Structure constants are stored for index pairs i < j only, so antisymmetry
 holds by construction and every bilinear identity is decided exactly by
 finitely many basis checks.  `FinLieAlgebra.bracket_terms` lists their
-nonzeros once per algebra for both orders of each pair, and `bracket` reads
+nonzeros once per algebra for both orders of each pair, as `exact_coeff`
+values (ints where integral, like `Matrix.col_nonzeros`), and `bracket` reads
 it over the nonzero coordinates of its arguments only.
 
 The checks (`check_lie_algebra`, `check_action`, `check_crossed_hom`) decide
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -84,11 +84,12 @@ class FinLieAlgebra:
         return vzero(self.dim) if v is None else tuple(-c for c in v)
 
     @cached_property
-    def bracket_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-        """bracket_terms[(i, j)], i != j: the nonzero (k, c) with [e_i, e_j] = sum c e_k."""
+    def bracket_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Coeff], ...]]:
+        """bracket_terms[(i, j)], i != j: the nonzero (k, c) with [e_i, e_j] = sum c e_k,
+        as `exact_coeff` values."""
         terms = {}
         for (i, j), v in self.structure.items():
-            nz = tuple((k, c) for k, c in enumerate(v) if c)
+            nz = tuple((k, exact_coeff(c)) for k, c in enumerate(v) if c)
             if nz:
                 terms[i, j] = nz
                 terms[j, i] = tuple((k, -c) for k, c in nz)
@@ -420,7 +421,7 @@ def _semidirect_structure(
         if terms:
             full = [ZERO] * n
             for k, c in terms:
-                full[shift + k] = c
+                full[shift + k] = rational(c)
             structure[i, j] = tuple(full)
 
     for i, j in itertools.combinations(range(dg), 2):

@@ -7,6 +7,11 @@ matrices are thin immutable wrappers around a row-major tuple.
 `Matrix.apply` and `Matrix.__mul__` run over the nonzeros only: they read
 `Matrix.col_nonzeros`, the nonzero entries of each column, listed once per
 matrix and cached (a `Matrix` is frozen, so the list never goes stale).
+That view is integral: it holds `exact_coeff` values, ints where the entry
+is integral, so sparse kernels on integral data run in `int` arithmetic.
+A view value written into a dense vector or `Matrix` goes through
+`rational` (or is added onto a Fraction zero), so public values stay
+Fractions.
 
 `rank`, `kernel_basis` and `invert` share one elimination over sparse rows,
 dicts {column: nonzero entry} built from the nonzero entries of the dense
@@ -166,13 +171,14 @@ class Matrix:
         return tuple(self.data[i * self.cols + j] for i in range(self.rows))
 
     @cached_property
-    def col_nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """col_nonzeros[j]: the nonzero (i, entry) pairs of column j, top to bottom."""
-        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+    def col_nonzeros(self) -> tuple[tuple[tuple[int, Coeff], ...], ...]:
+        """col_nonzeros[j]: the nonzero (i, entry) pairs of column j, top to
+        bottom, with `exact_coeff` entries."""
+        cols: list[list[tuple[int, Coeff]]] = [[] for _ in range(self.cols)]
         for k, x in enumerate(self.data):
             if x:
                 i, j = divmod(k, self.cols)
-                cols[j].append((i, x))
+                cols[j].append((i, exact_coeff(x)))
         return tuple(tuple(c) for c in cols)
 
     def row_lists(self) -> list[list[Fraction]]:

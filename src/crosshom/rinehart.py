@@ -398,10 +398,7 @@ class GlnRep:
     @cached_property
     def columns(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, Coeff], ...], ...]]:
         """columns[(k, i)][p]: the nonzero (p2, entry) pairs of column p of theta(E_ki)."""
-        return {
-            key: tuple(tuple((p2, exact_coeff(e)) for p2, e in col) for col in m.col_nonzeros)
-            for key, m in self.theta.items()
-        }
+        return {key: m.col_nonzeros for key, m in self.theta.items()}
 
 
 def trivial_rep(n: int) -> GlnRep:

@@ -768,10 +768,9 @@ def gl_tensor_algebra(m: int, A: FinCommAlgebra) -> FinLieAlgebra:
     for (a, b), terms in gl.bracket_terms.items():
         if a > b:
             continue
-        ab = [(k, exact_coeff(c)) for k, c in terms]
         for (s, t), st in products.items():
             vec = [ZERO] * len(names)
-            for k, c in ab:
+            for k, c in terms:
                 for u, d in st:
                     vec[k * dimA + u] = rational(c * d)
             structure[a * dimA + s, b * dimA + t] = tuple(vec)
@@ -788,7 +787,7 @@ def _canonical_matrix(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Matrix:
         j, s = divmod(p, dimA)
         for i, D in enumerate(Delta):
             for u, c in D.col_nonzeros[s]:
-                data[((i * m + j) * dimA + u) * cols + p] = c
+                data[((i * m + j) * dimA + u) * cols + p] = rational(c)
     return Matrix(rows, cols, tuple(data))
 
 

@@ -1,13 +1,23 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import crosshom.rinehart
 import crosshom.witt
-from crosshom.cohomology import Cochain, ce_differential, cochain_from_matrix
+from crosshom.cohomology import (
+    Cochain,
+    CohomologyReport,
+    DegreeDims,
+    _coboundary_rows,
+    _induced_tables,
+    _require_crossed_hom,
+    ce_differential,
+    cochain_from_matrix,
+)
 from crosshom.liealg import (
     CrossedHom,
     FinLieAlgebra,
@@ -21,7 +31,7 @@ from crosshom.liealg import (
     two_dim_nonabelian,
     zero_action,
 )
-from crosshom.linalg import Matrix, is_zero_vector, lincomb, vadd, vsub
+from crosshom.linalg import Matrix, _echelon, is_zero_vector, lincomb, vadd, vsub
 from crosshom.report import Finding
 from crosshom.rinehart import regular_module
 from crosshom.witt import check_comm_algebra, derivation_violations
@@ -201,6 +211,25 @@ def kernel_setups() -> list[Setup]:
 
     setups = [formats.load_file(str(p)) for p in sorted(FIXTURES.glob("*.setup.json"))]
     return setups + [generalized_witt_bounds(b) for b in ((2, 2), (3, 2))]
+
+
+def ref_cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
+    """The full complex: every coordinate of each d_k assembled by
+    `_coboundary_rows` and ranked, with no weight split."""
+    g_dim, h_dim = s.g.dim, s.h.dim
+    dims_C = [comb(g_dim, k) * h_dim for k in range(k_max + 1)]
+    _require_crossed_hom(s)
+    tables = _induced_tables(s)
+    ranks = [
+        len(_echelon(list(_coboundary_rows(tables, g_dim, h_dim, k).values()), dims_C[k])[1])
+        for k in range(k_max + 1)
+    ]
+    degrees = []
+    for k in range(k_max + 1):
+        z = dims_C[k] - ranks[k]
+        b = ranks[k - 1] if k > 0 else 0
+        degrees.append(DegreeDims(k, dims_C[k], z, b, z - b))
+    return CohomologyReport(tuple(degrees))
 
 
 # --- dense oracles for the first-order rule and the gl_n relations ---

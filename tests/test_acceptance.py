@@ -13,6 +13,9 @@ from fractions import Fraction
 from crosshom.cohomology import (
     _coboundary_rows,
     _coboundary_tables,
+    _induced_tables,
+    _weight_zero_rows,
+    _weights,
     ce_differential,
     check_linear_deformation,
     check_nijenhuis,
@@ -371,3 +374,28 @@ def test_criterion_14_larger_generalized_witt_second_cohomology():
             rows = _coboundary_rows(tables, s.g.dim, s.h.dim, d.k)
             assert d.dim_C - d.dim_Z == _rank_mod_p_rows(rows.values())
     _stamp(14, "generalized Witt [3,3] and [2,2,2] through H^2, ranks checked mod 2^61-1", t0, 60.0)
+
+
+def test_criterion_15_generalized_witt_cohomology_by_weight_spaces():
+    t0 = time.monotonic()
+    cases = (
+        ([3, 3], 3, [1, 5, 29, 47]),
+        ([2, 2, 2], 3, [1, 7, 84, 223]),
+        ([2, 2], 8, [1, 9, 17, 11, 2, 0, 0, 0, 0]),
+        ([3, 3], 18, [1, 5, 29, 47, 22] + [0] * 14),
+    )
+    for bounds, k_max, dims_H in cases:
+        deltas = [scaling_derivation(bounds, v) for v in range(len(bounds))]
+        s = generalized_witt_setup(truncated_polynomial_algebra(bounds), deltas)
+        report = cohomology_dims(s, k_max)
+        assert report.dims_H() == dims_H
+        # the weight-0 block is ranked mod 2^61-1; the blocks of nonzero
+        # weight are exact, so their rank is the alternating sum of their sizes
+        tables = _induced_tables(s)
+        weights = _weights(s, tables)
+        nonzero_rank = 0
+        for d in report.degrees:
+            rows, weight_zero = _weight_zero_rows(tables, weights, d.k)
+            nonzero_rank = d.dim_C - weight_zero - nonzero_rank
+            assert d.dim_C - d.dim_Z == _rank_mod_p_rows(rows.values()) + nonzero_rank
+    _stamp(15, "generalized Witt [3,3] and [2,2,2] through H^3, [2,2] and [3,3] in every degree", t0, 60.0)

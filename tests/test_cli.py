@@ -468,6 +468,17 @@ def test_cohomology_large_generalized_witt_setup(capsys, tmp_path):
     assert elapsed < 30.0
 
 
+def test_cohomology_generalized_witt_33_third_degree_in_budget(capsys, tmp_path):
+    path = tmp_path / "gw33.setup.json"
+    path.write_text(json.dumps(formats.setup_to_dict(generalized_witt_bounds((3, 3)))))
+    t0 = time.monotonic()
+    code, body = run_json(capsys, "cohomology", "--max-degree", "3", str(path))
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    assert [d["dim_H"] for d in body["payload"]["degrees"]] == [1, 5, 29, 47]
+    assert elapsed < 30.0
+
+
 def test_cohomology_generalized_witt_222_setup_in_budget(capsys, tmp_path):
     # the budget covers the setup checks (Jacobi on g and h, the action, the
     # crossed-hom identity) on this 24 + 72 dimensional setup, not only H^<=2

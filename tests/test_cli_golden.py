@@ -10,8 +10,8 @@ fixture lacks a row for a subcommand that takes it.
 `GW_GOLDEN` pins the generalized Witt setups, which no fixture covers: the
 sha256 of `json.dumps(formats.setup_to_dict(s))` for the truncated algebra
 with its scaling derivations, and the exit code and sha256 of the --json
-stdout of the subcommands of `GW_ARGS` on the saved file (`nijenhuis
---grid=0,1` on [2,2] only).
+stdout of the command lines of `GW_ARGS` on the saved file (`nijenhuis
+--grid=0,1` on [2,2] only, `cohomology --max-degree 3` on [3,2] only).
 """
 
 import hashlib
@@ -88,10 +88,16 @@ GW_GOLDEN = {
         "setup": "1505e8432877d1f712f567bf30e3bb36335a6b6fe333bfccfc619e55e2b1e6a9",
         "check-crossed-hom": (0, CHECK),
         "cohomology": (0, "5a23e9b0b322c429a3e78df11eb570cd349c3ef24db8353e0d4787d29676c2ad"),
+        "cohomology --max-degree 3": (0, "95f7c082f330ac8a923660669cd4d5c4af7e4d141badb3cfcbc42758fe9b98c9"),
     },
     (2, 2, 2): {"setup": "aa57564648fe97c35cfc2e5dea8b3893d22ac332d574d39206a0707dbe9ac456"},
 }
-GW_ARGS = {"check-crossed-hom": [], "cohomology": ["--max-degree", "1"], "nijenhuis": ["--grid=0,1"]}
+GW_ARGS = {
+    "check-crossed-hom": ["check-crossed-hom"],
+    "cohomology": ["cohomology", "--max-degree", "1"],
+    "cohomology --max-degree 3": ["cohomology", "--max-degree", "3"],
+    "nijenhuis": ["nijenhuis", "--grid=0,1"],
+}
 
 
 @pytest.mark.parametrize("bounds", list(GW_GOLDEN), ids=str)
@@ -101,8 +107,8 @@ def test_generalized_witt_setup_is_byte_identical(bounds, capsys, tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == golden["setup"]
     path = tmp_path / "gw.setup.json"
     path.write_text(text)
-    for command, args in GW_ARGS.items():
-        if command in golden:
+    for row, (command, *args) in GW_ARGS.items():
+        if row in golden:
             code = cli.main([command, str(path), *args, "--json"])
             digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-            assert (code, digest) == golden[command]
+            assert (code, digest) == golden[row]

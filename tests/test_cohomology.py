@@ -9,8 +9,11 @@ import pytest
 from crosshom.cohomology import (
     _trivial_generator,
     Cochain,
+    _coboundary_rows,
     _coboundary_tables,
     _induced_tables,
+    _weight_zero_rows,
+    _weights,
     ce_differential,
     check_deformation_equivalence,
     check_linear_deformation,
@@ -45,11 +48,13 @@ from crosshom.liealg import (
     check_hom_pair,
     crossed_hom_residual,
     induced_action,
+    lie_algebra,
     sl2,
     zero_action,
 )
 from crosshom.linalg import (
     Matrix,
+    invert,
     is_zero_vector,
     kernel_basis,
     rank,
@@ -70,6 +75,7 @@ from conftest import (
     random_fraction_vector,
     ref_check_deformation_equivalence,
     ref_check_linear_deformation,
+    ref_cohomology_dims,
     ref_nijenhuis_findings,
     ref_twisted_images,
     sl2_setup,
@@ -441,6 +447,7 @@ def test_cohomology_dims_builds_rho_H_once_and_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(crosshom.cohomology, "_induced_tables", counted)
     monkeypatch.setattr(crosshom.liealg, "_induced_action_unchecked", refuse)
     monkeypatch.setattr(crosshom.cohomology, "differential_matrix", refuse)
+    monkeypatch.setattr(crosshom.cohomology, "_coboundary_rows", refuse)
     monkeypatch.setattr(crosshom.linalg, "_sparse_rows", refuse)
     for s, ranks in zip(setups, expected):
         for k_max in range(4):
@@ -499,10 +506,83 @@ def test_cohomology_dims_guards_the_cochain_count(monkeypatch):
         raise AssertionError("a coboundary was assembled")
 
     monkeypatch.setattr(crosshom.cohomology, "_coboundary_rows", refuse)
+    monkeypatch.setattr(crosshom.cohomology, "_weight_zero_rows", refuse)
     t0 = time.monotonic()
     with pytest.raises(SearchSpaceTooLarge, match="^24919488 "):
         cohomology_dims(s, 6)  # C^7 has C(24, 7) * 72 = 24,919,488 coordinates
     assert time.monotonic() - t0 < 1.0
+
+
+def _setup_weights(s: Setup):
+    return _weights(s, _induced_tables(s))
+
+
+def _cell_weight(weights, T, u) -> tuple:
+    """w(u) - sum of w(e_t), t in T, for the unit cochain (T, u)."""
+    w_g, w_h = weights
+    return tuple(x - sum(w_g[t][i] for t in T) for i, x in enumerate(w_h[u]))
+
+
+def test_cohomology_dims_matches_the_full_complex():
+    cases = [(s, 3) for s in kernel_setups()]
+    cases += [(generalized_witt_bounds((2, 2)), 8), (generalized_witt_bounds((3, 2)), 3)]
+    for s, k_max in cases:
+        if check_crossed_hom(s):
+            with pytest.raises(NotCrossedHom):
+                cohomology_dims(s, k_max)
+            continue
+        assert cohomology_dims(s, k_max) == ref_cohomology_dims(s, k_max)
+    # the generalized Witt complexes split by the weights of both D_j
+    for bounds in ((2, 2), (3, 2)):
+        w_g, w_h = _setup_weights(generalized_witt_bounds(bounds))
+        assert {len(w) for w in w_g + w_h} == {2}
+
+
+def test_no_assembled_row_mixes_weights():
+    setups = [s for s in kernel_setups() if not check_crossed_hom(s)]
+    for s in setups + [_non_integral_setup(), sl2_setup()]:
+        g_dim, h_dim = s.g.dim, s.h.dim
+        tables = _induced_tables(s)
+        weights = _weights(s, tables)
+        for k in range(4):
+            cells = [(T, u) for T in itertools.combinations(range(g_dim), k) for u in range(h_dim)]
+            targets = [(S, w) for S in itertools.combinations(range(g_dim), k + 1) for w in range(h_dim)]
+            for r, row in _coboundary_rows(tables, g_dim, h_dim, k).items():
+                assert {_cell_weight(weights, *cells[c]) for c in row} == {_cell_weight(weights, *targets[r])}
+            rows, columns = _weight_zero_rows(tables, weights, k)
+            assert columns == sum(not any(_cell_weight(weights, *c)) for c in cells)
+            assert not any(any(_cell_weight(weights, S, w)) for S, w in rows)
+
+
+def _rebased(s: Setup, i: int, j: int) -> Setup:
+    """s with the g-basis vector e_i replaced by e_i + e_j, i != j."""
+    n = s.g.dim
+    B = Matrix(n, n, tuple(Fraction(r == c or (r, c) == (j, i)) for r in range(n) for c in range(n)))
+    inv, cols = invert(B), [B.col(p) for p in range(n)]
+    g = lie_algebra(
+        s.g.basis_names,
+        {(p, q): inv.apply(s.g.bracket(cols[p], cols[q])) for p, q in itertools.combinations(range(n), 2)},
+    )
+    return Setup(g, s.h, LieAction(g, s.h, tuple(s.rho.of(c) for c in cols)), CrossedHom(s.H.matrix * B))
+
+
+def test_a_perturbed_diagonal_element_is_not_used_for_the_split():
+    # rho(d) sends e_b to e_a: ad(d) is diagonal on g, rho(d) is not on h
+    g, h = abelian(("d",)), abelian(("a", "b"))
+    jordan = Setup(g, h, LieAction(g, h, (Matrix.from_rows([[1, 1], [0, 0]]),)), CrossedHom(Matrix.zero(2, 1)))
+    # 1*D1 + x2*D1 in place of 1*D1: no basis element of g scales the others
+    gw = generalized_witt_bounds((2, 2))
+    shifted = _rebased(gw, 0, 1)
+    assert check_crossed_hom(shifted) == []
+    # e2 acts diagonally on g and h, but rho(e1) = 1 does not shift the weight
+    # of h by the weight -1 of e1 (rho is not an action)
+    fixture = formats.load_file(str(FIXTURES / "nonderivation_bad.setup.json"))
+    for s, k_max in ((jordan, 1), (shifted, 3), (fixture, 2)):
+        w_g, w_h = _setup_weights(s)
+        assert set(w_g + w_h) == {()}
+        assert cohomology_dims(s, k_max) == ref_cohomology_dims(s, k_max)
+    assert cohomology_dims(jordan, 1).dims_H() == [1, 1]
+    assert cohomology_dims(shifted, 3) == cohomology_dims(gw, 3)
 
 
 def test_cohomology_degrees_above_dim_g_are_empty():

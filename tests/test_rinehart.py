@@ -9,7 +9,19 @@ import pytest
 import crosshom.rinehart
 from crosshom import formats
 from crosshom.errors import DimensionMismatch, InvalidPair, NotCrossedHom, SearchSpaceTooLarge
-from crosshom.liealg import abelian, lie_algebra
+from crosshom.liealg import (
+    CrossedHom,
+    FinLieAlgebra,
+    LieAction,
+    Setup,
+    abelian,
+    check_action,
+    check_crossed_hom,
+    check_lie_algebra,
+    induced_action,
+    lie_algebra,
+    semidirect,
+)
 from crosshom.linalg import Matrix, kron, lincomb
 from crosshom.report import Finding
 from crosshom.rinehart import (
@@ -968,3 +980,59 @@ def test_module_unit_finding_is_pinned():
         "module-assoc at (x, 1): residual [0, 0, 0; 0, 0, 0; 1/2, 0, 0]",
         "module-unit at (1): residual [0, 0, 0; 1/2, 0, 0; 0, 0, 0]",
     ]
+
+
+def _dense_entries(obj):
+    """Every entry of the matrices, vectors, structure constants and finding
+    residuals inside obj."""
+    if isinstance(obj, Matrix):
+        yield from obj.data
+    elif isinstance(obj, FinLieAlgebra):
+        yield from _dense_entries(tuple(obj.structure.values()))
+    elif isinstance(obj, Finding):
+        yield from _dense_entries(obj.residual)
+    elif isinstance(obj, Setup):
+        yield from _dense_entries((obj.g, obj.h, obj.rho.matrices, obj.H.matrix))
+    elif isinstance(obj, LieRinehart):
+        yield from _dense_entries((obj.lie, obj.a_action, obj.anchor))
+    elif isinstance(obj, GlnRep):
+        yield from _dense_entries(tuple(obj.theta.values()))
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _dense_entries(x)
+    else:
+        yield obj
+
+
+def _moved(m: Matrix) -> Matrix:
+    """m with 1/3 added to its entry (0, 1)."""
+    return m + Matrix(m.rows, m.cols, tuple(Fraction(k == 1, 3) for k in range(m.rows * m.cols)))
+
+
+def test_dense_values_over_integral_sparse_views_are_fractions():
+    # col_nonzeros and bracket_terms hold ints; what they fill densely is Fractions
+    objects = []
+    for bounds in ((2, 2), (2, 2, 2)):
+        A = truncated_polynomial_algebra(bounds)
+        deltas = tuple(scaling_derivation(bounds, v) for v in range(len(bounds)))
+        s = generalized_witt_setup(A, deltas)
+        x = tuple(Fraction(k % 3 - 1) for k in range(s.g.dim))
+        objects += [s, induced_action(s).matrices, semidirect(s.g, s.h, s.rho), s.g.ad(x), s.rho.of(x)]
+        lr = action_lie_rinehart(LeibnizPair(A, abelian(tuple(f"D{v + 1}" for v in range(len(bounds)))), deltas))
+        objects.append(lr)
+        if bounds == (2, 2):
+            moved_rho = LieAction(s.g, s.h, (_moved(s.rho.matrices[0]),) + s.rho.matrices[1:])
+            moved_g = FinLieAlgebra(s.g.basis_names, {**s.g.structure, (0, 1): x})
+            moved_lr = LieRinehart(A, lr.lie, lr.a_action, (_moved(lr.anchor[0]),) + lr.anchor[1:])
+            findings = check_crossed_hom(Setup(s.g, s.h, s.rho, CrossedHom(_moved(s.H.matrix))))
+            findings += check_action(moved_rho) + check_lie_algebra(moved_g) + check_lie_rinehart(moved_lr)
+            rules = {"crossed-hom", "derivation", "homomorphism", "jacobi", "anchor-derivation", "leibniz"}
+            assert {f.rule for f in findings} >= rules
+            objects.append(findings)
+    for n in (2, 3):
+        theta = adjoint_rep_gl(n)
+        moved = GlnRep(n, theta.dim_v, {**theta.theta, (0, 0): _moved(theta.theta[0, 0])})
+        objects += [theta, check_gln_rep(moved)]
+    entries = list(_dense_entries(objects))
+    assert len(entries) > 10**5
+    assert {type(x) for x in entries} == {Fraction}
