@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import cohomology as coh
 from . import formats
 from .errors import NotCrossedHom, NotNijenhuis, ParseError, ToolkitError, require_window_count
 from .liealg import (
@@ -30,23 +29,10 @@ from .liealg import (
 )
 from .linalg import rational
 from .report import Report
-from .rinehart import (
-    LeibnizPair,
-    LieRinehart,
-    adjoint_rep_gl,
-    check_leibniz_pair,
-    check_lie_rinehart,
-    check_module_axiom_window,
-    check_weak_compat_window,
-    check_weak_rep,
-    natural_rep_gl,
-    shen_larsson_action,
-    trivial_rep,
-    vtensor_window_basis,
-)
-from .witt import Window, verify_witt_crossed_hom, window_size, witt_window_basis
 
-REPS = {"trivial": trivial_rep, "natural": natural_rep_gl, "adjoint": adjoint_rep_gl}
+# Each handler imports the submodules it calls beyond these, so a subcommand
+# loads only what it runs. REPS names the `rinehart` builder of each --rep.
+REPS = {"trivial": "trivial_rep", "natural": "natural_rep_gl", "adjoint": "adjoint_rep_gl"}
 
 
 def _rationals(text: str, flag: str) -> tuple[Fraction, ...]:
@@ -94,6 +80,8 @@ def cmd_check_crossed_hom(args, report: Report):
 
 
 def cmd_check_rinehart(args, report: Report):
+    from .rinehart import LieRinehart, check_lie_rinehart, check_weak_rep
+
     obj = formats.load_file(args.input)
     if not isinstance(obj, tuple) or not isinstance(obj[0], LieRinehart):
         raise ParseError(f"{args.input}: expected a lie_rinehart bundle")
@@ -110,6 +98,8 @@ def cmd_check_rinehart(args, report: Report):
 
 
 def cmd_check_leibniz(args, report: Report):
+    from .rinehart import LeibnizPair, check_leibniz_pair
+
     obj = formats.load_file(args.input)
     if not isinstance(obj, LeibnizPair):
         raise ParseError(f"{args.input}: expected a leibniz_pair file")
@@ -119,6 +109,8 @@ def cmd_check_leibniz(args, report: Report):
 
 
 def cmd_cohomology(args, report: Report):
+    from . import cohomology as coh
+
     s = _load_setup(args.input)
     if not _require_sound_setup(report, s):
         return
@@ -130,6 +122,8 @@ def cmd_cohomology(args, report: Report):
 
 
 def cmd_mc_residual(args, report: Report):
+    from . import cohomology as coh
+
     s = _load_setup(args.input)
     if not _require_sound_setup(report, s):
         return
@@ -142,6 +136,8 @@ def cmd_mc_residual(args, report: Report):
 
 
 def cmd_nijenhuis(args, report: Report):
+    from . import cohomology as coh
+
     s = _load_setup(args.input)
     if not _require_sound_setup(report, s):
         return
@@ -172,6 +168,8 @@ def cmd_nijenhuis(args, report: Report):
 
 
 def cmd_deform(args, report: Report):
+    from . import cohomology as coh
+
     s = _load_setup(args.input)
     if not _require_sound_setup(report, s):
         return
@@ -192,6 +190,8 @@ def cmd_deform(args, report: Report):
 
 
 def cmd_witt_verify(args, report: Report):
+    from .witt import LaurentPoly, Window, verify_witt_crossed_hom
+
     _require_positive_n(args.n)
     p = q = None
     if args.family == "pq":
@@ -199,8 +199,6 @@ def cmd_witt_verify(args, report: Report):
         if args.p_file is not None:
             p = formats.twisting_polynomials_from_file(args.p_file, args.n)
         else:
-            from .witt import LaurentPoly
-
             p = [LaurentPoly.zero(args.n) for _ in range(args.n)]
     findings = verify_witt_crossed_hom(args.n, args.family, Window(args.window), p=p, q=q)
     report.add_findings(findings)
@@ -229,20 +227,23 @@ def _remembering(action, actors, module):
 
 
 def cmd_shen_larsson(args, report: Report):
+    from . import rinehart
+    from .witt import Window, window_size, witt_window_basis
+
     _require_positive_n(args.n)
     window = Window(args.window)
     size = window_size(args.n, args.window)
     # the table has n * size actors times dim V * size module elements; dim V
     # >= 1 bounds it before the representation's matrices are built
     require_window_count(args.n * size * size, "table entries")
-    theta = REPS[args.rep](args.n)
+    theta = getattr(rinehart, REPS[args.rep])(args.n)
     require_window_count(args.n * size * theta.dim_v * size, "table entries")
     actors = witt_window_basis(args.n, args.window)
-    module = vtensor_window_basis(theta, args.n, args.window)
-    action = _remembering(shen_larsson_action(theta), actors, module)
+    module = rinehart.vtensor_window_basis(theta, args.n, args.window)
+    action = _remembering(rinehart.shen_larsson_action(theta), actors, module)
     if args.check:
-        report.add_findings(check_module_axiom_window(action, args.n, window, module))
-        report.add_findings(check_weak_compat_window(action, args.n, window, module))
+        report.add_findings(rinehart.check_module_axiom_window(action, args.n, window, module))
+        report.add_findings(rinehart.check_weak_compat_window(action, args.n, window, module))
     entries = []
     for w in actors:
         for t in module:

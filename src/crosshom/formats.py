@@ -14,6 +14,7 @@ import functools
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import InvariantError, ParseError, ShapeError
 from .liealg import (
@@ -26,8 +27,12 @@ from .liealg import (
     check_lie_algebra,
 )
 from .linalg import Matrix, Vector, is_zero_vector, rational
-from .rinehart import AModuleStructure, LeibnizPair, LieRinehart
-from .witt import FinCommAlgebra, LaurentPoly
+
+# The builders of `witt` and `rinehart` types import those modules when
+# called, so loading an algebra or a setup file loads neither.
+if TYPE_CHECKING:
+    from .rinehart import AModuleStructure, LeibnizPair, LieRinehart
+    from .witt import FinCommAlgebra, LaurentPoly
 
 
 def _name_index(names: list[str], name: str, where: str) -> int:
@@ -123,6 +128,8 @@ def algebra_to_dict(L: FinLieAlgebra) -> dict:
 
 
 def comm_algebra_from_dict(body: dict, where: str = "algebra") -> FinCommAlgebra:
+    from .witt import FinCommAlgebra
+
     if body.get("kind") != "finite_comm":
         raise ParseError(f"{where}: expected kind 'finite_comm', got {body.get('kind')!r}")
     names = body.get("basis")
@@ -220,6 +227,8 @@ def _matrix_table(body: dict, names: tuple[str, ...], shape: tuple[int, int], wh
 
 def lie_rinehart_from_dict(body: dict, base: Path, where: str = "bundle") -> tuple[LieRinehart, dict]:
     """Returns the Lie-Rinehart algebra and any optional module block."""
+    from .rinehart import LieRinehart
+
     if body.get("kind") != "lie_rinehart":
         raise ParseError(f"{where}: expected kind 'lie_rinehart', got {body.get('kind')!r}")
     A = _resolve(body.get("A"), base, comm_algebra_from_dict, f"{where}.A")
@@ -238,6 +247,8 @@ def lie_rinehart_from_dict(body: dict, base: Path, where: str = "bundle") -> tup
 
 
 def leibniz_pair_from_dict(body: dict, base: Path, where: str = "pair") -> LeibnizPair:
+    from .rinehart import LeibnizPair
+
     if body.get("kind") != "leibniz_pair":
         raise ParseError(f"{where}: expected kind 'leibniz_pair', got {body.get('kind')!r}")
     A = _resolve(body.get("A"), base, comm_algebra_from_dict, f"{where}.A")
@@ -253,6 +264,8 @@ def module_from_dict(
 ) -> tuple[AModuleStructure, tuple[Matrix, ...]]:
     """Optional module block: dimension, A-action, and representation matrices
     keyed by the Lie basis names."""
+    from .rinehart import AModuleStructure
+
     dim = body.get("dim")
     if type(dim) is not int or dim < 1:
         raise ParseError(f"{where}: 'dim' must be a positive integer")
@@ -287,6 +300,8 @@ def load_file(path_str: str):
 
 def twisting_polynomials_from_file(path_str: str, n: int) -> list[LaurentPoly]:
     """p-file: maps 1-based variable indices to {exponent: coefficient}."""
+    from .witt import LaurentPoly
+
     path = Path(path_str)
     if not path.exists():
         raise ParseError(f"{path}: no such file")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -164,6 +165,13 @@ def test_shen_larsson_table_two_vars_format(capsys):
     assert code == 0
     by_key = {(e["actor"], e["on"]): e["result"] for e in body["payload"]["entries"]}
     assert by_key[("x^(1,0) d_1", "v1 (x) x^(0,1)")] == {"v1 (x) x^(1,1)": "1"}
+
+
+def test_shen_larsson_rep_choices():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    rep = next(a for a in sub.choices["shen-larsson"]._actions if a.dest == "rep")
+    assert rep.choices == ["adjoint", "natural", "trivial"]
 
 
 def test_setup_referencing_algebras_by_path(capsys, fixtures_dir):
