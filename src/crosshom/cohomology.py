@@ -21,17 +21,19 @@ It is computed in scatter form, from the nonzero values v = f(T) only:
   S = R + {a, b}; (-1)^p moves e_t from the front of (t, R) to its place in T.
 
 The tables behind it, the sparse columns of each rho(e_i) and the structure
-constants grouped by target index t, are built once per call and read by
-one loop, `_differential`.  The sites of a tuple T (where its action and
-bracket terms land) do not depend on the value at T and are found once per T
-(`_scatter_sites`).  The matrix of d_k has one full row assembly,
-`_coboundary_rows`, which `differential_matrix` (a `Matrix` of Fractions)
-writes out: column (T, u) is the same step applied to the unit value e_u at
-T.  rho_H's tables are `_induced_tables`: its columns come from
-`liealg._induced_columns`, the one place the rho_H formula is written, and
-keep integral entries as ints, as do `bracket_terms` and
-`Matrix.col_nonzeros`, so the eliminations run in int arithmetic while the
-pivots are units.
+constants grouped by target index t, are built once per call.  The sites of
+a tuple T (where its action and bracket terms land) do not depend on the
+value at T and are found once per T (`_scatter_sites`).  The image of the
+unit value e_u at T is written once, `_unit_image`, and read three ways:
+`_differential` sums the images scaled by the values of f; `_cells` lists
+the images of the unit cochains of weight 0 (below), which
+`differential_matrix` (under the trivial weights, where every cell counts,
+in lexicographic columns) and `_weight_zero_rows` (sparsest columns first)
+write out as the columns of d_k.  rho_H's tables are `_induced_tables`:
+its columns come from `liealg._induced_columns`, the one place the rho_H
+formula is written, and keep integral entries as ints, as do
+`bracket_terms` and `Matrix.col_nonzeros`, so the eliminations run in int
+arithmetic while the pivots are units.
 
 `cohomology_dims` ranks weight spaces, not whole coboundaries.  When a
 g-basis element e_i acts diagonally, ad(e_i) on g and rho_H(e_i) on h, the
@@ -288,25 +290,32 @@ def _scatter_sites(tables, g_dim: int, T: tuple[int, ...]):
     return acts, [(S, c) for S, c in brackets.items() if c]
 
 
-def _scatter(tables, g_dim: int, T: tuple[int, ...], v, out: dict):
-    """Add the plain differential of the cochain with value v at T alone into
-    out[(S, w)]; v is a list of nonzero (u, coefficient) pairs."""
-    acts, brackets = _scatter_sites(tables, g_dim, T)
+def _unit_image(sites, u: int) -> dict:
+    """The plain differential of the unit value e_u at T alone, {(S, w): value},
+    from the sites of T (`_scatter_sites`); entries that cancel are dropped."""
+    acts, brackets = sites
+    out = {(S, u): c for S, c in brackets}
     for S, col_i, neg in acts:
-        for u, x in v:
-            for w, a in col_i[u]:
-                term = a * x
-                out[S, w] = out.get((S, w), ZERO) + (-term if neg else term)
-    for S, c in brackets:
-        for u, x in v:
-            out[S, u] = out.get((S, u), ZERO) + c * x
+        for w, a in col_i[u]:
+            key = (S, w)
+            c = out.get(key, 0) + (-a if neg else a)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
 
 
 def _differential(tables, f: Cochain) -> Cochain:
-    """The plain differential of f with the scatter tables of an action."""
+    """The plain differential of f with the scatter tables of an action: the
+    sum of `_unit_image` scaled by each nonzero value of f."""
     out: dict = {}
     for T, v in f.values.items():
-        _scatter(tables, f.g_dim, T, [(u, x) for u, x in enumerate(v) if x], out)
+        sites = _scatter_sites(tables, f.g_dim, T)
+        for u, x in enumerate(v):
+            if x:
+                for key, c in _unit_image(sites, u).items():
+                    out[key] = out.get(key, ZERO) + c * x
     values: dict = {}
     for (S, w), c in out.items():
         if c:
@@ -429,44 +438,41 @@ class CohomologyReport:
         }
 
 
-def _coboundary_rows(tables, g_dim: int, h_dim: int, k: int) -> dict[int, dict[int, Coeff]]:
-    """Nonzero rows of the degree-k coboundary matrix, {row: {col: value}}.
+def _cells(tables, weights, k: int):
+    """The images (`_unit_image`) of the degree-k unit cochains (T, u) of
+    weight 0, T in lexicographic order and u ascending.
 
-    Columns are indexed by (tuple, h-basis) pairs with the tuple position
-    major; rows likewise one degree up.  Column (T, u) is the scatter of the
-    unit value e_u at T, times (-1)^(k+1); the sites of T are found once and
-    serve every u.  Rows come in increasing order.
+    Cell (T, u) has weight w_h[u] - sum of w_g[t], t in T; the u are bucketed
+    by weight, so each T finds its weight-0 cells at once and its sites
+    (`_scatter_sites`) are found once for all of them.  With the trivial
+    weights ([()] * dim g, [()] * dim h) every cell counts.
     """
-    cod_index = {S: p for p, S in enumerate(itertools.combinations(range(g_dim), k + 1))}
-    flip = k % 2 == 0  # the unit value is (-1)^(k+1)
-    rows: dict[int, dict[int, Coeff]] = {}
-    col = 0
+    w_g, w_h = weights
+    g_dim, zero = len(w_g), (0,) * len(w_g[0]) if w_g else ()
+    bucket: dict[tuple, list[int]] = {}
+    for u, w in enumerate(w_h):
+        bucket.setdefault(w, []).append(u)
     for T in itertools.combinations(range(g_dim), k):
-        acts, brackets = _scatter_sites(tables, g_dim, T)
-        acts = [(cod_index[S] * h_dim, col_i, neg != flip) for S, col_i, neg in acts]
-        brackets = [(cod_index[S] * h_dim, -c if flip else c) for S, c in brackets]
-        for u in range(h_dim):
-            out = {base + u: c for base, c in brackets}
-            for base, col_i, neg in acts:
-                for w, a in col_i[u]:
-                    out[base + w] = out.get(base + w, 0) + (-a if neg else a)
-            for r, c in out.items():
-                if c:
-                    rows.setdefault(r, {})[col] = c
-            col += 1
-    return {r: rows[r] for r in sorted(rows)}
+        us = bucket.get(tuple(map(sum, zip(zero, *(w_g[t] for t in T)))))
+        if us:
+            sites = _scatter_sites(tables, g_dim, T)
+            for u in us:
+                yield _unit_image(sites, u)
 
 
 def differential_matrix(s: Setup, k: int) -> Matrix:
-    """Matrix of the degree-k coboundary on the lexicographic tuple basis:
-    the rows of `_coboundary_rows`, written into a dense matrix of Fractions."""
+    """Matrix of the degree-k coboundary on the lexicographic tuple basis, a
+    dense matrix of Fractions: column (T, u) is the image of the unit cochain
+    (`_cells` with the trivial weights) times (-1)^(k+1), at rows (S, w)."""
     g_dim, h_dim = s.g.dim, s.h.dim
-    rows = _coboundary_rows(_induced_tables(s), g_dim, h_dim, k)
-    nrows, ncols = comb(g_dim, k + 1) * h_dim, comb(g_dim, k) * h_dim
+    row_base = {S: p * h_dim for p, S in enumerate(itertools.combinations(range(g_dim), k + 1))}
+    nrows, ncols = len(row_base) * h_dim, comb(g_dim, k) * h_dim
+    sign = 1 if k % 2 else -1
     data = [ZERO] * (nrows * ncols)
-    for r, row in rows.items():
-        for col, c in row.items():
-            data[r * ncols + col] = Fraction(c)
+    trivial = ([()] * g_dim, [()] * h_dim)
+    for col, image in enumerate(_cells(_induced_tables(s), trivial, k)):
+        for (S, w), c in image.items():
+            data[(row_base[S] + w) * ncols + col] = Fraction(sign * c)
     return Matrix(nrows, ncols, tuple(data))
 
 
@@ -518,33 +524,14 @@ def _weight_zero_rows(tables, weights, k: int) -> tuple[dict[tuple, dict[int, Co
     """The nonzero rows {(S, w): {column: value}} of the weight-0 block of d_k
     up to sign, and its number of columns.
 
-    Column (T, u) has weight w_h[u] - sum of w_g[t], t in T; the u are
-    bucketed by weight, so each tuple T finds its weight-0 cells at once and
-    its sites (`_scatter_sites`) are found once for all of them.  Rows are
-    keyed by (S, w) as the scatter reaches them.  The global sign (-1)^(k+1)
-    of d_k is left out, and the columns are numbered sparsest first: neither
-    changes the rank.
+    The columns are the images of `_cells`, numbered sparsest first; rows are
+    keyed by (S, w) as the columns reach them.  Neither that order nor the
+    global sign (-1)^(k+1) of d_k, left out, changes the rank.
     """
-    w_g, w_h = weights
-    g_dim, zero = len(w_g), (0,) * len(w_g[0]) if w_g else ()
-    bucket: dict[tuple, list[int]] = {}
-    for u, w in enumerate(w_h):
-        bucket.setdefault(w, []).append(u)
-    cols = []
-    for T in itertools.combinations(range(g_dim), k):
-        us = bucket.get(tuple(map(sum, zip(zero, *(w_g[t] for t in T)))))
-        if not us:
-            continue
-        acts, brackets = _scatter_sites(tables, g_dim, T)
-        for u in us:
-            out = {(S, u): c for S, c in brackets}
-            for S, col_i, neg in acts:
-                for w, a in col_i[u]:
-                    out[S, w] = out.get((S, w), 0) + (-a if neg else a)
-            cols.append([(key, c) for key, c in out.items() if c])
+    cols = sorted(_cells(tables, weights, k), key=len)
     rows: dict[tuple, dict[int, Coeff]] = {}
-    for col, entries in enumerate(sorted(cols, key=len)):
-        for key, c in entries:
+    for col, image in enumerate(cols):
+        for key, c in image.items():
             rows.setdefault(key, {})[col] = c
     return rows, len(cols)
 

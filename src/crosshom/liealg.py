@@ -44,6 +44,7 @@ from .linalg import (
     Matrix,
     Vector,
     _add_scaled,
+    _column_matrix,
     _dense,
     exact_coeff,
     is_zero_vector,
@@ -230,8 +231,8 @@ def homomorphism_violations(g: FinLieAlgebra, mats: Sequence[Matrix], rule: str)
     square matrices rho(e_k) = mats[k].
 
     The residual is accumulated column by column from `col_nonzeros` and
-    `bracket_terms`; the zero columns before the first nonzero one are
-    dropped, and a failing pair's residual matrix is assembled from the rest.
+    `bracket_terms`; a failing pair's residual matrix is assembled from those
+    columns.
     """
     cols = [m.col_nonzeros for m in mats]
     terms = g.bracket_terms
@@ -249,15 +250,10 @@ def homomorphism_violations(g: FinLieAlgebra, mats: Sequence[Matrix], rule: str)
     findings = []
     for i, j in itertools.combinations(range(g.dim), 2):
         ij, n = terms.get((i, j), ()), mats[i].cols
-        accs = enumerate(column(i, j, ij, u) for u in range(n))
-        failing = list(itertools.dropwhile(lambda p: not p[1], accs))
-        if failing:
-            data = [ZERO] * (n * n)
-            for u, acc in failing:
-                for w, x in acc.items():
-                    data[w * n + u] = rational(x)
+        columns = [column(i, j, ij, u) for u in range(n)]
+        if any(columns):
             names = (g.basis_names[i], g.basis_names[j])
-            findings.append(Finding(rule, names, Matrix(n, n, tuple(data))))
+            findings.append(Finding(rule, names, _column_matrix(columns, n)))
     return findings
 
 
@@ -399,7 +395,7 @@ def _induced_columns(s: Setup) -> list[list[tuple[tuple[int, Coeff], ...]]]:
 
 def _induced_action_unchecked(s: Setup) -> LieAction:
     n = s.h.dim
-    mats = (Matrix.from_columns([_dense(dict(c), n) for c in cols]) for cols in _induced_columns(s))
+    mats = (_column_matrix([dict(c) for c in cols], n) for cols in _induced_columns(s))
     return LieAction(s.g, s.h, tuple(mats))
 
 

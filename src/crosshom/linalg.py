@@ -308,6 +308,11 @@ def _dense(acc: dict[int, Coeff], n: int) -> Vector:
     return tuple(out)
 
 
+def _column_matrix(columns: Sequence[dict[int, Coeff]], n: int) -> Matrix:
+    """The n x n matrix whose column u is the sparse dict columns[u]."""
+    return Matrix.from_columns([_dense(c, n) for c in columns])
+
+
 def _echelon(
     rows: list[dict[int, Coeff]], ncols: int
 ) -> tuple[list[dict[int, Coeff]], list[int]]:

@@ -50,7 +50,7 @@ from .liealg import (
     gl_algebra,
     homomorphism_violations,
 )
-from .linalg import ONE, Matrix, Vector, _add_scaled, _dense, kron, lincomb
+from .linalg import ONE, Matrix, Vector, _add_scaled, _column_matrix, _dense, kron, lincomb
 from .report import Finding
 from .witt import (
     Coeff,
@@ -62,6 +62,7 @@ from .witt import (
     _add_term,
     _coeff_prefix,
     _exp_str,
+    _exponents,
     _render_terms,
     action_structure,
     block_diagonal,
@@ -112,11 +113,6 @@ def regular_module(A: FinCommAlgebra) -> AModuleStructure:
     return AModuleStructure(
         A, A.dim, tuple(A.mult_matrix(A.basis_vector(s)) for s in range(A.dim))
     )
-
-
-def _column_matrix(columns: Sequence[dict], n: int) -> Matrix:
-    """The n x n matrix whose column u is the sparse dict columns[u]."""
-    return Matrix.from_columns([_dense(c, n) for c in columns])
 
 
 def check_a_module(mod: AModuleStructure) -> list[Finding]:
@@ -517,9 +513,7 @@ class VTensorA(SparseElem):
         if not 0 <= p < dim_v:
             raise DimensionMismatch(f"component {p} outside 0..{dim_v - 1}")
         c = exact_coeff(coeff)
-        r = tuple(int(e) for e in r)
-        if len(r) != n:
-            raise DimensionMismatch(f"exponent length {len(r)} != {n}")
+        r = _exponents(r, n)
         return VTensorA(n, dim_v, {(p, r): c} if c else {})
 
     def _shape(self) -> tuple:

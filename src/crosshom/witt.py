@@ -51,6 +51,7 @@ from .errors import (
     MalformedP,
     NotCommuting,
     NotDerivation,
+    ParseError,
     SearchSpaceTooLarge,
     require_window_count,
 )
@@ -59,6 +60,25 @@ from .linalg import ONE, ZERO, Coeff, Matrix, Vector, _add_scaled, _dense, exact
 from .report import Finding
 
 MultiIndex = tuple[int, ...]
+
+
+def _exponents(r: Sequence[int], n: int) -> MultiIndex:
+    """r as an exponent tuple of length n: an int is kept and an integral
+    Fraction stored as its int; any other entry (a bool, a float, a string,
+    a non-integral value) raises ParseError, a wrong length DimensionMismatch."""
+    r = tuple(r)
+    if len(r) != n:
+        raise DimensionMismatch(f"exponent length {len(r)} != {n}")
+    if all(type(e) is int for e in r):
+        return r
+    out = []
+    for e in r:
+        if type(e) is Fraction and e.denominator == 1:
+            e = e.numerator
+        if type(e) is not int:
+            raise ParseError(f"exponent {e!r} is not an integer")
+        out.append(e)
+    return tuple(out)
 
 
 def _add_term(terms: dict, key, coeff: Coeff):
@@ -182,9 +202,7 @@ class LaurentPoly(SparseElem):
     @staticmethod
     def monomial(n: int, r: Sequence[int], coeff=1) -> "LaurentPoly":
         c = exact_coeff(coeff)
-        r = tuple(int(e) for e in r)
-        if len(r) != n:
-            raise DimensionMismatch(f"exponent length {len(r)} != {n}")
+        r = _exponents(r, n)
         return LaurentPoly(n, {r: c} if c else {})
 
     @staticmethod
@@ -230,9 +248,7 @@ class WittElem(SparseElem):
     def basis(n: int, r: Sequence[int], i: int, coeff=1) -> "WittElem":
         if not 0 <= i < n:
             raise IndexOutOfRange(f"direction {i} outside 0..{n - 1}")
-        r = tuple(int(e) for e in r)
-        if len(r) != n:
-            raise DimensionMismatch(f"exponent length {len(r)} != {n}")
+        r = _exponents(r, n)
         c = exact_coeff(coeff)
         return WittElem(n, {(r, i): c} if c else {})
 
@@ -284,18 +300,14 @@ def s_generator(n: int, i: int, j: int, r: Sequence[int]) -> WittElem:
     """Divergence-free generator r_j x^r d_i - r_i x^r d_j."""
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRange(f"directions ({i}, {j}) outside 0..{n - 1}")
-    r = tuple(int(e) for e in r)
-    if len(r) != n:
-        raise DimensionMismatch(f"exponent length {len(r)} != {n}")
+    r = _exponents(r, n)
     out = WittElem.basis(n, r, i, r[j])
     return out - WittElem.basis(n, r, j, r[i])
 
 
 def hamiltonian_field(n: int, r: Sequence[int]) -> WittElem:
     """h(r) = sum_i (r_{n+i} x^r d_i - r_i x^r d_{n+i}) as an element of W_{2n}."""
-    r = tuple(int(e) for e in r)
-    if len(r) != 2 * n:
-        raise DimensionMismatch(f"exponent length {len(r)} != {2 * n}")
+    r = _exponents(r, 2 * n)
     out = WittElem.zero(2 * n)
     for i in range(n):
         out = out + WittElem.basis(2 * n, r, i, r[n + i])
@@ -324,7 +336,7 @@ class GlLaurent(SparseElem):
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"matrix position ({i}, {j}) outside 0..{n - 1}")
         c = exact_coeff(coeff)
-        r = tuple(int(e) for e in r)
+        r = _exponents(r, n)
         return GlLaurent(n, {(i, j, r): c} if c else {})
 
     def coefficient_matrices(self) -> dict[MultiIndex, Matrix]:

@@ -12,7 +12,7 @@ from crosshom.cohomology import (
     Cochain,
     CohomologyReport,
     DegreeDims,
-    _coboundary_rows,
+    _cells,
     _induced_tables,
     _require_crossed_hom,
     ce_differential,
@@ -213,15 +213,32 @@ def kernel_setups() -> list[Setup]:
     return setups + [generalized_witt_bounds(b) for b in ((2, 2), (3, 2))]
 
 
+def full_complex_rows(tables, g_dim: int, h_dim: int, k: int) -> dict[int, dict[int, object]]:
+    """The nonzero rows {row: {column: value}} of the degree-k coboundary
+    matrix on the lexicographic tuple basis: column (T, u) is the image
+    `_cells` gives the unit cochain under the trivial weights, times
+    (-1)^(k+1), and row (S, w) is numbered S-major like the columns."""
+    row_of = {S: p * h_dim for p, S in enumerate(itertools.combinations(range(g_dim), k + 1))}
+    flip = k % 2 == 0
+    rows: list[dict | None] = [None] * (len(row_of) * h_dim)
+    for col, image in enumerate(_cells(tables, ([()] * g_dim, [()] * h_dim), k)):
+        for (S, w), c in image.items():
+            r = row_of[S] + w
+            if rows[r] is None:
+                rows[r] = {}
+            rows[r][col] = -c if flip else c
+    return {r: row for r, row in enumerate(rows) if row}
+
+
 def ref_cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
     """The full complex: every coordinate of each d_k assembled by
-    `_coboundary_rows` and ranked, with no weight split."""
+    `full_complex_rows` and ranked, with no weight split."""
     g_dim, h_dim = s.g.dim, s.h.dim
     dims_C = [comb(g_dim, k) * h_dim for k in range(k_max + 1)]
     _require_crossed_hom(s)
     tables = _induced_tables(s)
     ranks = [
-        len(_echelon(list(_coboundary_rows(tables, g_dim, h_dim, k).values()), dims_C[k])[1])
+        len(_echelon(list(full_complex_rows(tables, g_dim, h_dim, k).values()), dims_C[k])[1])
         for k in range(k_max + 1)
     ]
     degrees = []

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from crosshom.cohomology import (
-    _coboundary_rows,
     _coboundary_tables,
     _induced_tables,
     _weight_zero_rows,
@@ -69,7 +68,14 @@ from crosshom.witt import (
     witt_bracket,
 )
 
-from conftest import action_library, dim2_setup, heisenberg_setup, random_cochain, sl2_setup
+from conftest import (
+    action_library,
+    dim2_setup,
+    full_complex_rows,
+    heisenberg_setup,
+    random_cochain,
+    sl2_setup,
+)
 
 
 def _stamp(num: int, label: str, t0: float, budget: float):
@@ -371,7 +377,7 @@ def test_criterion_14_larger_generalized_witt_second_cohomology():
         assert report.dims_H() == dims_H
         tables = _coboundary_tables(_induced_action_unchecked(s))
         for d in report.degrees:
-            rows = _coboundary_rows(tables, s.g.dim, s.h.dim, d.k)
+            rows = full_complex_rows(tables, s.g.dim, s.h.dim, d.k)
             assert d.dim_C - d.dim_Z == _rank_mod_p_rows(rows.values())
     _stamp(14, "generalized Witt [3,3] and [2,2,2] through H^2, ranks checked mod 2^61-1", t0, 60.0)
 

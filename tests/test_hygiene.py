@@ -69,6 +69,13 @@ def _definitions(tree: ast.Module):
                     yield item
 
 
+def _named_outside(words: Counter, lines: list[str], node) -> bool:
+    """Whether node's name occurs in `words` beyond its own definition."""
+    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+    own = WORD.findall("\n".join(lines[first - 1 : node.end_lineno]))
+    return words[node.name] > own.count(node.name)
+
+
 def test_every_definition_is_named_outside_itself():
     corpus = _corpus()
     words = Counter(w for text in corpus.values() for w in WORD.findall(text))
@@ -77,8 +84,26 @@ def test_every_definition_is_named_outside_itself():
         source = corpus[path]
         lines = source.splitlines()
         for node in _definitions(ast.parse(source)):
-            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-            own = WORD.findall("\n".join(lines[first - 1 : node.end_lineno]))
-            if words[node.name] - own.count(node.name) < 1:
+            if not _named_outside(words, lines, node):
+                unnamed.append(f"{path.name}:{node.name}")
+    assert unnamed == []
+
+
+def test_every_private_definition_is_named_in_the_package():
+    # code that only tests read goes: each private module-level function or
+    # class (module hooks such as __getattr__ aside) is named somewhere in the
+    # package outside its own definition
+    corpus = {p: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    words = Counter(w for text in corpus.values() for w in WORD.findall(text))
+    unnamed = []
+    for path, source in corpus.items():
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.endswith("__")
+                and not _named_outside(words, lines, node)
+            ):
                 unnamed.append(f"{path.name}:{node.name}")
     assert unnamed == []

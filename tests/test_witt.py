@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import crosshom.rinehart
 import crosshom.witt
 from crosshom.errors import (
     DimensionMismatch,
@@ -636,6 +637,60 @@ def test_constructors_and_scale_store_integral_values_as_int():
     assert w(1, (1,), 0, 3).scale(0).is_zero()
     with pytest.raises(ParseError):
         w(1, (1,), 0, True)
+
+
+# every constructor that takes an exponent tuple, at length 2
+EXPONENT_CONSTRUCTORS = {
+    "monomial": lambda r: LaurentPoly.monomial(2, r),
+    "witt": lambda r: WittElem.basis(2, r, 0),
+    "s_generator": lambda r: s_generator(2, 0, 1, r),
+    "hamiltonian": lambda r: hamiltonian_field(1, r),
+    "gl": lambda r: GlLaurent.basis(2, 0, 1, r),
+    "v_tensor_a": lambda r: crosshom.rinehart.VTensorA.basis(2, 1, 0, r),
+}
+exponent_constructors = pytest.mark.parametrize("make", EXPONENT_CONSTRUCTORS.values(), ids=EXPONENT_CONSTRUCTORS)
+
+
+@exponent_constructors
+def test_exponents_keep_ints_and_store_integral_fractions_as_int(make):
+    def leaves(key):
+        return [x for part in key for x in (leaves(part) if type(part) is tuple else [part])]
+
+    elem = make((Fraction(4, 2), -1))
+    assert elem == make((2, -1)) and not elem.is_zero()
+    assert all(type(x) is int for key in elem.terms for x in leaves(key))
+
+
+@exponent_constructors
+def test_exponent_float_is_refused(make):
+    with pytest.raises(ParseError, match="exponent 1.5 is not an integer"):
+        make((1.5, 0))
+    with pytest.raises(ParseError):
+        make((2.0, 0))
+
+
+@exponent_constructors
+def test_exponent_non_integral_fraction_is_refused(make):
+    with pytest.raises(ParseError):
+        make((Fraction(1, 2), 0))
+
+
+@exponent_constructors
+def test_exponent_bool_is_refused(make):
+    with pytest.raises(ParseError):
+        make((True, 0))
+
+
+@exponent_constructors
+def test_exponent_string_is_refused(make):
+    with pytest.raises(ParseError):
+        make(("3", 0))
+
+
+@exponent_constructors
+def test_exponent_wrong_length_is_refused(make):
+    with pytest.raises(DimensionMismatch, match="exponent length 3 != 2"):
+        make((1, 2, 3))
 
 
 def reference_pq_findings(n, window, p, q):
