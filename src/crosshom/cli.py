@@ -129,8 +129,8 @@ def cmd_mc_residual(args, report: Report):
         return
     res = coh.mc_residual(s)
     report.payload["residual"] = [
-        {"site": [s.g.basis_names[t] for t in key], "value": [str(c) for c in v]}
-        for key, v in sorted(res.values.items())
+        {"site": [s.g.basis_names[t] for t in T], "value": [str(c) for c in coh.eval_basis(res, T)]}
+        for T in sorted(res.values)
     ]
     report.add_findings(coh.cochain_findings("maurer-cartan", s.g.basis_names, res))
 

@@ -3,7 +3,13 @@ and linear deformation checks.
 
 Cochains of degree k are alternating maps from k-fold products of g to h,
 stored on strictly increasing basis index tuples; evaluation at a permuted
-tuple picks up the permutation sign and repeated indices give zero.
+tuple picks up the permutation sign and repeated indices give zero.  The
+one cochain format is sparse (`Cochain`): the coboundary, the graded bracket
+and the cochain arithmetic read and write {u: c} values with `exact_coeff`
+coordinates, so on integral data they run in int arithmetic.  Dense h-vectors
+of Fractions are built only where an element of h leaves the module:
+`eval_basis`, `eval_vectors`, the residuals of `cochain_findings` and the
+matrix of the trivial deformation.
 
 One coboundary, `plain_differential`, builds the degree-raising map d of any
 action.  On a degree-m cochain f and an increasing (m+1)-tuple S, with 0-based
@@ -87,19 +93,7 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, require_window_count
 from .liealg import FinLieAlgebra, LieAction, Setup, _induced_columns, check_crossed_hom
-from .linalg import (
-    Coeff,
-    Matrix,
-    Vector,
-    _add_scaled,
-    _dense,
-    _echelon,
-    is_zero_vector,
-    rational,
-    vadd,
-    vscale,
-    vzero,
-)
+from .linalg import Coeff, Matrix, Vector, _add_scaled, _dense, _echelon, exact_coeff, invert, rational
 from .report import Finding
 
 ZERO = Fraction(0)
@@ -107,35 +101,38 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class Cochain:
+    """A degree-k cochain: values[T], T strictly increasing, is {u: c}, the
+    nonzero coordinates of f(e_T), ints where integral and Fractions
+    otherwise.  A T where f vanishes has no entry, so the dataclass equality
+    is the equality of cochains."""
+
     degree: int
     g_dim: int
     h_dim: int
-    values: Mapping[tuple[int, ...], Vector]
+    values: Mapping[tuple[int, ...], Mapping[int, Coeff]]
 
     def __post_init__(self):
         for key, v in self.values.items():
-            if len(key) != self.degree or any(
-                not 0 <= t < self.g_dim for t in key
-            ):
+            if len(key) != self.degree or any(not 0 <= t < self.g_dim for t in key):
                 raise DimensionMismatch(f"bad index tuple {key} for degree {self.degree}")
             if list(key) != sorted(set(key)):
                 raise DimensionMismatch(f"index tuple {key} is not strictly increasing")
-            if len(v) != self.h_dim:
-                raise DimensionMismatch("cochain value has the wrong length")
+            if not v:
+                raise DimensionMismatch(f"cochain value at {key} is empty; leave it out")
+            if not all(type(u) is int and 0 <= u < self.h_dim for u in v):
+                raise DimensionMismatch(f"cochain value at {key} has an index outside h: {v}")
+            if not all(c and type(c) in (int, Fraction) for c in v.values()):
+                raise DimensionMismatch(f"cochain value at {key} has a zero or inexact coordinate: {v}")
 
     def is_zero(self) -> bool:
-        return all(is_zero_vector(v) for v in self.values.values())
+        return not self.values
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        if (self.degree, self.g_dim, self.h_dim) != (other.degree, other.g_dim, other.h_dim):
-            return False
-        keys = set(self.values) | set(other.values)
-        z = vzero(self.h_dim)
-        return all(
-            self.values.get(k, z) == other.values.get(k, z) for k in keys
-        )
+
+def _cochain(degree: int, g_dim: int, h_dim: int, acc: dict) -> Cochain:
+    """The Cochain of sparse accumulators {T: {u: c}} with no zero c: empty
+    values dropped, coordinates as `exact_coeff` values, T sorted."""
+    values = {T: {u: exact_coeff(c) for u, c in acc[T].items()} for T in sorted(acc) if acc[T]}
+    return Cochain(degree, g_dim, h_dim, values)
 
 
 def zero_cochain(degree: int, g_dim: int, h_dim: int) -> Cochain:
@@ -144,32 +141,24 @@ def zero_cochain(degree: int, g_dim: int, h_dim: int) -> Cochain:
 
 def cochain_from_matrix(H: Matrix) -> Cochain:
     """Reinterpret a linear map h-dim x g-dim as a degree-1 cochain."""
-    values = {}
-    for i in range(H.cols):
-        col = H.col(i)
-        if not is_zero_vector(col):
-            values[(i,)] = col
-    return Cochain(1, H.cols, H.rows, values)
+    return _cochain(1, H.cols, H.rows, {(i,): dict(col) for i, col in enumerate(H.col_nonzeros)})
 
 
 def cochain_add(a: Cochain, b: Cochain) -> Cochain:
     if (a.degree, a.g_dim, a.h_dim) != (b.degree, b.g_dim, b.h_dim):
         raise DimensionMismatch("cochain shapes differ")
-    values = dict(a.values)
-    for k, v in b.values.items():
-        w = vadd(values.get(k, vzero(a.h_dim)), v)
-        if is_zero_vector(w):
-            values.pop(k, None)
-        else:
-            values[k] = w
-    return Cochain(a.degree, a.g_dim, a.h_dim, values)
+    values = {T: dict(v) for T, v in a.values.items()}
+    for T, v in b.values.items():
+        _add_scaled(values.setdefault(T, {}), 1, v.items())
+    return _cochain(a.degree, a.g_dim, a.h_dim, values)
 
 
 def cochain_scale(c, a: Cochain) -> Cochain:
-    c = rational(c)
+    c = exact_coeff(c)
     if not c:
         return zero_cochain(a.degree, a.g_dim, a.h_dim)
-    return Cochain(a.degree, a.g_dim, a.h_dim, {k: vscale(c, v) for k, v in a.values.items()})
+    values = {T: {u: c * x for u, x in v.items()} for T, v in a.values.items()}
+    return _cochain(a.degree, a.g_dim, a.h_dim, values)
 
 
 def _sort_with_sign(idx: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -189,17 +178,13 @@ def _sort_with_sign(idx: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
 
 
 def eval_basis(f: Cochain, idx: Sequence[int]) -> Vector:
-    """Value at basis vectors e_{idx[0]}, ..., with alternation built in."""
-    if f.degree == 0:
-        return f.values.get((), vzero(f.h_dim))
+    """Value at basis vectors e_{idx[0]}, ..., with alternation built in, as a
+    dense vector of Fractions."""
     res = _sort_with_sign(idx)
     if res is None:
-        return vzero(f.h_dim)
+        return _dense({}, f.h_dim)
     key, sign = res
-    v = f.values.get(key)
-    if v is None:
-        return vzero(f.h_dim)
-    return v if sign == 1 else vscale(Fraction(-1), v)
+    return _dense({u: sign * c for u, c in f.values.get(key, {}).items()}, f.h_dim)
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
@@ -221,18 +206,23 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
     return total
 
 
-def eval_vectors(f: Cochain, vecs: Sequence[Vector]) -> Vector:
-    """Full multilinear alternating evaluation at arbitrary vectors."""
+def _evaluate(f: Cochain, vecs: Sequence[Vector]) -> dict[int, Coeff]:
+    """f(vecs) as a sparse accumulator: the sum over the values of f of
+    det(vecs at T) f(T)."""
     if len(vecs) != f.degree:
         raise DimensionMismatch("argument count differs from the cochain degree")
-    if f.degree == 0:
-        return f.values.get((), vzero(f.h_dim))
-    out = vzero(f.h_dim)
+    out: dict[int, Coeff] = {}
     for key, value in f.values.items():
         coeff = _det([[v[t] for t in key] for v in vecs])
         if coeff:
-            out = vadd(out, vscale(coeff, value))
+            _add_scaled(out, coeff, value.items())
     return out
+
+
+def eval_vectors(f: Cochain, vecs: Sequence[Vector]) -> Vector:
+    """Full multilinear alternating evaluation at arbitrary vectors, as a
+    dense vector of Fractions."""
+    return _dense(_evaluate(f, vecs), f.h_dim)
 
 
 def _by_target(g: FinLieAlgebra) -> list[list[tuple[int, int, Coeff]]]:
@@ -312,15 +302,12 @@ def _differential(tables, f: Cochain) -> Cochain:
     out: dict = {}
     for T, v in f.values.items():
         sites = _scatter_sites(tables, f.g_dim, T)
-        for u, x in enumerate(v):
-            if x:
-                for key, c in _unit_image(sites, u).items():
-                    out[key] = out.get(key, ZERO) + c * x
+        for u, x in v.items():
+            _add_scaled(out, x, _unit_image(sites, u).items())
     values: dict = {}
     for (S, w), c in out.items():
-        if c:
-            values.setdefault(S, [ZERO] * f.h_dim)[w] = c
-    return Cochain(f.degree + 1, f.g_dim, f.h_dim, {S: tuple(values[S]) for S in sorted(values)})
+        values.setdefault(S, {})[w] = c
+    return _cochain(f.degree + 1, f.g_dim, f.h_dim, values)
 
 
 def plain_differential(rho: LieAction, f: Cochain) -> Cochain:
@@ -343,25 +330,19 @@ def derived_bracket(h: FinLieAlgebra, f1: Cochain, f2: Cochain) -> Cochain:
     m, n = f1.degree, f2.degree
     global_sign = -1 if (m * n + 1) % 2 else 1
     terms = h.bracket_terms
-
-    def nonzeros(f: Cochain):
-        return [(T, [(a, x) for a, x in enumerate(v) if x]) for T, v in f.values.items()]
-
-    ones, twos = nonzeros(f1), nonzeros(f2)
     totals: dict = {}
-    for T1, v1 in ones:
-        for T2, v2 in twos:
+    for T1, v1 in f1.values.items():
+        for T2, v2 in f2.values.items():
             merged = _sort_with_sign(T1 + T2)
             if merged is None:
                 continue
             S, sign = merged
             acc = totals.setdefault(S, {})
-            for a, x in v1:
+            for a, x in v1.items():
                 xs = x if sign == global_sign else -x
-                for b, y in v2:
+                for b, y in v2.items():
                     _add_scaled(acc, xs * y, terms.get((a, b), ()))
-    values = {S: _dense(totals[S], h.dim) for S in sorted(totals) if totals[S]}
-    return Cochain(m + n, f1.g_dim, h.dim, values)
+    return _cochain(m + n, f1.g_dim, h.dim, totals)
 
 
 def _half_square(h: FinLieAlgebra, f: Cochain) -> Cochain:
@@ -386,7 +367,7 @@ def _twisted_differential(tables, f: Cochain) -> Cochain:
     """d_rho_H f = (-1)^(k+1) times the plain differential of rho_H, with the
     tables of `_induced_tables`."""
     df = _differential(tables, f)
-    return df if f.degree % 2 else cochain_scale(Fraction(-1), df)
+    return df if f.degree % 2 else cochain_scale(-1, df)
 
 
 def ce_differential(s: Setup, f: Cochain) -> Cochain:
@@ -403,7 +384,7 @@ def sign_relation_check(s: Setup, f: Cochain) -> bool:
     Hc = cochain_from_matrix(s.H.matrix)
     rhs = cochain_add(plain_differential(s.rho, f), derived_bracket(s.h, Hc, f))
     if (f.degree - 1) % 2:
-        rhs = cochain_scale(Fraction(-1), rhs)
+        rhs = cochain_scale(-1, rhs)
     return lhs == rhs
 
 
@@ -580,26 +561,17 @@ def cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
 
 def cochain_map_phi(phi_g: Matrix, phi_h: Matrix, f: Cochain) -> Cochain:
     """Transport f along (phi_g, phi_h): f |-> phi_h o f o (phi_g^{-1})^(x k)."""
-    from .linalg import invert
-
     if (phi_g.rows, phi_g.cols) != (f.g_dim, f.g_dim):
         raise DimensionMismatch("phi_g must be a square matrix on g")
     if (phi_h.rows, phi_h.cols) != (f.h_dim, f.h_dim):
         raise DimensionMismatch("phi_h must be a square matrix on h")
-    inv = invert(phi_g)
-    k = f.degree
-    if k == 0:
-        v = f.values.get((), vzero(f.h_dim))
-        w = phi_h.apply(v)
-        return Cochain(0, f.g_dim, f.h_dim, {(): w} if not is_zero_vector(w) else {})
+    inv, columns = invert(phi_g), phi_h.col_nonzeros
     values = {}
-    for T in itertools.combinations(range(f.g_dim), k):
-        args = [inv.col(t) for t in T]
-        v = eval_vectors(f, args)
-        w = phi_h.apply(v)
-        if not is_zero_vector(w):
-            values[T] = w
-    return Cochain(k, f.g_dim, f.h_dim, values)
+    for T in itertools.combinations(range(f.g_dim), f.degree):
+        w = values[T] = {}
+        for u, c in _evaluate(f, [inv.col(t) for t in T]).items():
+            _add_scaled(w, c, columns[u])
+    return _cochain(f.degree, f.g_dim, f.h_dim, values)
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +580,10 @@ def cochain_map_phi(phi_g: Matrix, phi_h: Matrix, f: Cochain) -> Cochain:
 
 def cochain_findings(rule: str, names: Sequence[str], f: Cochain) -> list[Finding]:
     """One finding per nonzero value of f, at the basis names of its tuple, in
-    tuple order."""
+    tuple order, with the value as a dense vector of Fractions."""
     return [
-        Finding(rule, tuple(names[t] for t in S), v)
-        for S, v in sorted(f.values.items())
-        if not is_zero_vector(v)
+        Finding(rule, tuple(names[t] for t in S), _dense(f.values[S], f.h_dim))
+        for S in sorted(f.values)
     ]
 
 
@@ -625,9 +596,9 @@ def _commuting_findings(
 
 def _trivial_generator(s: Setup, tables, x: Vector) -> Matrix:
     """The matrix of d_rho_H(-Hx): column i is -rho_H(e_i)(Hx)."""
-    minus_Hx = Cochain(0, s.g.dim, s.h.dim, {(): vscale(-1, s.H.apply(x))})
-    d = _twisted_differential(tables, minus_Hx).values
-    cols = [d.get((i,), vzero(s.h.dim)) for i in range(s.g.dim)]
+    Hx = _cochain(0, s.g.dim, s.h.dim, {(): _evaluate(cochain_from_matrix(s.H.matrix), [x])})
+    d = _twisted_differential(tables, cochain_scale(-1, Hx))
+    cols = [eval_basis(d, (i,)) for i in range(s.g.dim)]
     return Matrix(s.h.dim, s.g.dim, tuple(c[r] for r in range(s.h.dim) for c in cols))
 
 
@@ -710,6 +681,8 @@ def check_deformation_equivalence(
     Nijenhuis constraints on the witness.
     """
     _require_crossed_hom(s)
+    if len(x) != s.g.dim:
+        raise DimensionMismatch("element has the wrong length for g")
     tables = _induced_tables(s)
     findings = []
     diff = (frkH2 - frkH1) - _trivial_generator(s, tables, x)

@@ -75,21 +75,28 @@ def _entries(body: dict, key: str, where: str) -> list:
 def _load_json(path: Path) -> dict:
     try:
         body = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+        # past the interpreter's digit limit; RecursionError, nesting too deep
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(body, dict):
         raise ParseError(f"{path}: top level must be an object")
     return body
 
 
-def algebra_from_dict(body: dict, where: str = "algebra") -> FinLieAlgebra:
-    if body.get("kind") != "finite_lie":
-        raise ParseError(f"{where}: expected kind 'finite_lie', got {body.get('kind')!r}")
+def _basis_names(body: dict, where: str) -> list[str]:
     names = body.get("basis")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ParseError(f"{where}: 'basis' must be a list of names")
     if len(set(names)) != len(names):
         raise ParseError(f"{where}: duplicate basis names")
+    return names
+
+
+def algebra_from_dict(body: dict, where: str = "algebra") -> FinLieAlgebra:
+    if body.get("kind") != "finite_lie":
+        raise ParseError(f"{where}: expected kind 'finite_lie', got {body.get('kind')!r}")
+    names = _basis_names(body, where)
     structure: dict[tuple[int, int], Vector] = {}
     for k, entry in enumerate(_entries(body, "brackets", where)):
         wh = f"{where}.brackets[{k}]"
@@ -132,9 +139,7 @@ def comm_algebra_from_dict(body: dict, where: str = "algebra") -> FinCommAlgebra
 
     if body.get("kind") != "finite_comm":
         raise ParseError(f"{where}: expected kind 'finite_comm', got {body.get('kind')!r}")
-    names = body.get("basis")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ParseError(f"{where}: 'basis' must be a list of names")
+    names = _basis_names(body, where)
     structure: dict[tuple[int, int], Vector] = {}
     for k, entry in enumerate(_entries(body, "products", where)):
         wh = f"{where}.products[{k}]"
@@ -171,20 +176,8 @@ def setup_from_dict(body: dict, base: Path, where: str = "setup") -> Setup:
         raise ParseError(f"{where}: expected kind 'setup', got {body.get('kind')!r}")
     g = _resolve(body.get("g"), base, algebra_from_dict, f"{where}.g")
     h = _resolve(body.get("h"), base, algebra_from_dict, f"{where}.h")
-    action_tbl = body.get("action")
-    if not isinstance(action_tbl, dict):
-        raise ParseError(f"{where}: 'action' must map g-basis names to matrices")
-    mats = []
-    for i, name in enumerate(g.basis_names):
-        if name not in action_tbl:
-            raise ParseError(f"{where}.action: missing matrix for {name!r}")
-        mats.append(
-            _matrix_from_rows(action_tbl[name], (h.dim, h.dim), f"{where}.action[{name}]")
-        )
-    extra = set(action_tbl) - set(g.basis_names)
-    if extra:
-        raise ParseError(f"{where}.action: unknown basis name {sorted(extra)[0]!r}")
-    rho = LieAction(g, h, tuple(mats))
+    action = _matrix_table(body.get("action"), g.basis_names, (h.dim, h.dim), f"{where}.action")
+    rho = LieAction(g, h, action)
     if "H" in body:
         H = CrossedHom(_matrix_from_rows(body["H"], (h.dim, g.dim), f"{where}.H"))
     else:
@@ -307,6 +300,7 @@ def twisting_polynomials_from_file(path_str: str, n: int) -> list[LaurentPoly]:
         raise ParseError(f"{path}: no such file")
     body = _load_json(path)
     polys = [LaurentPoly.zero(n) for _ in range(n)]
+    seen = set()
     for key, table in body.items():
         try:
             var = int(key)
@@ -314,6 +308,9 @@ def twisting_polynomials_from_file(path_str: str, n: int) -> list[LaurentPoly]:
             raise ParseError(f"{path}: variable index {key!r} is not an integer") from None
         if not 1 <= var <= n:
             raise ParseError(f"{path}: variable index {var} outside 1..{n}")
+        if var in seen:
+            raise ParseError(f"{path}: variable index {var} is given twice")
+        seen.add(var)
         if not isinstance(table, dict):
             raise ParseError(f"{path}: entry for variable {var} must be an object")
         poly = LaurentPoly.zero(n)

@@ -89,23 +89,6 @@ def vzero(n: int) -> Vector:
     return (ZERO,) * n
 
 
-def vadd(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths {len(a)} != {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths {len(a)} != {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a: Vector) -> Vector:
-    c = rational(c)
-    return tuple(c * x for x in a)
-
-
 def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
 

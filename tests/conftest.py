@@ -17,6 +17,7 @@ from crosshom.cohomology import (
     _require_crossed_hom,
     ce_differential,
     cochain_from_matrix,
+    eval_basis,
 )
 from crosshom.liealg import (
     CrossedHom,
@@ -31,7 +32,8 @@ from crosshom.liealg import (
     two_dim_nonabelian,
     zero_action,
 )
-from crosshom.linalg import Matrix, _echelon, is_zero_vector, lincomb, vadd, vsub
+from crosshom.errors import DimensionMismatch
+from crosshom.linalg import Matrix, Vector, _echelon, exact_coeff, is_zero_vector, lincomb, rational
 from crosshom.report import Finding
 from crosshom.rinehart import regular_module
 from crosshom.witt import check_comm_algebra, derivation_violations
@@ -53,6 +55,36 @@ def no_window_enumeration(monkeypatch):
 
     monkeypatch.setattr(crosshom.witt, "window_exponents", refuse)
     monkeypatch.setattr(crosshom.rinehart, "window_exponents", refuse)
+
+
+def vadd(a: Vector, b: Vector) -> Vector:
+    if len(a) != len(b):
+        raise DimensionMismatch(f"vector lengths {len(a)} != {len(b)}")
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vsub(a: Vector, b: Vector) -> Vector:
+    if len(a) != len(b):
+        raise DimensionMismatch(f"vector lengths {len(a)} != {len(b)}")
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vscale(c, a: Vector) -> Vector:
+    c = rational(c)
+    return tuple(c * x for x in a)
+
+
+def cochain(k: int, g_dim: int, h_dim: int, values) -> Cochain:
+    """The Cochain with the dense values {T: vector}, in the sparse format:
+    zero vectors and zero coordinates left out, integral coordinates ints."""
+    sparse = {}
+    for T, v in values.items():
+        if len(v) != h_dim:
+            raise DimensionMismatch(f"value at {T} has length {len(v)}, not {h_dim}")
+        nonzeros = {u: exact_coeff(c) for u, c in enumerate(v) if c}
+        if nonzeros:
+            sparse[T] = nonzeros
+    return Cochain(k, g_dim, h_dim, sparse)
 
 
 def frac_matrix(rows) -> Matrix:
@@ -82,7 +114,7 @@ def random_cochain(rng: random.Random, k: int, g_dim: int, h_dim: int) -> Cochai
         v = tuple(Fraction(rng.randint(-2, 2)) for _ in range(h_dim))
         if any(v):
             values[T] = v
-    return Cochain(k, g_dim, h_dim, values)
+    return cochain(k, g_dim, h_dim, values)
 
 
 def action_library():
@@ -462,8 +494,8 @@ def ref_check_linear_deformation(s, frkH) -> list:
     """The twisted coboundary of frkH, then [frkH e_i, frkH e_j] for i < j."""
     d = ce_differential(s, cochain_from_matrix(frkH))
     findings = [
-        Finding("deformation-cocycle", tuple(s.g.basis_names[t] for t in S), v)
-        for S, v in sorted(d.values.items())
+        Finding("deformation-cocycle", tuple(s.g.basis_names[t] for t in S), eval_basis(d, S))
+        for S in sorted(d.values)
     ]
     for i, j in itertools.combinations(range(s.g.dim), 2):
         w = s.h.bracket(frkH.col(i), frkH.col(j))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from crosshom import cli, formats
 from crosshom.cohomology import cohomology_dims
+from crosshom.errors import ParseError
 from crosshom.liealg import CrossedHom, Setup, abelian, sl2, zero_action
 from crosshom.linalg import Matrix
 from conftest import FIXTURES as FIXTURES_DIR, generalized_witt_bounds, kernel_setups
@@ -452,6 +453,53 @@ def test_boolean_coefficient_in_algebra_file_exit_two(capsys, tmp_path, fixtures
     code, out = _run_without_traceback(capsys, "check-lie", str(bad))
     assert code == 2
     assert out["error"]["type"] == "ParseError"
+
+
+_PQ_ARGS = ("witt-verify", "--n", "1", "--family", "pq", "--window", "1", "--q", "1/2", "--p-file")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"kind": "finite_lie", "basis": [], "dim": ' + "7" * 5000 + "}", "[" * 100_000],
+    ids=["5000-digit-integer", "nested-100000-deep"],
+)
+@pytest.mark.parametrize("as_p_file", [False, True], ids=["algebra", "p-file"])
+def test_undecodable_json_exit_two(capsys, tmp_path, text, as_p_file):
+    bad = tmp_path / "undecodable.json"
+    bad.write_text(text)
+    argv = (*_PQ_ARGS, str(bad)) if as_p_file else ("check-lie", str(bad))
+    code, out = _run_without_traceback(capsys, *argv)
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
+    assert "invalid JSON" in out["error"]["message"]
+
+
+def test_duplicate_basis_names_in_a_commutative_algebra_exit_two(capsys, tmp_path):
+    pair = {
+        "kind": "leibniz_pair",
+        "A": {
+            "kind": "finite_comm",
+            "basis": ["1", "1"],
+            "products": [{"left": "1", "right": "1", "value": {"1": "1"}}],
+        },
+        "S": {"kind": "finite_lie", "basis": ["e"], "brackets": []},
+        "beta": {"e": [["0", "0"], ["0", "0"]]},
+    }
+    bad = tmp_path / "duplicate.pair.json"
+    bad.write_text(json.dumps(pair))
+    code, out = _run_without_traceback(capsys, "check-leibniz", str(bad))
+    assert code == 2
+    assert out["error"] == {"type": "ParseError", "message": f"{bad}.A: duplicate basis names"}
+
+
+def test_repeated_p_file_variable_exit_two(capsys, tmp_path):
+    bad = tmp_path / "repeated.p.json"
+    bad.write_text('{"1": {"2": "1"}, "01": {"3": "5"}}')
+    code, out = _run_without_traceback(capsys, *_PQ_ARGS, str(bad))
+    assert code == 2
+    assert out["error"] == {"type": "ParseError", "message": f"{bad}: variable index 1 is given twice"}
+    with pytest.raises(ParseError, match="given twice"):
+        formats.twisting_polynomials_from_file(str(bad), 1)
 
 
 def test_cohomology_negative_max_degree_exit_two(capsys, fixtures_dir):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import time
@@ -58,14 +59,12 @@ from crosshom.linalg import (
     is_zero_vector,
     kernel_basis,
     rank,
-    vadd,
-    vscale,
-    vsub,
     vzero,
 )
 
 from conftest import (
     FIXTURES,
+    cochain,
     dim2_setup,
     full_complex_rows,
     generalized_witt_bounds,
@@ -80,6 +79,9 @@ from conftest import (
     ref_nijenhuis_findings,
     ref_twisted_images,
     sl2_setup,
+    vadd,
+    vscale,
+    vsub,
 )
 
 
@@ -91,7 +93,7 @@ def test_plain_differential_degree_zero_sign():
     # (du)(x) = -rho(x) u
     g = sl2()
     rho = adjoint_action(g)
-    u = Cochain(0, 3, 3, {(): frac((1, 0, 0))})
+    u = cochain(0, 3, 3, {(): (1, 0, 0)})
     du = plain_differential(rho, u)
     for i in range(3):
         expected = tuple(-c for c in g.bracket(g.basis_vector(i), g.basis_vector(0)))
@@ -139,7 +141,7 @@ def _gather_differential(rho, f):
             total = vadd(total, term) if (m + pi + pj + 1) % 2 == 0 else vsub(total, term)
         if not is_zero_vector(total):
             values[S] = total
-    return Cochain(m + 1, g.dim, h.dim, values)
+    return cochain(m + 1, g.dim, h.dim, values)
 
 
 def _sparse_random_cochain(rng, k, g_dim, h_dim):
@@ -150,7 +152,7 @@ def _sparse_random_cochain(rng, k, g_dim, h_dim):
         for u in rng.sample(range(h_dim), rng.randint(1, min(h_dim, 3))):
             v[u] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
         values[T] = tuple(v)
-    return Cochain(k, g_dim, h_dim, values)
+    return cochain(k, g_dim, h_dim, values)
 
 
 def test_scatter_differential_matches_gather_reference():
@@ -192,9 +194,9 @@ def test_unit_images_match_gather_reference():
             picked = range(len(cells)) if len(cells) <= 128 else rng.sample(range(len(cells)), 12)
             for p in picked:
                 T, u = cells[p]
-                unit = Cochain(k, g_dim, h_dim, {T: tuple(Fraction(w == u) for w in range(h_dim))})
+                unit = cochain(k, g_dim, h_dim, {T: tuple(Fraction(w == u) for w in range(h_dim))})
                 expected = _gather_differential(rho, unit).values
-                assert images[p] == {(S, w): c for S, v in expected.items() for w, c in enumerate(v) if c}
+                assert images[p] == {(S, w): c for S, v in expected.items() for w, c in v.items()}
                 compared += 1
     assert compared >= 300
 
@@ -204,11 +206,11 @@ def test_differential_matrix_is_the_coboundary():
     setups = [sl2_setup(), dim2_setup([[-1, 2], [0, 1]])]
     setups += [generalized_witt_bounds(b) for b in ((3,), (4,))]
     for s in setups:
-        g_dim, zero = s.g.dim, vzero(s.h.dim)
+        g_dim = s.g.dim
 
         def coordinates(f):
             keys = itertools.combinations(range(g_dim), f.degree)
-            return tuple(x for T in keys for x in f.values.get(T, zero))
+            return tuple(x for T in keys for x in eval_basis(f, T))
 
         for k in range(3):
             f = random_cochain(rng, k, g_dim, s.h.dim)
@@ -239,8 +241,8 @@ def test_derived_bracket_degree_zero():
     for _ in range(10):
         u = frac([rng.randint(-2, 2) for _ in range(3)])
         v = frac([rng.randint(-2, 2) for _ in range(3)])
-        cu = Cochain(0, 3, 3, {(): u} if any(u) else {})
-        cv = Cochain(0, 3, 3, {(): v} if any(v) else {})
+        cu = cochain(0, 3, 3, {(): u})
+        cv = cochain(0, 3, 3, {(): v})
         br = derived_bracket(g, cu, cv)
         assert eval_basis(br, ()) == tuple(-c for c in g.bracket(u, v))
 
@@ -285,6 +287,12 @@ def test_derived_bracket_graded_jacobi():
             assert lhs == rhs
 
 
+def _normal(x) -> bool:
+    """Whether x is a cochain coordinate in normal form: an int, or a Fraction
+    that is not integral; never a bool or a float, never zero."""
+    return x != 0 and (type(x) is int or type(x) is Fraction and x.denominator > 1)
+
+
 def _walk_derived_bracket(h, f1, f2):
     """Reference: the bracket as a walk over every (m+n)-set S and every
     (m, n)-shuffle of S, with dense evaluation."""
@@ -306,7 +314,7 @@ def _walk_derived_bracket(h, f1, f2):
             total = vscale(Fraction(-1), total)
         if not is_zero_vector(total):
             values[S] = total
-    return Cochain(m + n, f1.g_dim, h.dim, values)
+    return cochain(m + n, f1.g_dim, h.dim, values)
 
 
 def test_derived_bracket_matches_the_shuffle_walk():
@@ -325,7 +333,7 @@ def test_derived_bracket_matches_the_shuffle_walk():
                 expected = _walk_derived_bracket(s.h, f1, f2)
                 assert got.values == expected.values
                 assert list(got.values) == sorted(got.values)
-                assert all(type(x) is Fraction for v in got.values.values() for x in v)
+                assert all(_normal(x) for v in got.values.values() for x in v.values())
                 compared += 1
                 nonzero += bool(expected.values)
     assert compared >= 140 and nonzero >= 100, (compared, nonzero)
@@ -354,7 +362,7 @@ def test_ce_differential_degree_zero():
     # (d u)(x) = rho(x) u + [Hx, u]
     s = dim2_setup([[-1, 2], [0, 1]])
     u = frac((1, -1))
-    cu = Cochain(0, 2, 2, {(): u})
+    cu = cochain(0, 2, 2, {(): u})
     du = ce_differential(s, cu)
     for i in range(2):
         expected = tuple(
@@ -636,6 +644,81 @@ def test_cohomology_internal_consistency():
             assert d.dim_Z + rank(differential_matrix(s, d.k)) == d.dim_C
 
 
+def _coordinates(*cochains) -> list:
+    return [x for f in cochains for v in f.values.values() for x in v.values()]
+
+
+def test_cochain_coordinates_on_integral_setups_are_ints():
+    # H of [2,2] with one entry moved, and an integral H of sl2 that is not a
+    # crossed homomorphism, give nonzero Maurer-Cartan residuals; the
+    # operations on random integral cochains stay in int arithmetic
+    gw = generalized_witt_bounds((2, 2))
+    data = list(gw.H.matrix.data)
+    data[next(k for k, x in enumerate(data) if x)] += 1
+    broken = [
+        Setup(gw.g, gw.h, gw.rho, CrossedHom(Matrix(gw.H.matrix.rows, gw.H.matrix.cols, tuple(data)))),
+        sl2_setup([[0, 1, 0], [0, 0, 2], [1, 0, 0]]),
+    ]
+    rng = random.Random(140)
+    for s in broken:
+        assert check_crossed_hom(s)
+        got = _coordinates(mc_residual(s))
+        assert got and all(type(x) is int for x in got)
+    for s in (gw, sl2_setup()):
+        for k in range(3):
+            f1 = random_cochain(rng, k, s.g.dim, s.h.dim)
+            f2 = random_cochain(rng, 1, s.g.dim, s.h.dim)
+            outputs = (
+                plain_differential(s.rho, f1),
+                ce_differential(s, f1),
+                derived_bracket(s.h, f1, f2),
+                cochain_add(f1, cochain_scale(Fraction(1, 2), cochain_scale(2, f1))),
+            )
+            got = _coordinates(*outputs)
+            assert got and all(type(x) is int for x in got)
+
+
+def test_cochain_coordinates_are_fractions_only_where_not_integral():
+    # rho(e1) = diag(1/2, 0), rho(e2) = diag(0, 1/3): the differentials of
+    # integral cochains halve and third some coordinates and not others
+    s = _non_integral_setup()
+    rng = random.Random(141)
+    seen = Counter()
+    for _ in range(20):
+        for k in range(3):
+            f = random_cochain(rng, k, 2, 2)
+            for x in _coordinates(plain_differential(s.rho, f), ce_differential(s, f)):
+                assert _normal(x)
+                seen[type(x)] += 1
+    assert seen[int] and seen[Fraction]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({(0,): {}}, "is empty"),
+        ({(0,): {1: 0}}, "zero or inexact coordinate"),
+        ({(0,): {0: 1, 1: Fraction(0)}}, "zero or inexact coordinate"),
+        ({(0,): {2: 1}}, "index outside h"),
+        ({(0,): {-1: 1}}, "index outside h"),
+        ({(0,): {0: 0.5}}, "zero or inexact coordinate"),
+        ({(0,): {0: True}}, "zero or inexact coordinate"),
+    ],
+    ids=["empty-value", "zero-int", "zero-fraction", "index-past-h", "negative-index", "float", "bool"],
+)
+def test_cochain_rejects_a_value_outside_the_format(values, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        Cochain(1, 2, 2, values)
+
+
+def test_cochain_equality_is_exact():
+    assert Cochain(1, 2, 2, {(0,): {1: 2}}) == Cochain(1, 2, 2, {(0,): {1: Fraction(2)}})
+    assert Cochain(1, 2, 2, {(0,): {1: 2}}) != Cochain(1, 2, 2, {(0,): {1: 2}, (1,): {0: 1}})
+    assert Cochain(1, 2, 2, {}) != Cochain(2, 2, 2, {})
+    # the dataclass equality is the equality of cochains: no hand-written __eq__
+    assert "def __eq__" not in inspect.getsource(Cochain)
+
+
 def test_cochain_map_identity():
     rng = random.Random(10)
     for k in range(3):
@@ -644,7 +727,7 @@ def test_cochain_map_identity():
 
 
 def test_cochain_map_degree_zero():
-    f = Cochain(0, 2, 2, {(): frac((1, 2))})
+    f = cochain(0, 2, 2, {(): (1, 2)})
     phi_h = Matrix.from_rows([[2, 0], [1, 1]])
     got = cochain_map_phi(Matrix.identity(2), phi_h, f)
     assert eval_basis(got, ()) == phi_h.apply(frac((1, 2)))
@@ -686,7 +769,7 @@ def test_linear_deformation_abelian_target_any_cocycle():
     s = Setup(g, h, rho, CrossedHom(Matrix.zero(3, 3)))
     assert check_crossed_hom(s) == []
     for u in ((1, 0, 0), (2, -1, 3)):
-        cu = Cochain(0, 3, 3, {(): frac(u)})
+        cu = cochain(0, 3, 3, {(): u})
         frk = Matrix.from_columns(
             [eval_basis(ce_differential(s, cu), (i,)) for i in range(3)]
         )

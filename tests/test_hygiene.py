@@ -107,3 +107,44 @@ def test_every_private_definition_is_named_in_the_package():
             ):
                 unnamed.append(f"{path.name}:{node.name}")
     assert unnamed == []
+
+
+# Paper API that only the tests and the benchmark call today.
+PAPER_API = {
+    "adjoint_weak_rep",
+    "check_deformation_equivalence",
+    "check_first_order_op",
+    "check_gln_rep",
+    "crossed_hom_residual",
+    "extend_to_action_rep",
+    "hamiltonian_bracket_coefficient",
+    "iota_graph_is_homomorphism",
+    "natural_rep",
+    "scaling_derivation",
+    "setup_to_dict",
+}
+
+
+def test_every_public_definition_is_used_exported_or_paper_api():
+    # code that only tests use goes unless it is paper API: each public
+    # module-level function or class is named in the package outside its own
+    # definition, exported in `crosshom.__all__`, or listed in PAPER_API
+    import crosshom
+
+    corpus = {p: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    words = Counter(w for text in corpus.values() for w in WORD.findall(text))
+    exported = set(crosshom.__all__)
+    test_only = []
+    for path, source in corpus.items():
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in exported
+                and not _named_outside(words, lines, node)
+            ):
+                test_only.append(f"{path.name}:{node.name}")
+    assert sorted(n for n in test_only if n.split(":")[1] not in PAPER_API) == []
+    # the allowlist names only definitions that need it
+    assert sorted(n.split(":")[1] for n in test_only) == sorted(PAPER_API)

@@ -31,7 +31,7 @@ from crosshom.liealg import (
     zero_action,
 )
 from crosshom.liealg import _graph, _semidirect_structure
-from crosshom.linalg import Matrix, vadd, vscale, vsub, vzero
+from crosshom.linalg import Matrix, vzero
 from crosshom.report import Finding
 
 from conftest import (
@@ -45,6 +45,9 @@ from conftest import (
     ref_apply,
     ref_bracket,
     sl2_setup,
+    vadd,
+    vscale,
+    vsub,
 )
 
 
