@@ -60,6 +60,7 @@ _EXPORTS_BY_SUBMODULE = {
         "FinCommAlgebra",
         "GlLaurent",
         "LaurentPoly",
+        "VTensorA",
         "Window",
         "WittElem",
         "canonical_crossed_hom_GW",
@@ -80,7 +81,6 @@ _EXPORTS_BY_SUBMODULE = {
         "GlnRep",
         "LeibnizPair",
         "LieRinehart",
-        "VTensorA",
         "action_lie_rinehart",
         "adjoint_rep_gl",
         "boxplus_pullback",

@@ -20,6 +20,7 @@ from pathlib import Path
 from . import formats
 from .errors import NotCrossedHom, NotNijenhuis, ParseError, ToolkitError, require_window_count
 from .liealg import (
+    FinLieAlgebra,
     Setup,
     check_action,
     check_crossed_hom,
@@ -61,7 +62,7 @@ def _require_sound_setup(report: Report, s: Setup) -> bool:
 
 def cmd_check_lie(args, report: Report):
     obj = formats.load_file(args.input)
-    if not hasattr(obj, "basis_names") or not hasattr(obj, "bracket_basis"):
+    if not isinstance(obj, FinLieAlgebra):
         raise ParseError(f"{args.input}: expected a Lie algebra file")
     report.add_findings(check_lie_algebra(obj))
     report.payload["dim"] = obj.dim
@@ -248,10 +249,7 @@ def cmd_shen_larsson(args, report: Report):
     for w in actors:
         for t in module:
             image = action(w, t)
-            result = {}
-            for (pidx, r), c in image.sorted_terms():
-                key = f"v{pidx + 1} (x) x^(" + ",".join(str(e) for e in r) + ")"
-                result[key] = str(c)
+            result = {image.term_label(p, r): str(c) for (p, r), c in image.sorted_terms()}
             entries.append({"actor": str(w), "on": str(t), "result": result})
     report.payload["rep"] = args.rep
     report.payload["entries"] = entries

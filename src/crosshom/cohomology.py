@@ -86,7 +86,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
@@ -405,18 +405,7 @@ class CohomologyReport:
         return [d.dim_H for d in self.degrees]
 
     def to_json(self) -> dict:
-        return {
-            "degrees": [
-                {
-                    "k": d.k,
-                    "dim_C": d.dim_C,
-                    "dim_Z": d.dim_Z,
-                    "dim_B": d.dim_B,
-                    "dim_H": d.dim_H,
-                }
-                for d in self.degrees
-            ]
-        }
+        return {"degrees": [asdict(d) for d in self.degrees]}
 
 
 def _cells(tables, weights, k: int):

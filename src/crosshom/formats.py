@@ -313,12 +313,15 @@ def twisting_polynomials_from_file(path_str: str, n: int) -> list[LaurentPoly]:
         seen.add(var)
         if not isinstance(table, dict):
             raise ParseError(f"{path}: entry for variable {var} must be an object")
-        poly = LaurentPoly.zero(n)
+        poly, exponents = LaurentPoly.zero(n), set()
         for exp_str, coeff in table.items():
             try:
                 e = int(exp_str)
             except ValueError:
                 raise ParseError(f"{path}: exponent {exp_str!r} is not an integer") from None
+            if e in exponents:
+                raise ParseError(f"{path}: exponent {e} of variable {var} is given twice")
+            exponents.add(e)
             r = tuple(e if k == var - 1 else 0 for k in range(n))
             poly = poly + LaurentPoly.monomial(n, r, rational(coeff, str(path)))
         polys[var - 1] = poly

@@ -26,7 +26,10 @@ Shen-Larsson action of the vector-field algebra on V (x) A_n:
     (x^r d_i) . (v (x) x^s) = s_i v (x) x^{r+s} + sum_k r_k theta(E_ki) v (x) x^{r+s}.
 
 A gl_n representation builds the sparse columns of each theta(E_ki) once
-(`GlnRep.columns`), and the action reads them instead of the dense matrices.
+(`GlnRep.columns`), and `shen_larsson_apply` hands them to the one tensor
+action loop of `witt`, which also runs the coefficientwise action
+`WittElem.apply`.  The elements `VTensorA` are defined in `witt`, in the
+layout A_n and gl_n (x) A_n share, and re-exported here.
 """
 
 from __future__ import annotations
@@ -56,20 +59,16 @@ from .witt import (
     Coeff,
     FinCommAlgebra,
     LaurentPoly,
-    SparseElem,
+    TensorElem,
+    VTensorA,
     WittElem,
     Window,
-    _add_term,
-    _coeff_prefix,
-    _exp_str,
-    _exponents,
-    _render_terms,
+    _tensor_action,
     action_structure,
     block_diagonal,
     check_comm_algebra,
     crossed_hom_pq,
     derivation_violations,
-    exact_coeff,
     gl_tensor_algebra,
     window_exponents,
     window_size,
@@ -78,8 +77,6 @@ from .witt import (
 )
 
 ZERO = Fraction(0)
-
-MultiIndex = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -496,55 +493,7 @@ def boxplus_pullback(
 # sparse tensor modules V (x) A_n and the Shen-Larsson action
 
 
-@dataclass(frozen=True)
-class VTensorA(SparseElem):
-    """Element of V (x) A_n: keys are (component index, exponent tuple)."""
-
-    n: int
-    dim_v: int
-    terms: Mapping[tuple[int, MultiIndex], Coeff]
-
-    @staticmethod
-    def zero(n: int, dim_v: int) -> "VTensorA":
-        return VTensorA(n, dim_v, {})
-
-    @staticmethod
-    def basis(n: int, dim_v: int, p: int, r: Sequence[int], coeff=1) -> "VTensorA":
-        if not 0 <= p < dim_v:
-            raise DimensionMismatch(f"component {p} outside 0..{dim_v - 1}")
-        c = exact_coeff(coeff)
-        r = _exponents(r, n)
-        return VTensorA(n, dim_v, {(p, r): c} if c else {})
-
-    def _shape(self) -> tuple:
-        return (self.n, self.dim_v)
-
-    def poly_scale(self, a: LaurentPoly) -> "VTensorA":
-        """Multiply the coefficient factor: a (v (x) x^s) = v (x) a x^s."""
-        if a.n != self.n:
-            raise DimensionMismatch("variable counts differ")
-        out: dict[tuple[int, MultiIndex], Coeff] = {}
-        for (p, s), ct in self.terms.items():
-            for r, ca in a.terms.items():
-                key = (p, tuple(u + w for u, w in zip(r, s)))
-                _add_term(out, key, ct * ca)
-        return VTensorA(self.n, self.dim_v, out)
-
-    def __str__(self) -> str:
-        parts = []
-        for (p, r), c in self.sorted_terms():
-            parts.append(f"{_coeff_prefix(c)}v{p + 1} (x) {_exp_str(r)}")
-        return _render_terms(parts)
-
-
-ModuleElem = LaurentPoly | VTensorA
-WindowedAction = Callable[[WittElem, ModuleElem], ModuleElem]
-
-
-def module_scale(a: LaurentPoly, m: ModuleElem) -> ModuleElem:
-    if isinstance(m, LaurentPoly):
-        return a * m
-    return m.poly_scale(a)
+WindowedAction = Callable[[WittElem, TensorElem], TensorElem]
 
 
 def shen_larsson_apply(theta: GlnRep, w: WittElem, t: VTensorA) -> VTensorA:
@@ -554,19 +503,7 @@ def shen_larsson_apply(theta: GlnRep, w: WittElem, t: VTensorA) -> VTensorA:
         raise DimensionMismatch("variable counts differ")
     if t.dim_v != theta.dim_v:
         raise DimensionMismatch("tensor component count differs from dim V")
-    columns = theta.columns
-    out: dict[tuple[int, MultiIndex], Coeff] = {}
-    for (r, i), cw in w.terms.items():
-        acting = [(rk, columns[(k, i)]) for k, rk in enumerate(r) if rk]
-        for (p, s), ct in t.terms.items():
-            c = cw * ct
-            key_exp = tuple(a + b for a, b in zip(r, s))
-            if s[i]:
-                _add_term(out, (p, key_exp), c * s[i])
-            for rk, cols in acting:
-                for p2, e in cols[p]:
-                    _add_term(out, (p2, key_exp), c * rk * e)
-    return VTensorA(n, theta.dim_v, out)
+    return VTensorA(n, theta.dim_v, _tensor_action(w, t.terms, theta.columns))
 
 
 def shen_larsson_action(theta: GlnRep) -> WindowedAction:
@@ -578,12 +515,12 @@ def twisting_pq(
 ) -> WindowedAction:
     """Add multiplication by the scalar twisting image to an existing action."""
 
-    def twisted(w: WittElem, m: ModuleElem) -> ModuleElem:
+    def twisted(w: WittElem, m: TensorElem) -> TensorElem:
         base = action(w, m)
         hw = crossed_hom_pq(p, q, w)
         if hw.is_zero():
             return base
-        return base + module_scale(hw, m)
+        return base + m.poly_scale(hw)
 
     return twisted
 
@@ -604,7 +541,7 @@ def check_module_axiom_window(
     action: WindowedAction,
     n: int,
     window: Window,
-    module_elems: Sequence[ModuleElem],
+    module_elems: Sequence[TensorElem],
 ) -> list[Finding]:
     """[u, v].m = u.(v.m) - v.(u.m) on all windowed pairs and module elements.
 
@@ -631,7 +568,7 @@ def check_weak_compat_window(
     action: WindowedAction,
     n: int,
     window: Window,
-    module_elems: Sequence[ModuleElem],
+    module_elems: Sequence[TensorElem],
 ) -> list[Finding]:
     """u.(a m) = a (u.m) + u(a) m for windowed monomials a; the sparse
     counterpart of the first-order-operator compatibility.
@@ -648,10 +585,10 @@ def check_weak_compat_window(
         for a in monomials:
             ua = u.apply(a)
             for m, um in zip(module_elems, u_ms):
-                lhs = action(u, module_scale(a, m))
-                rhs = module_scale(a, um)
+                lhs = action(u, m.poly_scale(a))
+                rhs = um.poly_scale(a)
                 if not ua.is_zero():
-                    rhs = rhs + module_scale(ua, m)
+                    rhs = rhs + m.poly_scale(ua)
                 res = lhs - rhs
                 if not res.is_zero():
                     findings.append(

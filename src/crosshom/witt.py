@@ -5,6 +5,14 @@ with bracket
 
     [x^r d_i, x^s d_j] = s_i x^{r+s} d_j - r_j x^{r+s} d_i.
 
+A_n, gl_n (x) A_n and the Shen-Larsson modules V (x) A_n are all tensor
+modules V (x) A_n, and their elements (`LaurentPoly`, `GlLaurent`,
+`VTensorA`) share one layout, {(p, r): c} for v_p (x) x^r, with one product
+by A_n (`TensorElem.poly_scale`) and one action loop (`_tensor_action`):
+`WittElem.apply` runs it with theta = 0, the coefficientwise action, and
+`rinehart.shen_larsson_apply` with the columns of a gl_n-representation
+theta.  `gl_bracket` reads the brackets of `liealg.gl_algebra(n)`.
+
 Everything is written in the d_i basis (including the Hamiltonian fields; in
 that basis their bracket closes with coefficient sum(r_{n+i} s_i - s_{n+i} r_i)
 and the quadratic coefficient matrices land in sp_{2n}).  A Window bounds
@@ -42,6 +50,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -147,6 +156,10 @@ class SparseElem:
     class and shape combine.  Equality is the dataclass one.
     """
 
+    @classmethod
+    def zero(cls, *shape):
+        return cls(*shape, {})
+
     def _shape(self) -> tuple:
         return (self.n,)
 
@@ -188,49 +201,82 @@ class SparseElem:
         return sorted(self.terms.items())
 
 
+class TensorElem(SparseElem):
+    """Element of a tensor module V (x) A_n: `terms` maps (p, r) to the
+    coefficient of v_p (x) x^r.
+
+    A_n is V = C with p = 0 (`LaurentPoly`), gl_n (x) A_n is V = gl_n with
+    p = i * n + j for E_ij, the basis order of `liealg.gl_algebra(n)`
+    (`GlLaurent`), and `VTensorA` takes any gl_n-representation V.  The
+    classes differ only in their shape and in `term_label(p, r)`, the
+    rendered v_p (x) x^r ("" for the unit of A_n).
+    """
+
+    def poly_scale(self, a: "LaurentPoly"):
+        """Multiply the coefficient factor: a (v_p (x) x^s) = v_p (x) a x^s."""
+        if type(a) is not LaurentPoly:
+            raise DimensionMismatch(f"cannot scale by a {type(a).__name__}, only by a LaurentPoly")
+        if a.n != self.n:
+            raise DimensionMismatch("variable counts differ")
+        out: dict[tuple[int, MultiIndex], Coeff] = {}
+        for (p, s), ct in self.terms.items():
+            for (_, r), ca in a.terms.items():
+                _add_term(out, (p, tuple(map(add, s, r))), ct * ca)
+        return self._new(out)
+
+    def __str__(self) -> str:
+        parts = []
+        for (p, r), c in self.sorted_terms():
+            label = self.term_label(p, r)
+            parts.append(f"{_coeff_prefix(c)}{label}" if label else str(c))
+        return _render_terms(parts)
+
+
+def _tensor_action(w: "WittElem", terms: Mapping, columns=None) -> dict:
+    """The terms of w . m for a tensor element m with `terms`, where
+
+        (x^r d_i) . (v_p (x) x^s) = s_i v_p (x) x^{r+s} + sum_k r_k theta(E_ki) v_p (x) x^{r+s}
+
+    and columns[(k, i)][p] lists the nonzero (p2, e) of column p of
+    theta(E_ki).  Without columns theta is zero: the coefficientwise action.
+    """
+    out: dict[tuple[int, MultiIndex], Coeff] = {}
+    for (r, i), cw in w.terms.items():
+        acting = [(rk, columns[k, i]) for k, rk in enumerate(r) if rk] if columns else ()
+        for (p, s), ct in terms.items():
+            si = s[i]
+            if si or acting:
+                c = cw * ct
+                key_exp = tuple(map(add, r, s))
+                if si:
+                    _add_term(out, (p, key_exp), c * si)
+                for rk, cols in acting:
+                    for p2, e in cols[p]:
+                        _add_term(out, (p2, key_exp), c * rk * e)
+    return out
+
+
 @dataclass(frozen=True)
-class LaurentPoly(SparseElem):
-    """Element of the Laurent polynomial algebra in n variables, sparse."""
+class LaurentPoly(TensorElem):
+    """Element of the Laurent polynomial algebra A_n = C (x) A_n, sparse;
+    keys are (0, exponent tuple)."""
 
     n: int
-    terms: Mapping[MultiIndex, Coeff]
-
-    @staticmethod
-    def zero(n: int) -> "LaurentPoly":
-        return LaurentPoly(n, {})
+    terms: Mapping[tuple[int, MultiIndex], Coeff]
 
     @staticmethod
     def monomial(n: int, r: Sequence[int], coeff=1) -> "LaurentPoly":
         c = exact_coeff(coeff)
         r = _exponents(r, n)
-        return LaurentPoly(n, {r: c} if c else {})
-
-    @staticmethod
-    def one(n: int) -> "LaurentPoly":
-        return LaurentPoly.monomial(n, (0,) * n)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._require_same(other)
-        out: dict[MultiIndex, Coeff] = {}
-        for r, cr in self.terms.items():
-            for s, cs in other.terms.items():
-                key = tuple(a + b for a, b in zip(r, s))
-                _add_term(out, key, cr * cs)
-        return LaurentPoly(self.n, out)
+        return LaurentPoly(n, {(0, r): c} if c else {})
 
     def supported_only_on(self, var: int) -> bool:
         return all(
-            all(e == 0 for k, e in enumerate(r) if k != var) for r in self.terms
+            all(e == 0 for k, e in enumerate(r) if k != var) for _, r in self.terms
         )
 
-    def __str__(self) -> str:
-        parts = []
-        for r, c in self.sorted_terms():
-            if all(e == 0 for e in r):
-                parts.append(str(c))
-            else:
-                parts.append(f"{_coeff_prefix(c)}{_exp_str(r)}")
-        return _render_terms(parts)
+    def term_label(self, p: int, r: MultiIndex) -> str:
+        return _exp_str(r) if any(r) else ""
 
 
 @dataclass(frozen=True)
@@ -241,10 +287,6 @@ class WittElem(SparseElem):
     terms: Mapping[tuple[MultiIndex, int], Coeff]
 
     @staticmethod
-    def zero(n: int) -> "WittElem":
-        return WittElem(n, {})
-
-    @staticmethod
     def basis(n: int, r: Sequence[int], i: int, coeff=1) -> "WittElem":
         if not 0 <= i < n:
             raise IndexOutOfRange(f"direction {i} outside 0..{n - 1}")
@@ -252,17 +294,12 @@ class WittElem(SparseElem):
         c = exact_coeff(coeff)
         return WittElem(n, {(r, i): c} if c else {})
 
-    def apply(self, a: LaurentPoly) -> LaurentPoly:
-        """Natural action on Laurent polynomials: (x^r d_i)(x^s) = s_i x^{r+s}."""
-        if a.n != self.n:
+    def apply(self, m: TensorElem) -> TensorElem:
+        """Coefficientwise action on a tensor element:
+        (x^r d_i)(v_p (x) x^s) = s_i v_p (x) x^{r+s}."""
+        if m.n != self.n:
             raise DimensionMismatch("variable counts differ")
-        out: dict[MultiIndex, Coeff] = {}
-        for (r, i), cw in self.terms.items():
-            for s, ca in a.terms.items():
-                if s[i]:
-                    key = tuple(p + q for p, q in zip(r, s))
-                    _add_term(out, key, cw * ca * s[i])
-        return LaurentPoly(self.n, out)
+        return m._new(_tensor_action(self, m.terms))
 
     def __str__(self) -> str:
         parts = []
@@ -292,7 +329,7 @@ def divergence(w: WittElem) -> LaurentPoly:
     out: dict[MultiIndex, Coeff] = {}
     for (r, i), c in w.terms.items():
         if r[i]:
-            _add_term(out, r, c * r[i])
+            _add_term(out, (0, r), c * r[i])
     return LaurentPoly(w.n, out)
 
 
@@ -321,15 +358,12 @@ def hamiltonian_bracket_coefficient(n: int, r: Sequence[int], s: Sequence[int]) 
 
 
 @dataclass(frozen=True)
-class GlLaurent(SparseElem):
-    """Element of gl_n tensor Laurent polynomials; keys are (row, col, exponent)."""
+class GlLaurent(TensorElem):
+    """Element of gl_n (x) A_n; keys are (i * n + j, exponent tuple) for
+    E_ij (x) x^r."""
 
     n: int
-    terms: Mapping[tuple[int, int, MultiIndex], Coeff]
-
-    @staticmethod
-    def zero(n: int) -> "GlLaurent":
-        return GlLaurent(n, {})
+    terms: Mapping[tuple[int, MultiIndex], Coeff]
 
     @staticmethod
     def basis(n: int, i: int, j: int, r: Sequence[int], coeff=1) -> "GlLaurent":
@@ -337,68 +371,78 @@ class GlLaurent(SparseElem):
             raise IndexOutOfRange(f"matrix position ({i}, {j}) outside 0..{n - 1}")
         c = exact_coeff(coeff)
         r = _exponents(r, n)
-        return GlLaurent(n, {(i, j, r): c} if c else {})
+        return GlLaurent(n, {(i * n + j, r): c} if c else {})
 
     def coefficient_matrices(self) -> dict[MultiIndex, Matrix]:
         """The matrix attached to each monomial x^r, as a dense Matrix of Fractions."""
         buckets: dict[MultiIndex, dict] = {}
-        for (i, j, r), c in self.terms.items():
-            buckets.setdefault(r, {})[(i, j)] = c
+        for (p, r), c in self.terms.items():
+            buckets.setdefault(r, {})[p] = c
         out = {}
         for r in sorted(buckets):
-            entries = buckets[r]
-            data = tuple(
-                Fraction(entries.get((i, j), 0))
-                for i in range(self.n)
-                for j in range(self.n)
-            )
+            data = tuple(Fraction(buckets[r].get(p, 0)) for p in range(self.n * self.n))
             out[r] = Matrix(self.n, self.n, data)
         return out
 
-    def __str__(self) -> str:
-        parts = []
-        for (i, j, r), c in self.sorted_terms():
-            mono = "" if all(e == 0 for e in r) else f" (x) {_exp_str(r)}"
-            parts.append(f"{_coeff_prefix(c)}E_{i + 1}{j + 1}{mono}")
-        return _render_terms(parts)
+    def term_label(self, p: int, r: MultiIndex) -> str:
+        i, j = divmod(p, self.n)
+        return f"E_{i + 1}{j + 1}" + (f" (x) {_exp_str(r)}" if any(r) else "")
+
+
+@dataclass(frozen=True)
+class VTensorA(TensorElem):
+    """Element of V (x) A_n for a gl_n-representation V of dimension dim_v;
+    keys are (component index, exponent tuple)."""
+
+    n: int
+    dim_v: int
+    terms: Mapping[tuple[int, MultiIndex], Coeff]
+
+    @staticmethod
+    def basis(n: int, dim_v: int, p: int, r: Sequence[int], coeff=1) -> "VTensorA":
+        if not 0 <= p < dim_v:
+            raise DimensionMismatch(f"component {p} outside 0..{dim_v - 1}")
+        c = exact_coeff(coeff)
+        r = _exponents(r, n)
+        return VTensorA(n, dim_v, {(p, r): c} if c else {})
+
+    def _shape(self) -> tuple:
+        return (self.n, self.dim_v)
+
+    def term_label(self, p: int, r: MultiIndex) -> str:
+        return f"v{p + 1} (x) {_exp_str(r)}"
+
+
+@functools.cache
+def _gl_brackets(n: int) -> dict:
+    return gl_algebra(n).bracket_terms
 
 
 def gl_bracket(a: GlLaurent, b: GlLaurent) -> GlLaurent:
-    """[g (x) p, h (x) q] = [g, h] (x) pq with [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    """[g (x) p, h (x) q] = [g, h] (x) pq, with [g, h] read from `gl_algebra(n)`."""
     a._require_same(b)
-    out: dict[tuple[int, int, MultiIndex], Coeff] = {}
-    for (i, j, r), ca in a.terms.items():
-        for (k, l, s), cb in b.terms.items():
-            c = ca * cb
-            key_exp = tuple(p + q for p, q in zip(r, s))
-            if j == k:
-                _add_term(out, (i, l, key_exp), c)
-            if l == i:
-                _add_term(out, (k, j, key_exp), -c)
+    brackets = _gl_brackets(a.n)
+    out: dict[tuple[int, MultiIndex], Coeff] = {}
+    for (pa, r), ca in a.terms.items():
+        for (pb, s), cb in b.terms.items():
+            terms = brackets.get((pa, pb))
+            if terms:
+                c = ca * cb
+                key_exp = tuple(map(add, r, s))
+                for k, e in terms:
+                    _add_term(out, (k, key_exp), c * e)
     return GlLaurent(a.n, out)
-
-
-def witt_act_gl(w: WittElem, g: GlLaurent) -> GlLaurent:
-    """Coefficientwise action: w(h (x) a) = h (x) w(a)."""
-    if w.n != g.n:
-        raise DimensionMismatch("variable counts differ")
-    out: dict[tuple[int, int, MultiIndex], Coeff] = {}
-    for (r, i), cw in w.terms.items():
-        for (k, l, s), cg in g.terms.items():
-            if s[i]:
-                key_exp = tuple(p + q for p, q in zip(r, s))
-                _add_term(out, (k, l, key_exp), cw * cg * s[i])
-    return GlLaurent(g.n, out)
 
 
 def canonical_crossed_hom_W(w: WittElem) -> GlLaurent:
     """Linear extension of x^r d_j |-> sum_i r_i E_ij (x) x^r."""
-    out: dict[tuple[int, int, MultiIndex], Coeff] = {}
+    n = w.n
+    out: dict[tuple[int, MultiIndex], Coeff] = {}
     for (r, j), c in w.terms.items():
         for i, ri in enumerate(r):
             if ri:
-                _add_term(out, (i, j, r), c * ri)
-    return GlLaurent(w.n, out)
+                _add_term(out, (i * n + j, r), c * ri)
+    return GlLaurent(n, out)
 
 
 def crossed_hom_pq(p: Sequence[LaurentPoly], q, w: WittElem) -> LaurentPoly:
@@ -418,7 +462,7 @@ def crossed_hom_pq(p: Sequence[LaurentPoly], q, w: WittElem) -> LaurentPoly:
     out = LaurentPoly.zero(n)
     for (r, i), c in w.terms.items():
         mono = LaurentPoly.monomial(n, r, c)
-        out = out + (p[i] * mono)
+        out = out + mono.poly_scale(p[i])
         if r[i]:
             out = out + mono.scale(q * r[i])
     return out
@@ -477,11 +521,11 @@ def verify_witt_crossed_hom(
       sdiv -- divergence-free generators (adds per-coefficient trace checks);
       ham  -- Hamiltonian fields inside W_{2n} (adds symplectic-landing checks);
       pq   -- x^r d_i with the scalar-valued twisting map into the Laurent
-              polynomials, acted on by WittElem.apply; the target is abelian,
-              so the bracket term is zero.
+              polynomials; the target is abelian, so the bracket term is zero.
 
     Every family runs the same pair loop, which reads the images H(e) of the
-    windowed elements computed once.  The window only bounds which pairs are
+    windowed elements computed once and acts on them coefficientwise
+    (`WittElem.apply`).  The window only bounds which pairs are
     enumerated; each check is exact.
     """
     if family not in FAMILIES:
@@ -497,10 +541,9 @@ def verify_witt_crossed_hom(
         if p is None or q is None:
             raise MalformedP("family pq requires the twisting data p and q")
         zero = LaurentPoly.zero(n)
-        H = functools.partial(crossed_hom_pq, p, q)
-        act, bracket = WittElem.apply, lambda Ha, Hb: zero
+        H, bracket = functools.partial(crossed_hom_pq, p, q), lambda Ha, Hb: zero
     else:
-        H, act, bracket = canonical_crossed_hom_W, witt_act_gl, gl_bracket
+        H, bracket = canonical_crossed_hom_W, gl_bracket
     if family == "sdiv":
         elems = sdiv_window_basis(n, window.bound)
     elif family == "ham":
@@ -512,7 +555,7 @@ def verify_witt_crossed_hom(
     images = [H(e) for e in elems]
     for (a, Ha), (b, Hb) in itertools.combinations(zip(elems, images), 2):
         lhs = H(witt_bracket(a, b))
-        rhs = act(a, Hb) - act(b, Ha) + bracket(Ha, Hb)
+        rhs = a.apply(Hb) - b.apply(Ha) + bracket(Ha, Hb)
         res = lhs - rhs
         if not res.is_zero():
             findings.append(Finding("crossed-hom", (str(a), str(b)), res))

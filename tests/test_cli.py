@@ -502,6 +502,20 @@ def test_repeated_p_file_variable_exit_two(capsys, tmp_path):
         formats.twisting_polynomials_from_file(str(bad), 1)
 
 
+def test_repeated_p_file_exponent_exit_two(capsys, tmp_path):
+    # "2" and "02" spell the same exponent; the monomials are not added
+    bad = tmp_path / "repeated-exponent.p.json"
+    bad.write_text('{"1": {"2": "1", "02": "3"}}')
+    code, out = _run_without_traceback(capsys, *_PQ_ARGS, str(bad))
+    assert code == 2
+    assert out["error"] == {
+        "type": "ParseError",
+        "message": f"{bad}: exponent 2 of variable 1 is given twice",
+    }
+    with pytest.raises(ParseError, match="given twice"):
+        formats.twisting_polynomials_from_file(str(bad), 1)
+
+
 def test_cohomology_negative_max_degree_exit_two(capsys, fixtures_dir):
     code, body = _run_without_traceback(
         capsys, "cohomology", "--max-degree", "-1", str(fixtures_dir / "sl2_adjoint.setup.json")

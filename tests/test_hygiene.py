@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "crosshom"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 WORD = re.compile(r"\w+")
+ATTRIBUTE = re.compile(r"\.(\w+)")
 
 
 def _corpus() -> dict[Path, str]:
@@ -56,35 +57,44 @@ def test_no_unused_module_level_import(path):
 
 
 def _definitions(tree: ast.Module):
-    """Module-level functions and classes, and the methods and properties of
-    those classes apart from dunder methods."""
+    """(node, is_method) for the module-level functions and classes, and for
+    the methods and properties of those classes apart from dunder methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
-                    yield item
+                    yield item, True
 
 
-def _named_outside(words: Counter, lines: list[str], node) -> bool:
-    """Whether node's name occurs in `words` beyond its own definition."""
+def _named_outside(words: Counter, lines: list[str], node, pattern=WORD) -> bool:
+    """Whether node's name occurs in `words` beyond its own definition, both
+    counted as the matches of `pattern`."""
     first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-    own = WORD.findall("\n".join(lines[first - 1 : node.end_lineno]))
+    own = pattern.findall("\n".join(lines[first - 1 : node.end_lineno]))
     return words[node.name] > own.count(node.name)
 
 
 def test_every_definition_is_named_outside_itself():
+    # a method counts as used only where it is reached as an attribute
+    # (`.name`), not where its bare word occurs
     corpus = _corpus()
     words = Counter(w for text in corpus.values() for w in WORD.findall(text))
+    attributes = Counter(w for text in corpus.values() for w in ATTRIBUTE.findall(text))
     unnamed = []
     for path in MODULES:
         source = corpus[path]
         lines = source.splitlines()
-        for node in _definitions(ast.parse(source)):
-            if not _named_outside(words, lines, node):
+        for node, is_method in _definitions(ast.parse(source)):
+            named = (
+                _named_outside(attributes, lines, node, ATTRIBUTE)
+                if is_method
+                else _named_outside(words, lines, node)
+            )
+            if not named:
                 unnamed.append(f"{path.name}:{node.name}")
     assert unnamed == []
 

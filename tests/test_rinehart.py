@@ -46,7 +46,6 @@ from crosshom.rinehart import (
     check_weak_rep,
     extend_to_action_rep,
     laurent_window_basis,
-    module_scale,
     natural_rep,
     natural_rep_gl,
     regular_module,
@@ -555,10 +554,10 @@ def reference_weak_compat(action, n, window, module_elems):
         for a in laurent_window_basis(n, window.bound):
             ua = u.apply(a)
             for m in module_elems:
-                lhs = action(u, module_scale(a, m))
-                rhs = module_scale(a, action(u, m))
+                lhs = action(u, m.poly_scale(a))
+                rhs = action(u, m).poly_scale(a)
                 if not ua.is_zero():
-                    rhs = rhs + module_scale(ua, m)
+                    rhs = rhs + m.poly_scale(ua)
                 res = lhs - rhs
                 if not res.is_zero():
                     findings.append(Finding("weak-compat", (str(u), str(a), str(m)), res))
@@ -640,7 +639,7 @@ def ref_shen_larsson_apply(theta, w, t):
 def ref_poly_scale(t, a):
     out = {}
     for (p, s), ct in t.terms.items():
-        for r, ca in a.terms.items():
+        for (_, r), ca in a.terms.items():
             key = (p, tuple(u + v for u, v in zip(r, s)))
             ref_add_term(out, key, Fraction(ct) * Fraction(ca))
     return VTensorA(t.n, t.dim_v, out)

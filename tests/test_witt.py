@@ -47,7 +47,6 @@ from crosshom.witt import (
     verify_witt_crossed_hom,
     window_exponents,
     window_size,
-    witt_act_gl,
     witt_bracket,
     witt_window_basis,
 )
@@ -392,7 +391,7 @@ def test_canonical_gw_matches_sparse_canonical_map():
         col = s.H.column(a)
         sparse = canonical_crossed_hom_W(w(1, (a,), 0))
         expected = [Fraction(0)] * m
-        for (_, _, r), c in sparse.terms.items():
+        for (_, r), c in sparse.terms.items():
             expected[r[0]] = c
         assert list(col) == expected
 
@@ -525,26 +524,19 @@ def ref_witt_bracket(a, b):
 
 
 def ref_gl_bracket(a, b):
-    out = {}
-    for (i, j, r), ca in _fractions(a):
-        for (k, l, s), cb in _fractions(b):
+    """[E_ij, E_kl] = d_jk E_il - d_li E_kj written out, E_ij keyed i * n + j."""
+    n, out = a.n, {}
+    for (ij, r), ca in _fractions(a):
+        i, j = divmod(ij, n)
+        for (kl, s), cb in _fractions(b):
+            k, l = divmod(kl, n)
             c = ca * cb
             key_exp = tuple(p + q for p, q in zip(r, s))
             if j == k:
-                ref_add_term(out, (i, l, key_exp), c)
+                ref_add_term(out, (i * n + l, key_exp), c)
             if l == i:
-                ref_add_term(out, (k, j, key_exp), -c)
+                ref_add_term(out, (k * n + j, key_exp), -c)
     return GlLaurent(a.n, out)
-
-
-def ref_witt_act_gl(wv, g):
-    out = {}
-    for (r, i), cw in _fractions(wv):
-        for (k, l, s), cg in _fractions(g):
-            if s[i]:
-                key_exp = tuple(p + q for p, q in zip(r, s))
-                ref_add_term(out, (k, l, key_exp), cw * cg * s[i])
-    return GlLaurent(g.n, out)
 
 
 def ref_canonical_crossed_hom_W(wv):
@@ -552,24 +544,25 @@ def ref_canonical_crossed_hom_W(wv):
     for (r, j), c in _fractions(wv):
         for i, ri in enumerate(r):
             if ri:
-                ref_add_term(out, (i, j, r), c * ri)
+                ref_add_term(out, (i * wv.n + j, r), c * ri)
     return GlLaurent(wv.n, out)
 
 
-def ref_apply(wv, a):
+def ref_apply(wv, m):
+    """The coefficientwise action on a LaurentPoly or a GlLaurent m."""
     out = {}
     for (r, i), cw in _fractions(wv):
-        for s, ca in _fractions(a):
+        for (p, s), cm in _fractions(m):
             if s[i]:
-                ref_add_term(out, tuple(p + q for p, q in zip(r, s)), cw * ca * s[i])
-    return LaurentPoly(wv.n, out)
+                ref_add_term(out, (p, tuple(a + b for a, b in zip(r, s))), cw * cm * s[i])
+    return type(m)(wv.n, out)
 
 
 def ref_laurent_mul(a, b):
     out = {}
-    for r, cr in _fractions(a):
-        for s, cs in _fractions(b):
-            ref_add_term(out, tuple(x + y for x, y in zip(r, s)), cr * cs)
+    for (_, r), cr in _fractions(a):
+        for (_, s), cs in _fractions(b):
+            ref_add_term(out, (0, tuple(x + y for x, y in zip(r, s))), cr * cs)
     return LaurentPoly(a.n, out)
 
 
@@ -590,9 +583,9 @@ def _laurent(rng, n):
 ORACLE_CASES = [
     ("witt_bracket", _witt, _witt, witt_bracket, ref_witt_bracket),
     ("gl_bracket", _gl, _gl, gl_bracket, ref_gl_bracket),
-    ("witt_act_gl", _witt, _gl, witt_act_gl, ref_witt_act_gl),
+    ("apply_gl", _witt, _gl, WittElem.apply, ref_apply),
     ("apply", _witt, _laurent, WittElem.apply, ref_apply),
-    ("laurent_mul", _laurent, _laurent, LaurentPoly.__mul__, ref_laurent_mul),
+    ("laurent_mul", _laurent, _laurent, LaurentPoly.poly_scale, ref_laurent_mul),
 ]
 
 
@@ -614,6 +607,44 @@ def test_int_kernels_match_fraction_reference(name, left, right, kernel, referen
     assert pairs >= 300
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gl_bracket_is_the_sum_of_dense_commutators(n):
+    # an oracle apart from gl_algebra and ref_gl_bracket: the matrix of
+    # [a, b] at x^t is the sum over r + s = t of the commutators [A_r, B_s]
+    rng = random.Random(f"gl-commutators-{n}")
+    nonzero = 0
+    for k in range(60):
+        integral = k % 2 == 0
+        a = random_sparse_sum(rng, _gl(rng, n), integral)
+        b = random_sparse_sum(rng, _gl(rng, n), integral)
+        expected = {}
+        for (r, A), (s, B) in itertools.product(
+            a.coefficient_matrices().items(), b.coefficient_matrices().items()
+        ):
+            t = tuple(x + y for x, y in zip(r, s))
+            C = A * B - B * A
+            expected[t] = expected[t] + C if t in expected else C
+        got = gl_bracket(a, b).coefficient_matrices()
+        assert got == {t: M for t, M in sorted(expected.items()) if not M.is_zero()}
+        nonzero += bool(got)
+    assert nonzero >= (0 if n == 1 else 30)
+
+
+def test_poly_scale_multiplies_the_coefficient_by_a_laurent_polynomial():
+    a = LaurentPoly.monomial(2, (1, 0), 2)
+    elems = {
+        "2*x^(1,1)": LaurentPoly.monomial(2, (0, 1)),
+        "2*E_12 (x) x^(1,1)": GlLaurent.basis(2, 0, 1, (0, 1)),
+        "2*v3 (x) x^(1,1)": crosshom.witt.VTensorA.basis(2, 3, 2, (0, 1)),
+    }
+    for expected, m in elems.items():
+        assert str(m.poly_scale(a)) == expected
+        with pytest.raises(DimensionMismatch, match="only by a LaurentPoly"):
+            m.poly_scale(GlLaurent.basis(2, 0, 0, (1, 0)))
+        with pytest.raises(DimensionMismatch, match="variable counts differ"):
+            m.poly_scale(LaurentPoly.monomial(1, (1,)))
+
+
 def test_canonical_map_int_path_and_dense_boundary():
     rng = random.Random(11)
     for n in (1, 2):
@@ -630,8 +661,8 @@ def test_canonical_map_int_path_and_dense_boundary():
 
 def test_constructors_and_scale_store_integral_values_as_int():
     assert type(WittElem.basis(1, (1,), 0, Fraction(4, 2)).terms[((1,), 0)]) is int
-    assert type(LaurentPoly.monomial(1, (0,), "3").terms[(0,)]) is int
-    assert type(GlLaurent.basis(1, 0, 0, (0,), "1/2").terms[(0, 0, (0,))]) is Fraction
+    assert type(LaurentPoly.monomial(1, (0,), "3").terms[(0, (0,))]) is int
+    assert type(GlLaurent.basis(1, 0, 0, (0,), "1/2").terms[(0, (0,))]) is Fraction
     half = w(1, (1,), 0, 2).scale(Fraction(1, 2))
     assert half == w(1, (1,), 0) and type(half.terms[((1,), 0)]) is int
     assert w(1, (1,), 0, 3).scale(0).is_zero()
@@ -711,7 +742,7 @@ def squared_twist(p, q, w):
     out = LaurentPoly.zero(w.n)
     for (r, i), c in w.terms.items():
         mono = LaurentPoly.monomial(w.n, r, c)
-        out = out + p[i] * mono + mono.scale(rational(q) * r[i] ** 2)
+        out = out + mono.poly_scale(p[i]) + mono.scale(rational(q) * r[i] ** 2)
     return out
 
 
