@@ -208,25 +208,6 @@ def cmd_witt_verify(args, report: Report):
     report.payload["window"] = args.window
 
 
-def _remembering(action, actors, module):
-    """action, keeping its images of the table's (actor, module element) pairs,
-    so that the checks and the emitted table compute each of them once."""
-    key = lambda e: frozenset(e.terms.items())
-    actor_keys, module_keys = {key(w) for w in actors}, {key(t) for t in module}
-    images = {}
-
-    def remembered(w, t):
-        pair = (key(w), key(t))
-        image = images.get(pair)
-        if image is None:
-            image = action(w, t)
-            if pair[0] in actor_keys and pair[1] in module_keys:
-                images[pair] = image
-        return image
-
-    return remembered
-
-
 def cmd_shen_larsson(args, report: Report):
     from . import rinehart
     from .witt import Window, window_size, witt_window_basis
@@ -241,7 +222,7 @@ def cmd_shen_larsson(args, report: Report):
     require_window_count(args.n * size * theta.dim_v * size, "table entries")
     actors = witt_window_basis(args.n, args.window)
     module = rinehart.vtensor_window_basis(theta, args.n, args.window)
-    action = _remembering(rinehart.shen_larsson_action(theta), actors, module)
+    action = rinehart.shen_larsson_action(theta)
     if args.check:
         report.add_findings(rinehart.check_module_axiom_window(action, args.n, window, module))
         report.add_findings(rinehart.check_weak_compat_window(action, args.n, window, module))

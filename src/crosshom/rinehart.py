@@ -29,7 +29,10 @@ A gl_n representation builds the sparse columns of each theta(E_ki) once
 (`GlnRep.columns`), and `shen_larsson_apply` hands them to the one tensor
 action loop of `witt`, which also runs the coefficientwise action
 `WittElem.apply`.  The elements `VTensorA` are defined in `witt`, in the
-layout A_n and gl_n (x) A_n share, and re-exported here.
+layout A_n and gl_n (x) A_n share, and re-exported here.  The window checks
+of the module law and of weak compatibility call an action once per (basis
+actor, basis module element) pair and extend it bilinearly
+(`_bilinear_images`), summing each identity's residual in one dict.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ from .witt import (
     VTensorA,
     WittElem,
     Window,
+    _add_product,
+    _add_term,
     _tensor_action,
     action_structure,
     block_diagonal,
@@ -499,6 +504,8 @@ WindowedAction = Callable[[WittElem, TensorElem], TensorElem]
 def shen_larsson_apply(theta: GlnRep, w: WittElem, t: VTensorA) -> VTensorA:
     """(x^r d_i) . (v (x) x^s) = s_i v (x) x^{r+s} + sum_k r_k theta(E_ki) v (x) x^{r+s}."""
     n = theta.n
+    if not isinstance(t, VTensorA):
+        raise DimensionMismatch(f"cannot act on a {type(t).__name__}, only on a VTensorA")
     if w.n != n or t.n != n:
         raise DimensionMismatch("variable counts differ")
     if t.dim_v != theta.dim_v:
@@ -537,6 +544,34 @@ def laurent_window_basis(n: int, bound: int) -> list[LaurentPoly]:
     return [LaurentPoly.monomial(n, r) for r in window_exponents(n, bound)]
 
 
+def _bilinear_images(action: WindowedAction):
+    """add(acc, w, t, c) adds c (w . t) to the dict acc for sparse w and t,
+    and returns acc.
+
+    action is extended bilinearly from its images of (basis actor, basis
+    module element) pairs: action(WittElem(n, {kw: 1}), t._new({km: 1})) is
+    computed at most once per pair and kept under (kw, module shape, km),
+    the shape being t's class and `_shape()`, so equal keys (0, s) of
+    different modules do not meet.
+    """
+    memo: dict = {}
+
+    def add(acc: dict, w: WittElem, t: TensorElem, c: Coeff = 1):
+        images = memo.setdefault((type(t), t._shape()), {})
+        for kw, cw in w.terms.items():
+            for km, cm in t.terms.items():
+                image = images.get((kw, km))
+                if image is None:
+                    image = action(WittElem(w.n, {kw: 1}), t._new({km: 1})).terms
+                    images[kw, km] = image
+                s = c * cw * cm
+                for key, ci in image.items():
+                    _add_term(acc, key, s * ci)
+        return acc
+
+    return add
+
+
 def check_module_axiom_window(
     action: WindowedAction,
     n: int,
@@ -545,22 +580,27 @@ def check_module_axiom_window(
 ) -> list[Finding]:
     """[u, v].m = u.(v.m) - v.(u.m) on all windowed pairs and module elements.
 
-    The images u.m are computed once per (actor, module element) before the
-    pair loop, so each identity makes three action calls.
+    The action is called once per (basis actor, basis module element) pair
+    and extended bilinearly; each residual [u, v].m - u.(v.m) + v.(u.m) is
+    summed in one dict, and a finding is built only where it is nonzero.
     """
     require_window_count(
         math.comb(n * window_size(n, window.bound), 2) * len(module_elems),
         "module-axiom identities",
     )
     findings = []
+    add = _bilinear_images(action)
     actors = witt_window_basis(n, window.bound)
-    images = [[action(u, m) for m in module_elems] for u in actors]
-    for (u, u_ms), (v, v_ms) in itertools.combinations(zip(actors, images), 2):
+    labels = [str(m) for m in module_elems]
+    images = [(u, str(u), [m._new(add({}, u, m)) for m in module_elems]) for u in actors]
+    for (u, su, u_ms), (v, sv, v_ms) in itertools.combinations(images, 2):
         bw = witt_bracket(u, v)
-        for m, um, vm in zip(module_elems, u_ms, v_ms):
-            res = action(bw, m) - (action(u, vm) - action(v, um))
-            if not res.is_zero():
-                findings.append(Finding("module-axiom", (str(u), str(v), str(m)), res))
+        for m, sm, um, vm in zip(module_elems, labels, u_ms, v_ms):
+            res = add({}, bw, m)
+            add(res, u, vm, -1)
+            add(res, v, um)
+            if res:
+                findings.append(Finding("module-axiom", (su, sv, sm), m._new(res)))
     return findings
 
 
@@ -573,25 +613,28 @@ def check_weak_compat_window(
     """u.(a m) = a (u.m) + u(a) m for windowed monomials a; the sparse
     counterpart of the first-order-operator compatibility.
 
-    The images u.m are computed once per (actor, module element).
+    The action is called once per (basis actor, basis module element) pair
+    and extended bilinearly; each residual u.(a m) - a (u.m) - u(a) m is
+    summed in one dict, its products by a and u(a) by the loop of
+    `TensorElem.poly_scale`, and a finding is built only where it is nonzero.
     """
     size = window_size(n, window.bound)
     require_window_count(n * size * size * len(module_elems), "weak-compat identities")
     findings = []
-    actors = witt_window_basis(n, window.bound)
-    monomials = laurent_window_basis(n, window.bound)
-    for u in actors:
-        u_ms = [action(u, m) for m in module_elems]
-        for a in monomials:
-            ua = u.apply(a)
-            for m, um in zip(module_elems, u_ms):
-                lhs = action(u, m.poly_scale(a))
-                rhs = um.poly_scale(a)
-                if not ua.is_zero():
-                    rhs = rhs + m.poly_scale(ua)
-                res = lhs - rhs
-                if not res.is_zero():
-                    findings.append(
-                        Finding("weak-compat", (str(u), str(a), str(m)), res)
-                    )
+    add = _bilinear_images(action)
+    labels = [str(m) for m in module_elems]
+    monomials = [
+        (a, str(a), [m.poly_scale(a) for m in module_elems])
+        for a in laurent_window_basis(n, window.bound)
+    ]
+    for u in witt_window_basis(n, window.bound):
+        su, u_ms = str(u), [add({}, u, m) for m in module_elems]
+        for a, sa, a_ms in monomials:
+            ua = u.apply(a).terms
+            for m, sm, um, am in zip(module_elems, labels, u_ms, a_ms):
+                res = add({}, u, am)
+                _add_product(res, um, a.terms, -1)
+                _add_product(res, m.terms, ua, -1)
+                if res:
+                    findings.append(Finding("weak-compat", (su, sa, sm), m._new(res)))
     return findings

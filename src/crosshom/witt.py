@@ -8,7 +8,8 @@ with bracket
 A_n, gl_n (x) A_n and the Shen-Larsson modules V (x) A_n are all tensor
 modules V (x) A_n, and their elements (`LaurentPoly`, `GlLaurent`,
 `VTensorA`) share one layout, {(p, r): c} for v_p (x) x^r, with one product
-by A_n (`TensorElem.poly_scale`) and one action loop (`_tensor_action`):
+by A_n (`_add_product`, behind `TensorElem.poly_scale`) and one action loop
+(`_tensor_action`):
 `WittElem.apply` runs it with theta = 0, the coefficientwise action, and
 `rinehart.shen_larsson_apply` with the columns of a gl_n-representation
 theta.  `gl_bracket` reads the brackets of `liealg.gl_algebra(n)`.
@@ -218,11 +219,7 @@ class TensorElem(SparseElem):
             raise DimensionMismatch(f"cannot scale by a {type(a).__name__}, only by a LaurentPoly")
         if a.n != self.n:
             raise DimensionMismatch("variable counts differ")
-        out: dict[tuple[int, MultiIndex], Coeff] = {}
-        for (p, s), ct in self.terms.items():
-            for (_, r), ca in a.terms.items():
-                _add_term(out, (p, tuple(map(add, s, r))), ct * ca)
-        return self._new(out)
+        return self._new(_add_product({}, self.terms, a.terms))
 
     def __str__(self) -> str:
         parts = []
@@ -230,6 +227,17 @@ class TensorElem(SparseElem):
             label = self.term_label(p, r)
             parts.append(f"{_coeff_prefix(c)}{label}" if label else str(c))
         return _render_terms(parts)
+
+
+def _add_product(acc: dict, terms: Mapping, a_terms: Mapping, c: Coeff = 1) -> dict:
+    """Add c (a t) to acc and return acc, for a tensor element t with `terms`
+    and a Laurent polynomial a with `a_terms`: the product of
+    `TensorElem.poly_scale`."""
+    for (p, s), ct in terms.items():
+        ct = c * ct
+        for (_, r), ca in a_terms.items():
+            _add_term(acc, (p, tuple(map(add, s, r))), ct * ca)
+    return acc
 
 
 def _tensor_action(w: "WittElem", terms: Mapping, columns=None) -> dict:

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -58,6 +57,7 @@ from crosshom.rinehart import (
     vtensor_window_basis,
 )
 from crosshom.witt import (
+    GlLaurent,
     LaurentPoly,
     Window,
     WittElem,
@@ -597,23 +597,102 @@ def test_window_checks_match_recomputing_loops(action, n, bound):
 
 
 def test_window_checks_compute_each_image_once():
+    # every call gets a one-term, unit-coefficient actor and module element,
+    # and no (actor, module element) pair is asked for twice; the images of
+    # sums come from bilinearity.  Module axiom: the window's 18 actors on
+    # the 50 basis elements with exponents in [-2, 2]^2 (the images v.m),
+    # plus the 50 actors there (the brackets [u, v]) on the window's 18
+    # elements, less the 18 x 18 counted twice; weak compatibility: the 18
+    # actors on those 50 elements (the products a m)
     n, bound = 2, 1
     theta = natural_rep_gl(n)
     elems = vtensor_window_basis(theta, n, bound)
-    calls = 0
+    seen = []
 
     def counted(u, t):
-        nonlocal calls
-        calls += 1
+        assert len(u.terms) == 1 and list(u.terms.values()) == [1]
+        assert len(t.terms) == 1 and list(t.terms.values()) == [1]
+        seen.append((next(iter(u.terms)), next(iter(t.terms))))
         return shen_larsson_apply(theta, u, t)
 
-    window = (2 * bound + 1) ** n
-    table = n * window * len(elems)
-    check_module_axiom_window(counted, n, Window(bound), elems)
-    assert calls == table + 3 * math.comb(n * window, 2) * len(elems)
-    calls = 0
-    check_weak_compat_window(counted, n, Window(bound), elems)
-    assert calls == table + n * window * window * len(elems)
+    for check, calls in ((check_module_axiom_window, 1476), (check_weak_compat_window, 900)):
+        seen.clear()
+        assert check(counted, n, Window(bound), elems) == []
+        assert len(seen) == calls
+        assert len(set(seen)) == calls
+
+
+def test_shen_larsson_apply_refuses_a_module_that_is_not_a_vtensor():
+    theta = natural_rep_gl(2)
+    u = WittElem.basis(2, (1, 0), 0)
+    with pytest.raises(DimensionMismatch, match="LaurentPoly"):
+        shen_larsson_apply(theta, u, LaurentPoly.monomial(2, (0, 1)))
+    act, polys = shen_larsson_action(theta), laurent_window_basis(2, 1)
+    for check in (check_module_axiom_window, check_weak_compat_window):
+        with pytest.raises(DimensionMismatch, match="only on a VTensorA"):
+            check(act, 2, Window(1), polys)
+
+
+def halved_natural_n2(u, t):
+    return shen_larsson_apply(natural_rep_gl(2), u, t).scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "action",
+    [shen_larsson_action(natural_rep_gl(2)), doubled_natural_n2, halved_natural_n2],
+    ids=["natural", "doubled", "halved"],
+)
+def test_window_checks_match_recomputing_loops_off_the_basis(action):
+    # sums with Fraction coefficients: the checks extend the action from its
+    # basis images, the references call it on the sums themselves
+    half = Fraction(1, 2)
+    elems = [
+        VTensorA.basis(2, 2, 0, (0, 1)) - VTensorA.basis(2, 2, 1, (1, -1), half),
+        VTensorA.basis(2, 2, 1, (0, 0), Fraction(-2, 3)) + VTensorA.basis(2, 2, 1, (1, 1), 3),
+        VTensorA.basis(2, 2, 0, (-1, 0)),
+    ]
+    axiom = check_module_axiom_window(action, 2, Window(1), elems)
+    reference = reference_module_axiom(action, 2, Window(1), elems)
+    assert axiom == reference
+    assert [f.to_json() for f in axiom] == [f.to_json() for f in reference]
+    compat = check_weak_compat_window(action, 2, Window(1), elems)
+    assert compat == reference_weak_compat(action, 2, Window(1), elems)
+    assert bool(axiom) is (action in (doubled_natural_n2, halved_natural_n2))
+
+
+def shape_scaled_apply(u, t):
+    """The coefficientwise action scaled by a factor that depends on the
+    module: 1 on A_n, 5 on gl_n (x) A_n and dim_v + 1 on V (x) A_n.  Each
+    scaled module with factor != 1 breaks both laws."""
+    if isinstance(t, VTensorA):
+        factor = t.dim_v + 1
+    else:
+        factor = 5 if isinstance(t, GlLaurent) else 1
+    return u.apply(t).scale(factor)
+
+
+@pytest.mark.parametrize("action", [WittElem.apply, shape_scaled_apply], ids=["apply", "shape-scaled"])
+def test_window_checks_keep_the_modules_of_a_mixed_list_apart(action):
+    # the key (0, s) names x^s in A_n, E_11 (x) x^s in gl_n (x) A_n and
+    # v1 (x) x^s in each V (x) A_n; the images of one module must not serve
+    # another
+    n = 2
+    elems = [
+        LaurentPoly.monomial(n, (0, 1)),
+        VTensorA.basis(n, 1, 0, (0, 1)),
+        VTensorA.basis(n, 2, 0, (0, 1)) + VTensorA.basis(n, 2, 1, (1, 0), Fraction(1, 3)),
+        GlLaurent.basis(n, 0, 0, (0, 1)),
+        LaurentPoly.monomial(n, (1, -1), Fraction(-1, 2)),
+    ]
+    axiom = check_module_axiom_window(action, n, Window(1), elems)
+    assert axiom == reference_module_axiom(action, n, Window(1), elems)
+    compat = check_weak_compat_window(action, n, Window(1), elems)
+    assert compat == reference_weak_compat(action, n, Window(1), elems)
+    if action is WittElem.apply:
+        assert axiom == compat == []
+    else:
+        broken = {f.site[2] for f in axiom} | {f.site[2] for f in compat}
+        assert broken == {str(m) for m in elems[1:4]}
 
 
 # --- the int coefficient path against the Fraction-only kernels -----------
