@@ -25,13 +25,14 @@ Shen-Larsson action of the vector-field algebra on V (x) A_n:
 
     (x^r d_i) . (v (x) x^s) = s_i v (x) x^{r+s} + sum_k r_k theta(E_ki) v (x) x^{r+s}.
 
-A gl_n representation builds the sparse columns of each theta(E_ki) once
-(`GlnRep.columns`), and `shen_larsson_apply` hands them to the one tensor
-action loop of `witt`, which also runs the coefficientwise action
-`WittElem.apply`.  The elements `VTensorA` are defined in `witt`, in the
-layout A_n and gl_n (x) A_n share, and re-exported here.  The window checks
-of the module law and of weak compatibility call an action once per (basis
-actor, basis module element) pair and extend it bilinearly
+A gl_n representation builds the nonzero entries of its theta(E_ki) once,
+grouped by direction i and column (`GlnRep.columns`), and
+`shen_larsson_apply` hands them to the one tensor action loop of `witt`,
+which also runs the coefficientwise action `WittElem.apply` and the Witt
+bracket, the action of W_n on itself.  The elements `VTensorA` are defined in
+`witt`, in the layout A_n, gl_n (x) A_n and W_n share, and re-exported here.
+The window checks of the module law and of weak compatibility call an action
+once per (basis actor, basis module element) pair and extend it bilinearly
 (`_bilinear_images`), summing each identity's residual in one dict.
 """
 
@@ -394,9 +395,17 @@ class GlnRep:
                     raise DimensionMismatch("theta matrices must act on V")
 
     @cached_property
-    def columns(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, Coeff], ...], ...]]:
-        """columns[(k, i)][p]: the nonzero (p2, entry) pairs of column p of theta(E_ki)."""
-        return {key: m.col_nonzeros for key, m in self.theta.items()}
+    def columns(self) -> tuple[tuple[tuple[tuple[int, int, Coeff], ...], ...], ...]:
+        """columns[i][p]: the nonzero (k, p2, entry) of column p of the
+        matrices theta(E_ki), over k: the layout `witt._tensor_action` reads."""
+        n = range(self.n)
+        return tuple(
+            tuple(
+                tuple((k, p2, e) for k in n for p2, e in self.theta[k, i].col_nonzeros[p])
+                for p in range(self.dim_v)
+            )
+            for i in n
+        )
 
 
 def trivial_rep(n: int) -> GlnRep:
@@ -549,7 +558,7 @@ def _bilinear_images(action: WindowedAction):
     and returns acc.
 
     action is extended bilinearly from its images of (basis actor, basis
-    module element) pairs: action(WittElem(n, {kw: 1}), t._new({km: 1})) is
+    module element) pairs: action(w._new({kw: 1}), t._new({km: 1})) is
     computed at most once per pair and kept under (kw, module shape, km),
     the shape being t's class and `_shape()`, so equal keys (0, s) of
     different modules do not meet.
@@ -562,7 +571,7 @@ def _bilinear_images(action: WindowedAction):
             for km, cm in t.terms.items():
                 image = images.get((kw, km))
                 if image is None:
-                    image = action(WittElem(w.n, {kw: 1}), t._new({km: 1})).terms
+                    image = action(w._new({kw: 1}), t._new({km: 1})).terms
                     images[kw, km] = image
                 s = c * cw * cm
                 for key, ci in image.items():

@@ -5,14 +5,16 @@ with bracket
 
     [x^r d_i, x^s d_j] = s_i x^{r+s} d_j - r_j x^{r+s} d_i.
 
-A_n, gl_n (x) A_n and the Shen-Larsson modules V (x) A_n are all tensor
-modules V (x) A_n, and their elements (`LaurentPoly`, `GlLaurent`,
-`VTensorA`) share one layout, {(p, r): c} for v_p (x) x^r, with one product
-by A_n (`_add_product`, behind `TensorElem.poly_scale`) and one action loop
-(`_tensor_action`):
-`WittElem.apply` runs it with theta = 0, the coefficientwise action, and
-`rinehart.shen_larsson_apply` with the columns of a gl_n-representation
-theta.  `gl_bracket` reads the brackets of `liealg.gl_algebra(n)`.
+A_n, gl_n (x) A_n, the Shen-Larsson modules V (x) A_n and W_n itself are
+all tensor modules V (x) A_n; W_n is the one of V*, the dual of the natural
+gl_n-representation, with x^r d_i = v_i (x) x^r.  Their elements
+(`LaurentPoly`, `GlLaurent`, `VTensorA`, `WittElem`) share one layout,
+{(p, r): c} for v_p (x) x^r, with one product by A_n (`_add_product`, behind
+`TensorElem.poly_scale`) and one action loop (`_tensor_action`):
+`WittElem.apply` runs it with theta = 0, the coefficientwise action,
+`witt_bracket` with theta(E_ki) = -E_ik, and `rinehart.shen_larsson_apply`
+with the table of a gl_n-representation theta.  `gl_bracket` reads the
+brackets of `liealg.gl_algebra(n)`.
 
 Everything is written in the d_i basis (including the Hamiltonian fields; in
 that basis their bracket closes with coefficient sum(r_{n+i} s_i - s_{n+i} r_i)
@@ -103,18 +105,6 @@ def _exp_str(r: MultiIndex) -> str:
     return "x^(" + ",".join(str(e) for e in r) + ")"
 
 
-def _coeff_prefix(c: Coeff) -> str:
-    if c == 1:
-        return ""
-    if c == -1:
-        return "-"
-    return f"{c}*"
-
-
-def _render_terms(parts: list[str]) -> str:
-    return " + ".join(parts) if parts else "0"
-
-
 @dataclass(frozen=True)
 class Window:
     """Exponent bound B >= 1: the windowed set is all r with |r_k| <= B."""
@@ -146,15 +136,22 @@ def window_exponents(n: int, bound: int) -> list[MultiIndex]:
     return list(itertools.product(range(-bound, bound + 1), repeat=n))
 
 
-class SparseElem:
-    """Sparse vector over Q whose `terms` map keys to nonzero exact rationals.
+class TensorElem:
+    """Element of a tensor module V (x) A_n: `terms` maps (p, r) to the
+    coefficient of v_p (x) x^r, a nonzero exact rational.
 
     A value is an int or a Fraction, never a bool or a float; the constructors
     and `scale` store an integral value as its int.
 
-    Subclasses are frozen dataclasses whose last field is `terms`; the fields
-    before it (`_shape`) fix the ambient space, and only elements of the same
-    class and shape combine.  Equality is the dataclass one.
+    A_n is V = C with p = 0 (`LaurentPoly`), gl_n (x) A_n is V = gl_n with
+    p = i * n + j for E_ij, the basis order of `liealg.gl_algebra(n)`
+    (`GlLaurent`), W_n is V = the dual of the natural representation, with
+    p = i for x^r d_i (`WittElem`), and `VTensorA` takes any
+    gl_n-representation V.  The classes are frozen dataclasses whose last
+    field is `terms`; they differ only in the fields before it (`_shape`),
+    which fix the ambient space, and in `term_label(p, r)`, the rendered
+    v_p (x) x^r ("" for the unit of A_n).  Only elements of the same class
+    and shape combine.  Equality is the dataclass one.
     """
 
     @classmethod
@@ -167,7 +164,7 @@ class SparseElem:
     def _new(self, terms: dict):
         return type(self)(*self._shape(), terms)
 
-    def _require_same(self, other: "SparseElem"):
+    def _require_same(self, other: "TensorElem"):
         if type(other) is not type(self) or other._shape() != self._shape():
             raise DimensionMismatch(
                 f"cannot combine {type(self).__name__}{self._shape()} with "
@@ -201,18 +198,6 @@ class SparseElem:
     def sorted_terms(self) -> list:
         return sorted(self.terms.items())
 
-
-class TensorElem(SparseElem):
-    """Element of a tensor module V (x) A_n: `terms` maps (p, r) to the
-    coefficient of v_p (x) x^r.
-
-    A_n is V = C with p = 0 (`LaurentPoly`), gl_n (x) A_n is V = gl_n with
-    p = i * n + j for E_ij, the basis order of `liealg.gl_algebra(n)`
-    (`GlLaurent`), and `VTensorA` takes any gl_n-representation V.  The
-    classes differ only in their shape and in `term_label(p, r)`, the
-    rendered v_p (x) x^r ("" for the unit of A_n).
-    """
-
     def poly_scale(self, a: "LaurentPoly"):
         """Multiply the coefficient factor: a (v_p (x) x^s) = v_p (x) a x^s."""
         if type(a) is not LaurentPoly:
@@ -225,8 +210,9 @@ class TensorElem(SparseElem):
         parts = []
         for (p, r), c in self.sorted_terms():
             label = self.term_label(p, r)
-            parts.append(f"{_coeff_prefix(c)}{label}" if label else str(c))
-        return _render_terms(parts)
+            prefix = "" if c == 1 else "-" if c == -1 else f"{c}*"
+            parts.append(prefix + label if label else str(c))
+        return " + ".join(parts) if parts else "0"
 
 
 def _add_product(acc: dict, terms: Mapping, a_terms: Mapping, c: Coeff = 1) -> dict:
@@ -240,27 +226,28 @@ def _add_product(acc: dict, terms: Mapping, a_terms: Mapping, c: Coeff = 1) -> d
     return acc
 
 
-def _tensor_action(w: "WittElem", terms: Mapping, columns=None) -> dict:
+def _tensor_action(w: "WittElem", terms: Mapping, theta=()) -> dict:
     """The terms of w . m for a tensor element m with `terms`, where
 
         (x^r d_i) . (v_p (x) x^s) = s_i v_p (x) x^{r+s} + sum_k r_k theta(E_ki) v_p (x) x^{r+s}
 
-    and columns[(k, i)][p] lists the nonzero (p2, e) of column p of
-    theta(E_ki).  Without columns theta is zero: the coefficientwise action.
+    and theta[i][p] lists the nonzero (k, p2, e), e the (p2, p) entry of
+    theta(E_ki).  Without theta it is zero: the coefficientwise action.
     """
     out: dict[tuple[int, MultiIndex], Coeff] = {}
-    for (r, i), cw in w.terms.items():
-        acting = [(rk, columns[k, i]) for k, rk in enumerate(r) if rk] if columns else ()
+    for (i, r), cw in w.terms.items():
+        cols = theta[i] if theta else None
         for (p, s), ct in terms.items():
-            si = s[i]
-            if si or acting:
-                c = cw * ct
+            si, key_exp = s[i], None
+            if si:
                 key_exp = tuple(map(add, r, s))
-                if si:
-                    _add_term(out, (p, key_exp), c * si)
-                for rk, cols in acting:
-                    for p2, e in cols[p]:
-                        _add_term(out, (p2, key_exp), c * rk * e)
+                _add_term(out, (p, key_exp), cw * ct * si)
+            if cols:
+                for k, p2, e in cols[p]:
+                    rk = r[k]
+                    if rk:
+                        key_exp = key_exp or tuple(map(add, r, s))
+                        _add_term(out, (p2, key_exp), cw * ct * rk * e)
     return out
 
 
@@ -288,11 +275,12 @@ class LaurentPoly(TensorElem):
 
 
 @dataclass(frozen=True)
-class WittElem(SparseElem):
-    """Sparse element sum c_{r,i} x^r d_i; keys are (exponent tuple, direction)."""
+class WittElem(TensorElem):
+    """Element sum c_{i,r} x^r d_i of W_n, sparse; keys are (direction,
+    exponent tuple)."""
 
     n: int
-    terms: Mapping[tuple[MultiIndex, int], Coeff]
+    terms: Mapping[tuple[int, MultiIndex], Coeff]
 
     @staticmethod
     def basis(n: int, r: Sequence[int], i: int, coeff=1) -> "WittElem":
@@ -300,7 +288,7 @@ class WittElem(SparseElem):
             raise IndexOutOfRange(f"direction {i} outside 0..{n - 1}")
         r = _exponents(r, n)
         c = exact_coeff(coeff)
-        return WittElem(n, {(r, i): c} if c else {})
+        return WittElem(n, {(i, r): c} if c else {})
 
     def apply(self, m: TensorElem) -> TensorElem:
         """Coefficientwise action on a tensor element:
@@ -309,33 +297,28 @@ class WittElem(SparseElem):
             raise DimensionMismatch("variable counts differ")
         return m._new(_tensor_action(self, m.terms))
 
-    def __str__(self) -> str:
-        parts = []
-        for (r, i), c in self.sorted_terms():
-            mono = "" if all(e == 0 for e in r) else f"{_exp_str(r)} "
-            parts.append(f"{_coeff_prefix(c)}{mono}d_{i + 1}")
-        return _render_terms(parts)
+    def term_label(self, p: int, r: MultiIndex) -> str:
+        return (f"{_exp_str(r)} " if any(r) else "") + f"d_{p + 1}"
+
+
+@functools.cache
+def _dual_natural(n: int) -> tuple:
+    """theta(E_ki) = -E_ik, the dual of the natural representation, in the
+    layout of `_tensor_action`: theta[i][p] = ((p, i, -1),)."""
+    return tuple(tuple(((p, i, -1),) for p in range(n)) for i in range(n))
 
 
 def witt_bracket(a: WittElem, b: WittElem) -> WittElem:
-    """[x^r d_i, x^s d_j] = s_i x^{r+s} d_j - r_j x^{r+s} d_i, extended bilinearly."""
+    """[x^r d_i, x^s d_j] = s_i x^{r+s} d_j - r_j x^{r+s} d_i, extended bilinearly:
+    the action of W_n on its own tensor module."""
     a._require_same(b)
-    out: dict[tuple[MultiIndex, int], Coeff] = {}
-    for (r, i), ca in a.terms.items():
-        for (s, j), cb in b.terms.items():
-            c = ca * cb
-            key_exp = tuple(p + q for p, q in zip(r, s))
-            if s[i]:
-                _add_term(out, (key_exp, j), c * s[i])
-            if r[j]:
-                _add_term(out, (key_exp, i), -c * r[j])
-    return WittElem(a.n, out)
+    return WittElem(a.n, _tensor_action(a, b.terms, _dual_natural(a.n)))
 
 
 def divergence(w: WittElem) -> LaurentPoly:
     """Linear extension of x^r d_i |-> r_i x^r."""
-    out: dict[MultiIndex, Coeff] = {}
-    for (r, i), c in w.terms.items():
+    out: dict[tuple[int, MultiIndex], Coeff] = {}
+    for (i, r), c in w.terms.items():
         if r[i]:
             _add_term(out, (0, r), c * r[i])
     return LaurentPoly(w.n, out)
@@ -353,11 +336,8 @@ def s_generator(n: int, i: int, j: int, r: Sequence[int]) -> WittElem:
 def hamiltonian_field(n: int, r: Sequence[int]) -> WittElem:
     """h(r) = sum_i (r_{n+i} x^r d_i - r_i x^r d_{n+i}) as an element of W_{2n}."""
     r = _exponents(r, 2 * n)
-    out = WittElem.zero(2 * n)
-    for i in range(n):
-        out = out + WittElem.basis(2 * n, r, i, r[n + i])
-        out = out - WittElem.basis(2 * n, r, n + i, r[i])
-    return out
+    coeffs = r[n:] + tuple(-e for e in r[:n])
+    return WittElem(2 * n, {(k, r): c for k, c in enumerate(coeffs) if c})
 
 
 def hamiltonian_bracket_coefficient(n: int, r: Sequence[int], s: Sequence[int]) -> Fraction:
@@ -446,7 +426,7 @@ def canonical_crossed_hom_W(w: WittElem) -> GlLaurent:
     """Linear extension of x^r d_j |-> sum_i r_i E_ij (x) x^r."""
     n = w.n
     out: dict[tuple[int, MultiIndex], Coeff] = {}
-    for (r, j), c in w.terms.items():
+    for (j, r), c in w.terms.items():
         for i, ri in enumerate(r):
             if ri:
                 _add_term(out, (i * n + j, r), c * ri)
@@ -467,13 +447,12 @@ def crossed_hom_pq(p: Sequence[LaurentPoly], q, w: WittElem) -> LaurentPoly:
             raise DimensionMismatch(f"p_{i + 1} lives in {pi.n} variables, expected {n}")
         if not pi.supported_only_on(i):
             raise MalformedP(f"p_{i + 1} involves a variable other than x_{i + 1}")
-    out = LaurentPoly.zero(n)
-    for (r, i), c in w.terms.items():
-        mono = LaurentPoly.monomial(n, r, c)
-        out = out + mono.poly_scale(p[i])
+    out: dict[tuple[int, MultiIndex], Coeff] = {}
+    for (i, r), c in w.terms.items():
+        _add_product(out, {(0, r): c}, p[i].terms)
         if r[i]:
-            out = out + mono.scale(q * r[i])
-    return out
+            _add_term(out, (0, r), exact_coeff(q * r[i] * c))
+    return LaurentPoly(n, out)
 
 
 def witt_window_basis(n: int, bound: int) -> list[WittElem]:

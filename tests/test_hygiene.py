@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused imports, no unnamed definitions."""
 
 import ast
+import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
@@ -158,3 +159,48 @@ def test_every_public_definition_is_used_exported_or_paper_api():
     assert sorted(n for n in test_only if n.split(":")[1] not in PAPER_API) == []
     # the allowlist names only definitions that need it
     assert sorted(n.split(":")[1] for n in test_only) == sorted(PAPER_API)
+
+
+def _has_double_loop(function: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(inner, ast.For)
+        for outer in ast.walk(function)
+        if isinstance(outer, ast.For)
+        for stmt in outer.body
+        for inner in ast.walk(stmt)
+    )
+
+
+def test_every_sparse_element_is_a_tensor_element():
+    # one element layout: each sparse element class of `witt` (a dataclass
+    # with a `terms` field) subclasses TensorElem, which has no base of its
+    # own, and no subclass anywhere in the package defines its own rendering,
+    # sum or difference, or a double loop (a bracket or action of its own)
+    import crosshom.witt as witt
+
+    classes = [
+        c
+        for c in vars(witt).values()
+        if isinstance(c, type)
+        and c.__module__ == witt.__name__
+        and dataclasses.is_dataclass(c)
+        and "terms" in {f.name for f in dataclasses.fields(c)}
+    ]
+    assert {c.__name__ for c in classes} == {"LaurentPoly", "GlLaurent", "VTensorA", "WittElem"}
+    assert all(issubclass(c, witt.TensorElem) for c in classes)
+    assert witt.TensorElem.__mro__ == (witt.TensorElem, object)
+    own = []
+    subclasses = 0
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "TensorElem" for b in node.bases
+            ):
+                subclasses += 1
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and (
+                        item.name in ("__str__", "__add__", "__sub__") or _has_double_loop(item)
+                    ):
+                        own.append(f"{path.name}:{node.name}.{item.name}")
+    assert subclasses == len(classes)
+    assert own == []

@@ -455,7 +455,7 @@ def test_module_axiom_detects_corruption():
 
     def corrupted(w, t):
         out = VTensorA.zero(1, 1)
-        for (r, i), cw in w.terms.items():
+        for (i, r), cw in w.terms.items():
             for (p, s), ct in t.terms.items():
                 if s[i]:
                     out = out + VTensorA.basis(1, 1, p, (r[0] + s[0],), cw * ct * s[i])
@@ -571,7 +571,7 @@ def doubled_natural_n2(u, t):
 def corrupted_natural_n1(u, t):
     """The natural n=1 action plus s^2 v (x) x^{r+s}: neither a module nor first order."""
     extra = {}
-    for (r, _), cu in u.terms.items():
+    for (_, r), cu in u.terms.items():
         for (p, s), ct in t.terms.items():
             if s[0]:
                 extra[(p, (r[0] + s[0],))] = cu * ct * s[0] ** 2
@@ -700,7 +700,7 @@ def test_window_checks_keep_the_modules_of_a_mixed_list_apart(action):
 def ref_shen_larsson_apply(theta, w, t):
     """Fraction-only action read from the dense theta matrices."""
     out = {}
-    for (r, i), cw in w.terms.items():
+    for (i, r), cw in w.terms.items():
         for (p, s), ct in t.terms.items():
             c = Fraction(cw) * Fraction(ct)
             key_exp = tuple(a + b for a, b in zip(r, s))
@@ -738,9 +738,9 @@ def test_shen_larsson_int_path_matches_fraction_reference():
     pairs = 0
     for n in (1, 2):
         for theta in _oracle_reps(n).values():
-            for cols in theta.columns.values():
+            for cols in theta.columns:
                 for col in cols:
-                    assert all(type(e) is int for _, e in col)
+                    assert all(type(e) is int for _, _, e in col)
             for k in range(80):
                 integral = k % 2 == 0
                 w = random_sparse_sum(
@@ -760,6 +760,42 @@ def test_shen_larsson_int_path_matches_fraction_reference():
                 assert_exact_terms(got, integral)
                 pairs += 1
     assert pairs >= 300
+
+
+# --- W_n as the tensor module of the dual natural representation ---------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_witt_bracket_is_the_shen_larsson_action_on_the_dual_natural_module(n):
+    # W_n = T(V*): x^s d_j is v_j (x) x^s, and the bracket is the
+    # Shen-Larsson action read from the dense theta(E_ki) = -E_ik
+    dual = GlnRep(n, n, {k: -m.transpose() for k, m in natural_rep_gl(n).theta.items()})
+    assert check_gln_rep(dual) == []
+    rng = random.Random(f"dual-natural-{n}")
+    witt = lambda c: WittElem.basis(n, random_exponent(rng, n), rng.randrange(n), c)
+    nonzero = 0
+    for k in range(60):
+        integral = k % 2 == 0
+        a, b = random_sparse_sum(rng, witt, integral), random_sparse_sum(rng, witt, integral)
+        got = witt_bracket(a, b)
+        assert got.terms == shen_larsson_apply(dual, a, VTensorA(n, n, b.terms)).terms
+        assert got.terms == ref_shen_larsson_apply(dual, a, VTensorA(n, n, b.terms)).terms
+        nonzero += not got.is_zero()
+    assert nonzero >= 40
+
+
+@pytest.mark.parametrize("n, bound, doubled_findings", [(1, 2, 42), (2, 1, 1836)])
+def test_jacobi_is_the_module_law_of_the_adjoint_action(n, bound, doubled_findings):
+    # the Jacobi identity of W_n is the module law of W_n acting on itself;
+    # twice the bracket breaks it, with the findings of the recomputing loop
+    elems = witt_window_basis(n, bound)
+    assert check_module_axiom_window(witt_bracket, n, Window(bound), elems) == []
+
+    def doubled(u, v):
+        return witt_bracket(u, v).scale(2)
+
+    got = check_module_axiom_window(doubled, n, Window(bound), elems)
+    assert len(got) == doubled_findings
+    assert got == reference_module_axiom(doubled, n, Window(bound), elems)
 
 
 def test_poly_scale_int_path_matches_fraction_reference():

@@ -99,6 +99,29 @@ def test_witt_bracket_jacobi_sampled():
         assert jac.is_zero()
 
 
+# strings of the elements the CLI renders, each with one exponent, recorded
+# when WittElem was keyed (exponent, direction): with a single exponent the
+# direction-major order of the (direction, exponent) keys is the same
+WITT_STRINGS = {
+    "x^(1,-1) d_2": lambda: w(2, (1, -1), 1),
+    "d_3": lambda: w(3, (0, 0, 0), 2),
+    "-3/2*x^(0,2) d_1": lambda: w(2, (0, 2), 0, Fraction(-3, 2)),
+    "-x^(2,-1) d_1 + -2*x^(2,-1) d_2": lambda: s_generator(2, 0, 1, (2, -1)),
+    "2*x^(1,0,-2) d_1 + x^(1,0,-2) d_3": lambda: s_generator(3, 2, 0, (1, 0, -2)),
+    "2*x^(1,2) d_1 + -x^(1,2) d_2": lambda: hamiltonian_field(1, (1, 2)),
+    "-x^(1,0,-1,2) d_1 + 2*x^(1,0,-1,2) d_2 + -x^(1,0,-1,2) d_3": lambda: hamiltonian_field(2, (1, 0, -1, 2)),
+}
+
+
+@pytest.mark.parametrize("expected", WITT_STRINGS)
+def test_witt_strings_keep_their_bytes(expected):
+    assert str(WITT_STRINGS[expected]()) == expected
+
+
+def test_witt_elements_with_several_exponents_render_direction_major():
+    assert str(w(2, (0, 1), 1) + w(2, (1, 0), 0)) == "x^(1,0) d_1 + x^(0,1) d_2"
+
+
 def test_divergence_formula():
     assert divergence(w(2, (2, 3), 0)) == LaurentPoly.monomial(2, (2, 3), 2)
     assert divergence(w(2, (0, 0), 0)).is_zero()
@@ -512,14 +535,14 @@ def _fractions(elem):
 
 def ref_witt_bracket(a, b):
     out = {}
-    for (r, i), ca in _fractions(a):
-        for (s, j), cb in _fractions(b):
+    for (i, r), ca in _fractions(a):
+        for (j, s), cb in _fractions(b):
             c = ca * cb
             key_exp = tuple(p + q for p, q in zip(r, s))
             if s[i]:
-                ref_add_term(out, (key_exp, j), c * s[i])
+                ref_add_term(out, (j, key_exp), c * s[i])
             if r[j]:
-                ref_add_term(out, (key_exp, i), -c * r[j])
+                ref_add_term(out, (i, key_exp), -c * r[j])
     return WittElem(a.n, out)
 
 
@@ -541,7 +564,7 @@ def ref_gl_bracket(a, b):
 
 def ref_canonical_crossed_hom_W(wv):
     out = {}
-    for (r, j), c in _fractions(wv):
+    for (j, r), c in _fractions(wv):
         for i, ri in enumerate(r):
             if ri:
                 ref_add_term(out, (i * wv.n + j, r), c * ri)
@@ -551,7 +574,7 @@ def ref_canonical_crossed_hom_W(wv):
 def ref_apply(wv, m):
     """The coefficientwise action on a LaurentPoly or a GlLaurent m."""
     out = {}
-    for (r, i), cw in _fractions(wv):
+    for (i, r), cw in _fractions(wv):
         for (p, s), cm in _fractions(m):
             if s[i]:
                 ref_add_term(out, (p, tuple(a + b for a, b in zip(r, s))), cw * cm * s[i])
@@ -660,11 +683,11 @@ def test_canonical_map_int_path_and_dense_boundary():
 
 
 def test_constructors_and_scale_store_integral_values_as_int():
-    assert type(WittElem.basis(1, (1,), 0, Fraction(4, 2)).terms[((1,), 0)]) is int
+    assert type(WittElem.basis(1, (1,), 0, Fraction(4, 2)).terms[(0, (1,))]) is int
     assert type(LaurentPoly.monomial(1, (0,), "3").terms[(0, (0,))]) is int
     assert type(GlLaurent.basis(1, 0, 0, (0,), "1/2").terms[(0, (0,))]) is Fraction
     half = w(1, (1,), 0, 2).scale(Fraction(1, 2))
-    assert half == w(1, (1,), 0) and type(half.terms[((1,), 0)]) is int
+    assert half == w(1, (1,), 0) and type(half.terms[(0, (1,))]) is int
     assert w(1, (1,), 0, 3).scale(0).is_zero()
     with pytest.raises(ParseError):
         w(1, (1,), 0, True)
@@ -740,7 +763,7 @@ def reference_pq_findings(n, window, p, q):
 def squared_twist(p, q, w):
     """A map that is no crossed hom: x^r d_i |-> (p_i + q r_i^2) x^r."""
     out = LaurentPoly.zero(w.n)
-    for (r, i), c in w.terms.items():
+    for (i, r), c in w.terms.items():
         mono = LaurentPoly.monomial(w.n, r, c)
         out = out + mono.poly_scale(p[i]) + mono.scale(rational(q) * r[i] ** 2)
     return out
