@@ -8,8 +8,8 @@ one cochain format is sparse (`Cochain`): the coboundary, the graded bracket
 and the cochain arithmetic read and write {u: c} values with `exact_coeff`
 coordinates, so on integral data they run in int arithmetic.  Dense h-vectors
 of Fractions are built only where an element of h leaves the module:
-`eval_basis`, `eval_vectors`, the residuals of `cochain_findings` and the
-matrix of the trivial deformation.
+`eval_basis`, the residuals of `cochain_findings` and the matrix of the
+trivial deformation.
 
 One coboundary, `plain_differential`, builds the degree-raising map d of any
 action.  On a degree-m cochain f and an increasing (m+1)-tuple S, with 0-based
@@ -217,12 +217,6 @@ def _evaluate(f: Cochain, vecs: Sequence[Vector]) -> dict[int, Coeff]:
         if coeff:
             _add_scaled(out, coeff, value.items())
     return out
-
-
-def eval_vectors(f: Cochain, vecs: Sequence[Vector]) -> Vector:
-    """Full multilinear alternating evaluation at arbitrary vectors, as a
-    dense vector of Fractions."""
-    return _dense(_evaluate(f, vecs), f.h_dim)
 
 
 def _by_target(g: FinLieAlgebra) -> list[list[tuple[int, int, Coeff]]]:
@@ -523,12 +517,13 @@ def cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
     ranked.  Like the cohomology itself, this assumes d o d = 0: g a Lie
     algebra and rho an action, which the CLI checks first.  `_weights` uses
     an e_i only where d keeps its weights, so no row mixes weights even then.
-    Raises SearchSpaceTooLarge before any assembly when some C^(k+1),
-    k <= k_max, has more than MAX_WINDOW_COUNT coordinates.
+    Raises SearchSpaceTooLarge before any assembly when k_max + 2 degrees,
+    or some C^(k+1) with k <= k_max, exceed MAX_WINDOW_COUNT.
     """
     if k_max < 0:
         raise DimensionMismatch(f"the top cohomology degree must be >= 0, got {k_max}")
     g_dim, h_dim = s.g.dim, s.h.dim
+    require_window_count(k_max + 2, "cohomology degrees")
     dims_C = [comb(g_dim, k) * h_dim for k in range(k_max + 2)]
     for c in dims_C[1:]:
         require_window_count(c, "cochain coordinates")

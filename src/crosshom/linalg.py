@@ -273,14 +273,15 @@ def _sparse_rows(m: Matrix) -> list[dict[int, Coeff]]:
     ]
 
 
-def _add_scaled(r: dict[int, Coeff], f: Coeff, terms: Iterable[tuple[int, Coeff]]):
-    """r += f * terms in place, for (index, value) pairs; entries that cancel are dropped."""
+def _add_scaled(r: dict[int, Coeff], f: Coeff, terms: Iterable[tuple[int, Coeff]]) -> dict:
+    """r += f * terms in place for (key, value) pairs, dropping entries that cancel; returns r."""
     for j, x in terms:
         y = r.get(j, 0) + f * x
         if y:
             r[j] = y
         else:
             del r[j]
+    return r
 
 
 def _dense(acc: dict[int, Coeff], n: int) -> Vector:

@@ -28,12 +28,13 @@ Shen-Larsson action of the vector-field algebra on V (x) A_n:
 A gl_n representation builds the nonzero entries of its theta(E_ki) once,
 grouped by direction i and column (`GlnRep.columns`), and
 `shen_larsson_apply` hands them to the one tensor action loop of `witt`,
-which also runs the coefficientwise action `WittElem.apply` and the Witt
-bracket, the action of W_n on itself.  The elements `VTensorA` are defined in
-`witt`, in the layout A_n, gl_n (x) A_n and W_n share, and re-exported here.
-The window checks of the module law and of weak compatibility call an action
-once per (basis actor, basis module element) pair and extend it bilinearly
-(`_bilinear_images`), summing each identity's residual in one dict.
+`_tensor_action`, which also runs the coefficientwise action `WittElem.apply`
+and the Witt bracket, the action of W_n on itself.  The elements `VTensorA`
+are defined in `witt`, in the layout A_n, gl_n (x) A_n and W_n share, and
+re-exported here.  The window checks of the module law and of weak
+compatibility call an action once per (basis actor, basis module element)
+pair and extend it bilinearly (`_bilinear_images`), adding each image into
+the identity's one residual dict with `linalg._add_scaled`.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .witt import (
     WittElem,
     Window,
     _add_product,
-    _add_term,
     _tensor_action,
     action_structure,
     block_diagonal,
@@ -519,7 +519,7 @@ def shen_larsson_apply(theta: GlnRep, w: WittElem, t: VTensorA) -> VTensorA:
         raise DimensionMismatch("variable counts differ")
     if t.dim_v != theta.dim_v:
         raise DimensionMismatch("tensor component count differs from dim V")
-    return VTensorA(n, theta.dim_v, _tensor_action(w, t.terms, theta.columns))
+    return VTensorA(n, theta.dim_v, _tensor_action({}, w, t.terms, theta.columns))
 
 
 def shen_larsson_action(theta: GlnRep) -> WindowedAction:
@@ -573,9 +573,7 @@ def _bilinear_images(action: WindowedAction):
                 if image is None:
                     image = action(w._new({kw: 1}), t._new({km: 1})).terms
                     images[kw, km] = image
-                s = c * cw * cm
-                for key, ci in image.items():
-                    _add_term(acc, key, s * ci)
+                _add_scaled(acc, c * cw * cm, image.items())
         return acc
 
     return add

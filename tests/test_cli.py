@@ -612,6 +612,17 @@ def test_cohomology_too_many_cochains_exit_two(capsys, tmp_path):
     assert time.monotonic() - t0 < 5.0
 
 
+def test_cohomology_too_many_degrees_exit_two(capsys, fixtures_dir):
+    # the degree count is guarded before the list of cochain dimensions is built
+    t0 = time.monotonic()
+    code, out = _run_without_traceback(
+        capsys, "cohomology", "--max-degree", "100000000", str(fixtures_dir / "sl2_adjoint.setup.json")
+    )
+    assert code == 2
+    assert out["error"]["type"] == "SearchSpaceTooLarge"
+    assert time.monotonic() - t0 < 5.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -399,17 +399,25 @@ def test_boxplus_associator_agreement():
 
 
 def test_boxplus_morphism_intertwines():
-    # psi (x) phi intertwines the constructed actions when psi intertwines theta
-    # and phi intertwines rho; here psi = theta-equivariant swap-free scaling,
-    # phi = identity.
+    # a gl_2-map psi: V -> V' gives psi (x) id, which intertwines the actions
+    # pulled back on V (x) M and V' (x) M; a map that is no gl_2-map does not
     lr, mod, rho, H = pullback_model()
+    ident = Matrix.identity(mod.dim_m)
+
+    def intertwines(psi, src, dst):
+        (src_mats, _), (dst_mats, _) = (boxplus_pullback(lr, rep, mod, rho, H) for rep in (src, dst))
+        f = kron(psi, ident)
+        return all((f * a - b * f).is_zero() for a, b in zip(src_mats, dst_mats))
+
+    def matrix(rows, cols, entries):
+        return Matrix(rows, cols, tuple(Fraction(e) for e in entries))
+
     V = natural_rep_gl(2)
-    mats, _ = boxplus_pullback(lr, V, mod, rho, H)
-    psi = Matrix.identity(2).scale(Fraction(3, 2))  # commutes with every theta(E)
-    phi = Matrix.identity(mod.dim_m)
-    inter = kron(psi, phi)
-    for m in mats:
-        assert (inter * m - m * inter).is_zero()
+    swap = matrix(4, 4, [int(row == 2 * (col % 2) + col // 2) for row in range(4) for col in range(4)])
+    assert intertwines(swap, tensor_rep(V, V), tensor_rep(V, V))
+    trace = matrix(1, 4, [1, 0, 0, 1])
+    assert intertwines(trace, adjoint_rep_gl(2), trivial_rep(2))
+    assert not intertwines(matrix(2, 2, [1, 0, 0, 0]), V, V)
 
 
 # --- sparse tensor modules ---------------------------------------------------

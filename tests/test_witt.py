@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -747,14 +748,28 @@ def test_exponent_wrong_length_is_refused(make):
         make((1, 2, 3))
 
 
-def reference_pq_findings(n, window, p, q):
-    """The pq check as a loop of its own, recomputing H for every pair."""
-    H = crosshom.witt.crossed_hom_pq
+WINDOW_BASES = {
+    "full": witt_window_basis,
+    "sdiv": sdiv_window_basis,
+    "ham": ham_window_basis,
+    "pq": witt_window_basis,
+}
+
+
+def reference_findings(family, n, window, p=None, q=None):
+    """The crossed-hom check as a loop of its own in element arithmetic,
+    recomputing H for every pair; the map is read from `crosshom.witt` at
+    call time, so a patched map is checked."""
+    if family == "pq":
+        H = functools.partial(crosshom.witt.crossed_hom_pq, p, q)
+    else:
+        H = crosshom.witt.canonical_crossed_hom_W
     findings = []
-    for a, b in itertools.combinations(witt_window_basis(n, window.bound), 2):
-        lhs = H(p, q, witt_bracket(a, b))
-        rhs = a.apply(H(p, q, b)) - b.apply(H(p, q, a))
-        res = lhs - rhs
+    for a, b in itertools.combinations(WINDOW_BASES[family](n, window.bound), 2):
+        rhs = a.apply(H(b)) - b.apply(H(a))
+        if family != "pq":
+            rhs = rhs + gl_bracket(H(a), H(b))
+        res = H(witt_bracket(a, b)) - rhs
         if not res.is_zero():
             findings.append(Finding("crossed-hom", (str(a), str(b)), res))
     return findings
@@ -777,8 +792,46 @@ def test_pq_single_loop_matches_reference(monkeypatch, n, bound, q, broken):
         monkeypatch.setattr(crosshom.witt, "crossed_hom_pq", squared_twist)
     p = [LaurentPoly.monomial(n, tuple(2 if k == i else 0 for k in range(n)), 3) for i in range(n)]
     got = verify_witt_crossed_hom(n, "pq", Window(bound), p=p, q=q)
-    assert got == reference_pq_findings(n, Window(bound), p, q)
+    assert got == reference_findings("pq", n, Window(bound), p, q)
     assert bool(got) == broken
+
+
+def test_pair_loop_makes_no_element_sums(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("element arithmetic in the crossed-hom check")
+
+    for name in ("__add__", "__sub__"):
+        monkeypatch.setattr(crosshom.witt.TensorElem, name, refuse)
+    monkeypatch.setattr(WittElem, "apply", refuse)
+    p = [LaurentPoly.monomial(2, (2, 0), 3), LaurentPoly.monomial(2, (0, 1), -1)]
+    for family in ("full", "sdiv", "ham", "pq"):
+        assert verify_witt_crossed_hom(2, family, Window(1), p=p, q=Fraction(1, 2)) == []
+
+
+def transposed_canonical(e):
+    """A map that is no crossed hom: x^r d_j |-> sum_i r_i E_ji (x) x^r."""
+    out = GlLaurent.zero(e.n)
+    for (j, r), c in e.terms.items():
+        for i, ri in enumerate(r):
+            out = out + GlLaurent.basis(e.n, j, i, r, c * ri)
+    return out
+
+
+BROKEN_CANONICAL = {
+    "transposed": transposed_canonical,
+    "doubled": lambda e: canonical_crossed_hom_W(e).scale(2),
+}
+
+
+@pytest.mark.parametrize("family, n, mutant_findings", [("full", 2, 108), ("sdiv", 2, 24), ("ham", 1, 24)])
+@pytest.mark.parametrize("broken", [None, "transposed", "doubled"])
+def test_canonical_single_loop_matches_reference(monkeypatch, family, n, mutant_findings, broken):
+    if broken:
+        monkeypatch.setattr(crosshom.witt, "canonical_crossed_hom_W", BROKEN_CANONICAL[broken])
+    got = verify_witt_crossed_hom(n, family, Window(1))
+    assert got == reference_findings(family, n, Window(1))
+    assert all(type(f.residual) is GlLaurent for f in got)
+    assert len(got) == (mutant_findings if broken else 0)
 
 
 # --- gl_m (x) A and the canonical map against the dense loops ---
