@@ -34,6 +34,7 @@ from crosshom.liealg import (
 )
 from crosshom.errors import DimensionMismatch
 from crosshom.linalg import Matrix, Vector, _echelon, exact_coeff, is_zero_vector, lincomb, rational
+from crosshom.poly import Poly
 from crosshom.report import Finding
 from crosshom.rinehart import regular_module
 from crosshom.witt import check_comm_algebra, derivation_violations
@@ -146,6 +147,20 @@ def ref_add_term(terms: dict, key, coeff):
         terms[key] = c
     else:
         terms.pop(key, None)
+
+
+def poly_at(x, point: dict):
+    """A `Poly` at the integer point {variable name: value}, summed term by
+    term from `terms`, independently of the ring operations; an int or
+    Fraction is returned as it is."""
+    if type(x) is not Poly:
+        return x
+    total = Fraction(0)
+    for m, c in x.terms.items():
+        for v, e in m:
+            c = c * point[v] ** e
+        total += c
+    return total
 
 
 def random_exponent(rng: random.Random, n: int) -> tuple[int, ...]:

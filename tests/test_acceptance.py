@@ -6,6 +6,7 @@ line per criterion, or `-s` to see the timing summary lines.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -66,6 +67,7 @@ from crosshom.witt import (
     verify_witt_crossed_hom,
     window_exponents,
     witt_bracket,
+    witt_window_basis,
 )
 
 from conftest import (
@@ -405,3 +407,14 @@ def test_criterion_15_generalized_witt_cohomology_by_weight_spaces():
             nonzero_rank = d.dim_C - weight_zero - nonzero_rank
             assert d.dim_C - d.dim_Z == _rank_mod_p_rows(rows.values()) + nonzero_rank
     _stamp(15, "generalized Witt [3,3] and [2,2,2] through H^3, [2,2] and [3,3] in every degree", t0, 60.0)
+
+
+def test_criterion_16_symbolic_pair_check_past_the_window_loops():
+    # each pair type is checked once with symbolic exponents, so windows whose
+    # pair loops would take about a minute pass in well under a second
+    t0 = time.monotonic()
+    assert math.comb(len(witt_window_basis(3, 4)), 2) == 2_390_391
+    assert verify_witt_crossed_hom(3, "full", Window(4)) == []
+    assert verify_witt_crossed_hom(3, "sdiv", Window(3)) == []
+    assert verify_witt_crossed_hom(2, "ham", Window(2)) == []
+    _stamp(16, "full n=3 window 4, sdiv n=3 window 3, ham n=2 window 2", t0, 5.0)

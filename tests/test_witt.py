@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from crosshom.errors import (
 from crosshom import formats
 from crosshom.liealg import abelian, check_action, check_crossed_hom, check_lie_algebra, gl_algebra
 from crosshom.linalg import Matrix, rational
+from crosshom.poly import Poly
 from crosshom.report import Finding
 from crosshom.witt import (
     FinCommAlgebra,
@@ -53,6 +55,7 @@ from crosshom.witt import (
 )
 from conftest import (
     assert_exact_terms,
+    poly_at,
     random_exponent,
     random_fraction_vector,
     random_sparse_sum,
@@ -717,6 +720,17 @@ def test_exponents_keep_ints_and_store_integral_fractions_as_int(make):
 
 
 @exponent_constructors
+def test_exponents_pass_a_polynomial_through(make):
+    r1, r2 = Poly.variables("r", 2)
+    elem = make((r1 + 1, Fraction(-4, 2)))
+    assert not elem.is_zero()
+    exps = {r for _, r in elem.terms}
+    assert exps == {(r1 + 1, -2)} and all(type(r[1]) is int for r in exps)
+    # a polynomial that is constant finds the key of the plain number
+    assert make((r1 - r1 + 2, r2 - r2 - 1)) == make((2, -1))
+
+
+@exponent_constructors
 def test_exponent_float_is_refused(make):
     with pytest.raises(ParseError, match="exponent 1.5 is not an integer"):
         make((1.5, 0))
@@ -889,3 +903,106 @@ def test_canonical_gw_validates_delta_and_builds_no_setup(monkeypatch):
     for name in ("action_structure", "gl_tensor_algebra", "block_diagonal"):
         monkeypatch.setattr(crosshom.witt, name, refuse)
     assert canonical_crossed_hom_GW(A, [d], (0, 0, 1)) == (Fraction(0), Fraction(0), Fraction(2))
+
+
+# --- the symbolic pair check ------------------------------------------------
+
+
+def cubic_defect(e):
+    """A map that is no crossed hom: the canonical map plus
+    r_1 (r_1 - 1)(r_1 + 1) E_11 (x) x^r on x^r d_j, which vanishes for
+    |r_1| <= 1."""
+    out = canonical_crossed_hom_W(e)
+    for (j, r), c in e.terms.items():
+        out = out + GlLaurent.basis(e.n, 0, 0, r, c * r[0] * (r[0] - 1) * (r[0] + 1))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symbolic_residuals_of_the_paper_maps_vanish(n):
+    p = [LaurentPoly.monomial(n, tuple(2 if k == i else 0 for k in range(n)), 3) for i in range(n)]
+    H = {
+        "full": canonical_crossed_hom_W,
+        "sdiv": canonical_crossed_hom_W,
+        "ham": canonical_crossed_hom_W,
+        "pq": functools.partial(crossed_hom_pq, p, Fraction(-1, 2)),
+    }
+    for family, Hf in H.items():
+        assert crosshom.witt._symbolic_residuals_vanish(n, family, Hf), family
+    # on W_1 the transpose is the map itself, and 2H is a crossed hom into
+    # the abelian gl_1 (x) A_1
+    for broken in (cubic_defect, *BROKEN_CANONICAL.values()) if n > 1 else (cubic_defect,):
+        assert not crosshom.witt._symbolic_residuals_vanish(n, "full", broken)
+    assert not crosshom.witt._symbolic_residuals_vanish(n, "pq", functools.partial(squared_twist, p, 1))
+
+
+def test_planted_cubic_defect_is_missed_by_window_one_only(monkeypatch):
+    # window 1 cannot see the defect: r_1 + s_1 stays in {-1, 0, 1} for two
+    # distinct elements of W_1; the symbolic residual is nonzero, so the
+    # window pairs are enumerated, and window 2 finds it
+    monkeypatch.setattr(crosshom.witt, "canonical_crossed_hom_W", cubic_defect)
+    assert not crosshom.witt._symbolic_residuals_vanish(1, "full", cubic_defect)
+    assert verify_witt_crossed_hom(1, "full", Window(1)) == reference_findings("full", 1, Window(1)) == []
+    got = verify_witt_crossed_hom(1, "full", Window(2))
+    assert got == reference_findings("full", 1, Window(2))
+    assert len(got) == 4 and all(type(f.residual) is GlLaurent for f in got)
+
+
+def evaluated(terms, point):
+    """Sparse terms with Poly exponents and coefficients at {variable name:
+    int}, keys that coincide there added up."""
+    out: dict = {}
+    for (p, r), c in terms.items():
+        ref_add_term(out, (p, tuple(poly_at(x, point) for x in r)), poly_at(c, point))
+    return out
+
+
+def instance(kinds, elem, name):
+    """The symbolic kind of elem and the point {name<k>: exponent} at which
+    it evaluates to elem."""
+    for kind in kinds:
+        for _, r in elem.terms:
+            point = {f"{name}{k + 1}": e for k, e in enumerate(r)}
+            if evaluated(kind.terms, point) == elem.terms:
+                return kind, point
+    raise AssertionError(f"no symbolic kind evaluates to {elem}")
+
+
+@pytest.mark.parametrize("family, n", [("full", 2), ("sdiv", 2), ("ham", 1)])
+@pytest.mark.parametrize("H", [canonical_crossed_hom_W, *BROKEN_CANONICAL.values(), cubic_defect])
+def test_each_window_residual_is_an_evaluation_of_a_symbolic_one(family, n, H):
+    kinds_r = crosshom.witt._symbolic_basis(n, family, "r")
+    kinds_s = crosshom.witt._symbolic_basis(n, family, "s")
+    pairs = list(itertools.product(WINDOW_BASES[family](n, 2), repeat=2))
+    for a, b in random.Random(7).sample(pairs, 60):
+        ka, point_a = instance(kinds_r, a, "r")
+        kb, point_b = instance(kinds_s, b, "s")
+        sym = crosshom.witt._residual(H, ka, H(ka), kb, H(kb), False)
+        assert evaluated(sym, point_a | point_b) == crosshom.witt._residual(H, a, H(a), b, H(b), False)
+
+
+def test_passing_checks_enumerate_no_window_pair(monkeypatch):
+    # every bracket the check takes is of two symbolic kinds, once per
+    # ordered pair; full and pq build no window element at all, sdiv and ham
+    # build theirs only for the landing checks
+    def refuse(*args):
+        raise AssertionError("a window pair loop ran")
+
+    brackets = []
+
+    def counted(a, b):
+        brackets.append((a, b))
+        return witt_bracket(a, b)
+
+    monkeypatch.setattr(crosshom.witt, "witt_bracket", counted)
+    p = [LaurentPoly.monomial(3, tuple(int(k == i) for k in range(3)), 1) for i in range(3)]
+    kinds = {"full": 3, "pq": 3, "sdiv": 3 + 3, "ham": 1}
+    for family, n, bound in (("full", 3, 2), ("pq", 3, 2), ("sdiv", 3, 1), ("ham", 1, 2)):
+        brackets.clear()
+        with monkeypatch.context() as m:
+            if family in ("full", "pq"):
+                no_pairs = types.SimpleNamespace(**{**vars(itertools), "combinations": refuse})
+                m.setattr(crosshom.witt, "itertools", no_pairs)
+                m.setattr(crosshom.witt, "window_exponents", refuse)
+            assert verify_witt_crossed_hom(n, family, Window(bound), p=p, q=Fraction(1, 2)) == []
+        assert len(brackets) == kinds[family] ** 2, family
