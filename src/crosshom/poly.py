@@ -11,10 +11,12 @@ so an exponent tuple whose entries happen to be constant finds the same dict
 key as the plain numbers.  `str` is canonical: terms in graded lexicographic
 order (r1^2, r1*r2, r2^2, r1, ...).
 
-`witt.verify_witt_crossed_hom` runs its pair identity once on elements whose
-exponents are the variables of `Poly.variables`: the sparse Witt kernels read
-exponents only through `+`, `*` and truth tests, so they run on them as they
-are.
+`witt.verify_witt_crossed_hom` runs its pair identity and its sl/sp landing
+conditions once on elements whose exponents are the variables of
+`Poly.variables`, and `rinehart.check_module_axiom_window` and
+`check_weak_compat_window` do the same with the built-in Shen-Larsson action
+on v_p (x) x^t: the sparse Witt and Shen-Larsson kernels read exponents only
+through `+`, `*` and truth tests, so they run on them as they are.
 """
 
 from __future__ import annotations

@@ -34,7 +34,10 @@ are defined in `witt`, in the layout A_n, gl_n (x) A_n and W_n share, and
 re-exported here.  The window checks of the module law and of weak
 compatibility call an action once per (basis actor, basis module element)
 pair and extend it bilinearly (`_bilinear_images`), adding each image into
-the identity's one residual dict with `linalg._add_scaled`.
+the identity's one residual dict with `linalg._add_scaled`.  For the built-in
+`shen_larsson_action` they first compute that residual once per kind of
+actor, monomial and module element v_p (x) x^t with `poly.Poly` exponents,
+and enumerate the window only when one of those residuals is nonzero.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .liealg import (
     homomorphism_violations,
 )
 from .linalg import ONE, Matrix, Vector, _add_scaled, _column_matrix, _dense, kron, lincomb
+from .poly import Poly
 from .report import Finding
 from .witt import (
     Coeff,
@@ -69,6 +73,7 @@ from .witt import (
     WittElem,
     Window,
     _add_product,
+    _symbolic_basis,
     _tensor_action,
     action_structure,
     block_diagonal,
@@ -522,8 +527,21 @@ def shen_larsson_apply(theta: GlnRep, w: WittElem, t: VTensorA) -> VTensorA:
     return VTensorA(n, theta.dim_v, _tensor_action({}, w, t.terms, theta.columns))
 
 
+class _ShenLarssonAction:
+    """w, t |-> shen_larsson_apply(theta, w, t), the function looked up when
+    called.  The window checks recognise this action by its type."""
+
+    __slots__ = ("theta",)
+
+    def __init__(self, theta: GlnRep):
+        self.theta = theta
+
+    def __call__(self, w: WittElem, t: TensorElem) -> TensorElem:
+        return shen_larsson_apply(self.theta, w, t)
+
+
 def shen_larsson_action(theta: GlnRep) -> WindowedAction:
-    return lambda w, t: shen_larsson_apply(theta, w, t)
+    return _ShenLarssonAction(theta)
 
 
 def twisting_pq(
@@ -579,6 +597,80 @@ def _bilinear_images(action: WindowedAction):
     return add
 
 
+def _symbolic_module_elems(module_elems: Sequence[TensorElem]) -> list[TensorElem]:
+    """v_p (x) x^t with exponents t1, t2, ..., one for each (class, shape,
+    component p) of a term of module_elems, in the order they first occur:
+    every module element is a combination of these at integer exponents."""
+    kinds: dict = {}
+    for m in module_elems:
+        for p, _ in m.terms:
+            kinds.setdefault((type(m), m._shape(), p), m)
+    return [m._new({(p, Poly.variables("t", m.n)): 1}) for (_, _, p), m in kinds.items()]
+
+
+def _module_axiom_residual(add, bw: WittElem, u: WittElem, um, v: WittElem, vm, m) -> dict:
+    """[u, v].m - u.(v.m) + v.(u.m) summed in one dict, for bw = [u, v],
+    um = u.m and vm = v.m."""
+    res = add({}, bw, m)
+    add(res, u, vm, -1)
+    add(res, v, um)
+    return res
+
+
+def _weak_compat_residual(add, u: WittElem, um: dict, a: LaurentPoly, ua: dict, m, am) -> dict:
+    """u.(a m) - a (u.m) - u(a) m summed in one dict, for the terms um of
+    u.m and ua of u(a), and am = a m; the products by a and u(a) are those of
+    `TensorElem.poly_scale`."""
+    res = add({}, u, am)
+    _add_product(res, um, a.terms, -1)
+    _add_product(res, m.terms, ua, -1)
+    return res
+
+
+def _symbolic_module_axiom_vanishes(action: WindowedAction, n: int, module_elems) -> bool:
+    """Whether the module-axiom residual is zero on every ordered pair of
+    actors x^r d_i, x^s d_j and every `_symbolic_module_elems` element."""
+    add, ms = _bilinear_images(action), _symbolic_module_elems(module_elems)
+    kinds = (_symbolic_basis(n, "full", x) for x in "rs")
+    images = [[(u, [m._new(add({}, u, m)) for m in ms]) for u in us] for us in kinds]
+    for (u, u_ms), (v, v_ms) in itertools.product(*images):
+        bw = witt_bracket(u, v)
+        if any(_module_axiom_residual(add, bw, u, um, v, vm, m) for m, um, vm in zip(ms, u_ms, v_ms)):
+            return False
+    return True
+
+
+def _symbolic_weak_compat_vanishes(action: WindowedAction, n: int, module_elems) -> bool:
+    """Whether the weak-compatibility residual is zero on every actor
+    x^r d_i, the monomial x^q and every `_symbolic_module_elems` element."""
+    add, ms = _bilinear_images(action), _symbolic_module_elems(module_elems)
+    a = LaurentPoly.monomial(n, Poly.variables("q", n))
+    a_ms = [m.poly_scale(a) for m in ms]
+    for u in _symbolic_basis(n, "full", "r"):
+        ua = u.apply(a).terms
+        for m, am in zip(ms, a_ms):
+            if _weak_compat_residual(add, u, add({}, u, m), a, ua, m, am):
+                return False
+    return True
+
+
+def _passes_symbolically(vanishes, action: WindowedAction, n: int, module_elems) -> bool:
+    """Whether action is the built-in Shen-Larsson action and the check's
+    symbolic residuals all vanish.  Each window residual is then such a
+    residual evaluated at integer exponents, summed over the terms of the
+    module element: `_tensor_action` reads exponents only through +, * and
+    truth tests that skip zero terms, and the residual is linear in m.  An
+    arbitrary callable proves nothing on symbols, so it is never asked.  A
+    non-positive n and a zero module element, which has no kind, are left to
+    the window loop, which refuses or passes them as it always has."""
+    return (
+        type(action) is _ShenLarssonAction
+        and n > 0
+        and all(m.terms for m in module_elems)
+        and vanishes(action, n, module_elems)
+    )
+
+
 def check_module_axiom_window(
     action: WindowedAction,
     n: int,
@@ -587,14 +679,21 @@ def check_module_axiom_window(
 ) -> list[Finding]:
     """[u, v].m = u.(v.m) - v.(u.m) on all windowed pairs and module elements.
 
-    The action is called once per (basis actor, basis module element) pair
+    For the built-in `shen_larsson_action` the residual is first computed
+    once per ordered pair of actor kinds x^r d_i, x^s d_j on v_p (x) x^t,
+    with `Poly` exponents; when every such residual is zero no window pair
+    can fail and none is enumerated.  Otherwise, and for any other action,
+    the action is called once per (basis actor, basis module element) pair
     and extended bilinearly; each residual [u, v].m - u.(v.m) + v.(u.m) is
     summed in one dict, and a finding is built only where it is nonzero.
+    Either way the reported scope is the window.
     """
     require_window_count(
         math.comb(n * window_size(n, window.bound), 2) * len(module_elems),
         "module-axiom identities",
     )
+    if _passes_symbolically(_symbolic_module_axiom_vanishes, action, n, module_elems):
+        return []
     findings = []
     add = _bilinear_images(action)
     actors = witt_window_basis(n, window.bound)
@@ -603,9 +702,7 @@ def check_module_axiom_window(
     for (u, su, u_ms), (v, sv, v_ms) in itertools.combinations(images, 2):
         bw = witt_bracket(u, v)
         for m, sm, um, vm in zip(module_elems, labels, u_ms, v_ms):
-            res = add({}, bw, m)
-            add(res, u, vm, -1)
-            add(res, v, um)
+            res = _module_axiom_residual(add, bw, u, um, v, vm, m)
             if res:
                 findings.append(Finding("module-axiom", (su, sv, sm), m._new(res)))
     return findings
@@ -620,13 +717,19 @@ def check_weak_compat_window(
     """u.(a m) = a (u.m) + u(a) m for windowed monomials a; the sparse
     counterpart of the first-order-operator compatibility.
 
-    The action is called once per (basis actor, basis module element) pair
-    and extended bilinearly; each residual u.(a m) - a (u.m) - u(a) m is
-    summed in one dict, its products by a and u(a) by the loop of
-    `TensorElem.poly_scale`, and a finding is built only where it is nonzero.
+    For the built-in `shen_larsson_action` the residual is first computed
+    once per actor kind x^r d_i on x^q and v_p (x) x^t, with `Poly`
+    exponents; when every such residual is zero nothing is enumerated.
+    Otherwise, and for any other action, the action is called once per
+    (basis actor, basis module element) pair and extended bilinearly; each
+    residual u.(a m) - a (u.m) - u(a) m is summed in one dict, and a finding
+    is built only where it is nonzero.  Either way the reported scope is
+    the window.
     """
     size = window_size(n, window.bound)
     require_window_count(n * size * size * len(module_elems), "weak-compat identities")
+    if _passes_symbolically(_symbolic_weak_compat_vanishes, action, n, module_elems):
+        return []
     findings = []
     add = _bilinear_images(action)
     labels = [str(m) for m in module_elems]
@@ -639,9 +742,7 @@ def check_weak_compat_window(
         for a, sa, a_ms in monomials:
             ua = u.apply(a).terms
             for m, sm, um, am in zip(module_elems, labels, u_ms, a_ms):
-                res = add({}, u, am)
-                _add_product(res, um, a.terms, -1)
-                _add_product(res, m.terms, ua, -1)
+                res = _weak_compat_residual(add, u, um, a, ua, m, am)
                 if res:
                     findings.append(Finding("weak-compat", (su, sa, sm), m._new(res)))
     return findings

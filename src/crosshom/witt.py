@@ -23,8 +23,10 @@ and the quadratic coefficient matrices land in sp_{2n}).  A Window bounds
 which basis elements a verification covers; every individual identity check
 is exact.  Exponents may also be `poly.Poly` polynomials: the kernels read
 them only through +, - and * and through truth tests that skip zero terms,
-so `verify_witt_crossed_hom` checks each kind of pair once with symbolic
-exponents and enumerates the window pairs only when that residual is nonzero.
+so `verify_witt_crossed_hom` checks each kind of pair, and the sl/sp landing
+of each kind's image, once with symbolic exponents and enumerates the window
+only when one of them is nonzero; the Shen-Larsson window checks of
+`rinehart` do the same for the built-in action.
 
 Coefficients of the sparse elements are exact rationals stored as Python
 `int` when integral and as `fractions.Fraction` otherwise (`exact_coeff`);
@@ -203,7 +205,10 @@ class TensorElem:
         return self._new({k: _coeff(c * v) for k, v in self.terms.items()} if c else {})
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items())
+        """The terms in the order of (p, r); with symbolic exponents, each
+        number (or constant `Poly`) before any other `Poly`, those by their
+        canonical `str`."""
+        return sorted(self.terms.items(), key=_term_order)
 
     def poly_scale(self, a: "LaurentPoly"):
         """Multiply the coefficient factor: a (v_p (x) x^s) = v_p (x) a x^s."""
@@ -217,9 +222,23 @@ class TensorElem:
         parts = []
         for (p, r), c in self.sorted_terms():
             label = self.term_label(p, r)
+            if type(c) is Poly and len(c.terms) > 1:
+                c = f"({c})"
             prefix = "" if c == 1 else "-" if c == -1 else f"{c}*"
             parts.append(prefix + label if label else str(c))
         return " + ".join(parts) if parts else "0"
+
+
+def _term_order(item) -> tuple:
+    """Sort key of a term ((p, r), c): p, then r entrywise, a number e as
+    (0, e) and a non-constant `Poly` as (1, str)."""
+    (p, r), _ = item
+    key = []
+    for e in r:
+        if type(e) is Poly:
+            e = e.terms.get((), 0) if not e.terms.keys() - {()} else str(e)
+        key.append((1, e) if type(e) is str else (0, e))
+    return p, key
 
 
 def _add_product(acc: dict, terms: Mapping, a_terms: Mapping, c: Coeff = 1) -> dict:
@@ -491,6 +510,7 @@ def ham_window_basis(n: int, bound: int) -> list[WittElem]:
     ]
 
 
+@functools.cache
 def symplectic_form(n: int) -> Matrix:
     """Block matrix ((0, I), (-I, 0)) of size 2n."""
     data = [ZERO] * (4 * n * n)
@@ -526,6 +546,39 @@ def _residual(H, a: WittElem, Ha, b: WittElem, Hb, abelian_target: bool) -> dict
     if not abelian_target:
         _add_scaled(res, -1, gl_bracket(Ha, Hb).terms.items())
     return res
+
+
+def _landing_defects(family: str, He: GlLaurent) -> dict:
+    """{r: defect} for each exponent r at which the coefficient matrix M of
+    He, read from its terms, leaves the family's subalgebra: for sdiv the
+    trace of M (sl_n), for ham the nonzero entries {a * 2n + b: c} of
+    M^T J + J M with J = `symplectic_form` (sp_2n); other families land
+    anywhere.  For the antisymmetric J the entry M_xy adds -J_kx M_xy at
+    (y, k) and J_kx M_xy at (k, y)."""
+    out: dict = {}
+    if family == "sdiv":
+        for (p, r), c in He.terms.items():
+            if p % (He.n + 1) == 0:
+                _add_term(out, r, c)
+    elif family == "ham":
+        N = He.n
+        J = symplectic_form(N // 2).col_nonzeros
+        for (p, r), c in He.terms.items():
+            x, y = divmod(p, N)
+            acc = out.setdefault(r, {})
+            for k, j in J[x]:
+                _add_term(acc, y * N + k, -j * c)
+                _add_term(acc, k * N + y, j * c)
+            if not acc:
+                del out[r]
+    return out
+
+
+def _symbolic_landing_vanishes(n: int, family: str, H) -> bool:
+    """Whether H of every `_symbolic_basis` element lands in the family's
+    subalgebra at each of its exponents: the landing conditions are linear,
+    so every window element's then holds too."""
+    return not any(_landing_defects(family, H(e)) for e in _symbolic_basis(n, family, "r"))
 
 
 def _symbolic_residuals_vanish(n: int, family: str, H) -> bool:
@@ -565,9 +618,12 @@ def verify_witt_crossed_hom(
     kernels read exponents only through +, - and *, and through truth tests
     that only skip terms whose coefficient is then zero.  Otherwise the
     window pairs are enumerated, H(e) computed once per element, and a
-    finding built for each nonzero residual.  Either way the reported scope
-    is the window: each check is exact, and the window bounds which pairs
-    the verdict covers.
+    finding built for each nonzero residual.  The landing conditions of sdiv
+    and ham (`_landing_defects`, read from the terms of H(e)) are linear, so
+    they too are decided on the symbolic kinds first, and the window
+    elements are built only when one of the two symbolic checks fails.
+    Either way the reported scope is the window: each check is exact, and
+    the window bounds which pairs the verdict covers.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -585,7 +641,8 @@ def verify_witt_crossed_hom(
     else:
         H = canonical_crossed_hom_W
     symbolic_zero = _symbolic_residuals_vanish(n, family, H)
-    if symbolic_zero and family in ("full", "pq"):
+    lands = _symbolic_landing_vanishes(n, family, H)
+    if symbolic_zero and lands:
         return []
     if family == "sdiv":
         elems = sdiv_window_basis(n, window.bound)
@@ -601,20 +658,15 @@ def verify_witt_crossed_hom(
             res = _residual(H, a, Ha, b, Hb, family == "pq")
             if res:
                 findings.append(Finding("crossed-hom", (str(a), str(b)), Ha._new(res)))
-
-    if family == "sdiv":
+    if not lands:
+        rule = "sl-landing" if family == "sdiv" else "sp-landing"
         for e, He in zip(elems, images):
-            for r, M in He.coefficient_matrices().items():
-                tr = sum((M.entry(i, i) for i in range(M.rows)), ZERO)
-                if tr:
-                    findings.append(Finding("sl-landing", (str(e), _exp_str(r)), tr))
-    elif family == "ham":
-        J = symplectic_form(n)
-        for e, He in zip(elems, images):
-            for r, M in He.coefficient_matrices().items():
-                cond = M.transpose() * J + J * M
-                if not cond.is_zero():
-                    findings.append(Finding("sp-landing", (str(e), _exp_str(r)), cond))
+            for r, defect in sorted(_landing_defects(family, He).items()):
+                if family == "sdiv":
+                    defect = rational(defect)
+                else:
+                    defect = Matrix(He.n, He.n, _dense(defect, He.n * He.n))
+                findings.append(Finding(rule, (str(e), _exp_str(r)), defect))
     return findings
 
 

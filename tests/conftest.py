@@ -163,6 +163,26 @@ def poly_at(x, point: dict):
     return total
 
 
+def evaluated(terms, point):
+    """Sparse terms with Poly exponents and coefficients at {variable name:
+    int}, keys that coincide there added up."""
+    out: dict = {}
+    for (p, r), c in terms.items():
+        ref_add_term(out, (p, tuple(poly_at(x, point) for x in r)), poly_at(c, point))
+    return out
+
+
+def instance(kinds, elem, name):
+    """The symbolic kind of elem and the point {name<k>: exponent} at which
+    it evaluates to elem."""
+    for kind in kinds:
+        for _, r in elem.terms:
+            point = {f"{name}{k + 1}": e for k, e in enumerate(r)}
+            if evaluated(kind.terms, point) == elem.terms:
+                return kind, point
+    raise AssertionError(f"no symbolic kind evaluates to {elem}")
+
+
 def random_exponent(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(rng.randint(-2, 2) for _ in range(n))
 

@@ -418,3 +418,19 @@ def test_criterion_16_symbolic_pair_check_past_the_window_loops():
     assert verify_witt_crossed_hom(3, "sdiv", Window(3)) == []
     assert verify_witt_crossed_hom(2, "ham", Window(2)) == []
     _stamp(16, "full n=3 window 4, sdiv n=3 window 3, ham n=2 window 2", t0, 5.0)
+
+
+def test_criterion_17_symbolic_shen_larsson_checks_past_the_window_loops():
+    # the built-in action's module axiom and weak compatibility are decided
+    # once per kind with symbolic exponents, so windows whose loops take
+    # seconds pass at once; each stays inside the identity guards
+    t0 = time.monotonic()
+    reps = (trivial_rep, natural_rep_gl, adjoint_rep_gl)
+    for n, bound in ((2, 2), (3, 1)):
+        for build in reps:
+            theta = build(n)
+            action = shen_larsson_action(theta)
+            elems = vtensor_window_basis(theta, n, bound)
+            assert check_module_axiom_window(action, n, Window(bound), elems) == [], (n, build)
+            assert check_weak_compat_window(action, n, Window(bound), elems) == [], (n, build)
+    _stamp(17, "module law + weak compatibility, 3 reps at n=2 window 2 and n=3 window 1", t0, 5.0)

@@ -22,6 +22,7 @@ from crosshom.liealg import (
     semidirect,
 )
 from crosshom.linalg import Matrix, kron, lincomb
+from crosshom.poly import Poly
 from crosshom.report import Finding
 from crosshom.rinehart import (
     AModuleStructure,
@@ -74,6 +75,8 @@ from crosshom.witt import (
 from conftest import (
     FIXTURES,
     assert_exact_terms,
+    evaluated,
+    instance,
     random_exponent,
     random_sparse_sum,
     ref_action_bracket,
@@ -524,13 +527,14 @@ def test_window_checks_refuse_oversized_windows(no_window_enumeration):
 def test_module_axiom_window_catches_scaled_action():
     # c * action breaks [u, v].m = u.(v.m) - v.(u.m) wherever [u, v].m != 0:
     # the residual is c (1 - c) [u, v].m.  1860 is the count the benchmark's
-    # negative control expects for c = 2; c = 1/2 runs the Fraction path.
+    # negative control expects for c = 2; c = 1/2 runs the Fraction path.  A
+    # function around the built-in action is not the built-in action, so its
+    # window is enumerated.
     theta = natural_rep_gl(2)
+    action = shen_larsson_action(theta)
     elems = vtensor_window_basis(theta, 2, 1)
     doubled, halved = (
-        check_module_axiom_window(
-            lambda u, t, c=c: shen_larsson_apply(theta, u, t).scale(c), 2, Window(1), elems
-        )
+        check_module_axiom_window(lambda u, t, c=c: action(u, t).scale(c), 2, Window(1), elems)
         for c in (2, Fraction(1, 2))
     )
     for findings in (doubled, halved):
@@ -701,6 +705,137 @@ def test_window_checks_keep_the_modules_of_a_mixed_list_apart(action):
     else:
         broken = {f.site[2] for f in axiom} | {f.site[2] for f in compat}
         assert broken == {str(m) for m in elems[1:4]}
+
+
+# --- the symbolic pass of the built-in action ------------------------------
+
+
+def e12_doubled_rep():
+    """The natural gl_2-representation with theta(E_12) doubled: no
+    representation, so V (x) A_2 is no module."""
+    theta = natural_rep_gl(2).theta
+    return GlnRep(2, 2, {k: m.scale(2) if k == (0, 1) else m for k, m in theta.items()})
+
+
+SYMBOLIC_REPS = {"trivial": trivial_rep, "natural": natural_rep_gl, "adjoint": adjoint_rep_gl}
+SYMBOLIC_CASES = [(n, name) for n in (1, 2) for name in SYMBOLIC_REPS] + [(2, "E_12 doubled")]
+
+
+def symbolic_case(n, name):
+    """(theta, window bound, window module elements): window 2 for n = 1,
+    window 1 for n = 2."""
+    theta = e12_doubled_rep() if name == "E_12 doubled" else SYMBOLIC_REPS[name](n)
+    bound = 2 if n == 1 else 1
+    return theta, bound, vtensor_window_basis(theta, n, bound)
+
+
+@pytest.mark.parametrize("n, name", SYMBOLIC_CASES)
+def test_each_window_residual_of_the_built_in_action_is_an_evaluation_of_a_symbolic_one(n, name):
+    theta, bound, elems = symbolic_case(n, name)
+    add = crosshom.rinehart._bilinear_images(shen_larsson_action(theta))
+    kinds_r, kinds_s = (crosshom.witt._symbolic_basis(n, "full", x) for x in "rs")
+    kinds_m = crosshom.rinehart._symbolic_module_elems(elems)
+    kinds_q = [LaurentPoly.monomial(n, Poly.variables("q", n))]
+    assert len(kinds_m) == theta.dim_v
+
+    def axiom(u, v, m):
+        um, vm = m._new(add({}, u, m)), m._new(add({}, v, m))
+        return crosshom.rinehart._module_axiom_residual(add, witt_bracket(u, v), u, um, v, vm, m)
+
+    def compat(u, a, m):
+        ua = u.apply(a).terms
+        return crosshom.rinehart._weak_compat_residual(add, u, add({}, u, m), a, ua, m, m.poly_scale(a))
+
+    rng = random.Random(f"symbolic-{n}-{name}")
+    actors = witt_window_basis(n, bound)
+    nonzero = 0
+    for u, v, m in rng.sample(list(itertools.product(actors, actors, elems)), 80):
+        (ku, pu), (kv, pv), (km, pm) = instance(kinds_r, u, "r"), instance(kinds_s, v, "s"), instance(kinds_m, m, "t")
+        got = axiom(u, v, m)
+        assert evaluated(axiom(ku, kv, km), pu | pv | pm) == got
+        nonzero += bool(got)
+    monomials = laurent_window_basis(n, bound)
+    for u, a, m in rng.sample(list(itertools.product(actors, monomials, elems)), 80):
+        (ku, pu), (kq, pq), (km, pm) = instance(kinds_r, u, "r"), instance(kinds_q, a, "q"), instance(kinds_m, m, "t")
+        got = compat(u, a, m)
+        assert evaluated(compat(ku, kq, km), pu | pq | pm) == got == {}
+    assert bool(nonzero) is (name == "E_12 doubled")
+
+
+@pytest.mark.parametrize("n, name", SYMBOLIC_CASES)
+def test_built_in_action_and_a_wrapped_one_give_equal_findings(n, name):
+    # a lambda around the built-in action is a caller's callable: the window
+    # is enumerated for it, and the findings are those of the built-in
+    theta, bound, elems = symbolic_case(n, name)
+    action = shen_larsson_action(theta)
+    wrapped = lambda w, t: action(w, t)  # noqa: E731
+    counts = []
+    for check in (check_module_axiom_window, check_weak_compat_window):
+        got = check(action, n, Window(bound), elems)
+        reference = check(wrapped, n, Window(bound), elems)
+        assert got == reference
+        assert [f.to_json() for f in got] == [f.to_json() for f in reference]
+        counts.append(len(got))
+    assert counts == ([648, 0] if name == "E_12 doubled" else [0, 0])
+
+
+@pytest.mark.parametrize("n, bound", [(1, 2), (2, 2), (3, 1)])
+def test_passing_built_in_checks_enumerate_no_window(request, n, bound):
+    cases = []
+    for build in SYMBOLIC_REPS.values():
+        theta = build(n)
+        cases.append((shen_larsson_action(theta), vtensor_window_basis(theta, n, bound)))
+    request.getfixturevalue("no_window_enumeration")
+    for action, elems in cases:
+        assert check_module_axiom_window(action, n, Window(bound), elems) == []
+        assert check_weak_compat_window(action, n, Window(bound), elems) == []
+
+
+def test_built_in_action_looks_up_shen_larsson_apply_when_called(monkeypatch):
+    # an action built before `shen_larsson_apply` is wrapped (as a tracer
+    # does) calls the wrapper, in the symbolic pass and in the window loop
+    theta = e12_doubled_rep()
+    action = shen_larsson_action(theta)
+    elems = vtensor_window_basis(theta, 2, 1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return shen_larsson_apply(*args)
+
+    monkeypatch.setattr(crosshom.rinehart, "shen_larsson_apply", counted)
+    assert check_weak_compat_window(action, 2, Window(1), elems) == []
+    assert calls and all(len(args[1].terms) == 1 for args in calls)
+    calls.clear()
+    assert len(check_module_axiom_window(action, 2, Window(1), elems)) == 648
+    assert len(calls) > 1476
+
+
+def window_check_outcome(check, action, elems):
+    """The findings of check on elems at n = 2, window 1, or the message of
+    the DimensionMismatch it raises."""
+    try:
+        return check(action, 2, Window(1), elems)
+    except DimensionMismatch as e:
+        return str(e)
+
+
+@pytest.mark.parametrize(
+    "elems",
+    [
+        [VTensorA.basis(2, 2, 0, (0, 1)), LaurentPoly.monomial(2, (1, 0))],
+        [VTensorA.basis(2, 3, 2, (0, 1))],
+        [VTensorA.basis(3, 2, 0, (0, 1, 0))],
+        [VTensorA.basis(2, 2, 0, (0, 1)), VTensorA.zero(3, 2)],
+    ],
+    ids=["laurent", "dim-v", "variables", "zero-of-three-variables"],
+)
+def test_built_in_and_wrapped_actions_refuse_the_same_modules(elems):
+    action = shen_larsson_action(natural_rep_gl(2))
+    for check in (check_module_axiom_window, check_weak_compat_window):
+        got = window_check_outcome(check, action, elems)
+        assert got == window_check_outcome(check, lambda w, t: action(w, t), elems)
+    assert type(got) is str
 
 
 # --- the int coefficient path against the Fraction-only kernels -----------

@@ -55,6 +55,8 @@ from crosshom.witt import (
 )
 from conftest import (
     assert_exact_terms,
+    evaluated,
+    instance,
     poly_at,
     random_exponent,
     random_fraction_vector,
@@ -948,26 +950,6 @@ def test_planted_cubic_defect_is_missed_by_window_one_only(monkeypatch):
     assert len(got) == 4 and all(type(f.residual) is GlLaurent for f in got)
 
 
-def evaluated(terms, point):
-    """Sparse terms with Poly exponents and coefficients at {variable name:
-    int}, keys that coincide there added up."""
-    out: dict = {}
-    for (p, r), c in terms.items():
-        ref_add_term(out, (p, tuple(poly_at(x, point) for x in r)), poly_at(c, point))
-    return out
-
-
-def instance(kinds, elem, name):
-    """The symbolic kind of elem and the point {name<k>: exponent} at which
-    it evaluates to elem."""
-    for kind in kinds:
-        for _, r in elem.terms:
-            point = {f"{name}{k + 1}": e for k, e in enumerate(r)}
-            if evaluated(kind.terms, point) == elem.terms:
-                return kind, point
-    raise AssertionError(f"no symbolic kind evaluates to {elem}")
-
-
 @pytest.mark.parametrize("family, n", [("full", 2), ("sdiv", 2), ("ham", 1)])
 @pytest.mark.parametrize("H", [canonical_crossed_hom_W, *BROKEN_CANONICAL.values(), cubic_defect])
 def test_each_window_residual_is_an_evaluation_of_a_symbolic_one(family, n, H):
@@ -983,8 +965,8 @@ def test_each_window_residual_is_an_evaluation_of_a_symbolic_one(family, n, H):
 
 def test_passing_checks_enumerate_no_window_pair(monkeypatch):
     # every bracket the check takes is of two symbolic kinds, once per
-    # ordered pair; full and pq build no window element at all, sdiv and ham
-    # build theirs only for the landing checks
+    # ordered pair, and the landing conditions of sdiv and ham are decided
+    # on the symbolic kinds too: no family builds a window element
     def refuse(*args):
         raise AssertionError("a window pair loop ran")
 
@@ -1000,9 +982,112 @@ def test_passing_checks_enumerate_no_window_pair(monkeypatch):
     for family, n, bound in (("full", 3, 2), ("pq", 3, 2), ("sdiv", 3, 1), ("ham", 1, 2)):
         brackets.clear()
         with monkeypatch.context() as m:
+            m.setattr(crosshom.witt, "window_exponents", refuse)
             if family in ("full", "pq"):
+                # sdiv's kinds pair the directions with `combinations`
                 no_pairs = types.SimpleNamespace(**{**vars(itertools), "combinations": refuse})
                 m.setattr(crosshom.witt, "itertools", no_pairs)
-                m.setattr(crosshom.witt, "window_exponents", refuse)
             assert verify_witt_crossed_hom(n, family, Window(bound), p=p, q=Fraction(1, 2)) == []
         assert len(brackets) == kinds[family] ** 2, family
+
+
+def reference_landing(family, n, window):
+    """The landing findings of sdiv and ham from the dense coefficient
+    matrices: trace M for sl_n, M^T J + J M for sp_2n."""
+    findings = []
+    for e in WINDOW_BASES[family](n, window.bound):
+        for r, M in crosshom.witt.canonical_crossed_hom_W(e).coefficient_matrices().items():
+            if family == "sdiv":
+                defect = sum((M.entry(i, i) for i in range(M.rows)), Fraction(0))
+                if defect:
+                    findings.append(Finding("sl-landing", (str(e), crosshom.witt._exp_str(r)), defect))
+            else:
+                J = symplectic_form(n)
+                defect = M.transpose() * J + J * M
+                if not defect.is_zero():
+                    findings.append(Finding("sp-landing", (str(e), crosshom.witt._exp_str(r)), defect))
+    return findings
+
+
+def off_the_subalgebra(e):
+    """A map that is no crossed hom and leaves sl and sp: the canonical map
+    plus r_1 E_11 (x) x^r on x^r d_j."""
+    out = canonical_crossed_hom_W(e)
+    for (j, r), c in e.terms.items():
+        out = out + GlLaurent.basis(e.n, 0, 0, r, c * r[0])
+    return out
+
+
+def quadratic_off_diagonal(e):
+    """The canonical map plus r_1^2 E_12 (x) x^r on x^r d_j: its trace stays
+    zero."""
+    out = canonical_crossed_hom_W(e)
+    for (j, r), c in e.terms.items():
+        out = out + GlLaurent.basis(e.n, 0, 1, r, c * r[0] ** 2)
+    return out
+
+
+@pytest.mark.parametrize("family, n", [("sdiv", 2), ("sdiv", 3), ("ham", 1), ("ham", 2)])
+@pytest.mark.parametrize("H", [canonical_crossed_hom_W, off_the_subalgebra, quadratic_off_diagonal, *BROKEN_CANONICAL.values()])
+def test_landing_findings_match_the_dense_coefficient_matrices(monkeypatch, family, n, H):
+    # the landing conditions are decided on the symbolic kinds, and only a
+    # nonzero symbolic defect enumerates the window, with the findings of the
+    # dense loop
+    monkeypatch.setattr(crosshom.witt, "canonical_crossed_hom_W", H)
+    window = Window(1)
+    landing = [f for f in verify_witt_crossed_hom(n, family, window) if f.rule != "crossed-hom"]
+    expected = reference_landing(family, n, window)
+    assert landing == expected
+    assert [f.to_json() for f in landing] == [f.to_json() for f in expected]
+    lands = crosshom.witt._symbolic_landing_vanishes(n, family, H)
+    assert lands is (not expected)
+    # E_12 has trace 0 and lies in sp_2 = sl_2, but not in sp_4
+    assert bool(expected) is (H is off_the_subalgebra or (H, family, n) == (quadratic_off_diagonal, "ham", 2))
+
+
+def test_each_window_landing_defect_is_an_evaluation_of_a_symbolic_one():
+    for family, n in (("sdiv", 2), ("ham", 1)):
+        kinds = crosshom.witt._symbolic_basis(n, family, "r")
+        for e in WINDOW_BASES[family](n, 2):
+            kind, point = instance(kinds, e, "r")
+            sym = crosshom.witt._landing_defects(family, off_the_subalgebra(kind))
+            got = crosshom.witt._landing_defects(family, off_the_subalgebra(e))
+            summed: dict = {}
+            for r, defect in sym.items():
+                r = tuple(poly_at(x, point) for x in r)
+                if family == "sdiv":
+                    ref_add_term(summed, r, poly_at(defect, point))
+                else:
+                    acc = summed.setdefault(r, {})
+                    for k, c in defect.items():
+                        ref_add_term(acc, k, poly_at(c, point))
+            assert {r: d for r, d in summed.items() if d} == got
+
+
+# --- rendering elements with symbolic exponents ------------------------------
+
+
+def test_sorted_terms_keep_the_integer_order():
+    n = 2
+    elems = [
+        WittElem.basis(n, (1, -1), 1) + WittElem.basis(n, (-1, 2), 0, 3) + WittElem.basis(n, (0, 0), 0),
+        GlLaurent.basis(n, 1, 0, (2, 0)) + GlLaurent.basis(n, 0, 1, (-2, 1), Fraction(-1, 2)),
+        LaurentPoly.monomial(n, (1, 1)) + LaurentPoly.monomial(n, (-1, 1), -1) + LaurentPoly.monomial(n, (0, 0), 2),
+    ]
+    for e in elems:
+        assert e.sorted_terms() == sorted(e.terms.items())
+    assert str(elems[0]) == "3*x^(-1,2) d_1 + d_1 + x^(1,-1) d_2"
+
+
+def test_sorted_terms_order_symbolic_exponents():
+    r1, r2 = Poly.variables("r", 2)
+    s1, s2 = Poly.variables("s", 2)
+    a = WittElem.basis(2, (r1, 0), 0) + WittElem.basis(2, (s1, 0), 0)
+    b = WittElem.basis(2, (s1, 0), 0) + WittElem.basis(2, (r1, 0), 0)
+    assert str(a) == str(b) == "x^(r1,0) d_1 + x^(s1,0) d_1"
+    # a number before any non-constant Poly, a constant Poly as its number
+    c = WittElem.basis(2, (r1, 1), 1) + WittElem.basis(2, (2, s2), 1) + WittElem.basis(2, (r1 - r1 + 1, 0), 1)
+    assert [r for (_, r), _ in c.sorted_terms()] == [(1, 0), (2, s2), (r1, 1)]
+    # a coefficient with more than one term is bracketed
+    d = witt_bracket(WittElem.basis(2, (r1, r2), 0), WittElem.basis(2, (s1, s2), 0))
+    assert str(d) == "(-r1 + s1)*x^(r1 + s1,r2 + s2) d_1"
