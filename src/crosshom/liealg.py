@@ -51,7 +51,6 @@ from .linalg import (
     lincomb,
     rational,
     vector,
-    vzero,
 )
 from .report import Finding
 
@@ -75,14 +74,6 @@ class FinLieAlgebra:
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if k == i else ZERO for k in range(self.dim))
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        if i == j:
-            return vzero(self.dim)
-        if i < j:
-            return self.structure.get((i, j), vzero(self.dim))
-        v = self.structure.get((j, i))
-        return vzero(self.dim) if v is None else tuple(-c for c in v)
 
     @cached_property
     def bracket_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Coeff], ...]]:

@@ -85,10 +85,6 @@ def vector(entries: Iterable) -> Vector:
     return tuple(rational(e) for e in entries)
 
 
-def vzero(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
@@ -163,16 +159,6 @@ class Matrix:
                 i, j = divmod(k, self.cols)
                 cols[j].append((i, exact_coeff(x)))
         return tuple(tuple(c) for c in cols)
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:

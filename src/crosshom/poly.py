@@ -16,7 +16,9 @@ conditions once on elements whose exponents are the variables of
 `Poly.variables`, and `rinehart.check_module_axiom_window` and
 `check_weak_compat_window` do the same with the built-in Shen-Larsson action
 on v_p (x) x^t: the sparse Witt and Shen-Larsson kernels read exponents only
-through `+`, `*` and truth tests, so they run on them as they are.
+through `+`, `*` and truth tests, so they run on them as they are.  Each
+identity has one residual generator, run on the symbolic elements and, only
+when it yields there, on the window's.
 """
 
 from __future__ import annotations

@@ -34,10 +34,12 @@ are defined in `witt`, in the layout A_n, gl_n (x) A_n and W_n share, and
 re-exported here.  The window checks of the module law and of weak
 compatibility call an action once per (basis actor, basis module element)
 pair and extend it bilinearly (`_bilinear_images`), adding each image into
-the identity's one residual dict with `linalg._add_scaled`.  For the built-in
-`shen_larsson_action` they first compute that residual once per kind of
-actor, monomial and module element v_p (x) x^t with `poly.Poly` exponents,
-and enumerate the window only when one of those residuals is nonzero.
+the identity's one residual dict with `linalg._add_scaled`.  Each check has
+one generator of nonzero residuals (`_module_axiom_defects`,
+`_weak_compat_defects`).  For the built-in `shen_larsson_action` it runs
+first on each kind of actor, monomial and module element v_p (x) x^t, with
+`poly.Poly` exponents, and stops at the first yield; the window is
+enumerated, by the same generator, only when there was one.
 """
 
 from __future__ import annotations
@@ -608,67 +610,53 @@ def _symbolic_module_elems(module_elems: Sequence[TensorElem]) -> list[TensorEle
     return [m._new({(p, Poly.variables("t", m.n)): 1}) for (_, _, p), m in kinds.items()]
 
 
-def _module_axiom_residual(add, bw: WittElem, u: WittElem, um, v: WittElem, vm, m) -> dict:
-    """[u, v].m - u.(v.m) + v.(u.m) summed in one dict, for bw = [u, v],
-    um = u.m and vm = v.m."""
-    res = add({}, bw, m)
-    add(res, u, vm, -1)
-    add(res, v, um)
-    return res
+def _actor_images(add, actors: Sequence[WittElem], ms: Sequence[TensorElem]) -> list:
+    """(u, [u.m for m in ms]) for each actor u."""
+    return [(u, [m._new(add({}, u, m)) for m in ms]) for u in actors]
 
 
-def _weak_compat_residual(add, u: WittElem, um: dict, a: LaurentPoly, ua: dict, m, am) -> dict:
-    """u.(a m) - a (u.m) - u(a) m summed in one dict, for the terms um of
-    u.m and ua of u(a), and am = a m; the products by a and u(a) are those of
-    `TensorElem.poly_scale`."""
-    res = add({}, u, am)
-    _add_product(res, um, a.terms, -1)
-    _add_product(res, m.terms, ua, -1)
-    return res
-
-
-def _symbolic_module_axiom_vanishes(action: WindowedAction, n: int, module_elems) -> bool:
-    """Whether the module-axiom residual is zero on every ordered pair of
-    actors x^r d_i, x^s d_j and every `_symbolic_module_elems` element."""
-    add, ms = _bilinear_images(action), _symbolic_module_elems(module_elems)
-    kinds = (_symbolic_basis(n, "full", x) for x in "rs")
-    images = [[(u, [m._new(add({}, u, m)) for m in ms]) for u in us] for us in kinds]
-    for (u, u_ms), (v, v_ms) in itertools.product(*images):
+def _module_axiom_defects(add, pairs, ms: Sequence[TensorElem]):
+    """(u, v, m, residual) for each pair ((u, u.ms), (v, v.ms)) of
+    `_actor_images` and each m in ms, in that order, whose residual
+    [u, v].m - u.(v.m) + v.(u.m), summed in one dict, is nonzero."""
+    for (u, u_ms), (v, v_ms) in pairs:
         bw = witt_bracket(u, v)
-        if any(_module_axiom_residual(add, bw, u, um, v, vm, m) for m, um, vm in zip(ms, u_ms, v_ms)):
-            return False
-    return True
+        for m, um, vm in zip(ms, u_ms, v_ms):
+            res = add({}, bw, m)
+            add(res, u, vm, -1)
+            add(res, v, um)
+            if res:
+                yield u, v, m, res
 
 
-def _symbolic_weak_compat_vanishes(action: WindowedAction, n: int, module_elems) -> bool:
-    """Whether the weak-compatibility residual is zero on every actor
-    x^r d_i, the monomial x^q and every `_symbolic_module_elems` element."""
-    add, ms = _bilinear_images(action), _symbolic_module_elems(module_elems)
-    a = LaurentPoly.monomial(n, Poly.variables("q", n))
-    a_ms = [m.poly_scale(a) for m in ms]
-    for u in _symbolic_basis(n, "full", "r"):
-        ua = u.apply(a).terms
-        for m, am in zip(ms, a_ms):
-            if _weak_compat_residual(add, u, add({}, u, m), a, ua, m, am):
-                return False
-    return True
+def _weak_compat_defects(add, actors: Sequence[WittElem], monomials, ms: Sequence[TensorElem]):
+    """(u, a, m, residual) for each actor u, monomial a and m in ms, in that
+    nesting, whose residual u.(a m) - a (u.m) - u(a) m, summed in one dict,
+    is nonzero; the products by a and u(a) are those of
+    `TensorElem.poly_scale`."""
+    scaled = [(a, [m.poly_scale(a) for m in ms]) for a in monomials]
+    for u in actors:
+        u_ms = [add({}, u, m) for m in ms]
+        for a, a_ms in scaled:
+            ua = u.apply(a).terms
+            for m, um, am in zip(ms, u_ms, a_ms):
+                res = add({}, u, am)
+                _add_product(res, um, a.terms, -1)
+                _add_product(res, m.terms, ua, -1)
+                if res:
+                    yield u, a, m, res
 
 
-def _passes_symbolically(vanishes, action: WindowedAction, n: int, module_elems) -> bool:
-    """Whether action is the built-in Shen-Larsson action and the check's
-    symbolic residuals all vanish.  Each window residual is then such a
-    residual evaluated at integer exponents, summed over the terms of the
-    module element: `_tensor_action` reads exponents only through +, * and
-    truth tests that skip zero terms, and the residual is linear in m.  An
-    arbitrary callable proves nothing on symbols, so it is never asked.  A
-    non-positive n and a zero module element, which has no kind, are left to
-    the window loop, which refuses or passes them as it always has."""
-    return (
-        type(action) is _ShenLarssonAction
-        and n > 0
-        and all(m.terms for m in module_elems)
-        and vanishes(action, n, module_elems)
-    )
+def _decided_symbolically(action: WindowedAction, module_elems) -> bool:
+    """Whether a window check may first be decided on symbolic kinds: action
+    is the built-in Shen-Larsson action and every module element has a kind.
+    Each window residual is then a symbolic one evaluated at integer
+    exponents, summed over the terms of the module element:
+    `_tensor_action` reads exponents only through +, * and truth tests that
+    skip zero terms, and the residual is linear in m.  An arbitrary callable
+    proves nothing on symbols, so it is never asked; a zero module element
+    is left to the window loop, which passes it as it always has."""
+    return type(action) is _ShenLarssonAction and all(m.terms for m in module_elems)
 
 
 def check_module_axiom_window(
@@ -679,33 +667,34 @@ def check_module_axiom_window(
 ) -> list[Finding]:
     """[u, v].m = u.(v.m) - v.(u.m) on all windowed pairs and module elements.
 
-    For the built-in `shen_larsson_action` the residual is first computed
-    once per ordered pair of actor kinds x^r d_i, x^s d_j on v_p (x) x^t,
-    with `Poly` exponents; when every such residual is zero no window pair
-    can fail and none is enumerated.  Otherwise, and for any other action,
-    the action is called once per (basis actor, basis module element) pair
+    The action is called once per (basis actor, basis module element) pair
     and extended bilinearly; each residual [u, v].m - u.(v.m) + v.(u.m) is
-    summed in one dict, and a finding is built only where it is nonzero.
-    Either way the reported scope is the window.
+    summed in one dict by `_module_axiom_defects`.  For the built-in
+    `shen_larsson_action` that generator first runs on each ordered pair of
+    actor kinds x^r d_i, x^s d_j and each v_p (x) x^t, with `Poly`
+    exponents; when none of those residuals is nonzero no window pair can
+    fail and none is enumerated.  Otherwise, and for any other action, it
+    runs on the window pairs, and a finding is built for each nonzero
+    residual.  Either way the reported scope is the window.
     """
     require_window_count(
         math.comb(n * window_size(n, window.bound), 2) * len(module_elems),
         "module-axiom identities",
     )
-    if _passes_symbolically(_symbolic_module_axiom_vanishes, action, n, module_elems):
-        return []
-    findings = []
     add = _bilinear_images(action)
+    if _decided_symbolically(action, module_elems):
+        ms = _symbolic_module_elems(module_elems)
+        kinds = [_actor_images(add, _symbolic_basis(n, "full", x), ms) for x in "rs"]
+        if not any(_module_axiom_defects(add, itertools.product(*kinds), ms)):
+            return []
     actors = witt_window_basis(n, window.bound)
-    labels = [str(m) for m in module_elems]
-    images = [(u, str(u), [m._new(add({}, u, m)) for m in module_elems]) for u in actors]
-    for (u, su, u_ms), (v, sv, v_ms) in itertools.combinations(images, 2):
-        bw = witt_bracket(u, v)
-        for m, sm, um, vm in zip(module_elems, labels, u_ms, v_ms):
-            res = _module_axiom_residual(add, bw, u, um, v, vm, m)
-            if res:
-                findings.append(Finding("module-axiom", (su, sv, sm), m._new(res)))
-    return findings
+    images = _actor_images(add, actors, module_elems)
+    # each window element is rendered once, and only in the window pass
+    label = {id(e): str(e) for e in (*actors, *module_elems)}
+    return [
+        Finding("module-axiom", (label[id(u)], label[id(v)], label[id(m)]), m._new(res))
+        for u, v, m, res in _module_axiom_defects(add, itertools.combinations(images, 2), module_elems)
+    ]
 
 
 def check_weak_compat_window(
@@ -717,32 +706,27 @@ def check_weak_compat_window(
     """u.(a m) = a (u.m) + u(a) m for windowed monomials a; the sparse
     counterpart of the first-order-operator compatibility.
 
-    For the built-in `shen_larsson_action` the residual is first computed
-    once per actor kind x^r d_i on x^q and v_p (x) x^t, with `Poly`
-    exponents; when every such residual is zero nothing is enumerated.
-    Otherwise, and for any other action, the action is called once per
-    (basis actor, basis module element) pair and extended bilinearly; each
-    residual u.(a m) - a (u.m) - u(a) m is summed in one dict, and a finding
-    is built only where it is nonzero.  Either way the reported scope is
-    the window.
+    The action is called once per (basis actor, basis module element) pair
+    and extended bilinearly; each residual u.(a m) - a (u.m) - u(a) m is
+    summed in one dict by `_weak_compat_defects`.  For the built-in
+    `shen_larsson_action` that generator first runs on each actor kind
+    x^r d_i, on x^q and each v_p (x) x^t, with `Poly` exponents; when none
+    of those residuals is nonzero nothing is enumerated.  Otherwise, and for
+    any other action, it runs on the window, and a finding is built for
+    each nonzero residual.  Either way the reported scope is the window.
     """
     size = window_size(n, window.bound)
     require_window_count(n * size * size * len(module_elems), "weak-compat identities")
-    if _passes_symbolically(_symbolic_weak_compat_vanishes, action, n, module_elems):
-        return []
-    findings = []
     add = _bilinear_images(action)
-    labels = [str(m) for m in module_elems]
-    monomials = [
-        (a, str(a), [m.poly_scale(a) for m in module_elems])
-        for a in laurent_window_basis(n, window.bound)
+    if _decided_symbolically(action, module_elems):
+        ms = _symbolic_module_elems(module_elems)
+        q = [LaurentPoly.monomial(n, Poly.variables("q", n))]
+        if not any(_weak_compat_defects(add, _symbolic_basis(n, "full", "r"), q, ms)):
+            return []
+    actors = witt_window_basis(n, window.bound)
+    monomials = laurent_window_basis(n, window.bound)
+    label = {id(e): str(e) for e in (*actors, *monomials, *module_elems)}
+    return [
+        Finding("weak-compat", (label[id(u)], label[id(a)], label[id(m)]), m._new(res))
+        for u, a, m, res in _weak_compat_defects(add, actors, monomials, module_elems)
     ]
-    for u in witt_window_basis(n, window.bound):
-        su, u_ms = str(u), [add({}, u, m) for m in module_elems]
-        for a, sa, a_ms in monomials:
-            ua = u.apply(a).terms
-            for m, sm, um, am in zip(module_elems, labels, u_ms, a_ms):
-                res = _weak_compat_residual(add, u, um, a, ua, m, am)
-                if res:
-                    findings.append(Finding("weak-compat", (su, sa, sm), m._new(res)))
-    return findings

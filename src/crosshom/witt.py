@@ -22,11 +22,15 @@ that basis their bracket closes with coefficient sum(r_{n+i} s_i - s_{n+i} r_i)
 and the quadratic coefficient matrices land in sp_{2n}).  A Window bounds
 which basis elements a verification covers; every individual identity check
 is exact.  Exponents may also be `poly.Poly` polynomials: the kernels read
-them only through +, - and * and through truth tests that skip zero terms,
-so `verify_witt_crossed_hom` checks each kind of pair, and the sl/sp landing
-of each kind's image, once with symbolic exponents and enumerates the window
-only when one of them is nonzero; the Shen-Larsson window checks of
-`rinehart` do the same for the built-in action.
+them only through +, - and * and through truth tests that skip zero terms.
+One builder, `_family_basis`, writes each family's elements at a list of
+exponent tuples: the window's (`witt_window_basis`, `sdiv_window_basis`,
+`ham_window_basis`) or one tuple of variables (`_symbolic_basis`, one
+element per kind).  `verify_witt_crossed_hom` runs its one pair-residual
+generator, `_crossed_hom_defects`, and `_landing_defects` on the symbolic
+kinds first and on the window only when one of them is nonzero; the
+Shen-Larsson window checks of `rinehart` do the same for the built-in
+action.
 
 Coefficients of the sparse elements are exact rationals stored as Python
 `int` when integral and as `fractions.Fraction` otherwise (`exact_coeff`);
@@ -39,7 +43,7 @@ Finite-dimensional commutative algebras and their derivation-generated Lie
 algebras (the generalized Witt construction) live here too, so the same
 crossed-homomorphism checker from `liealg` can certify the canonical maps on
 finite models.  `FinCommAlgebra` runs over nonzeros: `product_terms` lists
-each product's nonzero coordinates once, and `multiply`, `mult_matrix`, the
+each product's nonzero coordinates once, and `mult_matrix`, the
 associativity check and the Leibniz rule read it with `Matrix.col_nonzeros`.
 The generalized Witt algebra A (x) Delta is the action Lie-Rinehart algebra of
 the Leibniz pair (A, span Delta): one builder, `action_structure`, writes the
@@ -133,16 +137,19 @@ class Window:
 def window_size(n: int, bound: int) -> int:
     """The number (2 bound + 1)^n of exponent tuples in a window.
 
-    Raises SearchSpaceTooLarge above MAX_WINDOW_COUNT, without computing the
-    power when it is certainly too large (a side of at least 2 and n of at
-    least 24 give at least 2^24 > 10^7 tuples).
+    Raises DimensionMismatch for a negative n, and SearchSpaceTooLarge above
+    MAX_WINDOW_COUNT, without computing the power when it is certainly too
+    large (a side of at least 2 and n of at least 24 give at least
+    2^24 > 10^7 tuples).
     """
+    if n < 0:
+        raise DimensionMismatch(f"variable count {n} is negative")
     side = max(2 * bound + 1, 0)
     if side >= 2 and n >= MAX_WINDOW_COUNT.bit_length():
         raise SearchSpaceTooLarge(
             f"{side}^{n} window exponent tuples exceed the {MAX_WINDOW_COUNT} guard"
         )
-    return require_window_count(side ** max(n, 0), "window exponent tuples")
+    return require_window_count(side ** n, "window exponent tuples")
 
 
 def window_exponents(n: int, bound: int) -> list[MultiIndex]:
@@ -389,17 +396,6 @@ class GlLaurent(TensorElem):
         r = _exponents(r, n)
         return GlLaurent(n, {(i * n + j, r): c} if c else {})
 
-    def coefficient_matrices(self) -> dict[MultiIndex, Matrix]:
-        """The matrix attached to each monomial x^r, as a dense Matrix of Fractions."""
-        buckets: dict[MultiIndex, dict] = {}
-        for (p, r), c in self.terms.items():
-            buckets.setdefault(r, {})[p] = c
-        out = {}
-        for r in sorted(buckets):
-            data = tuple(Fraction(buckets[r].get(p, 0)) for p in range(self.n * self.n))
-            out[r] = Matrix(self.n, self.n, data)
-        return out
-
     def term_label(self, p: int, r: MultiIndex) -> str:
         i, j = divmod(p, self.n)
         return f"E_{i + 1}{j + 1}" + (f" (x) {_exp_str(r)}" if any(r) else "")
@@ -483,31 +479,34 @@ def crossed_hom_pq(p: Sequence[LaurentPoly], q, w: WittElem) -> LaurentPoly:
     return LaurentPoly(n, out)
 
 
+def _family_basis(n: int, family: str, exponents) -> list[WittElem]:
+    """The family's basis elements, zero ones dropped, at each exponent tuple
+    of exponents(k), k = 2n for ham and n otherwise: x^r d_i, r major (full,
+    pq); d_k, then d_ij(r), (i, j) major (sdiv); h(r) in W_2n (ham)."""
+    if family == "ham":
+        return [h for r in exponents(2 * n) if not (h := hamiltonian_field(n, r)).is_zero()]
+    rs = exponents(n)
+    if family == "sdiv":
+        return [WittElem.basis(n, (0,) * n, k) for k in range(n)] + [
+            e
+            for i, j in itertools.combinations(range(n), 2)
+            for r in rs
+            if not (e := s_generator(n, i, j, r)).is_zero()
+        ]
+    return [WittElem.basis(n, r, i) for r in rs for i in range(n)]
+
+
 def witt_window_basis(n: int, bound: int) -> list[WittElem]:
-    return [
-        WittElem.basis(n, r, i)
-        for r in window_exponents(n, bound)
-        for i in range(n)
-    ]
+    return _family_basis(n, "full", functools.partial(window_exponents, bound=bound))
 
 
 def sdiv_window_basis(n: int, bound: int) -> list[WittElem]:
     """d_k plus all nonzero generators d_ij(r) with windowed exponents."""
-    elems = [WittElem.basis(n, (0,) * n, k) for k in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        for r in window_exponents(n, bound):
-            e = s_generator(n, i, j, r)
-            if not e.is_zero():
-                elems.append(e)
-    return elems
+    return _family_basis(n, "sdiv", functools.partial(window_exponents, bound=bound))
 
 
 def ham_window_basis(n: int, bound: int) -> list[WittElem]:
-    return [
-        h
-        for r in window_exponents(2 * n, bound)
-        if not (h := hamiltonian_field(n, r)).is_zero()
-    ]
+    return _family_basis(n, "ham", functools.partial(window_exponents, bound=bound))
 
 
 @functools.cache
@@ -526,26 +525,8 @@ FAMILIES = ("full", "sdiv", "ham", "pq")
 def _symbolic_basis(n: int, family: str, name: str) -> list[WittElem]:
     """One element of each kind in the family's window basis, with the
     exponents `Poly.variables(name, ...)`: every window element is one of
-    them at integer exponents (or zero)."""
-    if family == "ham":
-        return [hamiltonian_field(n, Poly.variables(name, 2 * n))]
-    r = Poly.variables(name, n)
-    if family == "sdiv":
-        return [WittElem.basis(n, (0,) * n, k) for k in range(n)] + [
-            s_generator(n, i, j, r) for i, j in itertools.combinations(range(n), 2)
-        ]
-    return [WittElem.basis(n, r, i) for i in range(n)]
-
-
-def _residual(H, a: WittElem, Ha, b: WittElem, Hb, abelian_target: bool) -> dict:
-    """H[a,b] - a.(Hb) + b.(Ha) - [Ha, Hb], summed in one dict with
-    `_tensor_action` and `gl_bracket`; an abelian target has no bracket term."""
-    res = dict(H(witt_bracket(a, b)).terms)
-    _tensor_action(res, a, Hb.terms, (), -1)
-    _tensor_action(res, b, Ha.terms)
-    if not abelian_target:
-        _add_scaled(res, -1, gl_bracket(Ha, Hb).terms.items())
-    return res
+    them at integer exponents."""
+    return _family_basis(n, family, lambda k: (Poly.variables(name, k),))
 
 
 def _landing_defects(family: str, He: GlLaurent) -> dict:
@@ -574,22 +555,19 @@ def _landing_defects(family: str, He: GlLaurent) -> dict:
     return out
 
 
-def _symbolic_landing_vanishes(n: int, family: str, H) -> bool:
-    """Whether H of every `_symbolic_basis` element lands in the family's
-    subalgebra at each of its exponents: the landing conditions are linear,
-    so every window element's then holds too."""
-    return not any(_landing_defects(family, H(e)) for e in _symbolic_basis(n, family, "r"))
-
-
-def _symbolic_residuals_vanish(n: int, family: str, H) -> bool:
-    """Whether the residual is the zero polynomial on every ordered pair of
-    `_symbolic_basis` elements, the first with exponents r1.., the second
-    with s1..."""
-    kinds = ([(e, H(e)) for e in _symbolic_basis(n, family, x)] for x in "rs")
-    return not any(
-        _residual(H, a, Ha, b, Hb, family == "pq")
-        for (a, Ha), (b, Hb) in itertools.product(*kinds)
-    )
+def _crossed_hom_defects(H, pairs, abelian_target: bool):
+    """(a, b, residual) for each pair ((a, Ha), (b, Hb)), in the order of
+    pairs, whose residual H[a,b] - a.(Hb) + b.(Ha) - [Ha, Hb], summed in one
+    dict with `_tensor_action` and `gl_bracket`, is nonzero; an abelian
+    target has no bracket term."""
+    for (a, Ha), (b, Hb) in pairs:
+        res = dict(H(witt_bracket(a, b)).terms)
+        _tensor_action(res, a, Hb.terms, (), -1)
+        _tensor_action(res, b, Ha.terms)
+        if not abelian_target:
+            _add_scaled(res, -1, gl_bracket(Ha, Hb).terms.items())
+        if res:
+            yield a, b, Ha._new(res)
 
 
 def verify_witt_crossed_hom(
@@ -609,28 +587,31 @@ def verify_witt_crossed_hom(
               polynomials; the target is abelian, so the bracket term is zero.
 
     The residual H[u,v] - u.(Hv) + v.(Hu) - [Hu, Hv] is summed in one dict
-    (`_tensor_action`, `gl_bracket`).  It is first computed once for each
-    ordered pair of kinds of window element (x^r d_i; d_k or d_ij(r);
-    h(r)), built by the usual constructors with `Poly` exponents r and s.
-    Each window pair's residual is such a symbolic residual evaluated at
-    integer exponents, so when every symbolic residual is zero no window
-    pair can fail and none is enumerated.  That holds because the maps and
-    kernels read exponents only through +, - and *, and through truth tests
-    that only skip terms whose coefficient is then zero.  Otherwise the
-    window pairs are enumerated, H(e) computed once per element, and a
-    finding built for each nonzero residual.  The landing conditions of sdiv
-    and ham (`_landing_defects`, read from the terms of H(e)) are linear, so
-    they too are decided on the symbolic kinds first, and the window
-    elements are built only when one of the two symbolic checks fails.
-    Either way the reported scope is the window: each check is exact, and
-    the window bounds which pairs the verdict covers.
+    by one generator, `_crossed_hom_defects`.  It runs first on each ordered
+    pair of kinds of window element (x^r d_i; d_k or d_ij(r); h(r)), built
+    by `_symbolic_basis` with `Poly` exponents r and s, and stops at the
+    first nonzero residual.  Each window pair's residual is such a symbolic
+    residual evaluated at integer exponents, so when every symbolic residual
+    is zero no window pair can fail and none is enumerated.  That holds
+    because the maps and kernels read exponents only through +, - and *,
+    and through truth tests that only skip terms whose coefficient is then
+    zero.  Otherwise the same generator runs on the window pairs, with H(e)
+    computed once per element, and each residual it yields becomes a
+    finding.  The landing conditions of sdiv and ham (`_landing_defects`,
+    read from the terms of H(e)) are linear, so they too are decided on the
+    images of the symbolic kinds first, and the window elements are built
+    only when one of the two symbolic checks fails.  Either way the
+    reported scope is the window: each check is exact, and the window
+    bounds which pairs the verdict covers.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if family == "ham":
         count = window_size(2 * n, window.bound)
     elif family == "sdiv":
-        count = n + math.comb(n, 2) * window_size(n, window.bound)
+        # window_size first: it refuses a negative n, which math.comb would
+        # meet with a bare ValueError
+        count = n + window_size(n, window.bound) * math.comb(n, 2)
     else:
         count = n * window_size(n, window.bound)
     require_window_count(math.comb(count, 2), "windowed pairs")
@@ -640,27 +621,22 @@ def verify_witt_crossed_hom(
         H = functools.partial(crossed_hom_pq, p, q)
     else:
         H = canonical_crossed_hom_W
-    symbolic_zero = _symbolic_residuals_vanish(n, family, H)
-    lands = _symbolic_landing_vanishes(n, family, H)
-    if symbolic_zero and lands:
+    abelian_target = family == "pq"
+    kinds = [[(e, H(e)) for e in _symbolic_basis(n, family, x)] for x in "rs"]
+    pairs_fail = any(_crossed_hom_defects(H, itertools.product(*kinds), abelian_target))
+    lands = not any(_landing_defects(family, He) for _, He in kinds[0])
+    if not pairs_fail and lands:
         return []
-    if family == "sdiv":
-        elems = sdiv_window_basis(n, window.bound)
-    elif family == "ham":
-        elems = ham_window_basis(n, window.bound)
-    else:
-        elems = witt_window_basis(n, window.bound)
-
+    basis = {"sdiv": sdiv_window_basis, "ham": ham_window_basis}.get(family, witt_window_basis)
+    images = [(e, H(e)) for e in basis(n, window.bound)]
     findings: list[Finding] = []
-    images = [H(e) for e in elems]
-    if not symbolic_zero:
-        for (a, Ha), (b, Hb) in itertools.combinations(zip(elems, images), 2):
-            res = _residual(H, a, Ha, b, Hb, family == "pq")
-            if res:
-                findings.append(Finding("crossed-hom", (str(a), str(b)), Ha._new(res)))
+    if pairs_fail:
+        pairs = itertools.combinations(images, 2)
+        for a, b, res in _crossed_hom_defects(H, pairs, abelian_target):
+            findings.append(Finding("crossed-hom", (str(a), str(b)), res))
     if not lands:
         rule = "sl-landing" if family == "sdiv" else "sp-landing"
-        for e, He in zip(elems, images):
+        for e, He in images:
             for r, defect in sorted(_landing_defects(family, He).items()):
                 if family == "sdiv":
                     defect = rational(defect)
@@ -709,11 +685,6 @@ class FinCommAlgebra:
             if nz:
                 terms[i, j] = terms[j, i] = nz
         return terms
-
-    def multiply(self, a: Vector, b: Vector) -> Vector:
-        if len(a) != self.dim or len(b) != self.dim:
-            raise DimensionMismatch("operand lengths differ from the algebra dimension")
-        return self.mult_matrix(a).apply(b)
 
     def mult_matrix(self, a: Vector) -> Matrix:
         """Left (= right) multiplication operator by a, over the nonzeros of a."""

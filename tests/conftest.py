@@ -224,6 +224,35 @@ def ref_bracket(L, x, y) -> tuple:
     return tuple(out)
 
 
+def vzero(n: int) -> tuple:
+    return (Fraction(0),) * n
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows, tuple(m.entry(i, j) for j in range(m.cols) for i in range(m.rows)))
+
+
+def row_lists(m: Matrix) -> list[list[Fraction]]:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def bracket_basis(L, i, j) -> tuple:
+    """[e_i, e_j] as a dense vector: `ref_bracket` of two basis vectors."""
+    return ref_bracket(L, L.basis_vector(i), L.basis_vector(j))
+
+
+def coefficient_matrices(e) -> dict:
+    """{r: M} for an element e of gl_n (x) A_n: the dense matrix of Fractions
+    attached to each monomial x^r, in the order of r."""
+    buckets: dict = {}
+    for (p, r), c in e.terms.items():
+        buckets.setdefault(r, {})[p] = c
+    return {
+        r: Matrix(e.n, e.n, tuple(Fraction(buckets[r].get(p, 0)) for p in range(e.n * e.n)))
+        for r in sorted(buckets)
+    }
+
+
 def ref_multiply(A, a, b) -> tuple:
     """The dense product in a commutative algebra: every pair of coordinates."""
     out = [Fraction(0)] * A.dim
@@ -244,7 +273,7 @@ def ref_action_bracket(A, S, beta) -> dict:
         (i, s), (j, t) = divmod(p, n), divmod(q, n)
         vec = [Fraction(0)] * dim
         prod = ref_multiply(A, unit[s], unit[t])
-        for k, ck in enumerate(S.bracket_basis(i, j)):
+        for k, ck in enumerate(bracket_basis(S, i, j)):
             for u, cu in enumerate(prod):
                 vec[k * n + u] += ck * cu
         for u, c in enumerate(ref_multiply(A, unit[s], beta[i].col(t))):
@@ -340,7 +369,7 @@ def ref_leibniz_findings(lr) -> list:
         for s in range(A.dim):
             for j in range(L.dim):
                 lhs = L.bracket(ei, lr.a_action[s].col(j))
-                rhs = lr.a_action[s].apply(L.bracket_basis(i, j))
+                rhs = lr.a_action[s].apply(bracket_basis(L, i, j))
                 for t, c in enumerate(lr.anchor[i].col(s)):
                     if c:
                         rhs = tuple(p + c * q for p, q in zip(rhs, lr.a_action[t].col(j)))

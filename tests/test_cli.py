@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from crosshom import cli, formats
 from crosshom.cohomology import cohomology_dims
 from crosshom.errors import ParseError
-from crosshom.liealg import CrossedHom, Setup, abelian, sl2, zero_action
+from crosshom.liealg import CrossedHom, FinLieAlgebra, Setup, abelian, sl2, zero_action
 from crosshom.linalg import Matrix
 from conftest import FIXTURES as FIXTURES_DIR, generalized_witt_bounds, kernel_setups
 
@@ -352,7 +352,7 @@ def test_fixture_round_trip(fixtures_dir):
             assert again == obj
         elif isinstance(obj, tuple):
             pass  # lie_rinehart bundles carry a free-form module block
-        elif hasattr(obj, "bracket_basis"):
+        elif isinstance(obj, FinLieAlgebra):
             body = formats.algebra_to_dict(obj)
             assert formats.algebra_from_dict(body) == obj
 

@@ -75,19 +75,21 @@ from crosshom.witt import (
 from conftest import (
     FIXTURES,
     assert_exact_terms,
+    bracket_basis,
     evaluated,
     instance,
     random_exponent,
     random_sparse_sum,
+    ref_a_linear_violations,
     ref_action_bracket,
     ref_add_term,
-    ref_a_linear_violations,
     ref_adjoint_rep_gl,
     ref_check_a_module,
     ref_first_order_findings,
     ref_leibniz_pair_findings,
     ref_lie_rinehart_findings,
     ref_rep_findings,
+    transpose,
 )
 
 
@@ -222,9 +224,9 @@ def test_action_lie_rinehart_zero_beta():
     alr = action_lie_rinehart(p)
     assert check_lie_rinehart(alr) == []
     # [a(1), b(1)] = [a,b](1) = a(1)
-    assert alr.lie.bracket_basis(0, 2) == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    assert bracket_basis(alr.lie, 0, 2) == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     # [a(x), b(x)] = [a,b](x^2) = 0
-    assert alr.lie.bracket_basis(1, 3) == (Fraction(0),) * 4
+    assert bracket_basis(alr.lie, 1, 3) == (Fraction(0),) * 4
 
 
 def test_action_lie_rinehart_one_dim_nonabelian():
@@ -236,7 +238,7 @@ def test_action_lie_rinehart_one_dim_nonabelian():
     assert alr.lie.dim == 2
     assert check_lie_rinehart(alr) == []
     # [s(1), s(x)] = s(1 * beta(s)x) - s(x * beta(s)1) = s(x)
-    assert alr.lie.bracket_basis(0, 1) == (Fraction(0), Fraction(1))
+    assert bracket_basis(alr.lie, 0, 1) == (Fraction(0), Fraction(1))
 
 
 def test_action_lie_rinehart_of_derivation_pair():
@@ -739,12 +741,12 @@ def test_each_window_residual_of_the_built_in_action_is_an_evaluation_of_a_symbo
     assert len(kinds_m) == theta.dim_v
 
     def axiom(u, v, m):
-        um, vm = m._new(add({}, u, m)), m._new(add({}, v, m))
-        return crosshom.rinehart._module_axiom_residual(add, witt_bracket(u, v), u, um, v, vm, m)
+        # the check's own defect generator on the one pair (u, v) and m
+        pair = crosshom.rinehart._actor_images(add, [u, v], [m])
+        return next((res for *_, res in crosshom.rinehart._module_axiom_defects(add, [pair], [m])), {})
 
     def compat(u, a, m):
-        ua = u.apply(a).terms
-        return crosshom.rinehart._weak_compat_residual(add, u, add({}, u, m), a, ua, m, m.poly_scale(a))
+        return next((res for *_, res in crosshom.rinehart._weak_compat_defects(add, [u], [a], [m])), {})
 
     rng = random.Random(f"symbolic-{n}-{name}")
     actors = witt_window_basis(n, bound)
@@ -789,6 +791,24 @@ def test_passing_built_in_checks_enumerate_no_window(request, n, bound):
     for action, elems in cases:
         assert check_module_axiom_window(action, n, Window(bound), elems) == []
         assert check_weak_compat_window(action, n, Window(bound), elems) == []
+
+
+def test_passing_built_in_checks_render_nothing(monkeypatch):
+    # an element, symbolic or not, is rendered only for a finding: a passing
+    # check builds no string
+    def refuse(self):
+        raise AssertionError("an element was rendered")
+
+    monkeypatch.setattr(crosshom.witt.TensorElem, "__str__", refuse)
+    monkeypatch.setattr(Poly, "__str__", refuse)
+    p = [LaurentPoly.monomial(2, (2, 0), 3), LaurentPoly.monomial(2, (0, 2), 3)]
+    for family, n in (("full", 2), ("sdiv", 2), ("ham", 1), ("pq", 2)):
+        assert crosshom.witt.verify_witt_crossed_hom(n, family, Window(2), p=p, q=Fraction(1, 2)) == []
+    for n, build in itertools.product((1, 2), SYMBOLIC_REPS.values()):
+        theta = build(n)
+        action, elems = shen_larsson_action(theta), vtensor_window_basis(theta, n, 1)
+        assert check_module_axiom_window(action, n, Window(1), elems) == []
+        assert check_weak_compat_window(action, n, Window(1), elems) == []
 
 
 def test_built_in_action_looks_up_shen_larsson_apply_when_called(monkeypatch):
@@ -911,7 +931,7 @@ def test_shen_larsson_int_path_matches_fraction_reference():
 def test_witt_bracket_is_the_shen_larsson_action_on_the_dual_natural_module(n):
     # W_n = T(V*): x^s d_j is v_j (x) x^s, and the bracket is the
     # Shen-Larsson action read from the dense theta(E_ki) = -E_ik
-    dual = GlnRep(n, n, {k: -m.transpose() for k, m in natural_rep_gl(n).theta.items()})
+    dual = GlnRep(n, n, {k: -transpose(m) for k, m in natural_rep_gl(n).theta.items()})
     assert check_gln_rep(dual) == []
     rng = random.Random(f"dual-natural-{n}")
     witt = lambda c: WittElem.basis(n, random_exponent(rng, n), rng.randrange(n), c)
@@ -967,7 +987,7 @@ def _ref_lie_hom(lie, mats, rule):
     """mats[[i, j]] - [mats[i], mats[j]] of every pair, kept where it is nonzero."""
     findings = []
     for i, j in itertools.combinations(range(lie.dim), 2):
-        diff = lincomb(mats, lie.bracket_basis(i, j)) - (mats[i] * mats[j] - mats[j] * mats[i])
+        diff = lincomb(mats, bracket_basis(lie, i, j)) - (mats[i] * mats[j] - mats[j] * mats[i])
         if not diff.is_zero():
             findings.append(Finding(rule, (lie.basis_names[i], lie.basis_names[j]), diff))
     return findings

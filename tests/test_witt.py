@@ -55,6 +55,8 @@ from crosshom.witt import (
 )
 from conftest import (
     assert_exact_terms,
+    bracket_basis,
+    coefficient_matrices,
     evaluated,
     instance,
     poly_at,
@@ -65,6 +67,7 @@ from conftest import (
     ref_add_term,
     ref_gl_tensor_algebra,
     ref_multiply,
+    transpose,
 )
 
 
@@ -218,7 +221,7 @@ def test_canonical_crossed_hom_values():
 def test_canonical_crossed_hom_of_hamiltonian_matrix():
     # the quadratic coefficient matrix of h((1,1)) is [[1, -1], [1, -1]]
     He = canonical_crossed_hom_W(hamiltonian_field(1, (1, 1)))
-    mats = He.coefficient_matrices()
+    mats = coefficient_matrices(He)
     assert list(mats) == [(1, 1)]
     assert mats[(1, 1)] == Matrix.from_rows([[1, -1], [1, -1]])
 
@@ -231,7 +234,7 @@ def test_hamiltonian_matrix_is_outer_product_on_window():
         if all(e == 0 for e in r):
             assert He.is_zero()
             continue
-        mats = He.coefficient_matrices()
+        mats = coefficient_matrices(He)
         expected = Matrix.from_rows(
             [[r[k] * r[n + i] for i in range(n)] + [-r[k] * r[i] for i in range(n)]
              for k in range(2 * n)]
@@ -293,7 +296,7 @@ def test_verify_pq_family():
 def test_sl_landing_trace_zero():
     for e in sdiv_window_basis(2, 2):
         He = canonical_crossed_hom_W(e)
-        for _, M in He.coefficient_matrices().items():
+        for _, M in coefficient_matrices(He).items():
             assert sum((M.entry(i, i) for i in range(M.rows)), Fraction(0)) == 0
 
 
@@ -301,8 +304,8 @@ def test_sp_landing():
     J = symplectic_form(1)
     for e in ham_window_basis(1, 2):
         He = canonical_crossed_hom_W(e)
-        for _, M in He.coefficient_matrices().items():
-            assert (M.transpose() * J + J * M).is_zero()
+        for _, M in coefficient_matrices(He).items():
+            assert (transpose(M) * J + J * M).is_zero()
 
 
 def test_gl_bracket_matrix_units():
@@ -329,7 +332,7 @@ def test_truncated_two_variables():
     assert A.dim == 6
     x1 = A.basis_vector(A.basis_names.index("x1"))
     x2 = A.basis_vector(A.basis_names.index("x2"))
-    prod = A.multiply(x1, x2)
+    prod = A.mult_matrix(x1).apply(x2)
     assert prod == A.basis_vector(A.basis_names.index("x1*x2"))
 
 
@@ -358,9 +361,9 @@ def test_generalized_witt_brackets():
     gw = generalized_witt(A, [scaling_derivation([3], 0)])
     assert gw.dim == 3
     assert check_lie_algebra(gw) == []
-    assert gw.bracket_basis(0, 1) == (Fraction(0), Fraction(1), Fraction(0))
-    assert gw.bracket_basis(0, 2) == (Fraction(0), Fraction(0), Fraction(2))
-    assert gw.bracket_basis(1, 2) == (Fraction(0), Fraction(0), Fraction(0))
+    assert bracket_basis(gw, 0, 1) == (Fraction(0), Fraction(1), Fraction(0))
+    assert bracket_basis(gw, 0, 2) == (Fraction(0), Fraction(0), Fraction(2))
+    assert bracket_basis(gw, 1, 2) == (Fraction(0), Fraction(0), Fraction(0))
 
 
 def test_generalized_witt_zero_derivation_abelian():
@@ -437,7 +440,7 @@ def _golden_ratio_algebra() -> FinCommAlgebra:
     return FinCommAlgebra(("1", "x"), structure, (one, zero))
 
 
-def test_multiply_and_mult_matrix_match_dense_oracle(fixtures_dir):
+def test_products_through_mult_matrix_match_dense_oracle(fixtures_dir):
     rng = random.Random(11)
     algebras = [truncated_polynomial_algebra(b) for b in ([4], [2, 3], [2, 2, 2])]
     algebras += [formats.load_file(str(fixtures_dir / "derivations_trunc3.pair.json")).algebra]
@@ -446,14 +449,13 @@ def test_multiply_and_mult_matrix_match_dense_oracle(fixtures_dir):
         for _ in range(20):
             a = random_fraction_vector(rng, A.dim)
             b = random_fraction_vector(rng, A.dim)
-            prod = A.multiply(a, b)
-            assert prod == ref_multiply(A, a, b)
-            assert all(type(c) is Fraction for c in prod)
             m = A.mult_matrix(a)
             cols = [ref_multiply(A, a, A.basis_vector(j)) for j in range(A.dim)]
             assert m == Matrix.from_columns(cols)
             assert all(type(c) is Fraction for c in m.data)
-            assert m.apply(b) == prod
+            prod = m.apply(b)
+            assert prod == ref_multiply(A, a, b)
+            assert all(type(c) is Fraction for c in prod)
 
 
 def test_check_comm_algebra_reports_each_failing_triple():
@@ -477,7 +479,7 @@ def test_generalized_witt_non_diagonal_derivation():
         assert derivation_violations(A, D) == []
         gw = generalized_witt(A, [D])
         assert gw.structure == ref_action_bracket(A, abelian(("D1",)), [D])
-        assert gw.bracket_basis(0, 1) == (Fraction(0), Fraction(0), Fraction(1)) + (Fraction(0),) * (m - 3)
+        assert bracket_basis(gw, 0, 1) == (Fraction(0), Fraction(0), Fraction(1)) + (Fraction(0),) * (m - 3)
         s = generalized_witt_setup(A, [D])
         assert s.g == gw
         assert check_lie_algebra(s.g) == [] and check_action(s.rho) == []
@@ -515,6 +517,30 @@ def test_window_guard_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr(itertools, "product", refuse)
     with pytest.raises(SearchSpaceTooLarge):
         window_exponents(15, 1)
+
+
+def test_a_negative_n_is_refused_and_n_zero_has_nothing_to_check():
+    # window_size refuses n < 0 with DimensionMismatch, for every family, both
+    # Shen-Larsson checks (built-in action or not) and the three window
+    # bases; n = 0 has no windowed element, and every check of it passes
+    rinehart = crosshom.rinehart
+    action = rinehart.shen_larsson_action(rinehart.trivial_rep(1))
+    wrapped = lambda w, t: action(w, t)  # noqa: E731
+    with pytest.raises(DimensionMismatch, match="negative"):
+        window_size(-1, 1)
+    for family in crosshom.witt.FAMILIES:
+        with pytest.raises(DimensionMismatch):
+            verify_witt_crossed_hom(-1, family, Window(1), p=[], q=0)
+        assert verify_witt_crossed_hom(0, family, Window(1), p=[], q=0) == []
+    for basis in (witt_window_basis, sdiv_window_basis, ham_window_basis):
+        with pytest.raises(DimensionMismatch):
+            basis(-1, 1)
+        assert basis(0, 1) == []
+    checks = (rinehart.check_module_axiom_window, rinehart.check_weak_compat_window)
+    for check, act in itertools.product(checks, (action, wrapped)):
+        with pytest.raises(DimensionMismatch):
+            check(act, -1, Window(1), [rinehart.VTensorA.basis(1, 1, 0, (1,))])
+        assert check(act, 0, Window(1), [rinehart.VTensorA.basis(0, 1, 0, ())]) == []
 
 
 def test_verify_refuses_too_many_pairs(no_window_enumeration):
@@ -648,12 +674,12 @@ def test_gl_bracket_is_the_sum_of_dense_commutators(n):
         b = random_sparse_sum(rng, _gl(rng, n), integral)
         expected = {}
         for (r, A), (s, B) in itertools.product(
-            a.coefficient_matrices().items(), b.coefficient_matrices().items()
+            coefficient_matrices(a).items(), coefficient_matrices(b).items()
         ):
             t = tuple(x + y for x, y in zip(r, s))
             C = A * B - B * A
             expected[t] = expected[t] + C if t in expected else C
-        got = gl_bracket(a, b).coefficient_matrices()
+        got = coefficient_matrices(gl_bracket(a, b))
         assert got == {t: M for t, M in sorted(expected.items()) if not M.is_zero()}
         nonzero += bool(got)
     assert nonzero >= (0 if n == 1 else 30)
@@ -684,7 +710,7 @@ def test_canonical_map_int_path_and_dense_boundary():
             assert got == ref_canonical_crossed_hom_W(a)
             assert_exact_terms(got, integral)
             # dense matrices keep Fraction entries, integral or not
-            for M in got.coefficient_matrices().values():
+            for M in coefficient_matrices(got).values():
                 assert all(type(e) is Fraction for e in M.data)
 
 
@@ -920,6 +946,13 @@ def cubic_defect(e):
     return out
 
 
+def symbolic_pair_defects(n, family, H):
+    """The shared pair-residual generator of the check on every ordered pair
+    of symbolic kinds, the first with exponents r1.., the second with s1..."""
+    kinds = ([(e, H(e)) for e in crosshom.witt._symbolic_basis(n, family, x)] for x in "rs")
+    return crosshom.witt._crossed_hom_defects(H, itertools.product(*kinds), family == "pq")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_symbolic_residuals_of_the_paper_maps_vanish(n):
     p = [LaurentPoly.monomial(n, tuple(2 if k == i else 0 for k in range(n)), 3) for i in range(n)]
@@ -930,12 +963,12 @@ def test_symbolic_residuals_of_the_paper_maps_vanish(n):
         "pq": functools.partial(crossed_hom_pq, p, Fraction(-1, 2)),
     }
     for family, Hf in H.items():
-        assert crosshom.witt._symbolic_residuals_vanish(n, family, Hf), family
+        assert not any(symbolic_pair_defects(n, family, Hf)), family
     # on W_1 the transpose is the map itself, and 2H is a crossed hom into
     # the abelian gl_1 (x) A_1
     for broken in (cubic_defect, *BROKEN_CANONICAL.values()) if n > 1 else (cubic_defect,):
-        assert not crosshom.witt._symbolic_residuals_vanish(n, "full", broken)
-    assert not crosshom.witt._symbolic_residuals_vanish(n, "pq", functools.partial(squared_twist, p, 1))
+        assert any(symbolic_pair_defects(n, "full", broken))
+    assert any(symbolic_pair_defects(n, "pq", functools.partial(squared_twist, p, 1)))
 
 
 def test_planted_cubic_defect_is_missed_by_window_one_only(monkeypatch):
@@ -943,11 +976,18 @@ def test_planted_cubic_defect_is_missed_by_window_one_only(monkeypatch):
     # distinct elements of W_1; the symbolic residual is nonzero, so the
     # window pairs are enumerated, and window 2 finds it
     monkeypatch.setattr(crosshom.witt, "canonical_crossed_hom_W", cubic_defect)
-    assert not crosshom.witt._symbolic_residuals_vanish(1, "full", cubic_defect)
+    assert any(symbolic_pair_defects(1, "full", cubic_defect))
     assert verify_witt_crossed_hom(1, "full", Window(1)) == reference_findings("full", 1, Window(1)) == []
     got = verify_witt_crossed_hom(1, "full", Window(2))
     assert got == reference_findings("full", 1, Window(2))
     assert len(got) == 4 and all(type(f.residual) is GlLaurent for f in got)
+
+
+def pair_residual(H, a, b):
+    """The terms of the shared generator's residual on the one pair (a, b),
+    {} when it is zero."""
+    pairs = [((a, H(a)), (b, H(b)))]
+    return next((res.terms for *_, res in crosshom.witt._crossed_hom_defects(H, pairs, False)), {})
 
 
 @pytest.mark.parametrize("family, n", [("full", 2), ("sdiv", 2), ("ham", 1)])
@@ -959,8 +999,32 @@ def test_each_window_residual_is_an_evaluation_of_a_symbolic_one(family, n, H):
     for a, b in random.Random(7).sample(pairs, 60):
         ka, point_a = instance(kinds_r, a, "r")
         kb, point_b = instance(kinds_s, b, "s")
-        sym = crosshom.witt._residual(H, ka, H(ka), kb, H(kb), False)
-        assert evaluated(sym, point_a | point_b) == crosshom.witt._residual(H, a, H(a), b, H(b), False)
+        sym = pair_residual(H, ka, kb)
+        assert evaluated(sym, point_a | point_b) == pair_residual(H, a, b)
+
+
+@pytest.mark.parametrize("family, n, bound", [("full", 2, 2), ("sdiv", 3, 1), ("ham", 1, 2), ("ham", 2, 1)])
+def test_each_window_basis_is_its_symbolic_kinds_at_the_window_exponents(family, n, bound):
+    # the window order: x^r d_i with r major; each d_k once, then each kind
+    # d_ij(r) at every window r; h(r) at every window r; zero elements
+    # dropped.  The order of the findings, and so the golden bytes, rest on it
+    kinds = crosshom.witt._symbolic_basis(n, family, "r")
+    exponents = window_exponents(2 * n if family == "ham" else n, bound)
+    points = [{f"r{k + 1}": e for k, e in enumerate(r)} for r in exponents]
+
+    def symbolic(kind):
+        return any(type(e) is Poly for _, r in kind.terms for e in r)
+
+    if family == "full":
+        expected = [evaluated(k.terms, point) for point in points for k in kinds]
+    else:
+        expected = [k.terms for k in kinds if not symbolic(k)]
+        expected += [evaluated(k.terms, point) for k in kinds if symbolic(k) for point in points]
+    basis = WINDOW_BASES[family](n, bound)
+    assert [e.terms for e in basis] == [t for t in expected if t]
+    for e in basis:
+        kind, point = instance(kinds, e, "r")
+        assert evaluated(kind.terms, point) == e.terms
 
 
 def test_passing_checks_enumerate_no_window_pair(monkeypatch):
@@ -996,14 +1060,14 @@ def reference_landing(family, n, window):
     matrices: trace M for sl_n, M^T J + J M for sp_2n."""
     findings = []
     for e in WINDOW_BASES[family](n, window.bound):
-        for r, M in crosshom.witt.canonical_crossed_hom_W(e).coefficient_matrices().items():
+        for r, M in coefficient_matrices(crosshom.witt.canonical_crossed_hom_W(e)).items():
             if family == "sdiv":
                 defect = sum((M.entry(i, i) for i in range(M.rows)), Fraction(0))
                 if defect:
                     findings.append(Finding("sl-landing", (str(e), crosshom.witt._exp_str(r)), defect))
             else:
                 J = symplectic_form(n)
-                defect = M.transpose() * J + J * M
+                defect = transpose(M) * J + J * M
                 if not defect.is_zero():
                     findings.append(Finding("sp-landing", (str(e), crosshom.witt._exp_str(r)), defect))
     return findings
@@ -1039,7 +1103,8 @@ def test_landing_findings_match_the_dense_coefficient_matrices(monkeypatch, fami
     expected = reference_landing(family, n, window)
     assert landing == expected
     assert [f.to_json() for f in landing] == [f.to_json() for f in expected]
-    lands = crosshom.witt._symbolic_landing_vanishes(n, family, H)
+    kinds = crosshom.witt._symbolic_basis(n, family, "r")
+    lands = not any(crosshom.witt._landing_defects(family, H(e)) for e in kinds)
     assert lands is (not expected)
     # E_12 has trace 0 and lies in sp_2 = sl_2, but not in sp_4
     assert bool(expected) is (H is off_the_subalgebra or (H, family, n) == (quadratic_off_diagonal, "ham", 2))
