@@ -33,9 +33,9 @@ and the Witt bracket, the action of W_n on itself.  The elements `VTensorA`
 are defined in `witt`, in the layout A_n, gl_n (x) A_n and W_n share, and
 re-exported here.  The window checks of the module law and of weak
 compatibility call an action once per (basis actor, basis module element)
-pair and extend it bilinearly (`_bilinear_images`), adding each image into
-the identity's one residual dict with `linalg._add_scaled`.  Each check has
-one generator of nonzero residuals (`_module_axiom_defects`,
+pair and extend it bilinearly through one image table per module
+(`_bilinear_images`), summing each identity's residual in one term dict.
+Each check has one generator of nonzero residuals (`_module_axiom_defects`,
 `_weak_compat_defects`).  For the built-in `shen_larsson_action` it runs
 first on each kind of actor, monomial and module element v_p (x) x^t, with
 `poly.Poly` exponents, and stops at the first yield; the window is
@@ -573,30 +573,41 @@ def laurent_window_basis(n: int, bound: int) -> list[LaurentPoly]:
     return [LaurentPoly.monomial(n, r) for r in window_exponents(n, bound)]
 
 
-def _bilinear_images(action: WindowedAction):
-    """add(acc, w, t, c) adds c (w . t) to the dict acc for sparse w and t,
-    and returns acc.
+def _bilinear_images(action: WindowedAction, n: int):
+    """images(m) -> add, one table per module (class and `_shape()`): add(acc,
+    w, t, c) adds c (w . t) to the dict acc with `_add_scaled`'s arithmetic
+    and returns it, for term dicts w of W_n and t of m's module.  action is
+    called at most once per pair of keys, on basis elements built once per
+    key; an image outside m's module raises DimensionMismatch."""
+    actors, tables = {}, {}
 
-    action is extended bilinearly from its images of (basis actor, basis
-    module element) pairs: action(w._new({kw: 1}), t._new({km: 1})) is
-    computed at most once per pair and kept under (kw, module shape, km),
-    the shape being t's class and `_shape()`, so equal keys (0, s) of
-    different modules do not meet.
-    """
-    memo: dict = {}
+    def images(m: TensorElem):
+        cls, shape = type(m), m._shape()
+        if (cls, shape) in tables:
+            return tables[cls, shape]
+        rows, elems = {}, {}
 
-    def add(acc: dict, w: WittElem, t: TensorElem, c: Coeff = 1):
-        images = memo.setdefault((type(t), t._shape()), {})
-        for kw, cw in w.terms.items():
-            for km, cm in t.terms.items():
-                image = images.get((kw, km))
-                if image is None:
-                    image = action(w._new({kw: 1}), t._new({km: 1})).terms
-                    images[kw, km] = image
-                _add_scaled(acc, c * cw * cm, image.items())
-        return acc
+        def add(acc: dict, w: Mapping, t: Mapping, c: Coeff = 1) -> dict:
+            for kw, cw in w.items():
+                row, cw = rows.get(kw) or rows.setdefault(kw, {}), c * cw
+                for km, cm in t.items():
+                    if (image := row.get(km)) is None:
+                        out = action(actors.get(kw) or actors.setdefault(kw, WittElem(n, {kw: 1})),
+                                     elems.get(km) or elems.setdefault(km, m._new({km: 1})))
+                        if type(out) is not cls or out._shape() != shape:
+                            raise DimensionMismatch(f"action image {out!r} is not in {cls.__name__}{shape}")
+                        image = row[km] = tuple(out.terms.items())
+                    f = cw * cm
+                    for k, x in image:
+                        if y := acc.get(k, 0) + f * x:
+                            acc[k] = y
+                        else:
+                            del acc[k]
+            return acc
 
-    return add
+        return tables.setdefault((cls, shape), add)
+
+    return images
 
 
 def _symbolic_module_elems(module_elems: Sequence[TensorElem]) -> list[TensorElem]:
@@ -610,37 +621,40 @@ def _symbolic_module_elems(module_elems: Sequence[TensorElem]) -> list[TensorEle
     return [m._new({(p, Poly.variables("t", m.n)): 1}) for (_, _, p), m in kinds.items()]
 
 
-def _actor_images(add, actors: Sequence[WittElem], ms: Sequence[TensorElem]) -> list:
-    """(u, [u.m for m in ms]) for each actor u."""
-    return [(u, [m._new(add({}, u, m)) for m in ms]) for u in actors]
+def _actor_images(images, actors: Sequence[WittElem], ms: Sequence[TensorElem]) -> list:
+    """(u, [terms of u.m for m in ms]) for each actor u."""
+    adds = [images(m) for m in ms]
+    return [(u, [add({}, u.terms, m.terms) for add, m in zip(adds, ms)]) for u in actors]
 
 
-def _module_axiom_defects(add, pairs, ms: Sequence[TensorElem]):
+def _module_axiom_defects(images, pairs, ms: Sequence[TensorElem]):
     """(u, v, m, residual) for each pair ((u, u.ms), (v, v.ms)) of
     `_actor_images` and each m in ms, in that order, whose residual
     [u, v].m - u.(v.m) + v.(u.m), summed in one dict, is nonzero."""
+    adds = [images(m) for m in ms]
     for (u, u_ms), (v, v_ms) in pairs:
-        bw = witt_bracket(u, v)
-        for m, um, vm in zip(ms, u_ms, v_ms):
-            res = add({}, bw, m)
-            add(res, u, vm, -1)
-            add(res, v, um)
+        bw, uw, vw = witt_bracket(u, v).terms, u.terms, v.terms
+        for m, add, um, vm in zip(ms, adds, u_ms, v_ms):
+            res = add({}, bw, m.terms)
+            add(res, uw, vm, -1)
+            add(res, vw, um)
             if res:
                 yield u, v, m, res
 
 
-def _weak_compat_defects(add, actors: Sequence[WittElem], monomials, ms: Sequence[TensorElem]):
+def _weak_compat_defects(images, actors: Sequence[WittElem], monomials, ms: Sequence[TensorElem]):
     """(u, a, m, residual) for each actor u, monomial a and m in ms, in that
     nesting, whose residual u.(a m) - a (u.m) - u(a) m, summed in one dict,
     is nonzero; the products by a and u(a) are those of
     `TensorElem.poly_scale`."""
-    scaled = [(a, [m.poly_scale(a) for m in ms]) for a in monomials]
+    adds = [images(m) for m in ms]
+    scaled = [(a, [m.poly_scale(a).terms for m in ms]) for a in monomials]
     for u in actors:
-        u_ms = [add({}, u, m) for m in ms]
+        u_ms = [add({}, u.terms, m.terms) for add, m in zip(adds, ms)]
         for a, a_ms in scaled:
             ua = u.apply(a).terms
-            for m, um, am in zip(ms, u_ms, a_ms):
-                res = add({}, u, am)
+            for m, add, um, am in zip(ms, adds, u_ms, a_ms):
+                res = add({}, u.terms, am)
                 _add_product(res, um, a.terms, -1)
                 _add_product(res, m.terms, ua, -1)
                 if res:
@@ -667,33 +681,33 @@ def check_module_axiom_window(
 ) -> list[Finding]:
     """[u, v].m = u.(v.m) - v.(u.m) on all windowed pairs and module elements.
 
-    The action is called once per (basis actor, basis module element) pair
-    and extended bilinearly; each residual [u, v].m - u.(v.m) + v.(u.m) is
-    summed in one dict by `_module_axiom_defects`.  For the built-in
-    `shen_larsson_action` that generator first runs on each ordered pair of
-    actor kinds x^r d_i, x^s d_j and each v_p (x) x^t, with `Poly`
-    exponents; when none of those residuals is nonzero no window pair can
-    fail and none is enumerated.  Otherwise, and for any other action, it
-    runs on the window pairs, and a finding is built for each nonzero
-    residual.  Either way the reported scope is the window.
+    The action is extended bilinearly by `_bilinear_images`, and each
+    residual [u, v].m - u.(v.m) + v.(u.m) is summed in one term dict by
+    `_module_axiom_defects`.  For the built-in `shen_larsson_action` that
+    generator first runs on each ordered pair of actor kinds x^r d_i, x^s d_j
+    and each v_p (x) x^t, with `Poly` exponents; when none of those
+    residuals is nonzero no window pair can fail and none is enumerated.
+    Otherwise, and for any other action, it runs on the window pairs, and a
+    residual is made an element only for the finding built from it.  Either
+    way the reported scope is the window.
     """
     require_window_count(
         math.comb(n * window_size(n, window.bound), 2) * len(module_elems),
         "module-axiom identities",
     )
-    add = _bilinear_images(action)
+    images = _bilinear_images(action, n)
     if _decided_symbolically(action, module_elems):
         ms = _symbolic_module_elems(module_elems)
-        kinds = [_actor_images(add, _symbolic_basis(n, "full", x), ms) for x in "rs"]
-        if not any(_module_axiom_defects(add, itertools.product(*kinds), ms)):
+        kinds = [_actor_images(images, _symbolic_basis(n, "full", x), ms) for x in "rs"]
+        if not any(_module_axiom_defects(images, itertools.product(*kinds), ms)):
             return []
     actors = witt_window_basis(n, window.bound)
-    images = _actor_images(add, actors, module_elems)
+    pairs = _actor_images(images, actors, module_elems)
     # each window element is rendered once, and only in the window pass
     label = {id(e): str(e) for e in (*actors, *module_elems)}
     return [
         Finding("module-axiom", (label[id(u)], label[id(v)], label[id(m)]), m._new(res))
-        for u, v, m, res in _module_axiom_defects(add, itertools.combinations(images, 2), module_elems)
+        for u, v, m, res in _module_axiom_defects(images, itertools.combinations(pairs, 2), module_elems)
     ]
 
 
@@ -706,27 +720,27 @@ def check_weak_compat_window(
     """u.(a m) = a (u.m) + u(a) m for windowed monomials a; the sparse
     counterpart of the first-order-operator compatibility.
 
-    The action is called once per (basis actor, basis module element) pair
-    and extended bilinearly; each residual u.(a m) - a (u.m) - u(a) m is
-    summed in one dict by `_weak_compat_defects`.  For the built-in
-    `shen_larsson_action` that generator first runs on each actor kind
-    x^r d_i, on x^q and each v_p (x) x^t, with `Poly` exponents; when none
-    of those residuals is nonzero nothing is enumerated.  Otherwise, and for
-    any other action, it runs on the window, and a finding is built for
-    each nonzero residual.  Either way the reported scope is the window.
+    The action is extended bilinearly by `_bilinear_images`, and each
+    residual u.(a m) - a (u.m) - u(a) m is summed in one term dict by
+    `_weak_compat_defects`.  For the built-in `shen_larsson_action` that
+    generator first runs on each actor kind x^r d_i, on x^q and each
+    v_p (x) x^t, with `Poly` exponents; when none of those residuals is
+    nonzero nothing is enumerated.  Otherwise, and for any other action, it
+    runs on the window, and a residual is made an element only for the
+    finding built from it.  Either way the reported scope is the window.
     """
     size = window_size(n, window.bound)
     require_window_count(n * size * size * len(module_elems), "weak-compat identities")
-    add = _bilinear_images(action)
+    images = _bilinear_images(action, n)
     if _decided_symbolically(action, module_elems):
         ms = _symbolic_module_elems(module_elems)
         q = [LaurentPoly.monomial(n, Poly.variables("q", n))]
-        if not any(_weak_compat_defects(add, _symbolic_basis(n, "full", "r"), q, ms)):
+        if not any(_weak_compat_defects(images, _symbolic_basis(n, "full", "r"), q, ms)):
             return []
     actors = witt_window_basis(n, window.bound)
     monomials = laurent_window_basis(n, window.bound)
     label = {id(e): str(e) for e in (*actors, *monomials, *module_elems)}
     return [
         Finding("weak-compat", (label[id(u)], label[id(a)], label[id(m)]), m._new(res))
-        for u, a, m, res in _weak_compat_defects(add, actors, monomials, module_elems)
+        for u, a, m, res in _weak_compat_defects(images, actors, monomials, module_elems)
     ]

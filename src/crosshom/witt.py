@@ -208,8 +208,9 @@ class TensorElem:
         return self._new({k: -v for k, v in self.terms.items()})
 
     def scale(self, c):
-        c = _coeff(c)
-        return self._new({k: _coeff(c * v) for k, v in self.terms.items()} if c else {})
+        c = _coeff(c)  # an int product is kept as it is; any other is normalised
+        terms = self.terms.items() if c else ()
+        return self._new({k: p if type(p := c * v) is int else _coeff(p) for k, v in terms})
 
     def sorted_terms(self) -> list:
         """The terms in the order of (p, r); with symbolic exponents, each

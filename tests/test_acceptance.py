@@ -438,3 +438,24 @@ def test_criterion_17_symbolic_shen_larsson_checks_past_the_window_loops():
             assert check_module_axiom_window(action, n, Window(bound), elems) == [], (n, build)
             assert check_weak_compat_window(action, n, Window(bound), elems) == [], (n, build)
     _stamp(17, "module law + weak compatibility, 3 reps at n=2 window 2 and n=3 window 1", t0, 5.0)
+
+
+def test_criterion_18_enumerated_window_checks_of_a_caller_action():
+    # a caller's action is never decided symbolically: the doubled natural
+    # action is enumerated over window 2, each (actor key, module key) image
+    # asked for once; this times the window loop that criterion 06 skips
+    t0 = time.monotonic()
+    theta = natural_rep_gl(2)
+    action, elems = shen_larsson_action(theta), vtensor_window_basis(theta, 2, 2)
+    calls = []
+
+    def doubled(w, t):
+        calls.append(None)
+        return action(w, t).scale(2)
+
+    runs = ((check_module_axiom_window, 13_700, 50_444), (check_weak_compat_window, 8_100, 50_000))
+    for check, images, findings in runs:
+        calls.clear()
+        assert len(check(doubled, 2, Window(2), elems)) == findings
+        assert len(calls) == images
+    _stamp(18, "module law + weak compatibility of the doubled natural action, n=2 window 2", t0, 6.0)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -610,6 +612,22 @@ def test_window_checks_match_recomputing_loops(action, n, bound):
         assert compat
 
 
+# (findings, sha256 of json.dumps([f.to_json() for f in findings])) of the
+# module axiom and of weak compatibility for the natural n=2 action scaled
+# by c at window 1, recorded at commit dde8a39
+SCALED_NATURAL_FINDINGS = {
+    1: [(0, hashlib.sha256(b"[]").hexdigest())] * 2,
+    2: [
+        (1860, "37e6280147521e5d1d9e2694e961b42c5bd96e59cc444d16707c5462f0f099f8"),
+        (1944, "b48866811dd25211e1582f9235b6d4df863383702bdf4bd8e7a7536052604d09"),
+    ],
+    Fraction(1, 2): [
+        (1860, "18796c43e9bf866b1ad05479c809b072621d32a8eb50f93c60e58bbc916f27d2"),
+        (1944, "80e452ab3e3cebb28b7a2a620d7e4b39446a8d8a6e0b0a6e3a507d50cc9fa1b8"),
+    ],
+}
+
+
 def test_window_checks_compute_each_image_once():
     # every call gets a one-term, unit-coefficient actor and module element,
     # and no (actor, module element) pair is asked for twice; the images of
@@ -617,7 +635,8 @@ def test_window_checks_compute_each_image_once():
     # the 50 basis elements with exponents in [-2, 2]^2 (the images v.m),
     # plus the 50 actors there (the brackets [u, v]) on the window's 18
     # elements, less the 18 x 18 counted twice; weak compatibility: the 18
-    # actors on those 50 elements (the products a m)
+    # actors on those 50 elements (the products a m).  The findings of the
+    # scaled actions are byte for byte those recorded
     n, bound = 2, 1
     theta = natural_rep_gl(n)
     elems = vtensor_window_basis(theta, n, bound)
@@ -626,14 +645,39 @@ def test_window_checks_compute_each_image_once():
     def counted(u, t):
         assert len(u.terms) == 1 and list(u.terms.values()) == [1]
         assert len(t.terms) == 1 and list(t.terms.values()) == [1]
+        assert type(next(iter(u.terms.values()))) is type(next(iter(t.terms.values()))) is int
         seen.append((next(iter(u.terms)), next(iter(t.terms))))
-        return shen_larsson_apply(theta, u, t)
+        return shen_larsson_apply(theta, u, t).scale(c)
 
-    for check, calls in ((check_module_axiom_window, 1476), (check_weak_compat_window, 900)):
-        seen.clear()
-        assert check(counted, n, Window(bound), elems) == []
-        assert len(seen) == calls
-        assert len(set(seen)) == calls
+    checks = ((check_module_axiom_window, 1476), (check_weak_compat_window, 900))
+    for c, recorded in SCALED_NATURAL_FINDINGS.items():
+        for (check, calls), (count, digest) in zip(checks, recorded):
+            seen.clear()
+            findings = check(counted, n, Window(bound), elems)
+            assert len(seen) == calls
+            assert len(set(seen)) == calls
+            assert len(findings) == count
+            assert hashlib.sha256(json.dumps([f.to_json() for f in findings]).encode()).hexdigest() == digest
+
+
+def natural_to_adjoint(u, t):
+    """Images in V (x) A_2 for the adjoint V (dim 4), from natural-rep input (dim 2)."""
+    image = shen_larsson_apply(natural_rep_gl(2), u, t)
+    return VTensorA(2, 4, dict(image.terms))
+
+
+@pytest.mark.parametrize(
+    "action, found",
+    [(natural_to_adjoint, "VTensorA"), (lambda u, t: None, "None"), (lambda u, t: u, "WittElem")],
+    ids=["other-shape", "none", "other-class"],
+)
+def test_window_checks_refuse_an_image_outside_the_module(action, found):
+    # an image is checked once, when it enters its table: it must be an
+    # element of the module element's class and shape
+    elems = vtensor_window_basis(natural_rep_gl(2), 2, 1)
+    for check in (check_module_axiom_window, check_weak_compat_window):
+        with pytest.raises(DimensionMismatch, match=rf"action image {found}.* is not in VTensorA\(2, 2\)"):
+            check(action, 2, Window(1), elems)
 
 
 def test_shen_larsson_apply_refuses_a_module_that_is_not_a_vtensor():
@@ -734,7 +778,7 @@ def symbolic_case(n, name):
 @pytest.mark.parametrize("n, name", SYMBOLIC_CASES)
 def test_each_window_residual_of_the_built_in_action_is_an_evaluation_of_a_symbolic_one(n, name):
     theta, bound, elems = symbolic_case(n, name)
-    add = crosshom.rinehart._bilinear_images(shen_larsson_action(theta))
+    images = crosshom.rinehart._bilinear_images(shen_larsson_action(theta), n)
     kinds_r, kinds_s = (crosshom.witt._symbolic_basis(n, "full", x) for x in "rs")
     kinds_m = crosshom.rinehart._symbolic_module_elems(elems)
     kinds_q = [LaurentPoly.monomial(n, Poly.variables("q", n))]
@@ -742,11 +786,11 @@ def test_each_window_residual_of_the_built_in_action_is_an_evaluation_of_a_symbo
 
     def axiom(u, v, m):
         # the check's own defect generator on the one pair (u, v) and m
-        pair = crosshom.rinehart._actor_images(add, [u, v], [m])
-        return next((res for *_, res in crosshom.rinehart._module_axiom_defects(add, [pair], [m])), {})
+        pair = crosshom.rinehart._actor_images(images, [u, v], [m])
+        return next((res for *_, res in crosshom.rinehart._module_axiom_defects(images, [pair], [m])), {})
 
     def compat(u, a, m):
-        return next((res for *_, res in crosshom.rinehart._weak_compat_defects(add, [u], [a], [m])), {})
+        return next((res for *_, res in crosshom.rinehart._weak_compat_defects(images, [u], [a], [m])), {})
 
     rng = random.Random(f"symbolic-{n}-{name}")
     actors = witt_window_basis(n, bound)

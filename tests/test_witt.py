@@ -725,6 +725,19 @@ def test_constructors_and_scale_store_integral_values_as_int():
         w(1, (1,), 0, True)
 
 
+def test_scale_keeps_int_products_and_normalises_the_others():
+    # an int times an int stays as it is; an int times a Fraction that comes
+    # out integral is stored as its int, and a Poly passes through
+    orig = w(2, (1, -1), 0, 3) + w(2, (0, 2), 1, -4) + w(2, (2, 0), 1, 6)
+    half = orig.scale(Fraction(1, 2))
+    assert {type(c) for c in half.terms.values()} == {Fraction, int}
+    back = half.scale(2)
+    assert back == orig and all(type(c) is int for c in back.terms.values())
+    assert orig.scale(Fraction(0)).is_zero() and orig.scale(0) == WittElem.zero(2)
+    (r1,) = Poly.variables("r", 1)
+    assert w(1, (1,), 0, 3).scale(r1).terms == {(0, (1,)): 3 * r1}
+
+
 # every constructor that takes an exponent tuple, at length 2
 EXPONENT_CONSTRUCTORS = {
     "monomial": lambda r: LaurentPoly.monomial(2, r),
