@@ -5,7 +5,10 @@ variables, stored as {monomial: coefficient} with each monomial a tuple of
 (variable, power >= 1) pairs sorted by variable.  Coefficients are `int` when
 integral and `Fraction` otherwise.  `+`, `-`, `*` and `**` (by an int >= 0)
 take a `Poly`, an `int` or a `Fraction` on either side; a bool or a float is
-refused, as in every other exact value of the package.  A polynomial is true
+refused, as in every other exact value of the package.  `+` and `*` by a
+number work on the terms directly, without building a constant `Poly` (`p + 0`
+and `p * 1` are p itself), and `==` between two polynomials compares their
+term dicts.  A polynomial is true
 when it is nonzero, and a constant compares and hashes as its int or Fraction,
 so an exponent tuple whose entries happen to be constant finds the same dict
 key as the plain numbers.  `str` is canonical: terms in graded lexicographic
@@ -16,9 +19,12 @@ conditions once on elements whose exponents are the variables of
 `Poly.variables`, and `rinehart.check_module_axiom_window` and
 `check_weak_compat_window` do the same with the built-in Shen-Larsson action
 on v_p (x) x^t: the sparse Witt and Shen-Larsson kernels read exponents only
-through `+`, `*` and truth tests, so they run on them as they are.  Each
-identity has one residual generator, run on the symbolic elements and, only
-when it yields there, on the window's.
+through `+`, `*` and truth tests, so they run on them as they are.  The pair
+identities run on each unordered pair of element kinds, the first with
+exponents r and the second with s: their residuals are antisymmetric in the
+pair, because the Witt and gl brackets are, so the other order adds nothing.
+Each identity has one residual generator, run on the symbolic elements and,
+only when it yields there, on the window's.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ def _monomial_product(a: tuple, b: tuple) -> tuple:
         return b
     if not b:
         return a
+    if len(a) == 1 and len(b) == 1:
+        (va, ea), (vb, eb) = a[0], b[0]
+        if va == vb:
+            return ((va, ea + eb),)
+        return a + b if va < vb else b + a
     powers = dict(a)
     for v, e in b:
         powers[v] = powers.get(v, 0) + e
@@ -60,11 +71,16 @@ class Poly:
         return tuple(Poly({((f"{name}{k + 1}", 1),): 1}) for k in range(count))
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if type(other) is Poly:
+            items = other.terms.items()
+        elif type(other) is int or type(other) is Fraction:
+            if not other:
+                return self
+            items = (((), other),)
+        else:
             return NotImplemented
         terms = dict(self.terms)
-        for m, c in other.terms.items():
+        for m, c in items:
             c += terms.get(m, 0)
             if c:
                 terms[m] = _exact(c)
@@ -86,9 +102,12 @@ class Poly:
         return NotImplemented if other is None else other + -self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Poly:
+            if type(other) is not int and type(other) is not Fraction:
+                return NotImplemented
+            if other == 1:
+                return self
+            return Poly({m: _exact(c * other) for m, c in self.terms.items()} if other else {})
         terms: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -114,8 +133,11 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        return NotImplemented if other is None else self.terms == other.terms
+        if type(other) is not Poly:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:

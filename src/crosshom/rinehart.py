@@ -37,9 +37,10 @@ pair and extend it bilinearly through one image table per module
 (`_bilinear_images`), summing each identity's residual in one term dict.
 Each check has one generator of nonzero residuals (`_module_axiom_defects`,
 `_weak_compat_defects`).  For the built-in `shen_larsson_action` it runs
-first on each kind of actor, monomial and module element v_p (x) x^t, with
-`poly.Poly` exponents, and stops at the first yield; the window is
-enumerated, by the same generator, only when there was one.
+first on each kind of actor (each unordered pair of kinds for the module
+law), monomial and module element v_p (x) x^t, with `poly.Poly` exponents
+and no table (`_symbolic_images`), and stops at the first yield; the window
+is enumerated, by the same generator, only when there was one.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .witt import (
     _add_product,
     _symbolic_basis,
     _tensor_action,
+    _unordered_kind_pairs,
     action_structure,
     block_diagonal,
     check_comm_algebra,
@@ -610,6 +612,24 @@ def _bilinear_images(action: WindowedAction, n: int):
     return images
 
 
+def _symbolic_images(action: WindowedAction, n: int):
+    """images(m) -> add as `_bilinear_images` gives it, with no table, for
+    the built-in action on symbolic kinds, whose keys are fresh `Poly`
+    tuples that are almost never looked up twice: add(acc, w, t, c) calls
+    action once per term of w, on the whole of t, and sums the image into
+    acc with `_add_scaled`."""
+
+    def images(m: TensorElem):
+        def add(acc: dict, w: Mapping, t: Mapping, c: Coeff = 1) -> dict:
+            for kw, cw in w.items():
+                _add_scaled(acc, c * cw, action(WittElem(n, {kw: 1}), m._new(t)).terms.items())
+            return acc
+
+        return add
+
+    return images
+
+
 def _symbolic_module_elems(module_elems: Sequence[TensorElem]) -> list[TensorElem]:
     """v_p (x) x^t with exponents t1, t2, ..., one for each (class, shape,
     component p) of a term of module_elems, in the order they first occur:
@@ -681,26 +701,29 @@ def check_module_axiom_window(
 ) -> list[Finding]:
     """[u, v].m = u.(v.m) - v.(u.m) on all windowed pairs and module elements.
 
-    The action is extended bilinearly by `_bilinear_images`, and each
-    residual [u, v].m - u.(v.m) + v.(u.m) is summed in one term dict by
-    `_module_axiom_defects`.  For the built-in `shen_larsson_action` that
-    generator first runs on each ordered pair of actor kinds x^r d_i, x^s d_j
-    and each v_p (x) x^t, with `Poly` exponents; when none of those
-    residuals is nonzero no window pair can fail and none is enumerated.
-    Otherwise, and for any other action, it runs on the window pairs, and a
-    residual is made an element only for the finding built from it.  Either
-    way the reported scope is the window.
+    Each residual [u, v].m - u.(v.m) + v.(u.m) is summed in one term dict
+    by `_module_axiom_defects`.  For the built-in `shen_larsson_action` that
+    generator first runs, through `_symbolic_images`, on each unordered pair
+    of actor kinds x^r d_i, x^s d_j (`_unordered_kind_pairs`) and each
+    v_p (x) x^t, with `Poly` exponents.  The residual is antisymmetric in
+    (u, v), because the Witt bracket is and the action is linear in the
+    actor, so the pair (v, u) adds nothing, as in the window's
+    `combinations`.  When none of those residuals is nonzero no window pair
+    can fail and none is enumerated.  Otherwise, and for any other action,
+    it runs on the window pairs, with the action extended bilinearly by
+    `_bilinear_images`, and a residual is made an element only for the
+    finding built from it.  Either way the reported scope is the window.
     """
     require_window_count(
         math.comb(n * window_size(n, window.bound), 2) * len(module_elems),
         "module-axiom identities",
     )
-    images = _bilinear_images(action, n)
     if _decided_symbolically(action, module_elems):
-        ms = _symbolic_module_elems(module_elems)
+        images, ms = _symbolic_images(action, n), _symbolic_module_elems(module_elems)
         kinds = [_actor_images(images, _symbolic_basis(n, "full", x), ms) for x in "rs"]
-        if not any(_module_axiom_defects(images, itertools.product(*kinds), ms)):
+        if not any(_module_axiom_defects(images, _unordered_kind_pairs(*kinds), ms)):
             return []
+    images = _bilinear_images(action, n)
     actors = witt_window_basis(n, window.bound)
     pairs = _actor_images(images, actors, module_elems)
     # each window element is rendered once, and only in the window pass
@@ -720,23 +743,24 @@ def check_weak_compat_window(
     """u.(a m) = a (u.m) + u(a) m for windowed monomials a; the sparse
     counterpart of the first-order-operator compatibility.
 
-    The action is extended bilinearly by `_bilinear_images`, and each
-    residual u.(a m) - a (u.m) - u(a) m is summed in one term dict by
+    Each residual u.(a m) - a (u.m) - u(a) m is summed in one term dict by
     `_weak_compat_defects`.  For the built-in `shen_larsson_action` that
-    generator first runs on each actor kind x^r d_i, on x^q and each
-    v_p (x) x^t, with `Poly` exponents; when none of those residuals is
-    nonzero nothing is enumerated.  Otherwise, and for any other action, it
-    runs on the window, and a residual is made an element only for the
-    finding built from it.  Either way the reported scope is the window.
+    generator first runs, through `_symbolic_images`, on each actor kind
+    x^r d_i, on x^q and each v_p (x) x^t, with `Poly` exponents; when none
+    of those residuals is nonzero nothing is enumerated.  Otherwise, and for
+    any other action, it runs on the window, with the action extended
+    bilinearly by `_bilinear_images`, and a residual is made an element only
+    for the finding built from it.  Either way the reported scope is the
+    window.
     """
     size = window_size(n, window.bound)
     require_window_count(n * size * size * len(module_elems), "weak-compat identities")
-    images = _bilinear_images(action, n)
     if _decided_symbolically(action, module_elems):
-        ms = _symbolic_module_elems(module_elems)
+        images, ms = _symbolic_images(action, n), _symbolic_module_elems(module_elems)
         q = [LaurentPoly.monomial(n, Poly.variables("q", n))]
         if not any(_weak_compat_defects(images, _symbolic_basis(n, "full", "r"), q, ms)):
             return []
+    images = _bilinear_images(action, n)
     actors = witt_window_basis(n, window.bound)
     monomials = laurent_window_basis(n, window.bound)
     label = {id(e): str(e) for e in (*actors, *monomials, *module_elems)}

@@ -530,6 +530,15 @@ def _symbolic_basis(n: int, family: str, name: str) -> list[WittElem]:
     return _family_basis(n, family, lambda k: (Poly.variables(name, k),))
 
 
+def _unordered_kind_pairs(first: Sequence, second: Sequence):
+    """(first[i], second[j]) for i <= j, in `combinations_with_replacement`
+    order.  For an identity antisymmetric in its two elements, as the Witt
+    and gl brackets make each pair residual here, a pair of kinds i > j is
+    the pair (j, i) with the exponents swapped and the residual negated."""
+    for i, j in itertools.combinations_with_replacement(range(len(first)), 2):
+        yield first[i], second[j]
+
+
 def _landing_defects(family: str, He: GlLaurent) -> dict:
     """{r: defect} for each exponent r at which the coefficient matrix M of
     He, read from its terms, leaves the family's subalgebra: for sdiv the
@@ -588,12 +597,16 @@ def verify_witt_crossed_hom(
               polynomials; the target is abelian, so the bracket term is zero.
 
     The residual H[u,v] - u.(Hv) + v.(Hu) - [Hu, Hv] is summed in one dict
-    by one generator, `_crossed_hom_defects`.  It runs first on each ordered
-    pair of kinds of window element (x^r d_i; d_k or d_ij(r); h(r)), built
-    by `_symbolic_basis` with `Poly` exponents r and s, and stops at the
-    first nonzero residual.  Each window pair's residual is such a symbolic
-    residual evaluated at integer exponents, so when every symbolic residual
-    is zero no window pair can fail and none is enumerated.  That holds
+    by one generator, `_crossed_hom_defects`.  It runs first on each
+    unordered pair of kinds of window element (x^r d_i; d_k or d_ij(r);
+    h(r)), built by `_symbolic_basis` with `Poly` exponents r and s, the
+    first kind with r and the second with s (`_unordered_kind_pairs`), and
+    stops at the first nonzero residual.  The residual is antisymmetric in
+    the pair, because the Witt and gl brackets are and H is linear, so the
+    pair (b, a) adds nothing to (a, b), as in the window's `combinations`.
+    Each window pair's residual is thus a symbolic residual evaluated at
+    integer exponents, up to sign, so when every symbolic residual is zero
+    no window pair can fail and none is enumerated.  That holds
     because the maps and kernels read exponents only through +, - and *,
     and through truth tests that only skip terms whose coefficient is then
     zero.  Otherwise the same generator runs on the window pairs, with H(e)
@@ -624,7 +637,7 @@ def verify_witt_crossed_hom(
         H = canonical_crossed_hom_W
     abelian_target = family == "pq"
     kinds = [[(e, H(e)) for e in _symbolic_basis(n, family, x)] for x in "rs"]
-    pairs_fail = any(_crossed_hom_defects(H, itertools.product(*kinds), abelian_target))
+    pairs_fail = any(_crossed_hom_defects(H, _unordered_kind_pairs(*kinds), abelian_target))
     lands = not any(_landing_defects(family, He) for _, He in kinds[0])
     if not pairs_fail and lands:
         return []

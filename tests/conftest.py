@@ -237,8 +237,12 @@ def row_lists(m: Matrix) -> list[list[Fraction]]:
 
 
 def bracket_basis(L, i, j) -> tuple:
-    """[e_i, e_j] as a dense vector: `ref_bracket` of two basis vectors."""
-    return ref_bracket(L, L.basis_vector(i), L.basis_vector(j))
+    """[e_i, e_j] as a dense vector, read from the stored structure constants:
+    the stored vector for i < j, its negative for i > j, zero for i == j."""
+    if i < j:
+        return L.structure.get((i, j), vzero(L.dim))
+    v = L.structure.get((j, i)) if i > j else None
+    return vzero(L.dim) if v is None else tuple(-c for c in v)
 
 
 def coefficient_matrices(e) -> dict:

@@ -199,6 +199,14 @@ def test_semidirect_scaling_action():
     assert check_lie_algebra(sd) == []
 
 
+@pytest.mark.parametrize("L", [sl2(), heisenberg(), generalized_witt_bounds((2, 2)).g], ids=["sl2", "heisenberg", "gw-2-2"])
+def test_bracket_basis_oracle_is_the_dense_bracket_of_basis_vectors(L):
+    # the tests' `bracket_basis` reads the stored structure constants; on
+    # every pair, both orders and i == j, it is the dense loop over them
+    for i, j in itertools.product(range(L.dim), repeat=2):
+        assert bracket_basis(L, i, j) == ref_bracket(L, L.basis_vector(i), L.basis_vector(j))
+
+
 def test_semidirect_zero_action_direct_sum():
     g, h = sl2(), heisenberg()
     sd = semidirect(g, h, zero_action(g, h))

@@ -1016,6 +1016,61 @@ def test_each_window_residual_is_an_evaluation_of_a_symbolic_one(family, n, H):
         assert evaluated(sym, point_a | point_b) == pair_residual(H, a, b)
 
 
+def symbolic_maps(n, family):
+    """The paper's map of family, then every mutant of this file that the
+    family can take: the gl-valued ones for full, sdiv and ham, the squared
+    twist for pq (p_i = 3 x_i^2)."""
+    if family == "pq":
+        p = [LaurentPoly.monomial(n, tuple(2 if k == i else 0 for k in range(n)), 3) for i in range(n)]
+        return [functools.partial(crossed_hom_pq, p, Fraction(-1, 2)), functools.partial(squared_twist, p, 1)]
+    off_diagonal = [quadratic_off_diagonal] if n > 1 or family == "ham" else []
+    return [canonical_crossed_hom_W, *BROKEN_CANONICAL.values(), cubic_defect, off_the_subalgebra, *off_diagonal]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", crosshom.witt.FAMILIES)
+def test_symbolic_pair_residuals_are_antisymmetric(n, family):
+    # why the check may take each unordered pair of kinds once: on symbolic
+    # kinds, in either order, the Witt and gl brackets are antisymmetric, so
+    # the residual of (b, a) is minus that of (a, b), whatever the linear H
+    kinds = [crosshom.witt._symbolic_basis(n, family, x) for x in "rs"]
+    abelian_target = family == "pq"
+    for H in symbolic_maps(n, family):
+
+        def residual(x, y):
+            pairs = [((x, H(x)), (y, H(y)))]
+            return next((res.terms for *_, res in crosshom.witt._crossed_hom_defects(H, pairs, abelian_target)), {})
+
+        for a, b in itertools.product(*kinds):
+            assert (witt_bracket(a, b) + witt_bracket(b, a)).is_zero()
+            if not abelian_target:
+                Ha, Hb = H(a), H(b)
+                assert (gl_bracket(Ha, Hb) + gl_bracket(Hb, Ha)).is_zero()
+            assert residual(b, a) == {k: -c for k, c in residual(a, b).items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", crosshom.witt.FAMILIES)
+def test_unordered_kind_pairs_give_the_ordered_verdict(n, family):
+    # the failing unordered kind pairs are the ordered ones with i > j
+    # folded onto (j, i), for the paper's maps and every mutant
+    for number, H in enumerate(symbolic_maps(n, family)):
+        kinds = [[(e, H(e)) for e in crosshom.witt._symbolic_basis(n, family, x)] for x in "rs"]
+        elems = [[e for e, _ in side] for side in kinds]
+
+        def positions(a, b):
+            return elems[0].index(a), elems[1].index(b)
+
+        pairs = list(crosshom.witt._unordered_kind_pairs(*kinds))
+        k = len(elems[0])
+        assert [positions(a, b) for (a, _), (b, _) in pairs] == [(i, j) for i in range(k) for j in range(i, k)]
+        ordered = {tuple(sorted(positions(a, b))) for a, b, _ in symbolic_pair_defects(n, family, H)}
+        unordered = {positions(a, b) for a, b, _ in crosshom.witt._crossed_hom_defects(H, pairs, family == "pq")}
+        assert ordered == unordered
+        if number == 0:
+            assert not unordered, "the paper's map"
+
+
 @pytest.mark.parametrize("family, n, bound", [("full", 2, 2), ("sdiv", 3, 1), ("ham", 1, 2), ("ham", 2, 1)])
 def test_each_window_basis_is_its_symbolic_kinds_at_the_window_exponents(family, n, bound):
     # the window order: x^r d_i with r major; each d_k once, then each kind
@@ -1042,7 +1097,8 @@ def test_each_window_basis_is_its_symbolic_kinds_at_the_window_exponents(family,
 
 def test_passing_checks_enumerate_no_window_pair(monkeypatch):
     # every bracket the check takes is of two symbolic kinds, once per
-    # ordered pair, and the landing conditions of sdiv and ham are decided
+    # unordered pair (k (k + 1) / 2 of k kinds: the residual is
+    # antisymmetric), and the landing conditions of sdiv and ham are decided
     # on the symbolic kinds too: no family builds a window element
     def refuse(*args):
         raise AssertionError("a window pair loop ran")
@@ -1065,7 +1121,8 @@ def test_passing_checks_enumerate_no_window_pair(monkeypatch):
                 no_pairs = types.SimpleNamespace(**{**vars(itertools), "combinations": refuse})
                 m.setattr(crosshom.witt, "itertools", no_pairs)
             assert verify_witt_crossed_hom(n, family, Window(bound), p=p, q=Fraction(1, 2)) == []
-        assert len(brackets) == kinds[family] ** 2, family
+        k = kinds[family]
+        assert len(brackets) == k * (k + 1) // 2, family
 
 
 def reference_landing(family, n, window):
