@@ -93,7 +93,8 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, require_window_count
 from .liealg import FinLieAlgebra, LieAction, Setup, _induced_columns, check_crossed_hom
-from .linalg import Coeff, Matrix, Vector, _add_scaled, _dense, _echelon, exact_coeff, invert, rational
+from .linalg import Coeff, Matrix, Vector, _add_scaled, _dense, _echelon, _entry_matrix, exact_coeff
+from .linalg import invert, rational
 from .report import Finding
 
 ZERO = Fraction(0)
@@ -428,16 +429,14 @@ def differential_matrix(s: Setup, k: int) -> Matrix:
     """Matrix of the degree-k coboundary on the lexicographic tuple basis, a
     dense matrix of Fractions: column (T, u) is the image of the unit cochain
     (`_cells` with the trivial weights) times (-1)^(k+1), at rows (S, w)."""
+    if k < 0:
+        raise DimensionMismatch(f"the top cohomology degree must be >= 0, got {k}")
     g_dim, h_dim = s.g.dim, s.h.dim
     row_base = {S: p * h_dim for p, S in enumerate(itertools.combinations(range(g_dim), k + 1))}
-    nrows, ncols = len(row_base) * h_dim, comb(g_dim, k) * h_dim
     sign = 1 if k % 2 else -1
-    data = [ZERO] * (nrows * ncols)
-    trivial = ([()] * g_dim, [()] * h_dim)
-    for col, image in enumerate(_cells(_induced_tables(s), trivial, k)):
-        for (S, w), c in image.items():
-            data[(row_base[S] + w) * ncols + col] = Fraction(sign * c)
-    return Matrix(nrows, ncols, tuple(data))
+    cells = enumerate(_cells(_induced_tables(s), ([()] * g_dim, [()] * h_dim), k))
+    entries = ((row_base[S] + w, j, sign * c) for j, image in cells for (S, w), c in image.items())
+    return _entry_matrix(len(row_base) * h_dim, comb(g_dim, k) * h_dim, entries)
 
 
 def _eigenvalues(images) -> list[Coeff] | None:
@@ -582,8 +581,8 @@ def _trivial_generator(s: Setup, tables, x: Vector) -> Matrix:
     """The matrix of d_rho_H(-Hx): column i is -rho_H(e_i)(Hx)."""
     Hx = _cochain(0, s.g.dim, s.h.dim, {(): _evaluate(cochain_from_matrix(s.H.matrix), [x])})
     d = _twisted_differential(tables, cochain_scale(-1, Hx))
-    cols = [eval_basis(d, (i,)) for i in range(s.g.dim)]
-    return Matrix(s.h.dim, s.g.dim, tuple(c[r] for r in range(s.h.dim) for c in cols))
+    images = [(u, i, c) for (i,), image in d.values.items() for u, c in image.items()]
+    return _entry_matrix(s.h.dim, s.g.dim, images)
 
 
 def check_linear_deformation(s: Setup, frkH: Matrix) -> list[Finding]:

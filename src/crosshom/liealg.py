@@ -38,7 +38,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotAction, NotCrossedHom, require_window_count
 from .linalg import (
-    ONE,
     ZERO,
     Coeff,
     Matrix,
@@ -46,6 +45,7 @@ from .linalg import (
     _add_scaled,
     _column_matrix,
     _dense,
+    _entry_matrix,
     exact_coeff,
     is_zero_vector,
     lincomb,
@@ -73,7 +73,7 @@ class FinLieAlgebra:
         return len(self.basis_names)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(ONE if k == i else ZERO for k in range(self.dim))
+        return _dense({i: 1}, self.dim)
 
     @cached_property
     def bracket_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Coeff], ...]]:
@@ -154,12 +154,10 @@ def gl_algebra(n: int) -> FinLieAlgebra:
     structure = {}
     for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(units), 2):
         if j == k or l == i:
-            v = [ZERO] * (n * n)
-            if j == k:
-                v[i * n + l] += ONE
+            v = {i * n + l: 1} if j == k else {}
             if l == i:
-                v[k * n + j] -= ONE
-            structure[a, b] = tuple(v)
+                v[k * n + j] = -1
+            structure[a, b] = _dense(v, n * n)
     return FinLieAlgebra(tuple(f"E{i + 1}{j + 1}" for i, j in units), structure)
 
 
@@ -406,10 +404,7 @@ def _semidirect_structure(
 
     def put(i: int, j: int, shift: int, terms):
         if terms:
-            full = [ZERO] * n
-            for k, c in terms:
-                full[shift + k] = rational(c)
-            structure[i, j] = tuple(full)
+            structure[i, j] = _dense({shift + k: c for k, c in terms}, n)
 
     for i, j in itertools.combinations(range(dg), 2):
         put(i, j, 0, g.bracket_terms.get((i, j)))
@@ -431,7 +426,10 @@ def semidirect(g: FinLieAlgebra, h: FinLieAlgebra, rho: LieAction) -> FinLieAlge
 
 def _graph(s: Setup) -> Matrix:
     """[I; H], the matrix of x |-> (x, Hx)."""
-    return Matrix(s.g.dim + s.h.dim, s.g.dim, Matrix.identity(s.g.dim).data + s.H.matrix.data)
+    dg = s.g.dim
+    entries = [(x, x, 1) for x in range(dg)]
+    entries += [(dg + i, x, c) for x, col in enumerate(s.H.matrix.col_nonzeros) for i, c in col]
+    return _entry_matrix(dg + s.h.dim, dg, entries)
 
 
 def twist_iso_check(s: Setup) -> bool:
@@ -444,8 +442,9 @@ def twist_iso_check(s: Setup) -> bool:
     would mean an internal formula error.
     """
     g, h = s.g, s.h
-    graph, eye = _graph(s), Matrix.identity(g.dim + h.dim)
-    twist = Matrix.from_rows([graph.row(r) + eye.row(r)[g.dim :] for r in range(eye.rows)])
+    n = g.dim + h.dim
+    entries = [(i, x, c) for x, col in enumerate(_graph(s).col_nonzeros) for i, c in col]
+    twist = _entry_matrix(n, n, entries + [(u, u, 1) for u in range(g.dim, n)])
     src = _semidirect_structure(g, h, _induced_action_unchecked(s).matrices)
     holds = not is_lie_homomorphism(src, _semidirect_structure(g, h, s.rho.matrices), twist)
     expected = not check_crossed_hom(s)

@@ -13,6 +13,10 @@ A view value written into a dense vector or `Matrix` goes through
 `rational` (or is added onto a Fraction zero), so public values stay
 Fractions.
 
+Only this module writes the row-major layout: every matrix given by its
+nonzeros is built by the one writer `_entry_matrix` (through `_column_matrix`
+for sparse dict columns), and a vector given by its nonzeros by `_dense`.
+
 `rank`, `kernel_basis` and `invert` share one elimination over sparse rows,
 dicts {column: nonzero entry} built from the nonzero entries of the dense
 matrix, so its work follows the nonzeros rather than rows x cols.  Integers
@@ -58,6 +62,8 @@ def rational(x, where: str = "") -> Fraction:
     billion-digit integer.  A bool is refused although it is an int: a JSON
     `true` in a coefficient is a malformed file, not the number 1.
     """
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -125,10 +131,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        data = [ZERO] * (n * n)
-        for i in range(n):
-            data[i * n + i] = ONE
-        return Matrix(n, n, tuple(data))
+        return _entry_matrix(n, n, [(i, i, 1) for i in range(n)])
 
     @staticmethod
     def from_columns(cols: Sequence[Vector]) -> "Matrix":
@@ -237,14 +240,14 @@ def lincomb(mats: Sequence[Matrix], coeffs: Sequence) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; flat index of (i1, i2) is i1 * b.rows + i2."""
-    data = []
-    for i1 in range(a.rows):
-        for i2 in range(b.rows):
-            for j1 in range(a.cols):
-                ae = a.entry(i1, j1)
-                for j2 in range(b.cols):
-                    data.append(ae * b.entry(i2, j2))
-    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(data))
+    entries = (
+        (i1 * b.rows + i2, j1 * b.cols + j2, x * y)
+        for j1, ca in enumerate(a.col_nonzeros)
+        for i1, x in ca
+        for j2, cb in enumerate(b.col_nonzeros)
+        for i2, y in cb
+    )
+    return _entry_matrix(a.rows * b.rows, a.cols * b.cols, entries)
 
 
 def _bit_size(q: Coeff) -> int:
@@ -278,9 +281,25 @@ def _dense(acc: dict[int, Coeff], n: int) -> Vector:
     return tuple(out)
 
 
-def _column_matrix(columns: Sequence[dict[int, Coeff]], n: int) -> Matrix:
-    """The n x n matrix whose column u is the sparse dict columns[u]."""
-    return Matrix.from_columns([_dense(c, n) for c in columns])
+def _entry_matrix(rows: int, cols: int, entries: Iterable[tuple[int, int, Coeff]]) -> Matrix:
+    """The rows x cols matrix with value x at (i, j) for each (i, j, x) in
+    entries and zero elsewhere: the one writer of the row-major layout for a
+    matrix given by its nonzeros.  Each distinct x is made a Fraction once
+    (`rational`); an (i, j) given twice keeps its last x."""
+    data = [ZERO] * (rows * cols)
+    fractions: dict[Coeff, Fraction] = {}
+    for i, j, x in entries:
+        q = fractions.get(x)
+        if q is None:
+            q = fractions[x] = rational(x)
+        data[i * cols + j] = q
+    return Matrix(rows, cols, tuple(data))
+
+
+def _column_matrix(columns: Sequence[dict[int, Coeff]], rows: int) -> Matrix:
+    """The rows x len(columns) matrix whose column j is the sparse dict columns[j]."""
+    entries = ((i, j, x) for j, c in enumerate(columns) for i, x in c.items())
+    return _entry_matrix(rows, len(columns), entries)
 
 
 def _echelon(
@@ -355,15 +374,12 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     """
     rows, pivots = _reduced_echelon(_sparse_rows(m), m.cols)
     pivot_set = set(pivots)
-    free = {fc: n for n, fc in enumerate(c for c in range(m.cols) if c not in pivot_set)}
-    basis = [[ZERO] * m.cols for _ in free]
-    for fc, n in free.items():
-        basis[n][fc] = ONE
+    basis = {fc: {fc: 1} for fc in range(m.cols) if fc not in pivot_set}
     for pc, row in zip(pivots, rows):
         for j, x in row.items():
             if j != pc:
-                basis[free[j]][pc] = Fraction(-x)
-    return [tuple(v) for v in basis]
+                basis[j][pc] = -x
+    return [_dense(v, m.cols) for v in basis.values()]
 
 
 def invert(m: Matrix) -> Matrix:

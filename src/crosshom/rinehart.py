@@ -49,7 +49,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidPair, NotCrossedHom, require_window_count
@@ -64,7 +63,7 @@ from .liealg import (
     gl_algebra,
     homomorphism_violations,
 )
-from .linalg import ONE, Matrix, Vector, _add_scaled, _column_matrix, _dense, kron, lincomb
+from .linalg import ONE, Matrix, Vector, _add_scaled, _column_matrix, _dense, _entry_matrix, kron, lincomb
 from .poly import Poly
 from .report import Finding
 from .witt import (
@@ -90,8 +89,6 @@ from .witt import (
     witt_bracket,
     witt_window_basis,
 )
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -422,13 +419,8 @@ def trivial_rep(n: int) -> GlnRep:
 
 
 def natural_rep_gl(n: int) -> GlnRep:
-    theta = {}
-    for i in range(n):
-        for j in range(n):
-            data = [ZERO] * (n * n)
-            data[i * n + j] = Fraction(1)
-            theta[(i, j)] = Matrix(n, n, tuple(data))
-    return GlnRep(n, n, theta)
+    units = itertools.product(range(n), repeat=2)
+    return GlnRep(n, n, {(i, j): _entry_matrix(n, n, [(i, j, 1)]) for i, j in units})
 
 
 def adjoint_rep_gl(n: int) -> GlnRep:

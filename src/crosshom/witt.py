@@ -78,7 +78,7 @@ from .errors import (
     require_window_count,
 )
 from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup, abelian, gl_algebra
-from .linalg import ONE, ZERO, Coeff, Matrix, Vector, _add_scaled, _dense, exact_coeff, rational
+from .linalg import Coeff, Matrix, Vector, _add_scaled, _dense, _entry_matrix, exact_coeff, rational
 from .poly import Poly
 from .report import Finding
 
@@ -513,11 +513,8 @@ def ham_window_basis(n: int, bound: int) -> list[WittElem]:
 @functools.cache
 def symplectic_form(n: int) -> Matrix:
     """Block matrix ((0, I), (-I, 0)) of size 2n."""
-    data = [ZERO] * (4 * n * n)
-    for i in range(n):
-        data[i * 2 * n + (n + i)] = Fraction(1)
-        data[(n + i) * 2 * n + i] = Fraction(-1)
-    return Matrix(2 * n, 2 * n, tuple(data))
+    entries = [(i, n + i, 1) for i in range(n)] + [(n + i, i, -1) for i in range(n)]
+    return _entry_matrix(2 * n, 2 * n, entries)
 
 
 FAMILIES = ("full", "sdiv", "ham", "pq")
@@ -542,7 +539,7 @@ def _unordered_kind_pairs(first: Sequence, second: Sequence):
 def _landing_defects(family: str, He: GlLaurent) -> dict:
     """{r: defect} for each exponent r at which the coefficient matrix M of
     He, read from its terms, leaves the family's subalgebra: for sdiv the
-    trace of M (sl_n), for ham the nonzero entries {a * 2n + b: c} of
+    trace of M (sl_n), for ham the nonzero entries {(a, b): c} of
     M^T J + J M with J = `symplectic_form` (sp_2n); other families land
     anywhere.  For the antisymmetric J the entry M_xy adds -J_kx M_xy at
     (y, k) and J_kx M_xy at (k, y)."""
@@ -558,8 +555,8 @@ def _landing_defects(family: str, He: GlLaurent) -> dict:
             x, y = divmod(p, N)
             acc = out.setdefault(r, {})
             for k, j in J[x]:
-                _add_term(acc, y * N + k, -j * c)
-                _add_term(acc, k * N + y, j * c)
+                _add_term(acc, (y, k), -j * c)
+                _add_term(acc, (k, y), j * c)
             if not acc:
                 del out[r]
     return out
@@ -655,7 +652,7 @@ def verify_witt_crossed_hom(
                 if family == "sdiv":
                     defect = rational(defect)
                 else:
-                    defect = Matrix(He.n, He.n, _dense(defect, He.n * He.n))
+                    defect = _entry_matrix(He.n, He.n, [(i, j, c) for (i, j), c in defect.items()])
                 findings.append(Finding(rule, (str(e), _exp_str(r)), defect))
     return findings
 
@@ -687,7 +684,7 @@ class FinCommAlgebra:
         return len(self.basis_names)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(ONE if k == i else ZERO for k in range(self.dim))
+        return _dense({i: 1}, self.dim)
 
     @functools.cached_property
     def product_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Coeff], ...]]:
@@ -705,23 +702,29 @@ class FinCommAlgebra:
         n = self.dim
         if len(a) != n:
             raise DimensionMismatch("operand lengths differ from the algebra dimension")
-        data = [ZERO] * (n * n)
+        acc: dict = {}
         for i, x in enumerate(a):
             if x:
                 for j in range(n):
                     for k, c in self.product_terms.get((i, j), ()):
-                        data[k * n + j] += x * c
-        return Matrix(n, n, tuple(data))
+                        acc[k, j] = acc.get((k, j), 0) + x * c
+        return _entry_matrix(n, n, [(k, j, c) for (k, j), c in acc.items()])
+
+
+def _truncated_exponents(bounds: Sequence[int]) -> list[MultiIndex]:
+    """The exponents of the monomial basis of the algebra truncated at bounds,
+    in lex order; raises DimensionMismatch for a bound < 1."""
+    bounds = tuple(int(b) for b in bounds)
+    if any(b < 1 for b in bounds):
+        raise DimensionMismatch("each truncation bound must be >= 1")
+    return list(itertools.product(*(range(b) for b in bounds)))
 
 
 def truncated_polynomial_algebra(bounds: Sequence[int]) -> FinCommAlgebra:
     """Monomial algebra on x_1..x_m with x_i^{bounds[i]} = 0; basis in lex order."""
-    bounds = tuple(int(b) for b in bounds)
-    if any(b < 1 for b in bounds):
-        raise DimensionMismatch("each truncation bound must be >= 1")
-    exps = list(itertools.product(*(range(b) for b in bounds)))
+    exps = _truncated_exponents(bounds)
     index = {e: k for k, e in enumerate(exps)}
-    m = len(bounds)
+    m = len(exps[0])
 
     def name(e: MultiIndex) -> str:
         if all(c == 0 for c in e):
@@ -737,24 +740,19 @@ def truncated_polynomial_algebra(bounds: Sequence[int]) -> FinCommAlgebra:
     products = {}
     for a, ea in enumerate(exps):
         for b in range(a, len(exps)):
-            eb = exps[b]
-            prod = tuple(p + q for p, q in zip(ea, eb))
-            if all(p < bd for p, bd in zip(prod, bounds)):
-                vec = [ZERO] * len(exps)
-                vec[index[prod]] = Fraction(1)
-                products[(a, b)] = tuple(vec)
-    unit = [ZERO] * len(exps)
-    unit[index[(0,) * m]] = Fraction(1)
-    return FinCommAlgebra(tuple(name(e) for e in exps), products, tuple(unit))
+            prod = index.get(tuple(p + q for p, q in zip(ea, exps[b])))
+            if prod is not None:
+                products[(a, b)] = _dense({prod: 1}, len(exps))
+    # the unit x^0 comes first in lex order
+    return FinCommAlgebra(tuple(name(e) for e in exps), products, _dense({0: 1}, len(exps)))
 
 
 def scaling_derivation(bounds: Sequence[int], var: int) -> Matrix:
     """The Euler-type derivation x_var d/dx_var on the truncated algebra."""
-    exps = list(itertools.product(*(range(int(b)) for b in bounds)))
-    data = [ZERO] * (len(exps) * len(exps))
-    for k, e in enumerate(exps):
-        data[k * len(exps) + k] = Fraction(e[var])
-    return Matrix(len(exps), len(exps), tuple(data))
+    exps = _truncated_exponents(bounds)
+    if not 0 <= var < len(exps[0]):
+        raise IndexOutOfRange(f"variable {var} outside 0..{len(exps[0]) - 1}")
+    return _entry_matrix(len(exps), len(exps), [(k, k, e[var]) for k, e in enumerate(exps)])
 
 
 def check_comm_algebra(A: FinCommAlgebra) -> list[Finding]:
@@ -836,13 +834,8 @@ def block_diagonal(columns: SparseColumns, copies: int) -> Matrix:
     """I_copies (x) M as a Matrix of Fractions, for M given by its sparse columns."""
     d = len(columns)
     n = copies * d
-    data = [ZERO] * (n * n)
-    for t, col in enumerate(columns):
-        for u, c in col:
-            c = rational(c)
-            for base in range(0, n, d):
-                data[(base + u) * n + base + t] = c
-    return Matrix(n, n, tuple(data))
+    entries = [(u, t, c) for t, col in enumerate(columns) for u, c in col]
+    return _entry_matrix(n, n, ((b + u, b + t, c) for u, t, c in entries for b in range(0, n, d)))
 
 
 def action_structure(
@@ -903,11 +896,8 @@ def gl_tensor_algebra(m: int, A: FinCommAlgebra) -> FinLieAlgebra:
         if a > b:
             continue
         for (s, t), st in products.items():
-            vec = [ZERO] * len(names)
-            for k, c in terms:
-                for u, d in st:
-                    vec[k * dimA + u] = rational(c * d)
-            structure[a * dimA + s, b * dimA + t] = tuple(vec)
+            vec = {k * dimA + u: c * d for k, c in terms for u, d in st}
+            structure[a * dimA + s, b * dimA + t] = _dense(vec, len(names))
     return FinLieAlgebra(names, dict(sorted(structure.items())))
 
 
@@ -915,14 +905,14 @@ def _canonical_matrix(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Matrix:
     """The canonical H: a_s D_j |-> sum_i E_ij (x) D_i(a_s), read from the
     nonzeros of each D_i's columns."""
     m, dimA = len(Delta), A.dim
-    rows, cols = m * m * dimA, m * dimA
-    data = [ZERO] * (rows * cols)
-    for p in range(cols):
-        j, s = divmod(p, dimA)
-        for i, D in enumerate(Delta):
-            for u, c in D.col_nonzeros[s]:
-                data[((i * m + j) * dimA + u) * cols + p] = rational(c)
-    return Matrix(rows, cols, tuple(data))
+    entries = (
+        ((i * m + j) * dimA + u, j * dimA + s, c)
+        for i, D in enumerate(Delta)
+        for s, col in enumerate(D.col_nonzeros)
+        for u, c in col
+        for j in range(m)
+    )
+    return _entry_matrix(m * m * dimA, m * dimA, entries)
 
 
 def generalized_witt_setup(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Setup:

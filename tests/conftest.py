@@ -463,6 +463,14 @@ def ref_adjoint_rep_gl(n: int) -> dict:
     return theta
 
 
+def ref_natural_rep_gl(n: int) -> dict:
+    """theta(E_ij) = E_ij, the dense matrix unit."""
+    return {
+        (i, j): Matrix(n, n, tuple(Fraction(int((r, c) == (i, j))) for r in range(n) for c in range(n)))
+        for i, j in itertools.product(range(n), repeat=2)
+    }
+
+
 # --- dense oracles for the A-module laws ---
 
 

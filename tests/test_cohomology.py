@@ -229,6 +229,19 @@ def test_differential_matrix_entries_are_fractions():
             assert not d.is_zero()
 
 
+def test_differential_matrix_shapes_at_the_top_and_below_zero():
+    # d_k maps C^k to C^(k+1): 0 rows from the top degree on, 0 x 0 above it
+    s = sl2_setup()
+    g_dim, h_dim = s.g.dim, s.h.dim
+    for k, shape in ((g_dim, (0, h_dim)), (g_dim + 1, (0, 0))):
+        assert differential_matrix(s, k) == Matrix.zero(*shape)
+    for k in (-1, -3):
+        with pytest.raises(DimensionMismatch, match=f"the top cohomology degree must be >= 0, got {k}"):
+            differential_matrix(s, k)
+        with pytest.raises(DimensionMismatch, match=f"the top cohomology degree must be >= 0, got {k}"):
+            cohomology_dims(s, k)
+
+
 def test_differential_matrices_compose_to_zero():
     s = generalized_witt_bounds((2, 2))
     for k in (0, 1):
@@ -932,7 +945,9 @@ def test_trivial_generator_is_the_coboundary_of_minus_Hx():
         tables = _induced_tables(s)
         for _ in range(30):
             x = _random_element(rng, s.g.dim)
-            assert _trivial_generator(s, tables, x) == -ref_twisted_images(s, x)
+            got = _trivial_generator(s, tables, x)
+            assert got == -ref_twisted_images(s, x)
+            assert all(type(c) is Fraction for c in got.data)
 
 
 def test_nijenhuis_grid_matches_the_dense_oracle():

@@ -241,3 +241,60 @@ def test_every_sparse_element_is_a_tensor_element():
                         own.append(f"{path.name}:{node.name}.{item.name}")
     assert subclasses == len(classes)
     assert own == []
+
+
+# The only places outside linalg that call the Matrix(rows, cols, data)
+# constructor, each with its reason.
+DENSE_LAYOUT_SITES = {
+    # the data is the rows as the definition file writes them
+    ("formats.py", "_matrix_from_rows"),
+    # each candidate is the grid's row-major digit tuple, in the documented order
+    ("liealg.py", "solve_crossed_homs_grid"),
+}
+
+
+def _top_level_definitions(tree: ast.Module):
+    """(name, node) for each module-level statement; a class's methods are
+    named Class.method, and code outside any definition "<module>"."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{node.name}.{getattr(item, 'name', '<body>')}", item
+        else:
+            yield getattr(node, "name", "<module>"), node
+
+
+def _writes_dense_layout(node) -> bool:
+    """A call of the Matrix constructor, or `[ZERO] * (a * b)`: a list of
+    zeros as long as a product, in either operand order."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == "Matrix") or (
+            isinstance(func, ast.Attribute) and func.attr == "Matrix"
+        )
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    for zeros, length in ((node.left, node.right), (node.right, node.left)):
+        if (
+            isinstance(zeros, ast.List)
+            and len(zeros.elts) == 1
+            and ast.unparse(zeros.elts[0]) in ("ZERO", "Fraction(0)")
+            and isinstance(length, ast.BinOp)
+            and isinstance(length.op, ast.Mult)
+        ):
+            return True
+    return False
+
+
+def test_only_linalg_writes_the_dense_layout():
+    # a matrix given by its nonzeros is written by linalg's one writer
+    # (`_entry_matrix`), so no other module fills a zero list for a matrix
+    # or calls the Matrix constructor, apart from DENSE_LAYOUT_SITES
+    sites = set()
+    for path in MODULES:
+        if path.name == "linalg.py":
+            continue
+        for name, node in _top_level_definitions(ast.parse(path.read_text())):
+            if any(_writes_dense_layout(n) for n in ast.walk(node)):
+                sites.add((path.name, name))
+    assert sites == DENSE_LAYOUT_SITES

@@ -581,6 +581,7 @@ def test_twist_and_graph_checks_match_the_dense_references():
         s = Setup(g, h, rho, CrossedHom(H))
         rho_H = _ref_rho_H(s)
         sd_H = _semidirect_structure(g, h, rho_H)
+        assert all(type(x) is Fraction for v in sd_H.structure.values() for x in v)
         for p, q in itertools.combinations(range(g.dim + h.dim), 2):
             a = (sd_H.basis_vector(p)[: g.dim], sd_H.basis_vector(p)[g.dim :])
             b = (sd_H.basis_vector(q)[: g.dim], sd_H.basis_vector(q)[g.dim :])
@@ -623,6 +624,37 @@ def test_is_lie_homomorphism_matches_the_dense_law():
             compared += 1
             failing += bool(expected)
     assert compared == 5 * len(cases) and failing >= 30, (compared, failing)
+
+
+def test_graph_and_twist_matrices_are_the_dense_blocks(monkeypatch):
+    # [I; H] and the twist [[I, 0], [H, I]] against the blocks written row by
+    # row, in Fractions, empty g or h included
+    import crosshom.liealg
+
+    twists = []
+    real = crosshom.liealg.is_lie_homomorphism
+
+    def spy(src, dst, phi):
+        twists.append(phi)
+        return real(src, dst, phi)
+
+    monkeypatch.setattr(crosshom.liealg, "is_lie_homomorphism", spy)
+    rng = random.Random(85)
+    empty = abelian(())
+    triples = action_library() + [(g, h, zero_action(g, h)) for g, h in ((empty, sl2()), (sl2(), empty))]
+    for g, h, rho in triples * 3:
+        values = [Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(h.dim * g.dim)]
+        H = Matrix(h.dim, g.dim, tuple(values))
+        s = Setup(g, h, rho, CrossedHom(H))
+        n = g.dim + h.dim
+        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        graph = [eye[x][: g.dim] for x in range(g.dim)] + [list(H.row(i)) for i in range(h.dim)]
+        twist = eye[: g.dim] + [list(H.row(i)) + eye[g.dim + i][g.dim :] for i in range(h.dim)]
+        twists.clear()
+        twist_iso_check(s)
+        for got, rows, cols in ((_graph(s), graph, g.dim), (twists[0], twist, n)):
+            assert got == Matrix(n, cols, tuple(x for r in rows for x in r))
+            assert all(type(x) is Fraction for x in got.data)
 
 
 def test_empty_g_or_h_twist_and_graph():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from crosshom.errors import DimensionMismatch, ParseError, SingularMatrix
 from crosshom.linalg import (
     Matrix,
+    _column_matrix,
     _echelon,
+    _entry_matrix,
     _reduced_echelon,
     invert,
     kernel_basis,
@@ -204,6 +206,17 @@ def test_matrix_shape_errors():
         Matrix.identity(2) * Matrix.zero(3, 3)
 
 
+def _ref_kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product by four nested loops over every entry."""
+    data = []
+    for i1 in range(a.rows):
+        for i2 in range(b.rows):
+            for j1 in range(a.cols):
+                for j2 in range(b.cols):
+                    data.append(a.entry(i1, j1) * b.entry(i2, j2))
+    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(data))
+
+
 def test_kron_shapes_and_entries():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])
@@ -215,6 +228,50 @@ def test_kron_shapes_and_entries():
             for j1 in range(2):
                 for j2 in range(2):
                     assert k.entry(i1 * 2 + i2, j1 * 2 + j2) == a.entry(i1, j1) * b.entry(i2, j2)
+    # every shape, empty ones included, against the dense loop, in Fractions
+    rng = random.Random(83)
+    for _ in range(60):
+        r1, c1, r2, c2 = (rng.randint(0, 3) for _ in range(4))
+        a, b = _random_shaped(rng, r1, c1), _random_shaped(rng, r2, c2)
+        _assert_same_matrix(kron(a, b), _ref_kron(a, b))
+    a, b = Matrix.from_rows([[1, 0, -2], [0, 3, 0]]), Matrix.from_rows([[Fraction(1, 2), 2]])
+    _assert_same_matrix(kron(a, b), _ref_kron(a, b))
+
+
+def test_identity_is_the_dense_unit_matrix():
+    for n in range(5):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        _assert_same_matrix(Matrix.identity(n), Matrix.from_rows(eye))
+
+
+# --- the one writer of the row-major layout ---
+
+
+def test_entry_matrix_writes_every_shape_in_fractions():
+    # non-square, int and Fraction values mixed; an (i, j) given twice keeps its last value
+    entries = [(0, 2, 1), (1, 0, Fraction(1, 2)), (1, 1, 2), (0, 0, 5), (0, 0, Fraction(2))]
+    got = _entry_matrix(2, 3, entries)
+    _assert_same_matrix(got, Matrix.from_rows([[2, 0, 1], [Fraction(1, 2), 2, 0]]))
+    # each distinct value becomes a Fraction once: 2 and Fraction(2) share it
+    assert got.data[0] is got.data[4]
+    for rows, cols in ((3, 0), (0, 3), (0, 0), (2, 5)):
+        _assert_same_matrix(_entry_matrix(rows, cols, []), Matrix.zero(rows, cols))
+    # a rows x 0 matrix, which Matrix.from_columns([]) cannot give, and a non-square one
+    _assert_same_matrix(_column_matrix([], 3), Matrix.zero(3, 0))
+    got = _column_matrix([{0: 1, 3: Fraction(-2, 3)}, {}, {2: 4}], 4)
+    _assert_same_matrix(got, Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 4], [Fraction(-2, 3), 0, 0]]))
+
+
+def test_entry_matrix_rebuilds_random_matrices_from_their_nonzeros():
+    rng = random.Random(84)
+    for _ in range(80):
+        m = _random_shaped(rng, rng.randint(0, 6), rng.randint(0, 6))
+        # the integral view of col_nonzeros mixes ints and Fractions
+        columns = m.col_nonzeros
+        entries = [(i, j, x) for j, col in enumerate(columns) for i, x in col]
+        rng.shuffle(entries)
+        _assert_same_matrix(_entry_matrix(m.rows, m.cols, entries), m)
+        _assert_same_matrix(_column_matrix([dict(c) for c in columns], m.rows), m)
 
 
 # --- the sparse Matrix kernels against the dense loops ---

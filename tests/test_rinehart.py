@@ -86,6 +86,7 @@ from conftest import (
     ref_action_bracket,
     ref_add_term,
     ref_adjoint_rep_gl,
+    ref_natural_rep_gl,
     ref_check_a_module,
     ref_first_order_findings,
     ref_leibniz_pair_findings,
@@ -1294,11 +1295,12 @@ def test_leibniz_bad_fixture_fires_leibniz_and_module_assoc():
 
 
 def test_adjoint_rep_gl_matches_the_dense_loop():
+    # natural_rep_gl too, against the dense matrix units
     for n in range(1, 5):
-        rep = adjoint_rep_gl(n)
-        assert rep.theta == ref_adjoint_rep_gl(n)
-        assert list(rep.theta) == [(i, j) for i in range(n) for j in range(n)]
-        assert all(type(x) is Fraction for m in rep.theta.values() for x in m.data)
+        for rep, ref in ((adjoint_rep_gl(n), ref_adjoint_rep_gl(n)), (natural_rep_gl(n), ref_natural_rep_gl(n))):
+            assert rep.theta == ref
+            assert list(rep.theta) == [(i, j) for i in range(n) for j in range(n)]
+            assert all(type(x) is Fraction for m in rep.theta.values() for x in m.data)
 
 
 def test_gln_rep_reports_each_broken_pair_once():

@@ -24,6 +24,7 @@ from crosshom.poly import Poly
 from crosshom.report import Finding
 from crosshom.witt import (
     FinCommAlgebra,
+    block_diagonal,
     GlLaurent,
     LaurentPoly,
     Window,
@@ -344,6 +345,37 @@ def test_scaling_derivation_is_derivation():
             ) == []
 
 
+def test_scaling_derivation_is_the_dense_exponent_diagonal():
+    for bounds in ([1], [3], [2, 2], [2, 3, 2]):
+        exps = list(itertools.product(*(range(b) for b in bounds)))
+        for var in range(len(bounds)):
+            D = scaling_derivation(bounds, var)
+            rows = [[e[var] if k == j else 0 for j in range(len(exps))] for k, e in enumerate(exps)]
+            assert D == Matrix.from_rows(rows)
+            assert all(type(x) is Fraction for x in D.data)
+
+
+def test_scaling_derivation_refuses_what_the_truncated_algebra_refuses():
+    for var in (2, -1, 5):
+        with pytest.raises(IndexOutOfRange, match=f"variable {var} outside 0..1"):
+            scaling_derivation([2, 2], var)
+    # a bound < 1 is refused by both, with one message
+    for bounds in ([0], [2, 0], [3, -1]):
+        with pytest.raises(DimensionMismatch, match="each truncation bound must be >= 1"):
+            truncated_polynomial_algebra(bounds)
+        with pytest.raises(DimensionMismatch, match="each truncation bound must be >= 1"):
+            scaling_derivation(bounds, 0)
+
+
+def test_symplectic_form_is_the_dense_block_matrix():
+    for n in range(4):
+        zero, eye = [0] * n, [[int(i == j) for j in range(n)] for i in range(n)]
+        rows = [zero + eye[i] for i in range(n)] + [[-x for x in eye[i]] + zero for i in range(n)]
+        J = symplectic_form(n)
+        assert J == Matrix.from_rows(rows)
+        assert all(type(x) is Fraction for x in J.data)
+
+
 def test_shift_operator_is_not_derivation():
     # d/dx on K[x]/(x^3) fails Leibniz on the top-degree pair (x, x^2)
     A = truncated_polynomial_algebra([3])
@@ -440,9 +472,26 @@ def _golden_ratio_algebra() -> FinCommAlgebra:
     return FinCommAlgebra(("1", "x"), structure, (one, zero))
 
 
+def _ref_truncated_structure(bounds) -> tuple[dict, tuple]:
+    """The products a_i a_j, i <= j, and the unit of the monomial algebra
+    truncated at bounds, as dense vectors over the lex-ordered exponents."""
+    exps = list(itertools.product(*(range(b) for b in bounds)))
+    products = {}
+    for i, j in itertools.combinations_with_replacement(range(len(exps)), 2):
+        prod = [a + b for a, b in zip(exps[i], exps[j])]
+        if all(p < b for p, b in zip(prod, bounds)):
+            products[i, j] = tuple(Fraction(int(list(e) == prod)) for e in exps)
+    return products, tuple(Fraction(int(not any(e))) for e in exps)
+
+
 def test_products_through_mult_matrix_match_dense_oracle(fixtures_dir):
     rng = random.Random(11)
-    algebras = [truncated_polynomial_algebra(b) for b in ([4], [2, 3], [2, 2, 2])]
+    bounds_list = ([1], [4], [2, 3], [2, 2, 2])
+    for bounds in bounds_list:
+        A = truncated_polynomial_algebra(bounds)
+        assert (dict(A.structure), A.unit) == _ref_truncated_structure(bounds)
+        assert all(type(x) is Fraction for v in [*A.structure.values(), A.unit] for x in v)
+    algebras = [truncated_polynomial_algebra(b) for b in bounds_list]
     algebras += [formats.load_file(str(fixtures_dir / "derivations_trunc3.pair.json")).algebra]
     algebras += [_golden_ratio_algebra()]
     for A in algebras:
@@ -908,11 +957,54 @@ def test_gl_tensor_algebra_matches_the_dense_loop(m):
     assert check_lie_algebra(gl_tensor_algebra(m, GOLDEN_RATIO)) == []
 
 
+def test_block_diagonal_is_the_dense_block_matrix():
+    rng = random.Random(16)
+    for d, copies in ((0, 3), (1, 1), (3, 1), (3, 2), (4, 4)):
+        values = (1, -2, Fraction(1, 2), Fraction(-3, 4))
+        columns = [
+            tuple((u, rng.choice(values)) for u in sorted(rng.sample(range(d), rng.randint(0, d))))
+            for _ in range(d)
+        ]
+        M = [[dict(columns[t]).get(u, 0) for t in range(d)] for u in range(d)]
+        n = copies * d
+        rows = [[M[r % d][c % d] if r // d == c // d else 0 for c in range(n)] for r in range(n)]
+        got = block_diagonal(columns, copies)
+        assert got == Matrix.from_rows(rows)
+        assert all(type(x) is Fraction for x in got.data)
+
+
+@pytest.mark.parametrize("bounds", [(3,), (2, 2), (3, 2)], ids=str)
+def test_canonical_matrix_is_the_dense_formula(bounds):
+    # H[E_ij (x) a_u, a_s D_j] = D_i[u, s], read from dense derivations,
+    # one of them not diagonal
+    A = truncated_polynomial_algebra(bounds)
+    deltas = [scaling_derivation(bounds, v) for v in range(len(bounds))]
+    if bounds == (3,):
+        deltas = [X2_DX]
+    m, dimA = len(deltas), A.dim
+    H = generalized_witt_setup(A, deltas).H.matrix
+    expected = [[Fraction(0)] * (m * dimA) for _ in range(m * m * dimA)]
+    for i, j, u, s in itertools.product(range(m), range(m), range(dimA), range(dimA)):
+        expected[(i * m + j) * dimA + u][j * dimA + s] = deltas[i].entry(u, s)
+    assert H == Matrix.from_rows(expected)
+    assert all(type(x) is Fraction for x in H.data)
+
+
 def test_gl_algebra_is_the_matrix_unit_algebra():
     for n in range(1, 4):
         gl = gl_algebra(n)
         assert gl.basis_names == tuple(f"E{i + 1}{j + 1}" for i in range(n) for j in range(n))
         assert check_lie_algebra(gl) == []
+        # each bracket is the commutator of dense matrix units, flattened row-major
+        units = [
+            Matrix.from_rows([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+            for i in range(n)
+            for j in range(n)
+        ]
+        for a, b in itertools.combinations(range(n * n), 2):
+            comm = units[a] * units[b] - units[b] * units[a]
+            assert gl.structure.get((a, b), (Fraction(0),) * (n * n)) == comm.data
+        assert all(type(x) is Fraction for v in gl.structure.values() for x in v)
         # gl_n (x) K over the one-dimensional K has gl_n's indices
         assert gl.structure == ref_gl_tensor_algebra(n, truncated_polynomial_algebra([1])).structure
 
@@ -1172,6 +1264,9 @@ def test_landing_findings_match_the_dense_coefficient_matrices(monkeypatch, fami
     landing = [f for f in verify_witt_crossed_hom(n, family, window) if f.rule != "crossed-hom"]
     expected = reference_landing(family, n, window)
     assert landing == expected
+    for f in landing:
+        residual = f.residual.data if f.rule == "sp-landing" else (f.residual,)
+        assert all(type(x) is Fraction for x in residual)
     assert [f.to_json() for f in landing] == [f.to_json() for f in expected]
     kinds = crosshom.witt._symbolic_basis(n, family, "r")
     lands = not any(crosshom.witt._landing_defects(family, H(e)) for e in kinds)
