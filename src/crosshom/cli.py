@@ -45,19 +45,18 @@ def _require_positive_n(n: int):
         raise ParseError(f"--n must be >= 1, got {n}")
 
 
-def _load_setup(path: str) -> Setup:
-    obj = formats.load_file(path)
-    if not isinstance(obj, Setup):
-        raise ParseError(f"{path}: expected a setup file")
-    return obj
-
-
-def _require_sound_setup(report: Report, s: Setup) -> bool:
-    """Structural checks shared by the setup-based subcommands."""
-    report.add_findings(check_lie_algebra(s.g))
-    report.add_findings(check_lie_algebra(s.h))
-    report.add_findings(check_action(s.rho))
-    return not report.findings
+def _sound_setup(args, report: Report, crossed_hom: bool = False) -> Setup | None:
+    """The setup file args.input, checked as every setup-based subcommand
+    needs: Jacobi for g and h and the action laws, then, with crossed_hom,
+    the crossed-homomorphism identity.  The findings go into report, and
+    where there are any the result is None."""
+    s = formats.load_file(args.input)
+    if not isinstance(s, Setup):
+        raise ParseError(f"{args.input}: expected a setup file")
+    report.add_findings(check_lie_algebra(s.g) + check_lie_algebra(s.h) + check_action(s.rho))
+    if crossed_hom and not report.findings:
+        report.add_findings(check_crossed_hom(s))
+    return None if report.findings else s
 
 
 def cmd_check_lie(args, report: Report):
@@ -69,13 +68,12 @@ def cmd_check_lie(args, report: Report):
 
 
 def cmd_check_action(args, report: Report):
-    s = _load_setup(args.input)
-    _require_sound_setup(report, s)
+    _sound_setup(args, report)
 
 
 def cmd_check_crossed_hom(args, report: Report):
-    s = _load_setup(args.input)
-    if _require_sound_setup(report, s):
+    s = _sound_setup(args, report)
+    if s is not None:
         report.add_findings(check_crossed_hom(s))
         report.payload["twist_map_is_homomorphism"] = twist_iso_check(s)
 
@@ -92,7 +90,7 @@ def cmd_check_rinehart(args, report: Report):
         mod, rho = formats.module_from_dict(
             lr.algebra, lr.lie.basis_names, module_block, f"{args.input}.module"
         )
-        strict = bool(module_block.get("strict"))
+        strict = formats.bool_flag(module_block, "strict", f"{args.input}.module")
         report.add_findings(check_weak_rep(lr, mod, rho, strict=strict))
     report.payload["dim_A"] = lr.algebra.dim
     report.payload["dim_L"] = lr.lie.dim
@@ -112,11 +110,8 @@ def cmd_check_leibniz(args, report: Report):
 def cmd_cohomology(args, report: Report):
     from . import cohomology as coh
 
-    s = _load_setup(args.input)
-    if not _require_sound_setup(report, s):
-        return
-    report.add_findings(check_crossed_hom(s))
-    if report.findings:
+    s = _sound_setup(args, report, crossed_hom=True)
+    if s is None:
         return
     rep = coh.cohomology_dims(s, args.max_degree)
     report.payload.update(rep.to_json())
@@ -125,8 +120,8 @@ def cmd_cohomology(args, report: Report):
 def cmd_mc_residual(args, report: Report):
     from . import cohomology as coh
 
-    s = _load_setup(args.input)
-    if not _require_sound_setup(report, s):
+    s = _sound_setup(args, report)
+    if s is None:
         return
     res = coh.mc_residual(s)
     report.payload["residual"] = [
@@ -139,12 +134,8 @@ def cmd_mc_residual(args, report: Report):
 def cmd_nijenhuis(args, report: Report):
     from . import cohomology as coh
 
-    s = _load_setup(args.input)
-    if not _require_sound_setup(report, s):
-        return
-    bad = check_crossed_hom(s)
-    if bad:
-        report.add_findings(bad)
+    s = _sound_setup(args, report, crossed_hom=True)
+    if s is None:
         return
     if args.element is not None:
         x = _rationals(args.element, "--element")
@@ -171,12 +162,8 @@ def cmd_nijenhuis(args, report: Report):
 def cmd_deform(args, report: Report):
     from . import cohomology as coh
 
-    s = _load_setup(args.input)
-    if not _require_sound_setup(report, s):
-        return
-    bad = check_crossed_hom(s)
-    if bad:
-        report.add_findings(bad)
+    s = _sound_setup(args, report, crossed_hom=True)
+    if s is None:
         return
     if args.element is None:
         raise ParseError("deform requires --element (the Nijenhuis witness)")
@@ -237,8 +224,8 @@ def cmd_shen_larsson(args, report: Report):
 
 
 def cmd_solve_grid(args, report: Report):
-    s = _load_setup(args.input)
-    if not _require_sound_setup(report, s):
+    s = _sound_setup(args, report)
+    if s is None:
         return
     grid = _rationals(args.grid, "--grid")
     sols = solve_crossed_homs_grid(s.g, s.h, s.rho, grid)

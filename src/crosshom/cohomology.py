@@ -38,7 +38,7 @@ in lexicographic columns) and `_weight_zero_rows` (sparsest columns first)
 write out as the columns of d_k.  rho_H's tables are `_induced_tables`:
 its columns come from `liealg._induced_columns`, the one place the rho_H
 formula is written, and keep integral entries as ints, as do
-`bracket_terms` and `Matrix.col_nonzeros`, so the eliminations run in int
+`structure_terms` and `Matrix.col_nonzeros`, so the eliminations run in int
 arithmetic while the pivots are units.
 
 `cohomology_dims` ranks weight spaces, not whole coboundaries.  When a
@@ -222,9 +222,9 @@ def _evaluate(f: Cochain, vecs: Sequence[Vector]) -> dict[int, Coeff]:
 
 def _by_target(g: FinLieAlgebra) -> list[list[tuple[int, int, Coeff]]]:
     """For each target index t, the structure constants (a, b, [e_a, e_b]_t)
-    with a < b and a nonzero value, read from `bracket_terms`."""
+    with a < b and a nonzero value, read from `structure_terms`."""
     by_target = [[] for _ in range(g.dim)]
-    for (a, b), terms in sorted(g.bracket_terms.items()):
+    for (a, b), terms in sorted(g.structure_terms.items()):
         if a < b:
             for t, c in terms:
                 by_target[t].append((a, b, c))
@@ -324,7 +324,7 @@ def derived_bracket(h: FinLieAlgebra, f1: Cochain, f2: Cochain) -> Cochain:
         raise DimensionMismatch("cochain values do not live in the given algebra")
     m, n = f1.degree, f2.degree
     global_sign = -1 if (m * n + 1) % 2 else 1
-    terms = h.bracket_terms
+    terms = h.structure_terms
     totals: dict = {}
     for T1, v1 in f1.values.items():
         for T2, v2 in f2.values.items():
@@ -454,7 +454,7 @@ def _eigenvalues(images) -> list[Coeff] | None:
 def _weights(s: Setup, tables) -> tuple[list[tuple], list[tuple]]:
     """The weight vectors (w_g, w_h) of the g- and h-basis.
 
-    A g-basis index i counts when ad(e_i) (from `bracket_terms`) and rho_H(e_i)
+    A g-basis index i counts when ad(e_i) (from `structure_terms`) and rho_H(e_i)
     (from the tables) are diagonal, with eigenvalues lam and mu, and the
     tables are homogeneous for them: rho_H(e_j) e_u has only components e_w
     with mu[w] - mu[u] = lam[j], and [e_a, e_b]_t != 0 only where
@@ -463,7 +463,7 @@ def _weights(s: Setup, tables) -> tuple[list[tuple], list[tuple]]:
     w_g[j] and w_h[u] list the eigenvalues over the counted indices; with
     none counted they are all the empty weight.
     """
-    g_dim, terms = s.g.dim, s.g.bracket_terms
+    g_dim, terms = s.g.dim, s.g.structure_terms
     columns, by_target = tables
     lams, mus = [], []
     for i in range(g_dim):

@@ -5,7 +5,8 @@ products are zero.  A file may carry "certified": true, in which case the
 structural invariants (Jacobi, action laws, the crossed-homomorphism
 identity) are verified at load time and a failure raises InvariantError;
 without the flag only shapes and name references are validated, leaving the
-mathematical checks to the subcommands.
+mathematical checks to the subcommands.  A flag ("certified", a module
+block's "strict") is a JSON bool; any other value is a ParseError.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvariantError, ParseError, ShapeError
 from .liealg import (
@@ -35,14 +36,14 @@ if TYPE_CHECKING:
     from .witt import FinCommAlgebra, LaurentPoly
 
 
-def _name_index(names: list[str], name: str, where: str) -> int:
+def _name_index(names: Sequence[str], name: str, where: str) -> int:
     try:
         return names.index(name)
     except ValueError:
         raise ParseError(f"{where}: unknown basis name {name!r}") from None
 
 
-def _value_vector(value: dict, names: list[str], where: str) -> Vector:
+def _value_vector(value: dict, names: Sequence[str], where: str) -> Vector:
     if not isinstance(value, dict):
         raise ParseError(f"{where}: 'value' must be an object mapping names to rationals")
     out = [Fraction(0)] * len(names)
@@ -93,29 +94,47 @@ def _basis_names(body: dict, where: str) -> list[str]:
     return names
 
 
-def algebra_from_dict(body: dict, where: str = "algebra") -> FinLieAlgebra:
-    if body.get("kind") != "finite_lie":
-        raise ParseError(f"{where}: expected kind 'finite_lie', got {body.get('kind')!r}")
+def bool_flag(body: dict, key: str, where: str) -> bool:
+    """An optional flag, False when absent; a value other than a JSON bool
+    raises ParseError, as `rational` refuses a bool for a number."""
+    value = body.get(key, False)
+    if type(value) is not bool:
+        raise ParseError(f"{where}: '{key}' must be true or false, got {value!r}")
+    return value
+
+
+def _structure_from_dict(body: dict, kind: str, word: str, where: str):
+    """(names, structure) of a `kind` file whose `word`s ("bracket" or
+    "product") are entries {"left", "right", "value"}, each pair stored once
+    as i <= j.  A bracket is antisymmetric: one given as (j, i) is stored
+    negated, and one of a basis vector with itself is refused."""
+    if body.get("kind") != kind:
+        raise ParseError(f"{where}: expected kind '{kind}', got {body.get('kind')!r}")
     names = _basis_names(body, where)
+    lie = word == "bracket"
     structure: dict[tuple[int, int], Vector] = {}
-    for k, entry in enumerate(_entries(body, "brackets", where)):
-        wh = f"{where}.brackets[{k}]"
+    for k, entry in enumerate(_entries(body, f"{word}s", where)):
+        wh = f"{where}.{word}s[{k}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{wh}: expected an object")
         i = _name_index(names, entry.get("left", ""), wh)
         j = _name_index(names, entry.get("right", ""), wh)
-        if i == j:
+        if lie and i == j:
             raise ParseError(f"{wh}: bracket of a basis vector with itself must be omitted")
         vec = _value_vector(entry.get("value", {}), names, wh)
         if i > j:
             i, j = j, i
-            vec = tuple(-c for c in vec)
+            vec = tuple(-c for c in vec) if lie else vec
         if (i, j) in structure:
-            raise ParseError(f"{wh}: duplicate bracket for this pair")
+            raise ParseError(f"{wh}: duplicate {word} for this pair")
         if not is_zero_vector(vec):
             structure[(i, j)] = vec
-    alg = FinLieAlgebra(tuple(names), structure)
-    if body.get("certified"):
+    return tuple(names), structure
+
+
+def algebra_from_dict(body: dict, where: str = "algebra") -> FinLieAlgebra:
+    alg = FinLieAlgebra(*_structure_from_dict(body, "finite_lie", "bracket", where))
+    if bool_flag(body, "certified", where):
         bad = check_lie_algebra(alg)
         if bad:
             raise InvariantError(f"{where}: certified algebra fails Jacobi: {bad[0]}")
@@ -137,27 +156,11 @@ def algebra_to_dict(L: FinLieAlgebra) -> dict:
 def comm_algebra_from_dict(body: dict, where: str = "algebra") -> FinCommAlgebra:
     from .witt import FinCommAlgebra
 
-    if body.get("kind") != "finite_comm":
-        raise ParseError(f"{where}: expected kind 'finite_comm', got {body.get('kind')!r}")
-    names = _basis_names(body, where)
-    structure: dict[tuple[int, int], Vector] = {}
-    for k, entry in enumerate(_entries(body, "products", where)):
-        wh = f"{where}.products[{k}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{wh}: expected an object")
-        i = _name_index(names, entry.get("left", ""), wh)
-        j = _name_index(names, entry.get("right", ""), wh)
-        if i > j:
-            i, j = j, i
-        vec = _value_vector(entry.get("value", {}), names, wh)
-        if (i, j) in structure:
-            raise ParseError(f"{wh}: duplicate product for this pair")
-        if not is_zero_vector(vec):
-            structure[(i, j)] = vec
+    names, structure = _structure_from_dict(body, "finite_comm", "product", where)
     unit = None
     if "unit" in body:
         unit = _value_vector(body["unit"], names, f"{where}.unit")
-    return FinCommAlgebra(tuple(names), structure, unit)
+    return FinCommAlgebra(names, structure, unit)
 
 
 def _resolve(node, base: Path, loader, where: str):
@@ -183,7 +186,7 @@ def setup_from_dict(body: dict, base: Path, where: str = "setup") -> Setup:
     else:
         H = CrossedHom(Matrix.zero(h.dim, g.dim))
     s = Setup(g, h, rho, H)
-    if body.get("certified"):
+    if bool_flag(body, "certified", where):
         bad = check_lie_algebra(g) + check_lie_algebra(h) + check_action(rho)
         bad += check_crossed_hom(s)
         if bad:

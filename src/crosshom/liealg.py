@@ -10,16 +10,18 @@ products, and exhaustive grid classification of crossed homomorphisms.
 `gl_algebra(n)` is gl_n on its matrix units, the one finite model of
 [E_ij, E_kl] = d_jk E_il - d_li E_kj that `witt` and `rinehart` read.
 
-Structure constants are stored for index pairs i < j only, so antisymmetry
-holds by construction and every bilinear identity is decided exactly by
-finitely many basis checks.  `FinLieAlgebra.bracket_terms` lists their
-nonzeros once per algebra for both orders of each pair, as `exact_coeff`
-values (ints where integral, like `Matrix.col_nonzeros`), and `bracket` reads
-it over the nonzero coordinates of its arguments only.
+`FinLieAlgebra` and `witt.FinCommAlgebra` share one base, `_StructureAlgebra`:
+structure constants stored for index pairs i < j of a Lie bracket, so
+antisymmetry holds by construction, or i <= j of a commutative product, so
+every bilinear identity is decided exactly by finitely many basis checks.
+`structure_terms` lists their nonzeros once per algebra for both orders of
+each pair, as `exact_coeff` values (ints where integral, like
+`Matrix.col_nonzeros`); `mult_matrix` (`ad`), `bracket` and the one Leibniz
+rule of either kind, `derivation_violations`, read it over nonzeros only.
 
 The checks (`check_lie_algebra`, `check_action`, `check_crossed_hom`) decide
 each basis identity over nonzeros: they accumulate its terms from
-`bracket_terms` and `Matrix.col_nonzeros` into one sparse {index: value}
+`structure_terms` and `Matrix.col_nonzeros` into one sparse {index: value}
 dict, which is the residual a finding reports, as a dense tuple, where it is
 nonempty.  `homomorphism_violations` is the one Lie-homomorphism law of a
 representation, also for `rinehart`; `is_lie_homomorphism` is the one law of
@@ -38,7 +40,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotAction, NotCrossedHom, require_window_count
 from .linalg import (
-    ZERO,
     Coeff,
     Matrix,
     Vector,
@@ -56,17 +57,26 @@ from .report import Finding
 
 
 @dataclass(frozen=True)
-class FinLieAlgebra:
+class _StructureAlgebra:
+    """Named basis vectors and a bilinear product given by dense structure
+    vectors on index pairs: structure[(i, j)] = e_i e_j for the stored pairs,
+    i < j for an antisymmetric product (`_swap_sign` -1) and i <= j for a
+    commutative one (`_swap_sign` 1); a missing pair's product is zero.
+    `_words` name the key, the pair condition and the value in key errors."""
+
     basis_names: tuple[str, ...]
     structure: Mapping[tuple[int, int], Vector]
 
+    _swap_sign = -1
+    _words = ("structure key", "i<j", "bracket")
+
     def __post_init__(self):
-        dim = len(self.basis_names)
+        dim, (key, pair, value) = len(self.basis_names), self._words
         for (i, j), v in self.structure.items():
-            if not (0 <= i < j < dim):
-                raise DimensionMismatch(f"structure key ({i}, {j}) is not an i<j pair")
+            if not (0 <= i <= j < dim) or (i == j and self._swap_sign < 0):
+                raise DimensionMismatch(f"{key} ({i}, {j}) is not an {pair} pair")
             if len(v) != dim:
-                raise DimensionMismatch(f"bracket value at ({i}, {j}) has length {len(v)}")
+                raise DimensionMismatch(f"{value} value at ({i}, {j}) has length {len(v)}")
 
     @property
     def dim(self) -> int:
@@ -76,40 +86,51 @@ class FinLieAlgebra:
         return _dense({i: 1}, self.dim)
 
     @cached_property
-    def bracket_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Coeff], ...]]:
-        """bracket_terms[(i, j)], i != j: the nonzero (k, c) with [e_i, e_j] = sum c e_k,
-        as `exact_coeff` values."""
+    def structure_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Coeff], ...]]:
+        """structure_terms[(i, j)], for both orders of each stored pair: the
+        nonzero (k, c) with e_i e_j = sum c e_k, as `exact_coeff` values."""
         terms = {}
         for (i, j), v in self.structure.items():
             nz = tuple((k, exact_coeff(c)) for k, c in enumerate(v) if c)
             if nz:
                 terms[i, j] = nz
-                terms[j, i] = tuple((k, -c) for k, c in nz)
+                terms[j, i] = nz if self._swap_sign > 0 else tuple((k, -c) for k, c in nz)
         return terms
 
+    def mult_matrix(self, a: Vector) -> Matrix:
+        """Left multiplication by a, e_j |-> a e_j, over the nonzeros of a."""
+        n = self.dim
+        if len(a) != n:
+            raise DimensionMismatch("operand lengths differ from the algebra dimension")
+        acc: dict = {}
+        terms = self.structure_terms
+        for i, x in enumerate(a):
+            if x:
+                for j in range(n):
+                    for k, c in terms.get((i, j), ()):
+                        acc[k, j] = acc.get((k, j), 0) + x * c
+        return _entry_matrix(n, n, [(k, j, c) for (k, j), c in acc.items()])
+
+
+@dataclass(frozen=True)
+class FinLieAlgebra(_StructureAlgebra):
     def bracket(self, x: Vector, y: Vector) -> Vector:
+        """[x, y], summed over the nonzero coordinates of x and y."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch(
                 f"expected vectors of length {self.dim}, got {len(x)} and {len(y)}"
             )
-        out = [ZERO] * self.dim
+        terms, acc = self.structure_terms, {}
         ys = [(j, b) for j, b in enumerate(y) if b]
-        terms = self.bracket_terms
         for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in ys:
-                ij = terms.get((i, j))
-                if ij:
-                    ab = a * b
-                    for k, c in ij:
-                        out[k] += ab * c
-        return tuple(out)
+            if a:
+                for j, b in ys:
+                    _add_scaled(acc, a * b, terms.get((i, j), ()))
+        return _dense(acc, self.dim)
 
     def ad(self, x: Vector) -> Matrix:
-        """Matrix of ad(x) = [x, .] in the defining basis."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols) if self.dim else Matrix.zero(0, 0)
+        """Matrix of ad(x) = [x, .] in the defining basis: `mult_matrix`."""
+        return self.mult_matrix(x)
 
     def __str__(self) -> str:
         return f"FinLieAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
@@ -164,8 +185,8 @@ def gl_algebra(n: int) -> FinLieAlgebra:
 def check_lie_algebra(L: FinLieAlgebra) -> list[Finding]:
     """List every basis triple violating the Jacobi identity, with the
     residual [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] accumulated
-    over `bracket_terms`."""
-    terms = L.bracket_terms
+    over `structure_terms`."""
+    terms = L.structure_terms
     findings = []
     for i, j, k in itertools.combinations(range(L.dim), 3):
         acc: dict = {}
@@ -220,11 +241,11 @@ def homomorphism_violations(g: FinLieAlgebra, mats: Sequence[Matrix], rule: str)
     square matrices rho(e_k) = mats[k].
 
     The residual is accumulated column by column from `col_nonzeros` and
-    `bracket_terms`; a failing pair's residual matrix is assembled from those
+    `structure_terms`; a failing pair's residual matrix is assembled from those
     columns.
     """
     cols = [m.col_nonzeros for m in mats]
-    terms = g.bracket_terms
+    terms = g.structure_terms
 
     def column(i: int, j: int, ij, u: int) -> dict:
         acc: dict = {}
@@ -246,33 +267,36 @@ def homomorphism_violations(g: FinLieAlgebra, mats: Sequence[Matrix], rule: str)
     return findings
 
 
-def check_action(rho: LieAction) -> list[Finding]:
-    """Derivation property of each rho(e_i) and the homomorphism law.
-
-    The derivation law is accumulated per (i, u, v) over `bracket_terms` and
-    `col_nonzeros`; the homomorphism law is `homomorphism_violations`.
-    """
-    g, h = rho.source, rho.target
-    terms = h.bracket_terms
+def derivation_violations(A: _StructureAlgebra, D: Matrix, rule: str = "leibniz", site=()) -> list[Finding]:
+    """Every stored pair (e_i, e_j) of A, either kind, at site + (e_i, e_j),
+    where the Leibniz rule D(ab) = D(a)b + aD(b) fails; the residual is
+    accumulated over `structure_terms` and `col_nonzeros`."""
+    if (D.rows, D.cols) != (A.dim, A.dim):
+        raise DimensionMismatch(f"operator is {D.rows}x{D.cols}, expected {A.dim}x{A.dim}")
+    terms, cols = A.structure_terms, D.col_nonzeros
+    pairs = itertools.combinations if A._swap_sign < 0 else itertools.combinations_with_replacement
     findings = []
-    for i in range(g.dim):
-        col = rho.matrices[i].col_nonzeros
-        for u, v in itertools.combinations(range(h.dim), 2):
-            acc: dict = {}
-            for k, c in terms.get((u, v), ()):
-                _add_scaled(acc, c, col[k])
-            for w, a in col[u]:
-                _add_scaled(acc, -a, terms.get((w, v), ()))
-            for w, a in col[v]:
-                _add_scaled(acc, -a, terms.get((u, w), ()))
-            if acc:
-                findings.append(
-                    Finding(
-                        "derivation",
-                        (g.basis_names[i], h.basis_names[u], h.basis_names[v]),
-                        _dense(acc, h.dim),
-                    )
-                )
+    for i, j in pairs(range(A.dim), 2):
+        acc: dict = {}
+        for k, c in terms.get((i, j), ()):
+            _add_scaled(acc, c, cols[k])
+        for u, x in cols[i]:
+            _add_scaled(acc, -x, terms.get((u, j), ()))
+        for u, x in cols[j]:
+            _add_scaled(acc, -x, terms.get((i, u), ()))
+        if acc:
+            names = site + (A.basis_names[i], A.basis_names[j])
+            findings.append(Finding(rule, names, _dense(acc, A.dim)))
+    return findings
+
+
+def check_action(rho: LieAction) -> list[Finding]:
+    """The derivation law of each rho(e_i), `derivation_violations` of h at
+    site (e_i,), and the homomorphism law."""
+    g, h = rho.source, rho.target
+    findings = []
+    for name, m in zip(g.basis_names, rho.matrices):
+        findings += derivation_violations(h, m, "derivation", (name,))
     findings.extend(homomorphism_violations(g, rho.matrices, "homomorphism"))
     return findings
 
@@ -313,8 +337,8 @@ class Setup:
 
 def _crossed_hom_accumulator(s: Setup):
     """acc(i, j): the crossed-hom residual of (e_i, e_j) as a sparse dict,
-    from `col_nonzeros` of H and rho and `bracket_terms` of g and h."""
-    g_terms, h_terms = s.g.bracket_terms, s.h.bracket_terms
+    from `col_nonzeros` of H and rho and `structure_terms` of g and h."""
+    g_terms, h_terms = s.g.structure_terms, s.h.structure_terms
     H_cols = s.H.matrix.col_nonzeros
     rho_cols = [m.col_nonzeros for m in s.rho.matrices]
 
@@ -365,10 +389,10 @@ def _induced_columns(s: Setup) -> list[list[tuple[tuple[int, Coeff], ...]]]:
 
         rho_H(e_i) e_u = rho(e_i) e_u + sum_a H[a, i] [e_a, e_u],
 
-    read from `col_nonzeros` and `bracket_terms` with no dense rho_H.  The
+    read from `col_nonzeros` and `structure_terms` with no dense rho_H.  The
     formula holds for any H; entries are `exact_coeff` values, ints when
     integral."""
-    h_terms = s.h.bracket_terms
+    h_terms = s.h.structure_terms
     H_cols = s.H.matrix.col_nonzeros
     columns = []
     for i, m in enumerate(s.rho.matrices):
@@ -407,12 +431,12 @@ def _semidirect_structure(
             structure[i, j] = _dense({shift + k: c for k, c in terms}, n)
 
     for i, j in itertools.combinations(range(dg), 2):
-        put(i, j, 0, g.bracket_terms.get((i, j)))
+        put(i, j, 0, g.structure_terms.get((i, j)))
     for i, m in enumerate(matrices):
         for u, col in enumerate(m.col_nonzeros):
             put(i, dg + u, dg, col)
     for u, v in itertools.combinations(range(h.dim), 2):
-        put(dg + u, dg + v, dg, h.bracket_terms.get((u, v)))
+        put(dg + u, dg + v, dg, h.structure_terms.get((u, v)))
     return FinLieAlgebra(_merged_names(g, h), structure)
 
 
@@ -488,11 +512,11 @@ def solve_crossed_homs_grid(
 def is_lie_homomorphism(src: FinLieAlgebra, dst: FinLieAlgebra, phi: Matrix) -> list[Finding]:
     """Every basis pair i < j with phi[e_i, e_j] != [phi e_i, phi e_j].
 
-    The residual is accumulated from `bracket_terms` of both algebras and
+    The residual is accumulated from `structure_terms` of both algebras and
     `col_nonzeros` of phi; a failing pair reports it as a dense vector."""
     if (phi.rows, phi.cols) != (dst.dim, src.dim):
         raise DimensionMismatch(f"map is {phi.rows}x{phi.cols}, expected {dst.dim}x{src.dim}")
-    src_terms, dst_terms = src.bracket_terms, dst.bracket_terms
+    src_terms, dst_terms = src.structure_terms, dst.structure_terms
     cols = phi.col_nonzeros
     findings = []
     for i, j in itertools.combinations(range(src.dim), 2):

@@ -133,16 +133,6 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return _entry_matrix(n, n, [(i, i, 1) for i in range(n)])
 
-    @staticmethod
-    def from_columns(cols: Sequence[Vector]) -> "Matrix":
-        ncols = len(cols)
-        nrows = len(cols[0]) if ncols else 0
-        data = []
-        for i in range(nrows):
-            for c in cols:
-                data.append(c[i])
-        return Matrix(nrows, ncols, tuple(data))
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i * self.cols + j]
 

@@ -60,6 +60,7 @@ from .liealg import (
     adjoint_action,
     check_crossed_hom,
     check_lie_algebra,
+    derivation_violations,
     gl_algebra,
     homomorphism_violations,
 )
@@ -82,7 +83,6 @@ from .witt import (
     block_diagonal,
     check_comm_algebra,
     crossed_hom_pq,
-    derivation_violations,
     gl_tensor_algebra,
     window_exponents,
     window_size,
@@ -128,7 +128,7 @@ def check_a_module(mod: AModuleStructure) -> list[Finding]:
     """a(b m) = (ab) m on all ordered basis pairs; the unit acts as identity.
 
     Each residual column is accumulated over `col_nonzeros` of the action and
-    `product_terms` of A."""
+    `structure_terms` of A."""
     A, n = mod.algebra, mod.dim_m
     act = [m.col_nonzeros for m in mod.action]
 
@@ -136,7 +136,7 @@ def check_a_module(mod: AModuleStructure) -> list[Finding]:
         acc: dict = {}
         for w, x in act[t][u]:
             _add_scaled(acc, x, act[s][w])
-        for k, c in A.product_terms.get((s, t), ()):
+        for k, c in A.structure_terms.get((s, t), ()):
             _add_scaled(acc, -c, act[k][u])
         return acc
 
@@ -276,8 +276,7 @@ def _pair_violations(p: LeibnizPair, prefix: str, module_findings: Sequence[Find
     A, S = p.algebra, p.lie
     findings = check_comm_algebra(A) + check_lie_algebra(S) + list(module_findings)
     for name, D in zip(S.basis_names, p.beta):
-        for f in derivation_violations(A, D):
-            findings.append(Finding(f"{prefix}-derivation", (name,) + f.site, f.residual))
+        findings += derivation_violations(A, D, f"{prefix}-derivation", (name,))
     return findings + homomorphism_violations(S, p.beta, f"{prefix}-lie-hom")
 
 
@@ -290,7 +289,7 @@ def check_lie_rinehart(lr: LieRinehart) -> list[Finding]:
     # [x, a y] = a [x, y] + anchor(x)(a) y: the first-order rule of ad(x), per (x, a, y)
     act = [m.col_nonzeros for m in lr.a_action]
     for i, x in enumerate(L.basis_names):
-        ad = [L.bracket_terms.get((i, j), ()) for j in range(L.dim)]
+        ad = [L.structure_terms.get((i, j), ()) for j in range(L.dim)]
         for s, columns in _first_order_residuals(act, ad, lr.anchor[i].col_nonzeros):
             for y, acc in zip(L.basis_names, columns):
                 if acc:

@@ -42,9 +42,11 @@ pq twist with q = 1/2.  Dense `Matrix`/`Vector` values stay Fractions.
 Finite-dimensional commutative algebras and their derivation-generated Lie
 algebras (the generalized Witt construction) live here too, so the same
 crossed-homomorphism checker from `liealg` can certify the canonical maps on
-finite models.  `FinCommAlgebra` runs over nonzeros: `product_terms` lists
-each product's nonzero coordinates once, and `mult_matrix`, the
-associativity check and the Leibniz rule read it with `Matrix.col_nonzeros`.
+finite models.  `FinCommAlgebra` is the commutative kind of the structure
+algebra of `liealg` (`FinLieAlgebra` is the antisymmetric one): it shares
+the layout, the nonzero view `structure_terms`, `mult_matrix` and the
+Leibniz rule `derivation_violations`, and adds a unit and the associativity
+check, which reads the view.
 The generalized Witt algebra A (x) Delta is the action Lie-Rinehart algebra of
 the Leibniz pair (A, span Delta): one builder, `action_structure`, writes the
 S (x) A structure constants and the coefficient operators mult(a_s) beta_i for
@@ -77,7 +79,16 @@ from .errors import (
     SearchSpaceTooLarge,
     require_window_count,
 )
-from .liealg import CrossedHom, FinLieAlgebra, LieAction, Setup, abelian, gl_algebra
+from .liealg import (
+    CrossedHom,
+    FinLieAlgebra,
+    LieAction,
+    Setup,
+    _StructureAlgebra,
+    abelian,
+    derivation_violations,
+    gl_algebra,
+)
 from .linalg import Coeff, Matrix, Vector, _add_scaled, _dense, _entry_matrix, exact_coeff, rational
 from .poly import Poly
 from .report import Finding
@@ -428,7 +439,7 @@ class VTensorA(TensorElem):
 
 @functools.cache
 def _gl_brackets(n: int) -> dict:
-    return gl_algebra(n).bracket_terms
+    return gl_algebra(n).structure_terms
 
 
 def gl_bracket(a: GlLaurent, b: GlLaurent) -> GlLaurent:
@@ -662,53 +673,18 @@ def verify_witt_crossed_hom(
 
 
 @dataclass(frozen=True)
-class FinCommAlgebra:
+class FinCommAlgebra(_StructureAlgebra):
     """Commutative associative algebra via structure constants on i <= j pairs."""
 
-    basis_names: tuple[str, ...]
-    structure: Mapping[tuple[int, int], Vector]
     unit: Vector | None = None
 
+    _swap_sign = 1
+    _words = ("product key", "i<=j", "product")
+
     def __post_init__(self):
-        dim = len(self.basis_names)
-        for (i, j), v in self.structure.items():
-            if not (0 <= i <= j < dim):
-                raise DimensionMismatch(f"product key ({i}, {j}) is not an i<=j pair")
-            if len(v) != dim:
-                raise DimensionMismatch(f"product value at ({i}, {j}) has length {len(v)}")
-        if self.unit is not None and len(self.unit) != dim:
+        super().__post_init__()
+        if self.unit is not None and len(self.unit) != self.dim:
             raise DimensionMismatch("unit vector has the wrong length")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_names)
-
-    def basis_vector(self, i: int) -> Vector:
-        return _dense({i: 1}, self.dim)
-
-    @functools.cached_property
-    def product_terms(self) -> dict[tuple[int, int], tuple[tuple[int, Coeff], ...]]:
-        """product_terms[(i, j)]: the nonzero (k, c) with a_i a_j = sum c a_k,
-        as `exact_coeff` values."""
-        terms = {}
-        for (i, j), v in self.structure.items():
-            nz = tuple((k, exact_coeff(c)) for k, c in enumerate(v) if c)
-            if nz:
-                terms[i, j] = terms[j, i] = nz
-        return terms
-
-    def mult_matrix(self, a: Vector) -> Matrix:
-        """Left (= right) multiplication operator by a, over the nonzeros of a."""
-        n = self.dim
-        if len(a) != n:
-            raise DimensionMismatch("operand lengths differ from the algebra dimension")
-        acc: dict = {}
-        for i, x in enumerate(a):
-            if x:
-                for j in range(n):
-                    for k, c in self.product_terms.get((i, j), ()):
-                        acc[k, j] = acc.get((k, j), 0) + x * c
-        return _entry_matrix(n, n, [(k, j, c) for (k, j), c in acc.items()])
 
 
 def _truncated_exponents(bounds: Sequence[int]) -> list[MultiIndex]:
@@ -759,8 +735,8 @@ def check_comm_algebra(A: FinCommAlgebra) -> list[Finding]:
     """Associativity on basis triples; the unit must act as the identity.
 
     The residual (a_i a_j) a_k - a_i (a_j a_k) is accumulated over
-    `product_terms`."""
-    terms = A.product_terms
+    `structure_terms`."""
+    terms = A.structure_terms
     findings = []
     for i, j, k in itertools.product(range(A.dim), repeat=3):
         acc: dict = {}
@@ -775,27 +751,6 @@ def check_comm_algebra(A: FinCommAlgebra) -> list[Finding]:
         diff = A.mult_matrix(A.unit) - Matrix.identity(A.dim)
         if not diff.is_zero():
             findings.append(Finding("unit", ("1",), diff))
-    return findings
-
-
-def derivation_violations(A: FinCommAlgebra, D: Matrix) -> list[Finding]:
-    """Leibniz rule D(ab) = D(a)b + aD(b) on basis pairs, its residual
-    accumulated over `product_terms` and `col_nonzeros`."""
-    if (D.rows, D.cols) != (A.dim, A.dim):
-        raise DimensionMismatch(f"operator is {D.rows}x{D.cols}, expected {A.dim}x{A.dim}")
-    terms, cols = A.product_terms, D.col_nonzeros
-    findings = []
-    for i, j in itertools.combinations_with_replacement(range(A.dim), 2):
-        acc: dict = {}
-        for k, c in terms.get((i, j), ()):
-            _add_scaled(acc, c, cols[k])
-        for u, x in cols[i]:
-            _add_scaled(acc, -x, terms.get((u, j), ()))
-        for u, x in cols[j]:
-            _add_scaled(acc, -x, terms.get((i, u), ()))
-        if acc:
-            names = (A.basis_names[i], A.basis_names[j])
-            findings.append(Finding("leibniz", names, _dense(acc, A.dim)))
     return findings
 
 
@@ -815,8 +770,8 @@ SparseColumns = list[tuple[tuple[int, Coeff], ...]]
 def coefficient_columns(A: FinCommAlgebra, beta: Sequence[Matrix]) -> list[SparseColumns]:
     """columns[i * dim A + s][t]: the nonzero (u, c) of a_s beta_i(a_t), that is
     column t of the coefficient operator mult(a_s) beta_i, read from
-    `product_terms` and `col_nonzeros`."""
-    terms = A.product_terms
+    `structure_terms` and `col_nonzeros`."""
+    terms = A.structure_terms
     columns = []
     for D in beta:
         for s in range(A.dim):
@@ -846,12 +801,12 @@ def action_structure(
 
         [a_s x_i, a_t x_j] = [x_i, x_j] (x) a_s a_t + a_s beta_i(a_t) x_j - a_t beta_j(a_s) x_i,
 
-    built over `bracket_terms`, `product_terms` and the coefficient columns,
+    built over the `structure_terms` of both and the coefficient columns,
     which are returned with it.  beta is not checked here.
     """
     dimA = A.dim
     ops = coefficient_columns(A, beta)
-    a_terms, s_terms = A.product_terms, S.bracket_terms
+    a_terms, s_terms = A.structure_terms, S.structure_terms
     structure: dict[tuple[int, int], Vector] = {}
     for p, q in itertools.combinations(range(len(names)), 2):
         (i, s), (j, t) = divmod(p, dimA), divmod(q, dimA)
@@ -890,9 +845,9 @@ def gl_tensor_algebra(m: int, A: FinCommAlgebra) -> FinLieAlgebra:
     bracket of `gl_algebra(m)` with each nonzero product of A."""
     gl, dimA = gl_algebra(m), A.dim
     names = tuple(f"{e}({a})" for e in gl.basis_names for a in A.basis_names)
-    products = A.product_terms
+    products = A.structure_terms
     structure: dict[tuple[int, int], Vector] = {}
-    for (a, b), terms in gl.bracket_terms.items():
+    for (a, b), terms in gl.structure_terms.items():
         if a > b:
             continue
         for (s, t), st in products.items():

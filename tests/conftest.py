@@ -232,6 +232,12 @@ def transpose(m: Matrix) -> Matrix:
     return Matrix(m.cols, m.rows, tuple(m.entry(i, j) for j in range(m.cols) for i in range(m.rows)))
 
 
+def from_columns(cols) -> Matrix:
+    """The matrix whose columns are the given vectors, all of one length."""
+    rows = len(cols[0]) if cols else 0
+    return Matrix(rows, len(cols), tuple(c[i] for i in range(rows) for c in cols))
+
+
 def row_lists(m: Matrix) -> list[list[Fraction]]:
     return [list(m.row(i)) for i in range(m.rows)]
 
@@ -547,7 +553,7 @@ def ref_twisted_images(s, x) -> Matrix:
         vadd(s.rho.matrices[i].apply(Hx), s.h.bracket(s.H.column(i), Hx))
         for i in range(s.g.dim)
     ]
-    return Matrix.from_columns(cols) if cols else Matrix.zero(s.h.dim, 0)
+    return from_columns(cols) if cols else Matrix.zero(s.h.dim, 0)
 
 
 def ref_nij4(s, x, rx) -> list:

@@ -75,6 +75,7 @@ from conftest import (
     bracket_basis,
     coefficient_matrices,
     dim2_setup,
+    from_columns,
     full_complex_rows,
     heisenberg_setup,
     random_cochain,
@@ -319,7 +320,7 @@ def test_criterion_12_functor_coherence_shadow():
     col = [Fraction(0)] * (n * n * dimA)
     col[(0 * n + 1) * dimA + 0] = Fraction(1)  # E_12 (x) 1
     col[(0 * n + 0) * dimA + 1] = Fraction(1)  # E_11 (x) x
-    H = Matrix.from_columns([tuple(col)])
+    H = from_columns([tuple(col)])
     V = natural_rep_gl(n)
     flat, _ = boxplus_pullback(lr, tensor_rep(V, V), mod, rho, H)
     inner_mats, inner_mod = boxplus_pullback(lr, V, mod, rho, H)

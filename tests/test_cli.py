@@ -455,6 +455,41 @@ def test_boolean_coefficient_in_algebra_file_exit_two(capsys, tmp_path, fixtures
     assert out["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None], ids=repr)
+def test_non_bool_strict_flag_exit_two(capsys, tmp_path, fixtures_dir, value):
+    # a truthy string once turned strict A-linearity on
+    body = json.loads((fixtures_dir / "leibniz_bad.lr.json").read_text())
+    body["module"]["strict"] = value
+    bad = tmp_path / "strict.lr.json"
+    bad.write_text(json.dumps(body))
+    code, out = _run_without_traceback(capsys, "check-rinehart", str(bad))
+    assert code == 2
+    message = f"{bad}.module: 'strict' must be true or false, got {value!r}"
+    assert out["error"] == {"type": "ParseError", "message": message}
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, None], ids=repr)
+@pytest.mark.parametrize(
+    "command, fixture, where",
+    [
+        ("check-lie", "jacobi_bad.alg.json", ""),
+        ("check-action", "sl2_adjoint.setup.json", ""),
+        ("check-action", "sl2_adjoint.setup.json", ".g"),
+    ],
+    ids=["algebra", "setup", "inline-g"],
+)
+def test_non_bool_certified_flag_exit_two(capsys, tmp_path, fixtures_dir, command, fixture, where, value):
+    # a truthy string once turned load-time certification on
+    body = json.loads((fixtures_dir / fixture).read_text())
+    (body["g"] if where else body)["certified"] = value
+    bad = tmp_path / fixture
+    bad.write_text(json.dumps(body))
+    code, out = _run_without_traceback(capsys, command, str(bad))
+    assert code == 2
+    message = f"{bad}{where}: 'certified' must be true or false, got {value!r}"
+    assert out["error"] == {"type": "ParseError", "message": message}
+
+
 _PQ_ARGS = ("witt-verify", "--n", "1", "--family", "pq", "--window", "1", "--q", "1/2", "--p-file")
 
 

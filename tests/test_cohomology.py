@@ -66,6 +66,7 @@ from conftest import (
     bracket_basis,
     cochain,
     dim2_setup,
+    from_columns,
     full_complex_rows,
     generalized_witt_bounds,
     heisenberg_setup,
@@ -785,7 +786,7 @@ def test_linear_deformation_abelian_target_any_cocycle():
     assert check_crossed_hom(s) == []
     for u in ((1, 0, 0), (2, -1, 3)):
         cu = cochain(0, 3, 3, {(): u})
-        frk = Matrix.from_columns(
+        frk = from_columns(
             [eval_basis(ce_differential(s, cu), (i,)) for i in range(3)]
         )
         assert check_linear_deformation(s, frk) == []
@@ -917,7 +918,7 @@ def _random_element(rng: random.Random, n: int) -> tuple:
 
 
 def _random_map(rng: random.Random, rows: int, cols: int) -> Matrix:
-    return Matrix.from_columns([random_fraction_vector(rng, rows) for _ in range(cols)])
+    return from_columns([random_fraction_vector(rng, rows) for _ in range(cols)])
 
 
 def _same_findings(got, expected):

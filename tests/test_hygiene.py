@@ -142,6 +142,9 @@ PAPER_API = {
     # oracle rank it
     "differential_matrix",
     "extend_to_action_rep",
+    # the paper's bracket of two elements; the package reads its basis form,
+    # `structure_terms`, directly
+    "FinLieAlgebra.bracket",
     "hamiltonian_bracket_coefficient",
     "iota_graph_is_homomorphism",
     "natural_rep",
@@ -298,3 +301,27 @@ def test_only_linalg_writes_the_dense_layout():
             if any(_writes_dense_layout(n) for n in ast.walk(node)):
                 sites.add((path.name, name))
     assert sites == DENSE_LAYOUT_SITES
+
+
+# The only places in the package that read an algebra's dense `.structure`,
+# each with its reason.
+STRUCTURE_READERS = {
+    # the shared base validates the keys and turns the vectors into the
+    # nonzero view every other reader goes through
+    ("liealg.py", "_StructureAlgebra.__post_init__"),
+    ("liealg.py", "_StructureAlgebra.structure_terms"),
+    # the file writer prints the stored pairs as the file gives them
+    ("formats.py", "algebra_to_dict"),
+}
+
+
+def test_only_the_shared_base_turns_structure_into_the_nonzero_view():
+    # FinLieAlgebra and FinCommAlgebra keep one layout: outside liealg's base,
+    # whose `structure_terms` is the one nonzero view of either kind, only
+    # the file writer reads `.structure`
+    sites = set()
+    for path in MODULES:
+        for name, node in _top_level_definitions(ast.parse(path.read_text())):
+            if any(isinstance(n, ast.Attribute) and n.attr == "structure" for n in ast.walk(node)):
+                sites.add((path.name, name))
+    assert sites == STRUCTURE_READERS

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from crosshom.errors import DimensionMismatch, NotAction, NotCrossedHom, SearchSpaceTooLarge
+from crosshom import formats
+from crosshom.errors import DimensionMismatch, NotAction, NotCrossedHom, ParseError, SearchSpaceTooLarge
 from crosshom.liealg import (
     CrossedHom,
     FinLieAlgebra,
@@ -18,6 +19,7 @@ from crosshom.liealg import (
     check_hom_pair,
     check_lie_algebra,
     crossed_hom_residual,
+    derivation_violations,
     heisenberg,
     induced_action,
     iota_graph_is_homomorphism,
@@ -33,18 +35,21 @@ from crosshom.liealg import (
 from crosshom.liealg import _graph, _semidirect_structure
 from crosshom.linalg import Matrix
 from crosshom.report import Finding
+from crosshom.witt import FinCommAlgebra
 
 from conftest import (
     FIXTURES,
     action_library,
     bracket_basis,
     dim2_setup,
+    from_columns,
     generalized_witt_bounds,
     heisenberg_setup,
     kernel_setups,
     random_fraction_vector,
     ref_apply,
     ref_bracket,
+    ref_multiply,
     sl2_setup,
     vadd,
     vscale,
@@ -359,11 +364,11 @@ def _ref_check_crossed_hom(s: Setup) -> list[Finding]:
     return findings
 
 
-def test_bracket_terms_cover_both_orders():
+def test_structure_terms_cover_both_orders():
     for L in _kernel_algebras():
         for i, j in itertools.permutations(range(L.dim), 2):
             expected = tuple((k, c) for k, c in enumerate(bracket_basis(L, i, j)) if c)
-            assert L.bracket_terms.get((i, j), ()) == expected
+            assert L.structure_terms.get((i, j), ()) == expected
 
 
 def test_sparse_bracket_and_ad_match_dense_reference():
@@ -669,3 +674,164 @@ def test_empty_g_or_h_twist_and_graph():
         assert iota_graph_is_homomorphism(s) is True
     with pytest.raises(DimensionMismatch):
         is_lie_homomorphism(empty, two_dim_nonabelian(), Matrix.zero(0, 0))
+
+
+# --- the structure-constant algebra both FinLieAlgebra and FinCommAlgebra are ---
+
+
+def _random_structure_algebra(rng: random.Random, kind: type, dim: int):
+    """A random algebra of the kind on e0..e{dim-1}, neither Jacobi nor
+    associativity enforced: keys i < j for a Lie algebra, i <= j for a
+    commutative one, which always has a diagonal product when dim > 0.
+    A stored vector may be zero."""
+    lie = kind is FinLieAlgebra
+    pairs = (itertools.combinations if lie else itertools.combinations_with_replacement)(range(dim), 2)
+    structure = {p: random_fraction_vector(rng, dim) for p in pairs if rng.random() < 0.6}
+    if not lie and dim:
+        d = rng.randrange(dim)
+        structure[d, d] = tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
+    return kind(tuple(f"e{i}" for i in range(dim)), dict(sorted(structure.items())))
+
+
+def _random_structure_algebras(seed: int) -> list:
+    rng = random.Random(seed)
+    return [
+        _random_structure_algebra(rng, kind, dim)
+        for kind in (FinLieAlgebra, FinCommAlgebra)
+        for dim in range(5)
+        for _ in range(8)
+    ]
+
+
+def _ref_product(A, x, y) -> tuple:
+    """The dense product of x and y, read from every stored structure vector."""
+    return ref_bracket(A, x, y) if isinstance(A, FinLieAlgebra) else ref_multiply(A, x, y)
+
+
+def _ref_mult_matrix(A, a) -> Matrix:
+    return from_columns([_ref_product(A, a, A.basis_vector(j)) for j in range(A.dim)])
+
+
+def test_mult_matrix_and_ad_match_the_dense_structure_reference():
+    rng = random.Random(28)
+    algebras = _random_structure_algebras(28)
+    assert any(i == j for A in algebras for i, j in A.structure)
+    for A in algebras:
+        elements = [A.basis_vector(i) for i in range(A.dim)]
+        elements += [random_fraction_vector(rng, A.dim) for _ in range(4)]
+        for a in elements:
+            expected = _ref_mult_matrix(A, a)
+            got = A.mult_matrix(a)
+            assert got == expected
+            assert all(type(c) is Fraction for c in got.data)
+            if isinstance(A, FinLieAlgebra):
+                assert A.ad(a) == expected
+
+
+def _ref_leibniz_findings(A, D: Matrix) -> list[Finding]:
+    """D(e_i e_j) - D(e_i) e_j - e_i D(e_j) by dense products, kept where it is
+    nonzero, on the pairs i < j of a Lie algebra, as `check_action` once
+    looped them, and i <= j of a commutative one."""
+    lie = isinstance(A, FinLieAlgebra)
+    pairs = (itertools.combinations if lie else itertools.combinations_with_replacement)(range(A.dim), 2)
+    findings = []
+    for i, j in pairs:
+        ei, ej = A.basis_vector(i), A.basis_vector(j)
+        lhs = ref_apply(D, _ref_product(A, ei, ej))
+        res = vsub(lhs, vadd(_ref_product(A, D.col(i), ej), _ref_product(A, ei, D.col(j))))
+        if any(res):
+            findings.append(Finding("leibniz", (A.basis_names[i], A.basis_names[j]), res))
+    return findings
+
+
+def test_shared_leibniz_law_matches_the_dense_reference():
+    rng = random.Random(29)
+    compared = failing = 0
+    for A in _random_structure_algebras(29):
+        n = A.dim
+        ops = [Matrix.zero(n, n), A.mult_matrix(random_fraction_vector(rng, n))]
+        ops += [from_columns([random_fraction_vector(rng, n) for _ in range(n)]) for _ in range(2)]
+        for D in ops:
+            expected = _ref_leibniz_findings(A, D)
+            assert derivation_violations(A, D) == expected
+            compared += 1
+            failing += bool(expected)
+        if isinstance(A, FinLieAlgebra):
+            # check_action re-sites h's findings per g-basis vector, in order
+            g = abelian(("x", "y"))
+            derivation = [
+                Finding("derivation", (x,) + f.site, f.residual)
+                for x, D in zip(g.basis_names, ops[2:])
+                for f in _ref_leibniz_findings(A, D)
+            ]
+            findings = check_action(LieAction(g, A, tuple(ops[2:])))
+            assert findings[: len(derivation)] == derivation
+            assert all(f.rule == "homomorphism" for f in findings[len(derivation) :])
+    assert 0 < failing < compared
+
+
+def test_parser_negates_a_swapped_bracket_and_keeps_a_swapped_product():
+    entries = [{"left": "b", "right": "a", "value": {"a": "2"}}, {"left": "c", "right": "b", "value": {"c": "1/2"}}]
+    names = ["a", "b", "c"]
+    lie = formats.algebra_from_dict({"kind": "finite_lie", "basis": names, "brackets": entries})
+    assert lie.structure == {
+        (0, 1): (Fraction(-2), Fraction(0), Fraction(0)),
+        (1, 2): (Fraction(0), Fraction(0), Fraction(-1, 2)),
+    }
+    diagonal = [{"left": "c", "right": "c", "value": {"a": "3"}}]
+    comm = formats.comm_algebra_from_dict({"kind": "finite_comm", "basis": names, "products": entries + diagonal})
+    assert comm.structure == {
+        (0, 1): (Fraction(2), Fraction(0), Fraction(0)),
+        (1, 2): (Fraction(0), Fraction(0), Fraction(1, 2)),
+        (2, 2): (Fraction(3), Fraction(0), Fraction(0)),
+    }
+
+
+def _entry(left, right, value=None) -> dict:
+    return {"left": left, "right": right, "value": {"a": "1"} if value is None else value}
+
+
+@pytest.mark.parametrize(
+    "kind, key, entries, message",
+    [
+        ("finite_lie", "brackets", [_entry("a", "a")], "algebra.brackets[0]: bracket of a basis vector with itself must be omitted"),
+        ("finite_lie", "brackets", [_entry("a", "b"), _entry("b", "a")], "algebra.brackets[1]: duplicate bracket for this pair"),
+        ("finite_lie", "brackets", ["x"], "algebra.brackets[0]: expected an object"),
+        ("finite_lie", "brackets", [_entry("a", "c")], "algebra.brackets[0]: unknown basis name 'c'"),
+        ("finite_lie", "brackets", [_entry("b", "a", {"b": "1e3"})], "algebra.brackets[0]: exponent notation is not accepted: '1e3'"),
+        ("finite_lie", "brackets", {}, "algebra: 'brackets' must be a list"),
+        ("finite_comm", "products", [_entry("a", "b"), _entry("b", "a")], "algebra.products[1]: duplicate product for this pair"),
+        ("finite_comm", "products", [_entry("b", "b", [])], "algebra.products[0]: 'value' must be an object mapping names to rationals"),
+        ("finite_comm", "products", 3, "algebra: 'products' must be a list"),
+        ("finite_comm", "brackets", [], "algebra: expected kind 'finite_lie', got 'finite_comm'"),
+        ("finite_lie", "products", [], "algebra: expected kind 'finite_comm', got 'finite_lie'"),
+    ],
+)
+def test_parser_error_messages(kind, key, entries, message):
+    body = {"kind": kind, "basis": ["a", "b"], key: entries}
+    parse = formats.algebra_from_dict if key == "brackets" else formats.comm_algebra_from_dict
+    with pytest.raises(ParseError) as err:
+        parse(body)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, structure, message",
+    [
+        (FinLieAlgebra, {(1, 0): (1, 0)}, "structure key (1, 0) is not an i<j pair"),
+        (FinLieAlgebra, {(1, 1): (1, 0)}, "structure key (1, 1) is not an i<j pair"),
+        (FinLieAlgebra, {(0, 2): (1, 0)}, "structure key (0, 2) is not an i<j pair"),
+        (FinLieAlgebra, {(0, 1): (1,)}, "bracket value at (0, 1) has length 1"),
+        (FinCommAlgebra, {(1, 0): (1, 0)}, "product key (1, 0) is not an i<=j pair"),
+        (FinCommAlgebra, {(-1, 0): (1, 0)}, "product key (-1, 0) is not an i<=j pair"),
+        (FinCommAlgebra, {(1, 1): (1, 0, 0)}, "product value at (1, 1) has length 3"),
+    ],
+)
+def test_key_validation_messages(kind, structure, message):
+    with pytest.raises(DimensionMismatch) as err:
+        kind(("a", "b"), structure)
+    assert str(err.value) == message
+    if kind is FinCommAlgebra:
+        assert kind(("a", "b"), {(1, 1): (0, 1)}).structure_terms == {(1, 1): ((1, 1),)}
+        with pytest.raises(DimensionMismatch, match="^unit vector has the wrong length$"):
+            kind(("a", "b"), {}, (1,))

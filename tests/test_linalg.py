@@ -256,7 +256,7 @@ def test_entry_matrix_writes_every_shape_in_fractions():
     assert got.data[0] is got.data[4]
     for rows, cols in ((3, 0), (0, 3), (0, 0), (2, 5)):
         _assert_same_matrix(_entry_matrix(rows, cols, []), Matrix.zero(rows, cols))
-    # a rows x 0 matrix, which Matrix.from_columns([]) cannot give, and a non-square one
+    # a rows x 0 matrix, which no list of columns gives, and a non-square one
     _assert_same_matrix(_column_matrix([], 3), Matrix.zero(3, 0))
     got = _column_matrix([{0: 1, 3: Fraction(-2, 3)}, {}, {2: 4}], 4)
     _assert_same_matrix(got, Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 4], [Fraction(-2, 3), 0, 0]]))

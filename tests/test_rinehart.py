@@ -79,6 +79,7 @@ from conftest import (
     assert_exact_terms,
     bracket_basis,
     evaluated,
+    from_columns,
     instance,
     random_exponent,
     random_sparse_sum,
@@ -339,7 +340,7 @@ def pullback_model():
     col = [Fraction(0)] * (n * n * dimA)
     col[(0 * n + 1) * dimA + 0] = Fraction(1)
     col[(0 * n + 0) * dimA + 1] = Fraction(1)
-    H = Matrix.from_columns([tuple(col)])
+    H = from_columns([tuple(col)])
     return lr, mod, rho, H
 
 
@@ -378,7 +379,7 @@ def test_boxplus_rejects_non_crossed_hom():
     lr = derivation_model()
     mod, rho = natural_rep(lr)
     # H(D1) = 0, H(D2) = 1: fails H[D1,D2] = alpha(D1)H(D2) - alpha(D2)H(D1)
-    Hbad = Matrix.from_columns(
+    Hbad = from_columns(
         [(Fraction(0), Fraction(0), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0))]
     )
     with pytest.raises(NotCrossedHom):
@@ -389,7 +390,7 @@ def test_boxplus_valid_on_two_dim_carrier():
     lr = derivation_model()
     mod, rho = natural_rep(lr)
     # H(D1) = 1, H(D2) = 0 is a genuine crossed hom into gl_1 (x) A
-    Hok = Matrix.from_columns(
+    Hok = from_columns(
         [(Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(0), Fraction(0))]
     )
     mats, tmod = boxplus_pullback(lr, natural_rep_gl(1), mod, rho, Hok)
@@ -1391,7 +1392,7 @@ def _moved(m: Matrix) -> Matrix:
 
 
 def test_dense_values_over_integral_sparse_views_are_fractions():
-    # col_nonzeros and bracket_terms hold ints; what they fill densely is Fractions
+    # col_nonzeros and structure_terms hold ints; what they fill densely is Fractions
     objects = []
     for bounds in ((2, 2), (2, 2, 2)):
         A = truncated_polynomial_algebra(bounds)

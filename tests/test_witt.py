@@ -59,6 +59,7 @@ from conftest import (
     bracket_basis,
     coefficient_matrices,
     evaluated,
+    from_columns,
     instance,
     poly_at,
     random_exponent,
@@ -500,7 +501,7 @@ def test_products_through_mult_matrix_match_dense_oracle(fixtures_dir):
             b = random_fraction_vector(rng, A.dim)
             m = A.mult_matrix(a)
             cols = [ref_multiply(A, a, A.basis_vector(j)) for j in range(A.dim)]
-            assert m == Matrix.from_columns(cols)
+            assert m == from_columns(cols)
             assert all(type(c) is Fraction for c in m.data)
             prod = m.apply(b)
             assert prod == ref_multiply(A, a, b)
