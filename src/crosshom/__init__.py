@@ -113,7 +113,7 @@ _EXPORTS_BY_SUBMODULE = {
     ),
 }
 _SUBMODULE_OF = {name: sub for sub, names in _EXPORTS_BY_SUBMODULE.items() for name in names}
-_SUBMODULES = ("cli", "cohomology", "errors", "formats", "liealg", "linalg", "report", "rinehart", "witt")
+_SUBMODULES = (*_EXPORTS_BY_SUBMODULE, "cli", "formats", "poly", "report")
 
 __all__ = list(_SUBMODULE_OF)
 __version__ = "0.1.0"

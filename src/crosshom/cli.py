@@ -85,12 +85,13 @@ def cmd_check_rinehart(args, report: Report):
     if not isinstance(obj, tuple) or not isinstance(obj[0], LieRinehart):
         raise ParseError(f"{args.input}: expected a lie_rinehart bundle")
     lr, module_block = obj
+    # the whole file is read before a check adds a finding to the report
+    if module_block:
+        where = f"{args.input}.module"
+        mod, rho = formats.module_from_dict(lr.algebra, lr.lie.basis_names, module_block, where)
+        strict = formats.bool_flag(module_block, "strict", where)
     report.add_findings(check_lie_rinehart(lr))
     if module_block:
-        mod, rho = formats.module_from_dict(
-            lr.algebra, lr.lie.basis_names, module_block, f"{args.input}.module"
-        )
-        strict = formats.bool_flag(module_block, "strict", f"{args.input}.module")
         report.add_findings(check_weak_rep(lr, mod, rho, strict=strict))
     report.payload["dim_A"] = lr.algebra.dim
     report.payload["dim_L"] = lr.lie.dim
@@ -134,6 +135,8 @@ def cmd_mc_residual(args, report: Report):
 def cmd_nijenhuis(args, report: Report):
     from . import cohomology as coh
 
+    if (args.element is None) == (args.grid is None):
+        raise ParseError("nijenhuis requires exactly one of --element and --grid")
     s = _sound_setup(args, report, crossed_hom=True)
     if s is None:
         return
@@ -150,13 +153,11 @@ def cmd_nijenhuis(args, report: Report):
                 else {"status": "fail", "first_counterexample": list(first.site)}
             )
         report.payload["conditions"] = conditions
-    elif args.grid is not None:
+    else:
         grid = _rationals(args.grid, "--grid")
         passing = coh.nijenhuis_grid(s, grid)
         report.payload["passing"] = [[str(c) for c in x] for x in passing]
         report.payload["count"] = len(passing)
-    else:
-        raise ParseError("nijenhuis requires --element or --grid")
 
 
 def cmd_deform(args, report: Report):

@@ -91,10 +91,10 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, require_window_count
+from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, require_no_findings, require_window_count
 from .liealg import FinLieAlgebra, LieAction, Setup, _induced_columns, check_crossed_hom
 from .linalg import Coeff, Matrix, Vector, _add_scaled, _dense, _echelon, _entry_matrix, exact_coeff
-from .linalg import invert, rational
+from .linalg import invert, rational, require_shape
 from .report import Finding
 
 ZERO = Fraction(0)
@@ -209,9 +209,7 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
 
 def _evaluate(f: Cochain, vecs: Sequence[Vector]) -> dict[int, Coeff]:
     """f(vecs) as a sparse accumulator: the sum over the values of f of
-    det(vecs at T) f(T)."""
-    if len(vecs) != f.degree:
-        raise DimensionMismatch("argument count differs from the cochain degree")
+    det(vecs at T) f(T), for f.degree vectors."""
     out: dict[int, Coeff] = {}
     for key, value in f.values.items():
         coeff = _det([[v[t] for t in key] for v in vecs])
@@ -353,9 +351,7 @@ def mc_residual(s: Setup) -> Cochain:
 
 
 def _require_crossed_hom(s: Setup):
-    bad = check_crossed_hom(s)
-    if bad:
-        raise NotCrossedHom("; ".join(str(f) for f in bad))
+    require_no_findings(check_crossed_hom(s), NotCrossedHom)
 
 
 def _twisted_differential(tables, f: Cochain) -> Cochain:
@@ -544,10 +540,8 @@ def cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
 
 def cochain_map_phi(phi_g: Matrix, phi_h: Matrix, f: Cochain) -> Cochain:
     """Transport f along (phi_g, phi_h): f |-> phi_h o f o (phi_g^{-1})^(x k)."""
-    if (phi_g.rows, phi_g.cols) != (f.g_dim, f.g_dim):
-        raise DimensionMismatch("phi_g must be a square matrix on g")
-    if (phi_h.rows, phi_h.cols) != (f.h_dim, f.h_dim):
-        raise DimensionMismatch("phi_h must be a square matrix on h")
+    require_shape(phi_g, f.g_dim, f.g_dim, "phi_g")
+    require_shape(phi_h, f.h_dim, f.h_dim, "phi_h")
     inv, columns = invert(phi_g), phi_h.col_nonzeros
     values = {}
     for T in itertools.combinations(range(f.g_dim), f.degree):
@@ -579,8 +573,8 @@ def _commuting_findings(
 
 def _trivial_generator(s: Setup, tables, x: Vector) -> Matrix:
     """The matrix of d_rho_H(-Hx): column i is -rho_H(e_i)(Hx)."""
-    Hx = _cochain(0, s.g.dim, s.h.dim, {(): _evaluate(cochain_from_matrix(s.H.matrix), [x])})
-    d = _twisted_differential(tables, cochain_scale(-1, Hx))
+    minus_Hx = {u: -c for u, c in enumerate(s.H.apply(x)) if c}
+    d = _twisted_differential(tables, _cochain(0, s.g.dim, s.h.dim, {(): minus_Hx}))
     images = [(u, i, c) for (i,), image in d.values.items() for u, c in image.items()]
     return _entry_matrix(s.h.dim, s.g.dim, images)
 
@@ -592,8 +586,7 @@ def check_linear_deformation(s: Setup, frkH: Matrix) -> list[Finding]:
     (1/2)[[frkH, frkH]] to vanish, i.e. the images of basis pairs to commute.
     """
     _require_crossed_hom(s)
-    if (frkH.rows, frkH.cols) != (s.h.dim, s.g.dim):
-        raise DimensionMismatch("deformation direction has the wrong shape")
+    require_shape(frkH, s.h.dim, s.g.dim, "deformation direction")
     names = s.g.basis_names
     d = _twisted_differential(_induced_tables(s), cochain_from_matrix(frkH))
     return cochain_findings("deformation-cocycle", names, d) + _commuting_findings(
@@ -648,9 +641,7 @@ def trivial_deformation_generator(s: Setup, x: Vector) -> Matrix:
     For a Nijenhuis x this generates a deformation that is trivial; the
     result always passes check_linear_deformation.
     """
-    bad = check_nijenhuis(s, x)
-    if bad:
-        raise NotNijenhuis("; ".join(str(f) for f in bad))
+    require_no_findings(check_nijenhuis(s, x), NotNijenhuis)
     return _trivial_generator(s, _induced_tables(s), x)
 
 

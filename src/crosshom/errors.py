@@ -40,6 +40,13 @@ def require_window_count(count: int, what: str) -> int:
     return count
 
 
+def require_no_findings(findings, error: type[ToolkitError]) -> None:
+    """The one failed-precondition raise: `error` with every finding joined by
+    '; ', when there are any."""
+    if findings:
+        raise error("; ".join(str(f) for f in findings))
+
+
 class IndexOutOfRange(ToolkitError):
     """A direction index is outside 0..n-1."""
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, NotAction, NotCrossedHom, require_window_count
+from .errors import DimensionMismatch, NotAction, NotCrossedHom, require_no_findings, require_window_count
 from .linalg import (
     Coeff,
     Matrix,
@@ -51,6 +51,8 @@ from .linalg import (
     is_zero_vector,
     lincomb,
     rational,
+    require_shape,
+    require_square_family,
     vector,
 )
 from .report import Finding
@@ -208,16 +210,7 @@ class LieAction:
     matrices: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if len(self.matrices) != self.source.dim:
-            raise DimensionMismatch(
-                f"need {self.source.dim} action matrices, got {len(self.matrices)}"
-            )
-        for m in self.matrices:
-            if (m.rows, m.cols) != (self.target.dim, self.target.dim):
-                raise DimensionMismatch(
-                    f"action matrix is {m.rows}x{m.cols}, expected "
-                    f"{self.target.dim}x{self.target.dim}"
-                )
+        require_square_family(self.matrices, self.source.dim, self.target.dim, "action")
 
     def of(self, x: Vector) -> Matrix:
         """rho(x) for a general x, by linearity."""
@@ -271,8 +264,7 @@ def derivation_violations(A: _StructureAlgebra, D: Matrix, rule: str = "leibniz"
     """Every stored pair (e_i, e_j) of A, either kind, at site + (e_i, e_j),
     where the Leibniz rule D(ab) = D(a)b + aD(b) fails; the residual is
     accumulated over `structure_terms` and `col_nonzeros`."""
-    if (D.rows, D.cols) != (A.dim, A.dim):
-        raise DimensionMismatch(f"operator is {D.rows}x{D.cols}, expected {A.dim}x{A.dim}")
+    require_shape(D, A.dim, A.dim, "operator")
     terms, cols = A.structure_terms, D.col_nonzeros
     pairs = itertools.combinations if A._swap_sign < 0 else itertools.combinations_with_replacement
     findings = []
@@ -328,11 +320,7 @@ class Setup:
             raise DimensionMismatch("action source differs from g")
         if self.rho.target is not self.h and self.rho.target != self.h:
             raise DimensionMismatch("action target differs from h")
-        m = self.H.matrix
-        if (m.rows, m.cols) != (self.h.dim, self.g.dim):
-            raise DimensionMismatch(
-                f"H is {m.rows}x{m.cols}, expected {self.h.dim}x{self.g.dim}"
-            )
+        require_shape(self.H.matrix, self.h.dim, self.g.dim, "H")
 
 
 def _crossed_hom_accumulator(s: Setup):
@@ -378,9 +366,7 @@ def check_crossed_hom(s: Setup) -> list[Finding]:
 
 def induced_action(s: Setup) -> LieAction:
     """rho_H(x)u = rho(x)u + [Hx, u]; requires H to be a crossed homomorphism."""
-    bad = check_crossed_hom(s)
-    if bad:
-        raise NotCrossedHom("; ".join(str(f) for f in bad))
+    require_no_findings(check_crossed_hom(s), NotCrossedHom)
     return _induced_action_unchecked(s)
 
 
@@ -442,9 +428,7 @@ def _semidirect_structure(
 
 def semidirect(g: FinLieAlgebra, h: FinLieAlgebra, rho: LieAction) -> FinLieAlgebra:
     """g x h with [(x,u),(y,v)] = ([x,y], rho(x)v - rho(y)u + [u,v])."""
-    bad = check_action(rho)
-    if bad:
-        raise NotAction("; ".join(str(f) for f in bad))
+    require_no_findings(check_action(rho), NotAction)
     return _semidirect_structure(g, h, rho.matrices)
 
 
@@ -514,8 +498,7 @@ def is_lie_homomorphism(src: FinLieAlgebra, dst: FinLieAlgebra, phi: Matrix) -> 
 
     The residual is accumulated from `structure_terms` of both algebras and
     `col_nonzeros` of phi; a failing pair reports it as a dense vector."""
-    if (phi.rows, phi.cols) != (dst.dim, src.dim):
-        raise DimensionMismatch(f"map is {phi.rows}x{phi.cols}, expected {dst.dim}x{src.dim}")
+    require_shape(phi, dst.dim, src.dim, "map")
     src_terms, dst_terms = src.structure_terms, dst.structure_terms
     cols = phi.col_nonzeros
     findings = []

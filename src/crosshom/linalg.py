@@ -16,6 +16,10 @@ Fractions.
 Only this module writes the row-major layout: every matrix given by its
 nonzeros is built by the one writer `_entry_matrix` (through `_column_matrix`
 for sparse dict columns), and a vector given by its nonzeros by `_dense`.
+A matrix's shape is checked in one place, `require_shape`, and a family of
+square matrices, one per basis vector (an action, a module, an anchor, a
+representation), in `require_square_family`, which words its count and
+calls `require_shape` on each member.
 
 `rank`, `kernel_basis` and `invert` share one elimination over sparse rows,
 dicts {column: nonzero entry} built from the nonzero entries of the dense
@@ -164,13 +168,11 @@ class Matrix:
         return tuple(out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
+        require_shape(other, self.rows, self.cols, "summand")
         return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.data, other.data)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
+        require_shape(other, self.rows, self.cols, "subtrahend")
         return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.data, other.data)))
 
     def __neg__(self) -> "Matrix":
@@ -209,6 +211,21 @@ class Matrix:
         return "[" + "; ".join(", ".join(r) for r in self.render_rows()) + "]"
 
 
+def require_shape(m: Matrix, rows: int, cols: int, what: str) -> None:
+    """Raise DimensionMismatch "what is RxC, expected rowsxcols" unless m is rows x cols."""
+    if (m.rows, m.cols) != (rows, cols):
+        raise DimensionMismatch(f"{what} is {m.rows}x{m.cols}, expected {rows}x{cols}")
+
+
+def require_square_family(mats: Sequence[Matrix], count: int, dim: int, what: str) -> None:
+    """The one check of a family of square matrices, one per basis vector:
+    `count` of them ("need count what matrices, got M"), each dim x dim."""
+    if len(mats) != count:
+        raise DimensionMismatch(f"need {count} {what} matrices, got {len(mats)}")
+    for m in mats:
+        require_shape(m, dim, dim, f"{what} matrix")
+
+
 def lincomb(mats: Sequence[Matrix], coeffs: Sequence) -> Matrix:
     """sum_i coeffs[i] * mats[i]; the matrices must share one shape."""
     if len(mats) != len(coeffs):
@@ -218,8 +235,7 @@ def lincomb(mats: Sequence[Matrix], coeffs: Sequence) -> Matrix:
     rows, cols = mats[0].rows, mats[0].cols
     data = [ZERO] * (rows * cols)
     for m, c in zip(mats, coeffs):
-        if (m.rows, m.cols) != (rows, cols):
-            raise DimensionMismatch("matrix shapes differ")
+        require_shape(m, rows, cols, "summand")
         if c:
             c = rational(c)
             for k, a in enumerate(m.data):
@@ -374,8 +390,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 
 def invert(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrix when rank < dimension."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("only square matrices can be inverted")
+    require_shape(m, m.cols, m.cols, "inverted matrix")
     n = m.rows
     rows = _sparse_rows(m)
     for i, r in enumerate(rows):

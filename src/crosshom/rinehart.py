@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .errors import DimensionMismatch, InvalidPair, NotCrossedHom, require_window_count
+from .errors import DimensionMismatch, InvalidPair, NotCrossedHom, require_no_findings, require_window_count
 from .liealg import (
     CrossedHom,
     FinLieAlgebra,
@@ -65,6 +65,7 @@ from .liealg import (
     homomorphism_violations,
 )
 from .linalg import ONE, Matrix, Vector, _add_scaled, _column_matrix, _dense, _entry_matrix, kron, lincomb
+from .linalg import require_shape, require_square_family
 from .poly import Poly
 from .report import Finding
 from .witt import (
@@ -100,16 +101,7 @@ class AModuleStructure:
     action: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if len(self.action) != self.algebra.dim:
-            raise DimensionMismatch(
-                f"need {self.algebra.dim} action matrices, got {len(self.action)}"
-            )
-        for m in self.action:
-            if (m.rows, m.cols) != (self.dim_m, self.dim_m):
-                raise DimensionMismatch(
-                    f"module action matrix is {m.rows}x{m.cols}, expected "
-                    f"{self.dim_m}x{self.dim_m}"
-                )
+        require_square_family(self.action, self.algebra.dim, self.dim_m, "module action")
 
     def of(self, a: Vector) -> Matrix:
         if not a:
@@ -194,8 +186,7 @@ def _first_order_violations(mod: AModuleStructure, D: Matrix, sigma: Matrix, rul
 
 def check_first_order_op(mod: AModuleStructure, op: FirstOrderOp) -> list[Finding]:
     findings = derivation_violations(mod.algebra, op.sigma)
-    if (op.D.rows, op.D.cols) != (mod.dim_m, mod.dim_m):
-        raise DimensionMismatch(f"operator is {op.D.rows}x{op.D.cols}, module dim {mod.dim_m}")
+    require_shape(op.D, mod.dim_m, mod.dim_m, "operator")
     return findings + _first_order_violations(mod, op.D, op.sigma, "first-order")
 
 
@@ -209,16 +200,8 @@ class LieRinehart:
     anchor: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if len(self.a_action) != self.algebra.dim:
-            raise DimensionMismatch("one A-action matrix per A-basis vector is required")
-        for m in self.a_action:
-            if (m.rows, m.cols) != (self.lie.dim, self.lie.dim):
-                raise DimensionMismatch("A-action matrices must act on L")
-        if len(self.anchor) != self.lie.dim:
-            raise DimensionMismatch("one anchor matrix per L-basis vector is required")
-        for m in self.anchor:
-            if (m.rows, m.cols) != (self.algebra.dim, self.algebra.dim):
-                raise DimensionMismatch("anchor matrices must act on A")
+        require_square_family(self.a_action, self.algebra.dim, self.lie.dim, "A-action")
+        require_square_family(self.anchor, self.lie.dim, self.algebra.dim, "anchor")
 
     def l_module(self) -> AModuleStructure:
         return AModuleStructure(self.algebra, self.lie.dim, self.a_action)
@@ -233,11 +216,7 @@ class LeibnizPair:
     beta: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if len(self.beta) != self.lie.dim:
-            raise DimensionMismatch("one beta matrix per S-basis vector is required")
-        for m in self.beta:
-            if (m.rows, m.cols) != (self.algebra.dim, self.algebra.dim):
-                raise DimensionMismatch("beta matrices must act on A")
+        require_square_family(self.beta, self.lie.dim, self.algebra.dim, "beta")
 
 
 def underlying_pair(lr: LieRinehart) -> LeibnizPair:
@@ -309,12 +288,7 @@ def _rep_violations(
     ders: Sequence[Matrix],
     anchor_rule: str,
 ) -> list[Finding]:
-    dim_m = mod.dim_m
-    for m in rho:
-        if (m.rows, m.cols) != (dim_m, dim_m):
-            raise DimensionMismatch("representation matrices must act on the module")
-    if len(rho) != lie.dim:
-        raise DimensionMismatch("one representation matrix per Lie basis vector is required")
+    require_square_family(rho, lie.dim, mod.dim_m, "representation")
     findings = homomorphism_violations(lie, rho, "lie-hom")
     for i, name in enumerate(lie.basis_names):
         findings.extend(_first_order_violations(mod, rho[i], ders[i], anchor_rule, (name,)))
@@ -355,9 +329,7 @@ def check_admissible_rep(
 def action_lie_rinehart(p: LeibnizPair) -> LieRinehart:
     """S (x) A with bracket [x(a), y(b)] = [x,y](ab) + y(a beta(x) b) - x(b beta(y) a)
     and anchor x(a) |-> a beta(x), both from `witt.action_structure`."""
-    bad = check_leibniz_pair(p)
-    if bad:
-        raise InvalidPair("; ".join(str(f) for f in bad))
+    require_no_findings(check_leibniz_pair(p), InvalidPair)
     A, S = p.algebra, p.lie
     names = (f"{x}({a})" for x in S.basis_names for a in A.basis_names)
     lie, ops = action_structure(A, S, p.beta, tuple(names))
@@ -396,8 +368,7 @@ class GlnRep:
                 m = self.theta.get((i, j))
                 if m is None:
                     raise DimensionMismatch(f"missing theta(E_{i + 1}{j + 1})")
-                if (m.rows, m.cols) != (self.dim_v, self.dim_v):
-                    raise DimensionMismatch("theta matrices must act on V")
+                require_shape(m, self.dim_v, self.dim_v, "theta matrix")
 
     @cached_property
     def columns(self) -> tuple[tuple[tuple[tuple[int, int, Coeff], ...], ...], ...]:
@@ -457,20 +428,14 @@ def _carrier_parts(carrier) -> tuple[FinLieAlgebra, tuple[Matrix, ...], FinCommA
 def certify_gl_tensor_crossed_hom(carrier, n: int, H: Matrix) -> Setup:
     """Certify H: L -> gl_n (x) A against the coefficientwise anchor action.
 
-    Returns the finite Setup so the cohomology machinery can reuse it;
-    raises NotCrossedHom when the identity fails.
+    Returns the finite Setup so the cohomology machinery can reuse it; the
+    Setup checks H's shape, and NotCrossedHom is raised when the identity fails.
     """
     lie, ders, A = _carrier_parts(carrier)
     h_alg = gl_tensor_algebra(n, A)
-    if (H.rows, H.cols) != (h_alg.dim, lie.dim):
-        raise DimensionMismatch(
-            f"H is {H.rows}x{H.cols}, expected {h_alg.dim}x{lie.dim}"
-        )
     blocks = tuple(kron(Matrix.identity(n * n), ders[i]) for i in range(lie.dim))
     setup = Setup(lie, h_alg, LieAction(lie, h_alg, blocks), CrossedHom(H))
-    bad = check_crossed_hom(setup)
-    if bad:
-        raise NotCrossedHom("; ".join(str(f) for f in bad))
+    require_no_findings(check_crossed_hom(setup), NotCrossedHom)
     return setup
 
 

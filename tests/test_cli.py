@@ -463,8 +463,32 @@ def test_non_bool_strict_flag_exit_two(capsys, tmp_path, fixtures_dir, value):
     bad = tmp_path / "strict.lr.json"
     bad.write_text(json.dumps(body))
     code, out = _run_without_traceback(capsys, "check-rinehart", str(bad))
-    assert code == 2
+    assert (code, out["findings"]) == (2, [])
     message = f"{bad}.module: 'strict' must be true or false, got {value!r}"
+    assert out["error"] == {"type": "ParseError", "message": message}
+
+
+def test_malformed_module_block_reports_no_findings(capsys, tmp_path, fixtures_dir):
+    # the module block is read before check_lie_rinehart adds its findings
+    body = json.loads((fixtures_dir / "leibniz_bad.lr.json").read_text())
+    body["module"]["rho"] = {}
+    bad = tmp_path / "module.lr.json"
+    bad.write_text(json.dumps(body))
+    code, out = _run_without_traceback(capsys, "check-rinehart", str(bad))
+    assert (code, out["status"], out["findings"]) == (2, "error", [])
+    assert out["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--element", "1,1", "--grid=-1,0,1"), ()],
+    ids=["both", "neither"],
+)
+@pytest.mark.parametrize("fixture", ["dim2_case_ii.setup.json", "dim2_bad.setup.json"])
+def test_nijenhuis_needs_exactly_one_of_element_and_grid(capsys, fixtures_dir, fixture, flags):
+    code, out = _run_without_traceback(capsys, "nijenhuis", str(fixtures_dir / fixture), *flags)
+    assert (code, out["status"], out["findings"]) == (2, "error", [])
+    message = "nijenhuis requires exactly one of --element and --grid"
     assert out["error"] == {"type": "ParseError", "message": message}
 
 

@@ -138,8 +138,7 @@ PAPER_API = {
     "check_first_order_op",
     "check_gln_rep",
     "crossed_hom_residual",
-    # the dense d_k: the gw-cohomology bench workload and the criterion-14
-    # oracle rank it
+    # the dense d_k: the criterion-14 oracle ranks it
     "differential_matrix",
     "extend_to_action_rep",
     # the paper's bracket of two elements; the package reads its basis form,
@@ -301,6 +300,48 @@ def test_only_linalg_writes_the_dense_layout():
             if any(_writes_dense_layout(n) for n in ast.walk(node)):
                 sites.add((path.name, name))
     assert sites == DENSE_LAYOUT_SITES
+
+
+def _is_shape_pair(node) -> bool:
+    """A tuple (x.rows, x.cols)."""
+    return (
+        isinstance(node, ast.Tuple)
+        and [getattr(e, "attr", None) for e in node.elts] == ["rows", "cols"]
+    )
+
+
+def _raises_on_a_shape_pair(node) -> bool:
+    return (
+        isinstance(node, ast.If)
+        and any(_is_shape_pair(n) for n in ast.walk(node.test))
+        and any(isinstance(n, ast.Raise) for n in node.body)
+    )
+
+
+def _joins_findings(node) -> bool:
+    """'; '.join(str(f) for f in ...)."""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "'; '.join"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.GeneratorExp)
+        and ast.unparse(node.args[0].elt).startswith("str(")
+    )
+
+
+def test_one_shape_check_and_one_precondition_raise():
+    # linalg's require_shape and require_square_family check every matrix
+    # shape, and errors.require_no_findings raises every failed precondition
+    # with its findings joined by '; '
+    shape_checks, finding_joins = set(), set()
+    for path in MODULES:
+        for name, node in _top_level_definitions(ast.parse(path.read_text())):
+            if path.name != "linalg.py" and any(_raises_on_a_shape_pair(n) for n in ast.walk(node)):
+                shape_checks.add((path.name, name))
+            if any(_joins_findings(n) for n in ast.walk(node)):
+                finding_joins.add((path.name, name))
+    assert shape_checks == set()
+    assert finding_joins == {("errors.py", "require_no_findings")}
 
 
 # The only places in the package that read an algebra's dense `.structure`,

@@ -131,6 +131,17 @@ def test_submodule_resolves_from_a_bare_package_import():
     ) == ["crosshom.witt", True]
 
 
+def test_every_module_file_resolves_from_a_bare_package_import():
+    names = sorted(p.stem for p in (ROOT / "src" / "crosshom").glob("*.py") if p.stem != "__init__")
+    listed, resolved = fresh(
+        f"import crosshom, json\nnames = {names!r}\n"
+        "listed = [n for n in names if n in dir(crosshom)]\n"
+        "print(json.dumps([listed, [getattr(crosshom, n).__name__ for n in names]]))"
+    )
+    assert listed == names
+    assert resolved == [f"crosshom.{n}" for n in names]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         crosshom.no_such_name

@@ -1418,3 +1418,40 @@ def test_dense_values_over_integral_sparse_views_are_fractions():
     entries = list(_dense_entries(objects))
     assert len(entries) > 10**5
     assert {type(x) for x in entries} == {Fraction}
+
+
+def _square_families() -> dict:
+    """Each family of square matrices, one per basis vector, by the name its
+    messages use: (the family built from given matrices, count, dim)."""
+    lr, block = formats.load_file(str(FIXTURES / "derivations_trunc3.lr.json"))
+    mod = formats.module_from_dict(lr.algebra, lr.lie.basis_names, block, "module")[0]
+    A, L, pair = lr.algebra, lr.lie, underlying_pair(lr)
+    return {
+        "action": (lambda m: LieAction(L, L, m), L.dim, L.dim),
+        "module action": (lambda m: AModuleStructure(A, mod.dim_m, m), A.dim, mod.dim_m),
+        "A-action": (lambda m: LieRinehart(A, L, m, lr.anchor), A.dim, L.dim),
+        "anchor": (lambda m: LieRinehart(A, L, lr.a_action, m), L.dim, A.dim),
+        "beta": (lambda m: LeibnizPair(A, L, m), L.dim, A.dim),
+        "weak representation": (lambda m: check_weak_rep(lr, mod, m), L.dim, mod.dim_m),
+        "admissible representation": (lambda m: check_admissible_rep(pair, mod, m), L.dim, mod.dim_m),
+    }
+
+
+@pytest.mark.parametrize("family", list(_square_families()))
+def test_square_family_checks_count_then_shape(family):
+    build, count, dim = _square_families()[family]
+    what = family.removeprefix("weak ").removeprefix("admissible ")
+    square = Matrix.zero(dim, dim)
+    with pytest.raises(DimensionMismatch, match=f"^need {count} {what} matrices, got {count + 1}$"):
+        build((square,) * (count + 1))
+    message = f"^{what} matrix is {dim}x{dim + 1}, expected {dim}x{dim}$"
+    with pytest.raises(DimensionMismatch, match=message):
+        build((square,) * (count - 1) + (Matrix.zero(dim, dim + 1),))
+
+
+def test_gln_rep_checks_each_entry_then_its_shape():
+    theta = natural_rep_gl(2).theta
+    with pytest.raises(DimensionMismatch, match=r"^missing theta\(E_21\)$"):
+        GlnRep(2, 2, {k: m for k, m in theta.items() if k != (1, 0)})
+    with pytest.raises(DimensionMismatch, match="^theta matrix is 2x2, expected 3x3$"):
+        GlnRep(2, 3, theta)
