@@ -32,7 +32,9 @@ from .linalg import rational
 from .report import Report
 
 # Each handler imports the submodules it calls beyond these, so a subcommand
-# loads only what it runs. REPS names the `rinehart` builder of each --rep.
+# loads only what it runs. A handler parses and checks its flags before it
+# reads the input file, so a usage error exits 2 whatever the file holds.
+# REPS names the `rinehart` builder of each --rep.
 REPS = {"trivial": "trivial_rep", "natural": "natural_rep_gl", "adjoint": "adjoint_rep_gl"}
 
 
@@ -137,11 +139,12 @@ def cmd_nijenhuis(args, report: Report):
 
     if (args.element is None) == (args.grid is None):
         raise ParseError("nijenhuis requires exactly one of --element and --grid")
+    x = None if args.element is None else _rationals(args.element, "--element")
+    grid = None if args.grid is None else _rationals(args.grid, "--grid")
     s = _sound_setup(args, report, crossed_hom=True)
     if s is None:
         return
-    if args.element is not None:
-        x = _rationals(args.element, "--element")
+    if x is not None:
         findings = coh.check_nijenhuis(s, x)
         report.add_findings(findings)
         conditions = {}
@@ -154,7 +157,6 @@ def cmd_nijenhuis(args, report: Report):
             )
         report.payload["conditions"] = conditions
     else:
-        grid = _rationals(args.grid, "--grid")
         passing = coh.nijenhuis_grid(s, grid)
         report.payload["passing"] = [[str(c) for c in x] for x in passing]
         report.payload["count"] = len(passing)
@@ -163,12 +165,12 @@ def cmd_nijenhuis(args, report: Report):
 def cmd_deform(args, report: Report):
     from . import cohomology as coh
 
-    s = _sound_setup(args, report, crossed_hom=True)
-    if s is None:
-        return
     if args.element is None:
         raise ParseError("deform requires --element (the Nijenhuis witness)")
     x = _rationals(args.element, "--element")
+    s = _sound_setup(args, report, crossed_hom=True)
+    if s is None:
+        return
     nij = coh.check_nijenhuis(s, x)
     if nij:
         report.add_findings(nij)
@@ -225,10 +227,10 @@ def cmd_shen_larsson(args, report: Report):
 
 
 def cmd_solve_grid(args, report: Report):
+    grid = _rationals(args.grid, "--grid")
     s = _sound_setup(args, report)
     if s is None:
         return
-    grid = _rationals(args.grid, "--grid")
     sols = solve_crossed_homs_grid(s.g, s.h, s.rho, grid)
     report.payload["count"] = len(sols)
     report.payload["solutions"] = [H.matrix.render_rows() for H in sols]

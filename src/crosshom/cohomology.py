@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
@@ -94,33 +93,30 @@ from typing import Mapping, Sequence
 from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, require_no_findings, require_window_count
 from .liealg import FinLieAlgebra, LieAction, Setup, _induced_columns, check_crossed_hom
 from .linalg import Coeff, Matrix, Vector, _add_scaled, _dense, _echelon, _entry_matrix, exact_coeff
-from .linalg import invert, rational, require_shape
+from .linalg import _Value, invert, rational, require_shape
 from .report import Finding
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(_Value):
     """A degree-k cochain: values[T], T strictly increasing, is {u: c}, the
     nonzero coordinates of f(e_T), ints where integral and Fractions
-    otherwise.  A T where f vanishes has no entry, so the dataclass equality
-    is the equality of cochains."""
+    otherwise.  A T where f vanishes has no entry, so the field equality of
+    `_Value` is the equality of cochains."""
 
-    degree: int
-    g_dim: int
-    h_dim: int
-    values: Mapping[tuple[int, ...], Mapping[int, Coeff]]
+    __slots__ = _fields = ("degree", "g_dim", "h_dim", "values")
 
-    def __post_init__(self):
-        for key, v in self.values.items():
-            if len(key) != self.degree or any(not 0 <= t < self.g_dim for t in key):
-                raise DimensionMismatch(f"bad index tuple {key} for degree {self.degree}")
+    def __init__(self, degree: int, g_dim: int, h_dim: int, values: Mapping[tuple[int, ...], Mapping]):
+        self.degree, self.g_dim, self.h_dim, self.values = degree, g_dim, h_dim, values
+        for key, v in values.items():
+            if len(key) != degree or any(not 0 <= t < g_dim for t in key):
+                raise DimensionMismatch(f"bad index tuple {key} for degree {degree}")
             if list(key) != sorted(set(key)):
                 raise DimensionMismatch(f"index tuple {key} is not strictly increasing")
             if not v:
                 raise DimensionMismatch(f"cochain value at {key} is empty; leave it out")
-            if not all(type(u) is int and 0 <= u < self.h_dim for u in v):
+            if not all(type(u) is int and 0 <= u < h_dim for u in v):
                 raise DimensionMismatch(f"cochain value at {key} has an index outside h: {v}")
             if not all(c and type(c) in (int, Fraction) for c in v.values()):
                 raise DimensionMismatch(f"cochain value at {key} has a zero or inexact coordinate: {v}")
@@ -379,24 +375,24 @@ def sign_relation_check(s: Setup, f: Cochain) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class DegreeDims:
-    k: int
-    dim_C: int
-    dim_Z: int
-    dim_B: int
-    dim_H: int
+class DegreeDims(_Value):
+    __slots__ = _fields = ("k", "dim_C", "dim_Z", "dim_B", "dim_H")
+
+    def __init__(self, k: int, dim_C: int, dim_Z: int, dim_B: int, dim_H: int):
+        self.k, self.dim_C, self.dim_Z, self.dim_B, self.dim_H = k, dim_C, dim_Z, dim_B, dim_H
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
-    degrees: tuple[DegreeDims, ...]
+class CohomologyReport(_Value):
+    __slots__ = _fields = ("degrees",)
+
+    def __init__(self, degrees: tuple[DegreeDims, ...]):
+        self.degrees = degrees
 
     def dims_H(self) -> list[int]:
         return [d.dim_H for d in self.degrees]
 
     def to_json(self) -> dict:
-        return {"degrees": [asdict(d) for d in self.degrees]}
+        return {"degrees": [{f: getattr(d, f) for f in d._fields} for d in self.degrees]}
 
 
 def _cells(tables, weights, k: int):

@@ -34,7 +34,6 @@ columns are built in one place, `_induced_columns`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -43,6 +42,7 @@ from .linalg import (
     Coeff,
     Matrix,
     Vector,
+    _Value,
     _add_scaled,
     _column_matrix,
     _dense,
@@ -58,23 +58,21 @@ from .linalg import (
 from .report import Finding
 
 
-@dataclass(frozen=True)
-class _StructureAlgebra:
+class _StructureAlgebra(_Value):
     """Named basis vectors and a bilinear product given by dense structure
     vectors on index pairs: structure[(i, j)] = e_i e_j for the stored pairs,
     i < j for an antisymmetric product (`_swap_sign` -1) and i <= j for a
     commutative one (`_swap_sign` 1); a missing pair's product is zero.
     `_words` name the key, the pair condition and the value in key errors."""
 
-    basis_names: tuple[str, ...]
-    structure: Mapping[tuple[int, int], Vector]
-
+    _fields = ("basis_names", "structure")
     _swap_sign = -1
     _words = ("structure key", "i<j", "bracket")
 
-    def __post_init__(self):
-        dim, (key, pair, value) = len(self.basis_names), self._words
-        for (i, j), v in self.structure.items():
+    def __init__(self, basis_names: tuple[str, ...], structure: Mapping[tuple[int, int], Vector]):
+        self.basis_names, self.structure = basis_names, structure
+        dim, (key, pair, value) = len(basis_names), self._words
+        for (i, j), v in structure.items():
             if not (0 <= i <= j < dim) or (i == j and self._swap_sign < 0):
                 raise DimensionMismatch(f"{key} ({i}, {j}) is not an {pair} pair")
             if len(v) != dim:
@@ -114,7 +112,6 @@ class _StructureAlgebra:
         return _entry_matrix(n, n, [(k, j, c) for (k, j), c in acc.items()])
 
 
-@dataclass(frozen=True)
 class FinLieAlgebra(_StructureAlgebra):
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """[x, y], summed over the nonzero coordinates of x and y."""
@@ -201,16 +198,14 @@ def check_lie_algebra(L: FinLieAlgebra) -> list[Finding]:
     return findings
 
 
-@dataclass(frozen=True)
-class LieAction:
+class LieAction(_Value):
     """rho: g -> Der(h) given by one matrix on h per g-basis vector."""
 
-    source: FinLieAlgebra
-    target: FinLieAlgebra
-    matrices: tuple[Matrix, ...]
+    __slots__ = _fields = ("source", "target", "matrices")
 
-    def __post_init__(self):
-        require_square_family(self.matrices, self.source.dim, self.target.dim, "action")
+    def __init__(self, source: FinLieAlgebra, target: FinLieAlgebra, matrices: tuple[Matrix, ...]):
+        self.source, self.target, self.matrices = source, target, matrices
+        require_square_family(matrices, source.dim, target.dim, "action")
 
     def of(self, x: Vector) -> Matrix:
         """rho(x) for a general x, by linearity."""
@@ -293,11 +288,13 @@ def check_action(rho: LieAction) -> list[Finding]:
     return findings
 
 
-@dataclass(frozen=True)
-class CrossedHom:
+class CrossedHom(_Value):
     """Linear map H: g -> h; column i holds H(e_i) in h-coordinates."""
 
-    matrix: Matrix
+    __slots__ = _fields = ("matrix",)
+
+    def __init__(self, matrix: Matrix):
+        self.matrix = matrix
 
     def apply(self, x: Vector) -> Vector:
         return self.matrix.apply(x)
@@ -306,21 +303,18 @@ class CrossedHom:
         return self.matrix.col(i)
 
 
-@dataclass(frozen=True)
-class Setup:
+class Setup(_Value):
     """The ambient quadruple (g, h, rho, H) for all later operations."""
 
-    g: FinLieAlgebra
-    h: FinLieAlgebra
-    rho: LieAction
-    H: CrossedHom
+    __slots__ = _fields = ("g", "h", "rho", "H")
 
-    def __post_init__(self):
-        if self.rho.source is not self.g and self.rho.source != self.g:
+    def __init__(self, g: FinLieAlgebra, h: FinLieAlgebra, rho: LieAction, H: CrossedHom):
+        self.g, self.h, self.rho, self.H = g, h, rho, H
+        if rho.source is not g and rho.source != g:
             raise DimensionMismatch("action source differs from g")
-        if self.rho.target is not self.h and self.rho.target != self.h:
+        if rho.target is not h and rho.target != h:
             raise DimensionMismatch("action target differs from h")
-        require_shape(self.H.matrix, self.h.dim, self.g.dim, "H")
+        require_shape(H.matrix, h.dim, g.dim, "H")
 
 
 def _crossed_hom_accumulator(s: Setup):

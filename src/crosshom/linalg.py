@@ -6,7 +6,8 @@ gcd 1) by the standard library.  Vectors are plain tuples of Fractions;
 matrices are thin immutable wrappers around a row-major tuple.
 `Matrix.apply` and `Matrix.__mul__` run over the nonzeros only: they read
 `Matrix.col_nonzeros`, the nonzero entries of each column, listed once per
-matrix and cached (a `Matrix` is frozen, so the list never goes stale).
+matrix and cached (no code assigns a `Matrix`'s fields after `__init__`,
+so the list never goes stale).
 That view is integral: it holds `exact_coeff` values, ints where the entry
 is integral, so sparse kernels on integral data run in `int` arithmetic.
 A view value written into a dense vector or `Matrix` goes through
@@ -40,7 +41,6 @@ read is the unique one of the matrix, whatever rows the pivot rule picks;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -80,7 +80,8 @@ def rational(x, where: str = "") -> Fraction:
     try:
         return Fraction(x.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{prefix}cannot parse rational {x!r}: {exc}") from None
+        reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise ParseError(f"{prefix}cannot parse rational {x!r}: {reason}") from None
 
 
 def exact_coeff(x) -> Coeff:
@@ -103,20 +104,47 @@ def render_vector(a: Vector) -> str:
     return "(" + ", ".join(str(x) for x in a) + ")"
 
 
-@dataclass(frozen=True)
-class Matrix:
+class _Value:
+    """The base of the package's value classes: equality, hash and repr over
+    the attributes a subclass names in `_fields`, in the format of a
+    dataclass.  Objects are equal when they have the same class and equal
+    fields; a class is hashable when its fields are.
+
+    A subclass writes its own `__init__`, which assigns the fields plainly and
+    then checks them.  There is no setter guard: values are immutable by a
+    rule of the package, which tests/test_hygiene.py enforces, that no code
+    assigns a field after `__init__` (a CLI `Report`'s status and error
+    aside).  A class without a `cached_property` is slotted.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Matrix(_Value):
     """Dense matrix of Fractions, row-major, immutable."""
 
-    rows: int
-    cols: int
-    data: tuple[Fraction, ...]
+    _fields = ("rows", "cols", "data")
 
-    def __post_init__(self):
-        if len(self.data) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.data)}"
-            )
+    def __init__(self, rows: int, cols: int, data: tuple[Fraction, ...]):
+        self.rows, self.cols, self.data = rows, cols, data
+        if len(data) != rows * cols:
+            raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":

@@ -7,17 +7,16 @@ the exact nonzero residual witnessing the failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
-from .linalg import render_vector
+from .linalg import _Value, render_vector
 
 
-@dataclass(frozen=True)
-class Finding:
-    rule: str
-    site: tuple[str, ...]
-    residual: Any = None
+class Finding(_Value):
+    __slots__ = _fields = ("rule", "site", "residual")
+
+    def __init__(self, rule: str, site: tuple[str, ...], residual: Any = None):
+        self.rule, self.site, self.residual = rule, site, residual
 
     def residual_str(self) -> str:
         r = self.residual
@@ -41,15 +40,23 @@ class Finding:
         return f"{self.rule} at ({loc}){tail}"
 
 
-@dataclass
-class Report:
-    """CLI-level result: pass/fail/error, findings, subcommand payload."""
+class Report(_Value):
+    """CLI-level result: pass/fail/error, findings, subcommand payload; the
+    one mutable value (`status` and `error` are set as the command runs)."""
 
-    command: str
-    status: str = "pass"
-    findings: list[Finding] = field(default_factory=list)
-    payload: dict = field(default_factory=dict)
-    error: dict | None = None
+    __slots__ = _fields = ("command", "status", "findings", "payload", "error")
+
+    def __init__(
+        self,
+        command: str,
+        status: str = "pass",
+        findings: list[Finding] | None = None,
+        payload: dict | None = None,
+        error: dict | None = None,
+    ):
+        self.command, self.status, self.error = command, status, error
+        self.findings = [] if findings is None else findings
+        self.payload = {} if payload is None else payload
 
     def add_findings(self, findings: list[Finding]):
         self.findings.extend(findings)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -65,7 +64,7 @@ from .liealg import (
     homomorphism_violations,
 )
 from .linalg import ONE, Matrix, Vector, _add_scaled, _column_matrix, _dense, _entry_matrix, kron, lincomb
-from .linalg import require_shape, require_square_family
+from .linalg import _Value, require_shape, require_square_family
 from .poly import Poly
 from .report import Finding
 from .witt import (
@@ -92,16 +91,14 @@ from .witt import (
 )
 
 
-@dataclass(frozen=True)
-class AModuleStructure:
+class AModuleStructure(_Value):
     """A-module on a dim_m space: one matrix per A-basis vector."""
 
-    algebra: FinCommAlgebra
-    dim_m: int
-    action: tuple[Matrix, ...]
+    __slots__ = _fields = ("algebra", "dim_m", "action")
 
-    def __post_init__(self):
-        require_square_family(self.action, self.algebra.dim, self.dim_m, "module action")
+    def __init__(self, algebra: FinCommAlgebra, dim_m: int, action: tuple[Matrix, ...]):
+        self.algebra, self.dim_m, self.action = algebra, dim_m, action
+        require_square_family(action, algebra.dim, dim_m, "module action")
 
     def of(self, a: Vector) -> Matrix:
         if not a:
@@ -149,13 +146,14 @@ def check_a_module(mod: AModuleStructure) -> list[Finding]:
     return findings
 
 
-@dataclass(frozen=True)
-class FirstOrderOp:
+class FirstOrderOp(_Value):
     """Pair (D, sigma): D on the module, sigma a derivation of A, compatible via
     D(a m) = a D(m) + sigma(a) m."""
 
-    D: Matrix
-    sigma: Matrix
+    __slots__ = _fields = ("D", "sigma")
+
+    def __init__(self, D: Matrix, sigma: Matrix):
+        self.D, self.sigma = D, sigma
 
 
 def _first_order_residuals(act, D, sigma):
@@ -190,33 +188,28 @@ def check_first_order_op(mod: AModuleStructure, op: FirstOrderOp) -> list[Findin
     return findings + _first_order_violations(mod, op.D, op.sigma, "first-order")
 
 
-@dataclass(frozen=True)
-class LieRinehart:
+class LieRinehart(_Value):
     """(A, L, bracket, anchor) with an A-module structure on L."""
 
-    algebra: FinCommAlgebra
-    lie: FinLieAlgebra
-    a_action: tuple[Matrix, ...]
-    anchor: tuple[Matrix, ...]
+    __slots__ = _fields = ("algebra", "lie", "a_action", "anchor")
 
-    def __post_init__(self):
-        require_square_family(self.a_action, self.algebra.dim, self.lie.dim, "A-action")
-        require_square_family(self.anchor, self.lie.dim, self.algebra.dim, "anchor")
+    def __init__(self, algebra: FinCommAlgebra, lie: FinLieAlgebra, a_action: tuple, anchor: tuple):
+        self.algebra, self.lie, self.a_action, self.anchor = algebra, lie, a_action, anchor
+        require_square_family(a_action, algebra.dim, lie.dim, "A-action")
+        require_square_family(anchor, lie.dim, algebra.dim, "anchor")
 
     def l_module(self) -> AModuleStructure:
         return AModuleStructure(self.algebra, self.lie.dim, self.a_action)
 
 
-@dataclass(frozen=True)
-class LeibnizPair:
+class LeibnizPair(_Value):
     """(A, S, bracket, beta) with beta: S -> Der(A) a Lie homomorphism only."""
 
-    algebra: FinCommAlgebra
-    lie: FinLieAlgebra
-    beta: tuple[Matrix, ...]
+    __slots__ = _fields = ("algebra", "lie", "beta")
 
-    def __post_init__(self):
-        require_square_family(self.beta, self.lie.dim, self.algebra.dim, "beta")
+    def __init__(self, algebra: FinCommAlgebra, lie: FinLieAlgebra, beta: tuple[Matrix, ...]):
+        self.algebra, self.lie, self.beta = algebra, lie, beta
+        require_square_family(beta, lie.dim, algebra.dim, "beta")
 
 
 def underlying_pair(lr: LieRinehart) -> LeibnizPair:
@@ -354,21 +347,19 @@ def extend_to_action_rep(
 # gl_n representations and the finite tensor-module construction
 
 
-@dataclass(frozen=True)
-class GlnRep:
+class GlnRep(_Value):
     """Representation of gl_n: one matrix theta(E_ij) per matrix unit."""
 
-    n: int
-    dim_v: int
-    theta: Mapping[tuple[int, int], Matrix]
+    _fields = ("n", "dim_v", "theta")
 
-    def __post_init__(self):
-        for i in range(self.n):
-            for j in range(self.n):
-                m = self.theta.get((i, j))
+    def __init__(self, n: int, dim_v: int, theta: Mapping[tuple[int, int], Matrix]):
+        self.n, self.dim_v, self.theta = n, dim_v, theta
+        for i in range(n):
+            for j in range(n):
+                m = theta.get((i, j))
                 if m is None:
                     raise DimensionMismatch(f"missing theta(E_{i + 1}{j + 1})")
-                require_shape(m, self.dim_v, self.dim_v, "theta matrix")
+                require_shape(m, dim_v, dim_v, "theta matrix")
 
     @cached_property
     def columns(self) -> tuple[tuple[tuple[tuple[int, int, Coeff], ...], ...], ...]:

@@ -63,7 +63,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence
@@ -89,7 +88,7 @@ from .liealg import (
     derivation_violations,
     gl_algebra,
 )
-from .linalg import Coeff, Matrix, Vector, _add_scaled, _dense, _entry_matrix, exact_coeff, rational
+from .linalg import Coeff, Matrix, Vector, _Value, _add_scaled, _dense, _entry_matrix, exact_coeff, rational
 from .poly import Poly
 from .report import Finding
 
@@ -134,14 +133,14 @@ def _exp_str(r: MultiIndex) -> str:
     return "x^(" + ",".join(str(e) for e in r) + ")"
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Value):
     """Exponent bound B >= 1: the windowed set is all r with |r_k| <= B."""
 
-    bound: int
+    __slots__ = _fields = ("bound",)
 
-    def __post_init__(self):
-        if self.bound < 1:
+    def __init__(self, bound: int):
+        self.bound = bound
+        if bound < 1:
             raise DimensionMismatch("window bound must be >= 1")
 
 
@@ -180,12 +179,18 @@ class TensorElem:
     p = i * n + j for E_ij, the basis order of `liealg.gl_algebra(n)`
     (`GlLaurent`), W_n is V = the dual of the natural representation, with
     p = i for x^r d_i (`WittElem`), and `VTensorA` takes any
-    gl_n-representation V.  The classes are frozen dataclasses whose last
-    field is `terms`; they differ only in the fields before it (`_shape`),
-    which fix the ambient space, and in `term_label(p, r)`, the rendered
-    v_p (x) x^r ("" for the unit of A_n).  Only elements of the same class
-    and shape combine.  Equality is the dataclass one.
+    gl_n-representation V.  The classes are slotted `linalg._Value`s whose
+    last field is `terms`; they differ only in the fields before it
+    (`_shape`), which fix the ambient space, and in `term_label(p, r)`, the
+    rendered v_p (x) x^r ("" for the unit of A_n).  Only elements of the same
+    class and shape combine.  Equality is that of `_Value`: the same class
+    and equal fields.
     """
+
+    __slots__ = _fields = ("n", "terms")
+
+    def __init__(self, n: int, terms: Mapping[tuple[int, MultiIndex], Coeff]):
+        self.n, self.terms = n, terms
 
     @classmethod
     def zero(cls, *shape):
@@ -296,13 +301,11 @@ def _tensor_action(acc: dict, w: "WittElem", terms: Mapping, theta=(), c: Coeff 
     return acc
 
 
-@dataclass(frozen=True)
-class LaurentPoly(TensorElem):
+class LaurentPoly(TensorElem, _Value):
     """Element of the Laurent polynomial algebra A_n = C (x) A_n, sparse;
     keys are (0, exponent tuple)."""
 
-    n: int
-    terms: Mapping[tuple[int, MultiIndex], Coeff]
+    __slots__ = ()
 
     @staticmethod
     def monomial(n: int, r: Sequence[int], coeff=1) -> "LaurentPoly":
@@ -319,13 +322,11 @@ class LaurentPoly(TensorElem):
         return _exp_str(r) if any(r) else ""
 
 
-@dataclass(frozen=True)
-class WittElem(TensorElem):
+class WittElem(TensorElem, _Value):
     """Element sum c_{i,r} x^r d_i of W_n, sparse; keys are (direction,
     exponent tuple)."""
 
-    n: int
-    terms: Mapping[tuple[int, MultiIndex], Coeff]
+    __slots__ = ()
 
     @staticmethod
     def basis(n: int, r: Sequence[int], i: int, coeff=1) -> "WittElem":
@@ -392,13 +393,11 @@ def hamiltonian_bracket_coefficient(n: int, r: Sequence[int], s: Sequence[int]) 
     return Fraction(sum(r[n + i] * s[i] - s[n + i] * r[i] for i in range(n)))
 
 
-@dataclass(frozen=True)
-class GlLaurent(TensorElem):
+class GlLaurent(TensorElem, _Value):
     """Element of gl_n (x) A_n; keys are (i * n + j, exponent tuple) for
     E_ij (x) x^r."""
 
-    n: int
-    terms: Mapping[tuple[int, MultiIndex], Coeff]
+    __slots__ = ()
 
     @staticmethod
     def basis(n: int, i: int, j: int, r: Sequence[int], coeff=1) -> "GlLaurent":
@@ -413,14 +412,15 @@ class GlLaurent(TensorElem):
         return f"E_{i + 1}{j + 1}" + (f" (x) {_exp_str(r)}" if any(r) else "")
 
 
-@dataclass(frozen=True)
-class VTensorA(TensorElem):
+class VTensorA(TensorElem, _Value):
     """Element of V (x) A_n for a gl_n-representation V of dimension dim_v;
     keys are (component index, exponent tuple)."""
 
-    n: int
-    dim_v: int
-    terms: Mapping[tuple[int, MultiIndex], Coeff]
+    __slots__ = ("dim_v",)
+    _fields = ("n", "dim_v", "terms")
+
+    def __init__(self, n: int, dim_v: int, terms: Mapping[tuple[int, MultiIndex], Coeff]):
+        self.n, self.dim_v, self.terms = n, dim_v, terms
 
     @staticmethod
     def basis(n: int, dim_v: int, p: int, r: Sequence[int], coeff=1) -> "VTensorA":
@@ -672,18 +672,17 @@ def verify_witt_crossed_hom(
 # finite-dimensional commutative algebras and the generalized Witt construction
 
 
-@dataclass(frozen=True)
 class FinCommAlgebra(_StructureAlgebra):
     """Commutative associative algebra via structure constants on i <= j pairs."""
 
-    unit: Vector | None = None
-
+    _fields = ("basis_names", "structure", "unit")
     _swap_sign = 1
     _words = ("product key", "i<=j", "product")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.unit is not None and len(self.unit) != self.dim:
+    def __init__(self, basis_names, structure, unit: Vector | None = None):
+        super().__init__(basis_names, structure)
+        self.unit = unit
+        if unit is not None and len(unit) != self.dim:
             raise DimensionMismatch("unit vector has the wrong length")
 
 

@@ -492,6 +492,35 @@ def test_nijenhuis_needs_exactly_one_of_element_and_grid(capsys, fixtures_dir, f
     assert out["error"] == {"type": "ParseError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "command, fixture, good, bad, message",
+    [
+        (
+            "nijenhuis", "dim2_bad.setup.json", ("--element", "1,1"), ("--element", "1/0,1"),
+            "--element: cannot parse rational '1/0': zero denominator",
+        ),
+        (
+            "deform", "dim2_bad.setup.json", ("--element", "1,1"), (),
+            "deform requires --element (the Nijenhuis witness)",
+        ),
+        (
+            "solve-grid", "nonderivation_bad.setup.json", ("--grid=0",), ("--grid=1/0",),
+            "--grid: cannot parse rational '1/0': zero denominator",
+        ),
+    ],
+    ids=["nijenhuis", "deform", "solve-grid"],
+)
+def test_usage_error_exits_two_on_an_unsound_setup(capsys, fixtures_dir, command, fixture, good, bad, message):
+    # the flags are parsed and checked before the file: with well-formed flags
+    # the unsound setup exits 1 with findings, with a usage error it exits 2
+    path = str(fixtures_dir / fixture)
+    code, out = _run_without_traceback(capsys, command, path, *good)
+    assert (code, out["status"]) == (1, "fail") and out["findings"]
+    code, out = _run_without_traceback(capsys, command, path, *bad)
+    assert (code, out["status"], out["findings"]) == (2, "error", [])
+    assert out["error"] == {"type": "ParseError", "message": message}
+
+
 @pytest.mark.parametrize("value", ["no", "false", 0, None], ids=repr)
 @pytest.mark.parametrize(
     "command, fixture, where",

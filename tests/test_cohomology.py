@@ -731,7 +731,8 @@ def test_cochain_equality_is_exact():
     assert Cochain(1, 2, 2, {(0,): {1: 2}}) == Cochain(1, 2, 2, {(0,): {1: Fraction(2)}})
     assert Cochain(1, 2, 2, {(0,): {1: 2}}) != Cochain(1, 2, 2, {(0,): {1: 2}, (1,): {0: 1}})
     assert Cochain(1, 2, 2, {}) != Cochain(2, 2, 2, {})
-    # the dataclass equality is the equality of cochains: no hand-written __eq__
+    # the field equality of the value base is the equality of cochains: no
+    # hand-written __eq__
     assert "def __eq__" not in inspect.getsource(Cochain)
 
 

@@ -1,7 +1,6 @@
 """Static checks on the package source: no unused imports, no unnamed definitions."""
 
 import ast
-import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
@@ -211,10 +210,11 @@ def _has_double_loop(function: ast.FunctionDef) -> bool:
 
 
 def test_every_sparse_element_is_a_tensor_element():
-    # one element layout: each sparse element class of `witt` (a dataclass
-    # with a `terms` field) subclasses TensorElem, which has no base of its
-    # own, and no subclass anywhere in the package defines its own rendering,
-    # sum or difference, or a double loop (a bracket or action of its own)
+    # one element layout: each sparse element class of `witt` (a value class
+    # with a `terms` field, below TensorElem, which declares that field)
+    # subclasses TensorElem, which has no base of its own, and no subclass
+    # anywhere in the package defines its own rendering, sum or difference,
+    # or a double loop (a bracket or action of its own)
     import crosshom.witt as witt
 
     classes = [
@@ -222,8 +222,8 @@ def test_every_sparse_element_is_a_tensor_element():
         for c in vars(witt).values()
         if isinstance(c, type)
         and c.__module__ == witt.__name__
-        and dataclasses.is_dataclass(c)
-        and "terms" in {f.name for f in dataclasses.fields(c)}
+        and c is not witt.TensorElem
+        and "terms" in getattr(c, "_fields", ())
     ]
     assert {c.__name__ for c in classes} == {"LaurentPoly", "GlLaurent", "VTensorA", "WittElem"}
     assert all(issubclass(c, witt.TensorElem) for c in classes)
@@ -349,7 +349,7 @@ def test_one_shape_check_and_one_precondition_raise():
 STRUCTURE_READERS = {
     # the shared base validates the keys and turns the vectors into the
     # nonzero view every other reader goes through
-    ("liealg.py", "_StructureAlgebra.__post_init__"),
+    ("liealg.py", "_StructureAlgebra.__init__"),
     ("liealg.py", "_StructureAlgebra.structure_terms"),
     # the file writer prints the stored pairs as the file gives them
     ("formats.py", "algebra_to_dict"),
@@ -366,3 +366,68 @@ def test_only_the_shared_base_turns_structure_into_the_nonzero_view():
             if any(isinstance(n, ast.Attribute) and n.attr == "structure" for n in ast.walk(node)):
                 sites.add((path.name, name))
     assert sites == STRUCTURE_READERS
+
+
+def test_no_module_imports_dataclasses():
+    # the value classes are plain classes on `linalg._Value`: `dataclasses`
+    # imports `inspect`, and each decorated class execs its methods at start-up
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                [a.name for a in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            )
+            if any(n and n.split(".")[0] == "dataclasses" for n in names):
+                importers.append(path.name)
+    assert importers == []
+
+
+# The only attribute assignments in the package outside an `__init__`,
+# each with its reason.
+ATTRIBUTE_WRITES = {
+    # a CLI report's status and error are set as the command runs
+    ("cli.py", "main", "status"),
+    ("cli.py", "main", "error"),
+    ("report.py", "Report.add_findings", "status"),
+    # the hash of a Poly is computed on first use
+    ("poly.py", "Poly.__hash__", "_hash"),
+}
+
+
+def _assigned_attributes(node):
+    """(owner, name) for each attribute node assigns: targets of =, augmented
+    and annotated assignments (unpacked), and setattr or __setattr__ calls."""
+    targets = []
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("setattr", "__setattr__"):
+        # never exempt, not even in an __init__
+        yield "setattr", ast.unparse(node.args[-2]) if len(node.args) >= 2 else "?"
+    while targets:
+        t = targets.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            targets.extend(t.elts)
+        elif isinstance(t, ast.Starred):
+            targets.append(t.value)
+        elif isinstance(t, ast.Attribute):
+            yield ast.unparse(t.value), t.attr
+
+
+def test_values_are_assigned_only_in_init():
+    # the value classes are immutable by rule rather than by a setter guard:
+    # an __init__ assigns its own object's fields, and apart from that the
+    # package assigns no attribute beyond ATTRIBUTE_WRITES
+    writes = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _top_level_definitions(ast.parse(path.read_text())):
+            in_init = name.split(".")[-1] == "__init__"
+            for n in ast.walk(node):
+                writes |= {
+                    (path.name, name, attr)
+                    for owner, attr in _assigned_attributes(n)
+                    if not (in_init and owner == "self")
+                }
+    assert writes == ATTRIBUTE_WRITES

@@ -175,6 +175,19 @@ def test_fresh_rows_cover_every_subcommand():
     assert {row.split()[0] for row in FRESH_ROWS} == set(cli.HANDLERS)
 
 
+def test_no_subcommand_loads_dataclasses_or_inspect():
+    # the value classes are plain classes: no handler pulls in `dataclasses`,
+    # nor `inspect`, which it imports, at start-up or while it runs
+    loaded = fresh(
+        "import contextlib, io, json, sys\nfrom crosshom import cli\nloaded = {}\n"
+        f"for row in {list(FRESH_ROWS)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n        cli.main(row.split())\n"
+        "    loaded[row] = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "print(json.dumps(loaded))"
+    )
+    assert loaded == {row: [] for row in FRESH_ROWS}
+
+
 @pytest.mark.parametrize("row", FRESH_ROWS)
 def test_golden_row_in_a_fresh_process(row):
     entry = GOLDEN_BY_ARGV[f"{row} --json"]

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from crosshom.linalg import (
     rational,
 )
 
-from conftest import kernel_setups, random_fraction_vector, ref_apply
+from conftest import FIXTURES, kernel_setups, random_fraction_vector, ref_apply
 from test_acceptance import _rank_mod_p_rows
 
 
@@ -182,6 +183,15 @@ def test_rational_failure_names_its_location():
         rational("1/0", "setup.H")
     with pytest.raises(ParseError, match=r"^--q: exponent notation"):
         rational("1e3", "--q")
+
+
+def test_rational_zero_denominator_says_so():
+    # the message names the fault, not the text of Fraction's ZeroDivisionError
+    with pytest.raises(ParseError) as info:
+        rational("1/0", "--q")
+    assert str(info.value) == "--q: cannot parse rational '1/0': zero denominator"
+    with pytest.raises(ParseError, match=r"^cannot parse rational ' -2/0 ': zero denominator$"):
+        rational(" -2/0 ")
 
 
 def test_lincomb():
@@ -390,3 +400,138 @@ def test_kernel_and_inverse_of_integral_matrices_are_fractions():
     inv = invert(Matrix.from_rows([[2, 1], [1, 1]]))
     assert inv == Matrix.from_rows([[1, -1], [-1, 2]])
     assert all(type(x) is Fraction for x in inv.data)
+
+
+# --- the value classes against the dataclasses they replaced ---------------
+#
+# Each value class of the package was a dataclass with these fields, in this
+# order; Report was the one mutable (unfrozen, so unhashable) one.
+
+VALUE_FIELDS = {
+    "Matrix": ("rows", "cols", "data"),
+    "Finding": ("rule", "site", "residual"),
+    "Report": ("command", "status", "findings", "payload", "error"),
+    "_StructureAlgebra": ("basis_names", "structure"),
+    "FinLieAlgebra": ("basis_names", "structure"),
+    "FinCommAlgebra": ("basis_names", "structure", "unit"),
+    "LieAction": ("source", "target", "matrices"),
+    "CrossedHom": ("matrix",),
+    "Setup": ("g", "h", "rho", "H"),
+    "Window": ("bound",),
+    "LaurentPoly": ("n", "terms"),
+    "WittElem": ("n", "terms"),
+    "GlLaurent": ("n", "terms"),
+    "VTensorA": ("n", "dim_v", "terms"),
+    "AModuleStructure": ("algebra", "dim_m", "action"),
+    "FirstOrderOp": ("D", "sigma"),
+    "LieRinehart": ("algebra", "lie", "a_action", "anchor"),
+    "LeibnizPair": ("algebra", "lie", "beta"),
+    "GlnRep": ("n", "dim_v", "theta"),
+    "Cochain": ("degree", "g_dim", "h_dim", "values"),
+    "DegreeDims": ("k", "dim_C", "dim_Z", "dim_B", "dim_H"),
+    "CohomologyReport": ("degrees",),
+}
+
+
+def _value_samples() -> dict:
+    """One object of each value class, by class name."""
+    from crosshom import cohomology, formats, liealg, report, rinehart, witt
+
+    g, A = liealg.sl2(), witt.truncated_polynomial_algebra((2,))
+    lr, _ = formats.load_file(FIXTURES / "derivations_trunc3.lr.json")
+    dims = cohomology.DegreeDims(1, 3, 2, 1, 1)
+    objects = [
+        Matrix.identity(2),
+        report.Finding("leibniz", ("e1", "e2"), (Fraction(1), Fraction(0))),
+        report.Report("check-lie"),
+        liealg._StructureAlgebra(("a", "b"), {(0, 1): (Fraction(1), Fraction(0))}),
+        g,
+        A,
+        liealg.adjoint_action(g),
+        liealg.CrossedHom(Matrix.zero(3, 3)),
+        liealg.Setup(g, g, liealg.adjoint_action(g), liealg.CrossedHom(Matrix.zero(3, 3))),
+        witt.Window(2),
+        witt.LaurentPoly.monomial(2, (1, -1), Fraction(1, 2)),
+        witt.WittElem.basis(2, (1, 0), 1),
+        witt.GlLaurent.basis(2, 0, 1, (0, 2)),
+        witt.VTensorA.basis(2, 2, 1, (1, 1)),
+        rinehart.regular_module(A),
+        rinehart.FirstOrderOp(Matrix.identity(2), Matrix.zero(2, 2)),
+        lr,
+        rinehart.underlying_pair(lr),
+        rinehart.natural_rep_gl(2),
+        cohomology.cochain_from_matrix(Matrix.identity(2)),
+        dims,
+        cohomology.CohomologyReport((dims,)),
+    ]
+    return {type(obj).__name__: obj for obj in objects}
+
+
+def _hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError:
+        return TypeError
+
+
+def test_the_value_classes_are_the_former_dataclasses():
+    from crosshom.linalg import _Value
+
+    found, stack = set(), [_Value]
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if cls is not _Value and cls.__module__.startswith("crosshom."):
+            found.add(cls.__name__)
+    assert found == set(VALUE_FIELDS) == set(_value_samples())
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_FIELDS))
+def test_value_class_matches_its_dataclass(name):
+    # the same fields and constructor, equality, hash and repr as a dataclass
+    # with those fields
+    import dataclasses
+
+    obj = _value_samples()[name]
+    cls, fields = type(obj), VALUE_FIELDS[name]
+    assert cls._fields == fields
+    values = [getattr(obj, f) for f in fields]
+    copy, by_name = cls(*values), cls(**dict(zip(fields, values)))
+    assert copy == obj and by_name == obj and copy is not obj
+    assert obj.__eq__(object()) is NotImplemented
+    reference = dataclasses.make_dataclass(name, fields, frozen=name != "Report")
+    assert repr(obj) == repr(reference(*values))
+    assert repr(obj).startswith(f"{name}(")
+    assert _hash_or_error(obj) == _hash_or_error(reference(*values))
+    # a class is slotted unless it caches a property in its __dict__
+    slotted = not any(
+        isinstance(v, functools.cached_property) for c in cls.__mro__ for v in vars(c).values()
+    )
+    assert hasattr(obj, "__dict__") is not slotted
+
+
+def test_value_hashability_is_that_of_the_dataclasses():
+    hashable = {n for n, obj in _value_samples().items() if _hash_or_error(obj) is not TypeError}
+    assert hashable == {
+        "Matrix", "Finding", "CrossedHom", "Window", "FirstOrderOp", "DegreeDims", "CohomologyReport",
+    }  # fmt: skip
+    from crosshom.report import Finding
+
+    with pytest.raises(TypeError):
+        hash(Finding("first-order", ("a",), {"a": 1}))
+
+
+def test_value_classes_with_the_same_fields_differ():
+    from crosshom.liealg import FinLieAlgebra
+    from crosshom.report import Finding, Report
+    from crosshom.witt import FinCommAlgebra, LaurentPoly, WittElem
+
+    assert WittElem(2, {}) != LaurentPoly(2, {}) and WittElem(2, {}) == WittElem.zero(2)
+    names, structure = ("a", "b"), {(0, 1): (Fraction(1), Fraction(0))}
+    assert FinLieAlgebra(names, structure) != FinCommAlgebra(names, structure)
+    assert FinLieAlgebra(names, structure) == FinLieAlgebra(names, dict(structure))
+    # defaults, and Report's fresh list and dict
+    assert FinCommAlgebra(names, {}).unit is None and Finding("r", ()).residual is None
+    first, second = Report("check-lie"), Report("check-lie")
+    assert first == second and first.findings is not second.findings and first.payload is not second.payload
+    assert (first.status, first.findings, first.payload, first.error) == ("pass", [], {}, None)

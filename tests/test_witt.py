@@ -605,7 +605,7 @@ def test_verify_refuses_too_many_pairs(no_window_enumeration):
 #
 # The reference kernels below are the Fraction-only versions the int path
 # replaced: every coefficient is turned into a Fraction and every sum starts
-# from Fraction(0).  Elements are built with the dataclass constructor so the
+# from Fraction(0).  Elements are built with the class constructor so the
 # reference results keep their Fraction values.
 
 ORACLE_PAIRS_PER_N = 160
