@@ -38,9 +38,13 @@ pair and extend it bilinearly through one image table per module
 Each check has one generator of nonzero residuals (`_module_axiom_defects`,
 `_weak_compat_defects`).  For the built-in `shen_larsson_action` it runs
 first on each kind of actor (each unordered pair of kinds for the module
-law), monomial and module element v_p (x) x^t, with `poly.Poly` exponents
-and no table (`_symbolic_images`), and stops at the first yield; the window
-is enumerated, by the same generator, only when there was one.
+law), monomial and module element v_p (x) x^t, with `poly.Poly` exponents,
+and stops at the first yield; the window is enumerated, by the same
+generator, only when there was one.  That symbolic pass reads the action as
+data (`_symbolic_images`): it hands theta's columns to `_tensor_action`,
+which adds each term straight into the identity's residual, with no table
+and no element built per term.  Only the window loop calls an action, and
+so `shen_larsson_apply`.
 """
 
 from __future__ import annotations
@@ -466,21 +470,28 @@ def boxplus_pullback(
 WindowedAction = Callable[[WittElem, TensorElem], TensorElem]
 
 
-def shen_larsson_apply(theta: GlnRep, w: WittElem, t: VTensorA) -> VTensorA:
-    """(x^r d_i) . (v (x) x^s) = s_i v (x) x^{r+s} + sum_k r_k theta(E_ki) v (x) x^{r+s}."""
-    n = theta.n
+def _require_acts_on(theta: GlnRep, n: int, t: TensorElem) -> None:
+    """Refuse theta's action of W_n on t unless t is a VTensorA of V (x) A_n:
+    n and t's variable count both theta's, and t's components dim V."""
     if not isinstance(t, VTensorA):
         raise DimensionMismatch(f"cannot act on a {type(t).__name__}, only on a VTensorA")
-    if w.n != n or t.n != n:
+    if n != theta.n or t.n != theta.n:
         raise DimensionMismatch("variable counts differ")
     if t.dim_v != theta.dim_v:
         raise DimensionMismatch("tensor component count differs from dim V")
-    return VTensorA(n, theta.dim_v, _tensor_action({}, w, t.terms, theta.columns))
+
+
+def shen_larsson_apply(theta: GlnRep, w: WittElem, t: VTensorA) -> VTensorA:
+    """(x^r d_i) . (v (x) x^s) = s_i v (x) x^{r+s} + sum_k r_k theta(E_ki) v (x) x^{r+s}."""
+    _require_acts_on(theta, w.n, t)
+    return VTensorA(theta.n, theta.dim_v, _tensor_action({}, w.terms, t.terms, theta.columns))
 
 
 class _ShenLarssonAction:
     """w, t |-> shen_larsson_apply(theta, w, t), the function looked up when
-    called.  The window checks recognise this action by its type."""
+    called, so a wrapper of it (as a tracer installs) sees each call of the
+    window loop.  The window checks recognise this action by its type; their
+    symbolic pass reads theta itself and never calls it."""
 
     __slots__ = ("theta",)
 
@@ -559,19 +570,23 @@ def _bilinear_images(action: WindowedAction, n: int):
     return images
 
 
-def _symbolic_images(action: WindowedAction, n: int):
+def _symbolic_images(action: _ShenLarssonAction, n: int):
     """images(m) -> add as `_bilinear_images` gives it, with no table, for
     the built-in action on symbolic kinds, whose keys are fresh `Poly`
-    tuples that are almost never looked up twice: add(acc, w, t, c) calls
-    action once per term of w, on the whole of t, and sums the image into
-    acc with `_add_scaled`."""
+    tuples that are almost never looked up twice: add(acc, w, t, c) is
+    `_tensor_action` on the action's theta, which adds c (w . t) straight
+    into acc; no action is called.  images refuses m, once per module (class
+    and `_shape()`), with the messages of `shen_larsson_apply`; W_0 is zero,
+    so at n = 0 no actor term meets m and nothing is refused."""
+    theta, accepted = action.theta, set()
+
+    def add(acc: dict, w: Mapping, t: Mapping, c: Coeff = 1) -> dict:
+        return _tensor_action(acc, w, t, theta.columns, c)
 
     def images(m: TensorElem):
-        def add(acc: dict, w: Mapping, t: Mapping, c: Coeff = 1) -> dict:
-            for kw, cw in w.items():
-                _add_scaled(acc, c * cw, action(WittElem(n, {kw: 1}), m._new(t)).terms.items())
-            return acc
-
+        if n and (kind := (type(m), m._shape())) not in accepted:
+            _require_acts_on(theta, n, m)
+            accepted.add(kind)
         return add
 
     return images
@@ -650,16 +665,18 @@ def check_module_axiom_window(
 
     Each residual [u, v].m - u.(v.m) + v.(u.m) is summed in one term dict
     by `_module_axiom_defects`.  For the built-in `shen_larsson_action` that
-    generator first runs, through `_symbolic_images`, on each unordered pair
-    of actor kinds x^r d_i, x^s d_j (`_unordered_kind_pairs`) and each
-    v_p (x) x^t, with `Poly` exponents.  The residual is antisymmetric in
-    (u, v), because the Witt bracket is and the action is linear in the
-    actor, so the pair (v, u) adds nothing, as in the window's
-    `combinations`.  When none of those residuals is nonzero no window pair
-    can fail and none is enumerated.  Otherwise, and for any other action,
-    it runs on the window pairs, with the action extended bilinearly by
-    `_bilinear_images`, and a residual is made an element only for the
-    finding built from it.  Either way the reported scope is the window.
+    generator first runs on each unordered pair of actor kinds x^r d_i,
+    x^s d_j (`_unordered_kind_pairs`) and each v_p (x) x^t, with `Poly`
+    exponents, through `_symbolic_images`, which reads the action's theta
+    and calls nothing.  The residual is antisymmetric in (u, v), because the
+    Witt bracket is and the action is linear in the actor, so the pair
+    (v, u) adds nothing, as in the window's `combinations`.  When none of
+    those residuals is nonzero no window pair can fail and none is
+    enumerated.  Otherwise, and for any other action, it runs on the window
+    pairs, with the action (for the built-in one, `shen_larsson_apply`)
+    called on basis elements and extended bilinearly by `_bilinear_images`,
+    and a residual is made an element only for the finding built from it.
+    Either way the reported scope is the window.
     """
     require_window_count(
         math.comb(n * window_size(n, window.bound), 2) * len(module_elems),
@@ -692,10 +709,12 @@ def check_weak_compat_window(
 
     Each residual u.(a m) - a (u.m) - u(a) m is summed in one term dict by
     `_weak_compat_defects`.  For the built-in `shen_larsson_action` that
-    generator first runs, through `_symbolic_images`, on each actor kind
-    x^r d_i, on x^q and each v_p (x) x^t, with `Poly` exponents; when none
-    of those residuals is nonzero nothing is enumerated.  Otherwise, and for
-    any other action, it runs on the window, with the action extended
+    generator first runs on each actor kind x^r d_i, on x^q and each
+    v_p (x) x^t, with `Poly` exponents, through `_symbolic_images`, which
+    reads the action's theta and calls nothing; when none of those
+    residuals is nonzero nothing is enumerated.  Otherwise, and for any
+    other action, it runs on the window, with the action (for the built-in
+    one, `shen_larsson_apply`) called on basis elements and extended
     bilinearly by `_bilinear_images`, and a residual is made an element only
     for the finding built from it.  Either way the reported scope is the
     window.

@@ -276,15 +276,16 @@ def _add_product(acc: dict, terms: Mapping, a_terms: Mapping, c: Coeff = 1) -> d
     return acc
 
 
-def _tensor_action(acc: dict, w: "WittElem", terms: Mapping, theta=(), c: Coeff = 1) -> dict:
-    """Add c (w . m) to acc and return acc, for a tensor element m with `terms`, where
+def _tensor_action(acc: dict, w: Mapping, terms: Mapping, theta=(), c: Coeff = 1) -> dict:
+    """Add c (w . m) to acc and return acc, for an element of W_n with terms w
+    and a tensor element m with `terms`, where
 
         (x^r d_i) . (v_p (x) x^s) = s_i v_p (x) x^{r+s} + sum_k r_k theta(E_ki) v_p (x) x^{r+s}
 
     and theta[i][p] lists the nonzero (k, p2, e), e the (p2, p) entry of
     theta(E_ki).  Without theta it is zero: the coefficientwise action.
     """
-    for (i, r), cw in w.terms.items():
+    for (i, r), cw in w.items():
         cw = c * cw
         cols = theta[i] if theta else None
         for (p, s), ct in terms.items():
@@ -341,7 +342,7 @@ class WittElem(TensorElem, _Value):
         (x^r d_i)(v_p (x) x^s) = s_i v_p (x) x^{r+s}."""
         if m.n != self.n:
             raise DimensionMismatch("variable counts differ")
-        return m._new(_tensor_action({}, self, m.terms))
+        return m._new(_tensor_action({}, self.terms, m.terms))
 
     def term_label(self, p: int, r: MultiIndex) -> str:
         return (f"{_exp_str(r)} " if any(r) else "") + f"d_{p + 1}"
@@ -358,7 +359,7 @@ def witt_bracket(a: WittElem, b: WittElem) -> WittElem:
     """[x^r d_i, x^s d_j] = s_i x^{r+s} d_j - r_j x^{r+s} d_i, extended bilinearly:
     the action of W_n on its own tensor module."""
     a._require_same(b)
-    return WittElem(a.n, _tensor_action({}, a, b.terms, _dual_natural(a.n)))
+    return WittElem(a.n, _tensor_action({}, a.terms, b.terms, _dual_natural(a.n)))
 
 
 def divergence(w: WittElem) -> LaurentPoly:
@@ -580,8 +581,8 @@ def _crossed_hom_defects(H, pairs, abelian_target: bool):
     target has no bracket term."""
     for (a, Ha), (b, Hb) in pairs:
         res = dict(H(witt_bracket(a, b)).terms)
-        _tensor_action(res, a, Hb.terms, (), -1)
-        _tensor_action(res, b, Ha.terms)
+        _tensor_action(res, a.terms, Hb.terms, (), -1)
+        _tensor_action(res, b.terms, Ha.terms)
         if not abelian_target:
             _add_scaled(res, -1, gl_bracket(Ha, Hb).terms.items())
         if res:

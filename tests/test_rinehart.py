@@ -810,45 +810,43 @@ def test_each_window_residual_of_the_built_in_action_is_an_evaluation_of_a_symbo
     assert bool(nonzero) is (name == "E_12 doubled")
 
 
-@pytest.mark.parametrize("n, name", SYMBOLIC_CASES)
+@pytest.mark.parametrize("n, name", [(n, name) for n in (1, 2, 3) for name in SYMBOLIC_REPS] + [(2, "E_12 doubled")])
 def test_symbolic_pass_on_unordered_kinds_and_without_a_table(n, name):
     # the module-axiom residual is antisymmetric in the actors, so the
     # failing unordered kind pairs are the failing ordered ones with i > j
-    # folded onto (j, i); and the symbolic pass's images, one action call
-    # per actor term on the whole module term dict, give every residual of
-    # both identities that the image table gives.  For the built-in action
-    # and, at n = 2, the natural action doubled and halved
+    # folded onto (j, i); and the symbolic pass, which adds each term in
+    # place from theta with no table, gives term by term every actor image
+    # and every residual of both identities that the image table, filled by
+    # calls of the action, gives.  Only the built-in action reaches the
+    # symbolic pass
     theta, bound, elems = symbolic_case(n, name)
-    actions = [shen_larsson_action(theta)]
-    if (n, name) == (2, "natural"):
-        actions += [doubled_natural_n2, halved_natural_n2]
+    action = shen_larsson_action(theta)
     ms = crosshom.rinehart._symbolic_module_elems(elems)
     q = [LaurentPoly.monomial(n, Poly.variables("q", n))]
-    failing = []
-    for action in actions:
-        passes = []
-        for images in (crosshom.rinehart._symbolic_images(action, n), crosshom.rinehart._bilinear_images(action, n)):
-            kinds = [crosshom.rinehart._actor_images(images, crosshom.witt._symbolic_basis(n, "full", x), ms) for x in "rs"]
-            actors = [[u for u, _ in side] for side in kinds]
+    passes = []
+    for images in (crosshom.rinehart._symbolic_images(action, n), crosshom.rinehart._bilinear_images(action, n)):
+        kinds = [crosshom.rinehart._actor_images(images, crosshom.witt._symbolic_basis(n, "full", x), ms) for x in "rs"]
+        actors = [[u for u, _ in side] for side in kinds]
 
-            def found(pairs):
-                return [
-                    (actors[0].index(u), actors[1].index(v), ms.index(m), res)
-                    for u, v, m, res in crosshom.rinehart._module_axiom_defects(images, pairs, ms)
-                ]
+        def found(pairs):
+            return [
+                (actors[0].index(u), actors[1].index(v), ms.index(m), res)
+                for u, v, m, res in crosshom.rinehart._module_axiom_defects(images, pairs, ms)
+            ]
 
-            ordered = found(itertools.product(*kinds))
-            unordered = found(crosshom.witt._unordered_kind_pairs(*kinds))
-            assert {(min(i, j), max(i, j), p) for i, j, p, _ in ordered} == {(i, j, p) for i, j, p, _ in unordered}
-            assert all(i <= j for i, j, _, _ in unordered)
-            compat = list(crosshom.rinehart._weak_compat_defects(images, actors[0], q, ms))
-            passes.append((unordered, [(actors[0].index(u), ms.index(m), res) for u, _, m, res in compat]))
-        assert passes[0] == passes[1]
-        failing.append((len(passes[0][0]), len(passes[0][1])))
-    # at n = 2 the two actor kinds give 3 unordered pairs; the scaled natural
-    # actions fail all 3 x 2 module-axiom and 2 x 2 weak-compat identities
-    expected = {(2, "natural"): [(0, 0), (6, 4), (6, 4)], (2, "E_12 doubled"): [(2, 0)]}
-    assert failing == expected.get((n, name), [(0, 0)])
+        ordered = found(itertools.product(*kinds))
+        unordered = found(crosshom.witt._unordered_kind_pairs(*kinds))
+        assert {(min(i, j), max(i, j), p) for i, j, p, _ in ordered} == {(i, j, p) for i, j, p, _ in unordered}
+        assert all(i <= j for i, j, _, _ in unordered)
+        compat = list(crosshom.rinehart._weak_compat_defects(images, actors[0], q, ms))
+        u_ms = [u_ms for side in kinds for _, u_ms in side]
+        assert len(u_ms) == 2 * n and all(all(image) for image in u_ms)
+        passes.append((u_ms, ordered, unordered, [(actors[0].index(u), ms.index(m), res) for u, _, m, res in compat]))
+    assert passes[0] == passes[1]
+    # at n = 2 the two actor kinds give 3 unordered pairs; E_12 doubled
+    # fails 2 module-axiom identities and, as every theta, no weak-compat one
+    _, ordered, unordered, compat = passes[0]
+    assert (len(ordered), len(unordered), len(compat)) == ((4, 2, 0) if name == "E_12 doubled" else (0, 0, 0))
 
 
 @pytest.mark.parametrize("n, name", SYMBOLIC_CASES)
@@ -917,7 +915,8 @@ def test_passing_built_in_checks_render_nothing(monkeypatch):
 
 def test_built_in_action_looks_up_shen_larsson_apply_when_called(monkeypatch):
     # an action built before `shen_larsson_apply` is wrapped (as a tracer
-    # does) calls the wrapper, in the symbolic pass and in the window loop
+    # does) calls the wrapper in the window loop, once per pair of basis
+    # keys; the symbolic pass before it calls nothing
     theta = e12_doubled_rep()
     action = shen_larsson_action(theta)
     elems = vtensor_window_basis(theta, 2, 1)
@@ -928,11 +927,57 @@ def test_built_in_action_looks_up_shen_larsson_apply_when_called(monkeypatch):
         return shen_larsson_apply(*args)
 
     monkeypatch.setattr(crosshom.rinehart, "shen_larsson_apply", counted)
-    assert check_weak_compat_window(action, 2, Window(1), elems) == []
-    assert calls and all(len(args[1].terms) == 1 for args in calls)
-    calls.clear()
     assert len(check_module_axiom_window(action, 2, Window(1), elems)) == 648
-    assert len(calls) > 1476
+    assert len(calls) == 1476
+    assert all(len(args[1].terms) == len(args[2].terms) == 1 for args in calls)
+
+
+def test_symbolic_passes_call_no_action_and_build_no_element_per_actor_term(request, monkeypatch):
+    # natural n = 2 passes both checks on the symbolic kinds alone: theta is
+    # read in place, so neither pass calls `shen_larsson_apply`, and the
+    # only VTensorA built are the 2 symbolic module elements and, for weak
+    # compatibility, their 2 products by x^q
+    theta = natural_rep_gl(2)
+    action, elems = shen_larsson_action(theta), vtensor_window_basis(theta, 2, 1)
+    request.getfixturevalue("no_window_enumeration")
+    built = []
+    init = VTensorA.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def refuse(*args):
+        raise AssertionError("the symbolic pass called shen_larsson_apply")
+
+    monkeypatch.setattr(crosshom.rinehart, "shen_larsson_apply", refuse)
+    monkeypatch.setattr(VTensorA, "__init__", counted_init)
+    for check, count in ((check_module_axiom_window, 2), (check_weak_compat_window, 4)):
+        built.clear()
+        assert check(action, 2, Window(1), elems) == []
+        assert len(built) == count
+
+
+@pytest.mark.parametrize(
+    "n, elems, message",
+    [
+        (2, [VTensorA.basis(2, 2, 0, (0, 1)), LaurentPoly.monomial(2, (1, 0))], "cannot act on a LaurentPoly, only on a VTensorA"),
+        (2, [VTensorA.basis(3, 2, 0, (0, 1, 0))], "variable counts differ"),
+        (1, [VTensorA.basis(1, 2, 0, (1,))], "variable counts differ"),
+        (2, [VTensorA.basis(2, 3, 2, (0, 1))], "tensor component count differs from dim V"),
+    ],
+    ids=["laurent", "variables", "actor-variables", "dim-v"],
+)
+def test_symbolic_pass_refuses_with_the_messages_of_shen_larsson_apply(monkeypatch, n, elems, message):
+    # the built-in action of the natural gl_2-representation refuses, in the
+    # symbolic pass and before any call of the action, each module element
+    # `shen_larsson_apply` refuses, with its message
+    action = shen_larsson_action(natural_rep_gl(2))
+    monkeypatch.setattr(crosshom.rinehart, "shen_larsson_apply", None)
+    for check in (check_module_axiom_window, check_weak_compat_window):
+        with pytest.raises(DimensionMismatch) as refused:
+            check(action, n, Window(1), elems)
+        assert str(refused.value) == message
 
 
 def window_check_outcome(check, action, elems):
