@@ -87,16 +87,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, require_no_findings, require_window_count
 from .liealg import FinLieAlgebra, LieAction, Setup, _induced_columns, check_crossed_hom
 from .linalg import Coeff, Matrix, Vector, _add_scaled, _dense, _echelon, _entry_matrix, exact_coeff
 from .linalg import _Value, invert, rational, require_shape
-from .report import Finding
-
-ZERO = Fraction(0)
+from .report import Finding, _nonzero_findings
 
 
 class Cochain(_Value):
@@ -182,36 +180,6 @@ def eval_basis(f: Cochain, idx: Sequence[int]) -> Vector:
         return _dense({}, f.h_dim)
     key, sign = res
     return _dense({u: sign * c for u, c in f.values.get(key, {}).items()}, f.h_dim)
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = ZERO
-    for c in range(n):
-        a = rows[0][c]
-        if not a:
-            continue
-        minor = [r[:c] + r[c + 1 :] for r in rows[1:]]
-        term = a * _det(minor)
-        total += term if c % 2 == 0 else -term
-    return total
-
-
-def _evaluate(f: Cochain, vecs: Sequence[Vector]) -> dict[int, Coeff]:
-    """f(vecs) as a sparse accumulator: the sum over the values of f of
-    det(vecs at T) f(T), for f.degree vectors."""
-    out: dict[int, Coeff] = {}
-    for key, value in f.values.items():
-        coeff = _det([[v[t] for t in key] for v in vecs])
-        if coeff:
-            _add_scaled(out, coeff, value.items())
-    return out
 
 
 def _by_target(g: FinLieAlgebra) -> list[list[tuple[int, int, Coeff]]]:
@@ -535,15 +503,22 @@ def cohomology_dims(s: Setup, k_max: int) -> CohomologyReport:
 
 
 def cochain_map_phi(phi_g: Matrix, phi_h: Matrix, f: Cochain) -> Cochain:
-    """Transport f along (phi_g, phi_h): f |-> phi_h o f o (phi_g^{-1})^(x k)."""
+    """Transport f along (phi_g, phi_h): f |-> phi_h o f o (phi_g^{-1})^(x k).
+
+    f(phi_g^{-1} e_T) is expanded multilinearly over the nonzeros of the
+    inverse's columns t in T; `_sort_with_sign` alternates each term."""
     require_shape(phi_g, f.g_dim, f.g_dim, "phi_g")
     require_shape(phi_h, f.h_dim, f.h_dim, "phi_h")
-    inv, columns = invert(phi_g), phi_h.col_nonzeros
+    inv, columns = invert(phi_g).col_nonzeros, phi_h.col_nonzeros
     values = {}
     for T in itertools.combinations(range(f.g_dim), f.degree):
         w = values[T] = {}
-        for u, c in _evaluate(f, [inv.col(t) for t in T]).items():
-            _add_scaled(w, c, columns[u])
+        for terms in itertools.product(*(inv[t] for t in T)):
+            key = _sort_with_sign([s for s, _ in terms])
+            if key is not None and key[0] in f.values:
+                c = key[1] * prod(x for _, x in terms)
+                for u, y in f.values[key[0]].items():
+                    _add_scaled(w, c * y, columns[u])
     return _cochain(f.degree, f.g_dim, f.h_dim, values)
 
 
@@ -554,10 +529,8 @@ def cochain_map_phi(phi_g: Matrix, phi_h: Matrix, f: Cochain) -> Cochain:
 def cochain_findings(rule: str, names: Sequence[str], f: Cochain) -> list[Finding]:
     """One finding per nonzero value of f, at the basis names of its tuple, in
     tuple order, with the value as a dense vector of Fractions."""
-    return [
-        Finding(rule, tuple(names[t] for t in S), _dense(f.values[S], f.h_dim))
-        for S in sorted(f.values)
-    ]
+    sites = ((tuple(names[t] for t in S), f.values[S]) for S in sorted(f.values))
+    return _nonzero_findings(rule, f.h_dim, sites)
 
 
 def _commuting_findings(

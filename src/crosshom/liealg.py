@@ -22,13 +22,16 @@ rule of either kind, `derivation_violations`, read it over nonzeros only.
 The checks (`check_lie_algebra`, `check_action`, `check_crossed_hom`) decide
 each basis identity over nonzeros: they accumulate its terms from
 `structure_terms` and `Matrix.col_nonzeros` into one sparse {index: value}
-dict, which is the residual a finding reports, as a dense tuple, where it is
-nonempty.  `homomorphism_violations` is the one Lie-homomorphism law of a
-representation, also for `rinehart`; `is_lie_homomorphism` is the one law of
-a map between algebras.  The twist map and the graph x |-> (x, Hx) are
-checked with it between the structure constants of `_semidirect_structure`,
-which takes any matrices (rho_H need not be an action).  rho_H's sparse
-columns are built in one place, `_induced_columns`.
+dict (or one per column, for a matrix identity), and hand each basis site
+with its accumulator (`_basis_sites`) to `report._nonzero_findings`, which
+reports the nonempty ones.  `homomorphism_violations` is the one
+Lie-homomorphism law of a representation, also for `rinehart`.  The law of a
+map between algebras, `is_lie_homomorphism`, is the crossed-hom law with no
+action: `_crossed_hom_accumulator` with no rho serves it, and with rho it
+serves `check_crossed_hom` and `crossed_hom_residual`.  The twist map and
+the graph x |-> (x, Hx) are checked with it between the structure constants
+of `_semidirect_structure`, which takes any matrices (rho_H need not be an
+action).  rho_H's sparse columns are built in one place, `_induced_columns`.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .linalg import (
     require_square_family,
     vector,
 )
-from .report import Finding
+from .report import Finding, _is_nonzero, _nonzero_findings
 
 
 class _StructureAlgebra(_Value):
@@ -181,21 +184,37 @@ def gl_algebra(n: int) -> FinLieAlgebra:
     return FinLieAlgebra(tuple(f"E{i + 1}{j + 1}" for i, j in units), structure)
 
 
+def _basis_sites(names: Sequence[str], tuples: Iterable[tuple[int, ...]], residual, site=()):
+    """(site + the names of T, residual(*T)) for each basis index tuple T with
+    a nonzero residual: the (site, residual) pairs `report._nonzero_findings`
+    reads.  A zero residual's site is never named."""
+    for T in tuples:
+        r = residual(*T)
+        if _is_nonzero(r):
+            yield site + tuple(names[t] for t in T), r
+
+
+def _pair_findings(rule: str, L: FinLieAlgebra, rows: int, residual) -> list[Finding]:
+    """The findings of the sparse residual(i, j) over the basis pairs i < j of L."""
+    pairs = itertools.combinations(range(L.dim), 2)
+    return _nonzero_findings(rule, rows, _basis_sites(L.basis_names, pairs, residual))
+
+
 def check_lie_algebra(L: FinLieAlgebra) -> list[Finding]:
     """List every basis triple violating the Jacobi identity, with the
     residual [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] accumulated
     over `structure_terms`."""
     terms = L.structure_terms
-    findings = []
-    for i, j, k in itertools.combinations(range(L.dim), 3):
+
+    def jacobi(i: int, j: int, k: int) -> dict:
         acc: dict = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, x in terms.get((b, c), ()):
                 _add_scaled(acc, x, terms.get((a, m), ()))
-        if acc:
-            names = (L.basis_names[i], L.basis_names[j], L.basis_names[k])
-            findings.append(Finding("jacobi", names, _dense(acc, L.dim)))
-    return findings
+        return acc
+
+    triples = itertools.combinations(range(L.dim), 3)
+    return _nonzero_findings("jacobi", L.dim, _basis_sites(L.basis_names, triples, jacobi))
 
 
 class LieAction(_Value):
@@ -234,10 +253,11 @@ def homomorphism_violations(g: FinLieAlgebra, mats: Sequence[Matrix], rule: str)
     """
     cols = [m.col_nonzeros for m in mats]
     terms = g.structure_terms
+    n = mats[0].cols if mats else 0
 
-    def column(i: int, j: int, ij, u: int) -> dict:
+    def column(i: int, j: int, u: int) -> dict:
         acc: dict = {}
-        for k, c in ij:
+        for k, c in terms.get((i, j), ()):
             _add_scaled(acc, c, cols[k][u])
         for w, a in cols[j][u]:
             _add_scaled(acc, -a, cols[i][w])
@@ -245,14 +265,7 @@ def homomorphism_violations(g: FinLieAlgebra, mats: Sequence[Matrix], rule: str)
             _add_scaled(acc, a, cols[j][w])
         return acc
 
-    findings = []
-    for i, j in itertools.combinations(range(g.dim), 2):
-        ij, n = terms.get((i, j), ()), mats[i].cols
-        columns = [column(i, j, ij, u) for u in range(n)]
-        if any(columns):
-            names = (g.basis_names[i], g.basis_names[j])
-            findings.append(Finding(rule, names, _column_matrix(columns, n)))
-    return findings
+    return _pair_findings(rule, g, n, lambda i, j: [column(i, j, u) for u in range(n)])
 
 
 def derivation_violations(A: _StructureAlgebra, D: Matrix, rule: str = "leibniz", site=()) -> list[Finding]:
@@ -262,8 +275,8 @@ def derivation_violations(A: _StructureAlgebra, D: Matrix, rule: str = "leibniz"
     require_shape(D, A.dim, A.dim, "operator")
     terms, cols = A.structure_terms, D.col_nonzeros
     pairs = itertools.combinations if A._swap_sign < 0 else itertools.combinations_with_replacement
-    findings = []
-    for i, j in pairs(range(A.dim), 2):
+
+    def residual(i: int, j: int) -> dict:
         acc: dict = {}
         for k, c in terms.get((i, j), ()):
             _add_scaled(acc, c, cols[k])
@@ -271,10 +284,10 @@ def derivation_violations(A: _StructureAlgebra, D: Matrix, rule: str = "leibniz"
             _add_scaled(acc, -x, terms.get((u, j), ()))
         for u, x in cols[j]:
             _add_scaled(acc, -x, terms.get((i, u), ()))
-        if acc:
-            names = site + (A.basis_names[i], A.basis_names[j])
-            findings.append(Finding(rule, names, _dense(acc, A.dim)))
-    return findings
+        return acc
+
+    sites = _basis_sites(A.basis_names, pairs(range(A.dim), 2), residual, site)
+    return _nonzero_findings(rule, A.dim, sites)
 
 
 def check_action(rho: LieAction) -> list[Finding]:
@@ -317,21 +330,24 @@ class Setup(_Value):
         require_shape(H.matrix, h.dim, g.dim, "H")
 
 
-def _crossed_hom_accumulator(s: Setup):
-    """acc(i, j): the crossed-hom residual of (e_i, e_j) as a sparse dict,
-    from `col_nonzeros` of H and rho and `structure_terms` of g and h."""
-    g_terms, h_terms = s.g.structure_terms, s.h.structure_terms
-    H_cols = s.H.matrix.col_nonzeros
-    rho_cols = [m.col_nonzeros for m in s.rho.matrices]
+def _crossed_hom_accumulator(g: FinLieAlgebra, h: FinLieAlgebra, H: Matrix, rho: Sequence[Matrix] = ()):
+    """acc(i, j): H[e_i,e_j] - rho(e_i)(He_j) + rho(e_j)(He_i) - [He_i, He_j]
+    as a sparse dict, from `col_nonzeros` of H and the matrices rho(e_k) and
+    `structure_terms` of g and h.  With no rho, the action terms drop out and
+    acc(i, j) is the residual of the Lie-homomorphism law of H: g -> h."""
+    g_terms, h_terms = g.structure_terms, h.structure_terms
+    H_cols = H.col_nonzeros
+    rho_cols = [m.col_nonzeros for m in rho]
 
     def acc(i: int, j: int) -> dict:
         r: dict = {}
         for k, c in g_terms.get((i, j), ()):
             _add_scaled(r, c, H_cols[k])
-        for u, x in H_cols[j]:
-            _add_scaled(r, -x, rho_cols[i][u])
-        for u, x in H_cols[i]:
-            _add_scaled(r, x, rho_cols[j][u])
+        if rho_cols:
+            for u, x in H_cols[j]:
+                _add_scaled(r, -x, rho_cols[i][u])
+            for u, x in H_cols[i]:
+                _add_scaled(r, x, rho_cols[j][u])
         for a, x in H_cols[i]:
             for b, y in H_cols[j]:
                 _add_scaled(r, -x * y, h_terms.get((a, b), ()))
@@ -343,19 +359,13 @@ def _crossed_hom_accumulator(s: Setup):
 def crossed_hom_residual(s: Setup, i: int, j: int) -> Vector:
     """H[e_i,e_j] - rho(e_i)(He_j) + rho(e_j)(He_i) - [He_i, He_j], the dense
     view of the accumulator `check_crossed_hom` reads."""
-    return _dense(_crossed_hom_accumulator(s)(i, j), s.h.dim)
+    return _dense(_crossed_hom_accumulator(s.g, s.h, s.H.matrix, s.rho.matrices)(i, j), s.h.dim)
 
 
 def check_crossed_hom(s: Setup) -> list[Finding]:
     """Every basis pair (i, j), i < j, whose crossed-hom residual is nonzero."""
-    residual = _crossed_hom_accumulator(s)
-    findings = []
-    for i, j in itertools.combinations(range(s.g.dim), 2):
-        acc = residual(i, j)
-        if acc:
-            names = (s.g.basis_names[i], s.g.basis_names[j])
-            findings.append(Finding("crossed-hom", names, _dense(acc, s.h.dim)))
-    return findings
+    residual = _crossed_hom_accumulator(s.g, s.h, s.H.matrix, s.rho.matrices)
+    return _pair_findings("crossed-hom", s.g, s.h.dim, residual)
 
 
 def induced_action(s: Setup) -> LieAction:
@@ -488,25 +498,10 @@ def solve_crossed_homs_grid(
 
 
 def is_lie_homomorphism(src: FinLieAlgebra, dst: FinLieAlgebra, phi: Matrix) -> list[Finding]:
-    """Every basis pair i < j with phi[e_i, e_j] != [phi e_i, phi e_j].
-
-    The residual is accumulated from `structure_terms` of both algebras and
-    `col_nonzeros` of phi; a failing pair reports it as a dense vector."""
+    """Every basis pair i < j with phi[e_i, e_j] != [phi e_i, phi e_j]: the
+    crossed-hom residual of phi with no action, reported as a dense vector."""
     require_shape(phi, dst.dim, src.dim, "map")
-    src_terms, dst_terms = src.structure_terms, dst.structure_terms
-    cols = phi.col_nonzeros
-    findings = []
-    for i, j in itertools.combinations(range(src.dim), 2):
-        acc: dict = {}
-        for k, c in src_terms.get((i, j), ()):
-            _add_scaled(acc, c, cols[k])
-        for a, x in cols[i]:
-            for b, y in cols[j]:
-                _add_scaled(acc, -x * y, dst_terms.get((a, b), ()))
-        if acc:
-            names = (src.basis_names[i], src.basis_names[j])
-            findings.append(Finding("lie-hom", names, _dense(acc, dst.dim)))
-    return findings
+    return _pair_findings("lie-hom", src, dst.dim, _crossed_hom_accumulator(src, dst, phi))
 
 
 def check_hom_pair(

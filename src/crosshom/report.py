@@ -2,14 +2,17 @@
 
 A check returns a list of findings; the empty list means the property holds.
 Each finding names the rule that failed, the basis site where it failed, and
-the exact nonzero residual witnessing the failure.
+the exact nonzero residual witnessing the failure.  A checker that sums a
+basis identity into a sparse accumulator hands its (site, residual) pairs to
+the one builder `_nonzero_findings`, the only place such an accumulator
+becomes a public residual: a dense vector, or a matrix of sparse columns.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
-from .linalg import _Value, render_vector
+from .linalg import _Value, _column_matrix, _dense, render_vector
 
 
 class Finding(_Value):
@@ -38,6 +41,24 @@ class Finding(_Value):
         res = self.residual_str()
         tail = f": residual {res}" if res else ""
         return f"{self.rule} at ({loc}){tail}"
+
+
+def _is_nonzero(residual) -> bool:
+    """Whether a sparse residual, an {index: value} dict with no zero value or
+    a list of such column dicts, has an entry."""
+    return any(residual) if isinstance(residual, list) else bool(residual)
+
+
+def _nonzero_findings(rule: str, rows: int, residuals: Iterable[tuple[tuple[str, ...], Any]]) -> list[Finding]:
+    """One finding under rule per (site, residual) pair whose sparse residual
+    is nonzero, in the order given: an {index: value} dict becomes the dense
+    vector `_dense(acc, rows)`, a list of such column dicts the matrix
+    `_column_matrix(columns, rows)`."""
+    return [
+        Finding(rule, site, _column_matrix(r, rows) if isinstance(r, list) else _dense(r, rows))
+        for site, r in residuals
+        if _is_nonzero(r)
+    ]
 
 
 class Report(_Value):

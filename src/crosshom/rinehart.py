@@ -15,7 +15,9 @@ Each law is coded once: Lie homomorphisms by `liealg.homomorphism_violations`
 checks a Lie-Rinehart algebra shares with a Leibniz pair by `_pair_violations`,
 the A-module law by `check_a_module`, A-linearity by `_a_linear_violations`, and
 the first-order rule D(a m) = a D(m) + sigma(a) m by `_first_order_residuals`,
-each residual column accumulated over sparse columns.
+each residual column accumulated over sparse columns.  Each check hands its
+(site, sparse residual) pairs to `report._nonzero_findings`, which keeps the
+nonzero ones as findings.
 The Lie-Rinehart compatibility is that rule for ad(x) with symbol anchor(x).
 
 Given a crossed homomorphism H from L into gl_n (x) A, pulling the boxed-sum
@@ -60,6 +62,7 @@ from .liealg import (
     FinLieAlgebra,
     LieAction,
     Setup,
+    _basis_sites,
     adjoint_action,
     check_crossed_hom,
     check_lie_algebra,
@@ -67,10 +70,10 @@ from .liealg import (
     gl_algebra,
     homomorphism_violations,
 )
-from .linalg import ONE, Matrix, Vector, _add_scaled, _column_matrix, _dense, _entry_matrix, kron, lincomb
+from .linalg import ONE, Matrix, Vector, _add_scaled, _entry_matrix, kron, lincomb
 from .linalg import _Value, require_shape, require_square_family
 from .poly import Poly
-from .report import Finding
+from .report import Finding, _nonzero_findings
 from .witt import (
     Coeff,
     FinCommAlgebra,
@@ -133,20 +136,16 @@ def check_a_module(mod: AModuleStructure) -> list[Finding]:
             _add_scaled(acc, -c, act[k][u])
         return acc
 
-    findings = []
-    for s, t in itertools.product(range(A.dim), repeat=2):
-        columns = [assoc(s, t, u) for u in range(n)]
-        if any(columns):
-            site = (A.basis_names[s], A.basis_names[t])
-            findings.append(Finding("module-assoc", site, _column_matrix(columns, n)))
+    pairs = itertools.product(range(A.dim), repeat=2)
+    residuals = _basis_sites(A.basis_names, pairs, lambda s, t: [assoc(s, t, u) for u in range(n)])
+    findings = _nonzero_findings("module-assoc", n, residuals)
     if A.unit is not None:
         unit = [(k, c) for k, c in enumerate(A.unit) if c]
         columns = [{u: -1} for u in range(n)]
         for u, acc in enumerate(columns):
             for k, c in unit:
                 _add_scaled(acc, c, act[k][u])
-        if any(columns):
-            findings.append(Finding("module-unit", ("1",), _column_matrix(columns, n)))
+        findings += _nonzero_findings("module-unit", n, [(("1",), columns)])
     return findings
 
 
@@ -161,9 +160,9 @@ class FirstOrderOp(_Value):
 
 
 def _first_order_residuals(act, D, sigma):
-    """(s, columns) for each a_s where D(a_s m) - a_s D(m) - sigma(a_s) m is
-    nonzero; column u is a sparse dict accumulated over the sparse columns
-    act[t] of each a_t, D of the operator and sigma of the derivation."""
+    """(s, columns) for each a_s, the residual D(a_s m) - a_s D(m) - sigma(a_s) m:
+    column u is a sparse dict accumulated over the sparse columns act[t] of
+    each a_t, D of the operator and sigma of the derivation."""
     for s, sigma_s in enumerate(sigma):
         columns = []
         for u, Du in enumerate(D):
@@ -175,15 +174,14 @@ def _first_order_residuals(act, D, sigma):
             for t, y in sigma_s:
                 _add_scaled(acc, -y, act[t][u])
             columns.append(acc)
-        if any(columns):
-            yield s, columns
+        yield s, columns
 
 
 def _first_order_violations(mod: AModuleStructure, D: Matrix, sigma: Matrix, rule: str, site=()):
     """Every a_s with D(a_s m) != a_s D(m) + sigma(a_s) m, at site + (a_s,)."""
     act, names = [m.col_nonzeros for m in mod.action], mod.algebra.basis_names
     residuals = _first_order_residuals(act, D.col_nonzeros, sigma.col_nonzeros)
-    return [Finding(rule, site + (names[s],), _column_matrix(cols, mod.dim_m)) for s, cols in residuals]
+    return _nonzero_findings(rule, mod.dim_m, ((site + (names[s],), cols) for s, cols in residuals))
 
 
 def check_first_order_op(mod: AModuleStructure, op: FirstOrderOp) -> list[Finding]:
@@ -235,13 +233,11 @@ def _a_linear_violations(lr: LieRinehart, mod: AModuleStructure, mats, rule: str
             _add_scaled(acc, -x, act[s][w])
         return acc
 
-    findings = []
-    for s, i in itertools.product(range(A.dim), range(L.dim)):
-        columns = [column(s, i, u) for u in range(n)]
-        if any(columns):
-            site = (A.basis_names[s], L.basis_names[i])
-            findings.append(Finding(rule, site, _column_matrix(columns, n)))
-    return findings
+    residuals = (
+        ((A.basis_names[s], L.basis_names[i]), [column(s, i, u) for u in range(n)])
+        for s, i in itertools.product(range(A.dim), range(L.dim))
+    )
+    return _nonzero_findings(rule, n, residuals)
 
 
 def _pair_violations(p: LeibnizPair, prefix: str, module_findings: Sequence[Finding] = ()):
@@ -264,14 +260,15 @@ def check_lie_rinehart(lr: LieRinehart) -> list[Finding]:
     findings.extend(_a_linear_violations(lr, regular_module(A), lr.anchor, "anchor-a-linear"))
     # [x, a y] = a [x, y] + anchor(x)(a) y: the first-order rule of ad(x), per (x, a, y)
     act = [m.col_nonzeros for m in lr.a_action]
-    for i, x in enumerate(L.basis_names):
-        ad = [L.structure_terms.get((i, j), ()) for j in range(L.dim)]
-        for s, columns in _first_order_residuals(act, ad, lr.anchor[i].col_nonzeros):
-            for y, acc in zip(L.basis_names, columns):
-                if acc:
-                    site = (x, A.basis_names[s], y)
-                    findings.append(Finding("leibniz", site, _dense(acc, L.dim)))
-    return findings
+
+    def leibniz():
+        for i, x in enumerate(L.basis_names):
+            ad = [L.structure_terms.get((i, j), ()) for j in range(L.dim)]
+            for s, columns in _first_order_residuals(act, ad, lr.anchor[i].col_nonzeros):
+                for y, acc in zip(L.basis_names, columns):
+                    yield (x, A.basis_names[s], y), acc
+
+    return findings + _nonzero_findings("leibniz", L.dim, leibniz())
 
 
 def check_leibniz_pair(p: LeibnizPair) -> list[Finding]:
@@ -352,12 +349,17 @@ def extend_to_action_rep(
 
 
 class GlnRep(_Value):
-    """Representation of gl_n: one matrix theta(E_ij) per matrix unit."""
+    """Representation of gl_n: one matrix theta(E_ij) per matrix unit (i, j),
+    and no other key."""
 
     _fields = ("n", "dim_v", "theta")
 
     def __init__(self, n: int, dim_v: int, theta: Mapping[tuple[int, int], Matrix]):
         self.n, self.dim_v, self.theta = n, dim_v, theta
+        units = set(itertools.product(range(n), repeat=2))
+        for key in theta:
+            if key not in units:
+                raise DimensionMismatch(f"theta key {key!r} is not a matrix unit of gl_{n}")
         for i in range(n):
             for j in range(n):
                 m = theta.get((i, j))

@@ -84,13 +84,14 @@ from .liealg import (
     LieAction,
     Setup,
     _StructureAlgebra,
+    _basis_sites,
     abelian,
     derivation_violations,
     gl_algebra,
 )
 from .linalg import Coeff, Matrix, Vector, _Value, _add_scaled, _dense, _entry_matrix, exact_coeff, rational
 from .poly import Poly
-from .report import Finding
+from .report import Finding, _nonzero_findings
 
 MultiIndex = tuple[int, ...]
 
@@ -737,16 +738,17 @@ def check_comm_algebra(A: FinCommAlgebra) -> list[Finding]:
     The residual (a_i a_j) a_k - a_i (a_j a_k) is accumulated over
     `structure_terms`."""
     terms = A.structure_terms
-    findings = []
-    for i, j, k in itertools.product(range(A.dim), repeat=3):
+
+    def associator(i: int, j: int, k: int) -> dict:
         acc: dict = {}
         for m, c in terms.get((i, j), ()):
             _add_scaled(acc, c, terms.get((m, k), ()))
         for m, c in terms.get((j, k), ()):
             _add_scaled(acc, -c, terms.get((i, m), ()))
-        if acc:
-            names = (A.basis_names[i], A.basis_names[j], A.basis_names[k])
-            findings.append(Finding("associativity", names, _dense(acc, A.dim)))
+        return acc
+
+    triples = itertools.product(range(A.dim), repeat=3)
+    findings = _nonzero_findings("associativity", A.dim, _basis_sites(A.basis_names, triples, associator))
     if A.unit is not None:
         diff = A.mult_matrix(A.unit) - Matrix.identity(A.dim)
         if not diff.is_zero():

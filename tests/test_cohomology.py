@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -748,6 +749,47 @@ def test_cochain_map_degree_zero():
     phi_h = Matrix.from_rows([[2, 0], [1, 1]])
     got = cochain_map_phi(Matrix.identity(2), phi_h, f)
     assert eval_basis(got, ()) == phi_h.apply(frac((1, 2)))
+
+
+def _leibniz_det(rows) -> Fraction:
+    """The sum over permutations p of sign(p) * prod_i rows[i][p(i)]."""
+    total = Fraction(0)
+    for p in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+        total += (-1) ** inversions * math.prod(r[c] for r, c in zip(rows, p))
+    return total
+
+
+def _random_invertible(rng: random.Random, n: int) -> Matrix:
+    while True:
+        m = Matrix(n, n, tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n * n)))
+        if rank(m) == n:
+            return m
+
+
+def test_cochain_map_matches_a_leibniz_determinant_oracle():
+    # on a 4-dimensional g, in every degree, against
+    # f(phi_g^-1 e_T) = sum_S det(phi_g^-1 at rows S, columns T) f(e_S)
+    rng = random.Random(32)
+    g_dim, h_dim = 4, 3
+    for _ in range(3):
+        phi_g, phi_h = (_random_invertible(rng, d) for d in (g_dim, h_dim))
+        inv = invert(phi_g)
+        for k in range(g_dim + 1):
+            f = random_cochain(rng, k, g_dim, h_dim)
+            expected = {}
+            for T in itertools.combinations(range(g_dim), k):
+                value = [Fraction(0)] * h_dim
+                for S in f.values:
+                    d = _leibniz_det([[inv.col(t)[s] for t in T] for s in S])
+                    for u, c in enumerate(eval_basis(f, S)):
+                        value[u] += d * c
+                image = phi_h.apply(tuple(value))
+                if any(image):
+                    expected[T] = image
+            got = cochain_map_phi(phi_g, phi_h, f)
+            assert {T: eval_basis(got, T) for T in got.values} == expected
+            assert expected or not f.values
 
 
 def test_cochain_map_intertwines_at_nijenhuis_witness():

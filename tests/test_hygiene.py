@@ -344,6 +344,37 @@ def test_one_shape_check_and_one_precondition_raise():
     assert finding_joins == {("errors.py", "require_no_findings")}
 
 
+def _called_name(node) -> str | None:
+    """The name a call calls, `f` for both f(...) and x.f(...)."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def _builds_finding_from_accumulator(node) -> bool:
+    """A Finding(...) call with a `_dense(...)` or `_column_matrix(...)` call
+    in one of its arguments."""
+    if _called_name(node) != "Finding":
+        return False
+    arguments = [*node.args, *(k.value for k in node.keywords)]
+    return any(
+        _called_name(n) in ("_dense", "_column_matrix") for a in arguments for n in ast.walk(a)
+    )
+
+
+def test_only_the_report_builder_turns_an_accumulator_into_a_finding():
+    # a sparse residual becomes a finding's dense vector or column matrix in
+    # one place, `report._nonzero_findings`; every checker hands it (site,
+    # residual) pairs instead of building such a finding itself
+    sites = []
+    for path in MODULES:
+        if path.name != "report.py":
+            for name, node in _top_level_definitions(ast.parse(path.read_text())):
+                calls = [n for n in ast.walk(node) if _builds_finding_from_accumulator(n)]
+                sites += [(path.name, name, call.lineno) for call in calls]
+    assert sites == []
+
+
 # The only places in the package that read an algebra's dense `.structure`,
 # each with its reason.
 STRUCTURE_READERS = {

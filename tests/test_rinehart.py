@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -1492,6 +1493,19 @@ def test_square_family_checks_count_then_shape(family):
     message = f"^{what} matrix is {dim}x{dim + 1}, expected {dim}x{dim}$"
     with pytest.raises(DimensionMismatch, match=message):
         build((square,) * (count - 1) + (Matrix.zero(dim, dim + 1),))
+
+
+@pytest.mark.parametrize("key", [(3, 3), (0, 1), (-1, 0), (0,), "E11"])
+def test_gln_rep_refuses_a_key_that_is_not_a_matrix_unit(key):
+    # one stray key beside every matrix unit of gl_1: refused by name, and
+    # tensor_rep never meets it (it used to end in a bare KeyError)
+    zero = Matrix.zero(1, 1)
+    message = f"^theta key {re.escape(repr(key))} is not a matrix unit of gl_1$"
+    with pytest.raises(DimensionMismatch, match=message):
+        GlnRep(1, 1, {(0, 0): zero, key: zero})
+    with pytest.raises(DimensionMismatch, match=message):
+        tensor_rep(GlnRep(1, 1, {(0, 0): zero, key: zero}), natural_rep_gl(1))
+    assert tensor_rep(GlnRep(1, 1, {(0, 0): zero}), natural_rep_gl(1)).theta == natural_rep_gl(1).theta
 
 
 def test_gln_rep_checks_each_entry_then_its_shape():
