@@ -22,6 +22,7 @@ from .errors import NotCrossedHom, NotNijenhuis, ParseError, ToolkitError, requi
 from .liealg import (
     FinLieAlgebra,
     Setup,
+    _grid_values,
     check_action,
     check_crossed_hom,
     check_lie_algebra,
@@ -31,7 +32,9 @@ from .liealg import (
 from .linalg import rational
 from .report import Report
 
-# Each handler imports the submodules it calls beyond these, so a subcommand
+# Each subcommand is declared once, in `build_parser`, which sets its handler
+# as the subparser's `handler` default; `main` calls args.handler.  Each
+# handler imports the submodules it calls beyond these, so a subcommand
 # loads only what it runs. A handler parses and checks its flags before it
 # reads the input file, so a usage error exits 2 whatever the file holds.
 # REPS names the `rinehart` builder of each --rep.
@@ -67,10 +70,6 @@ def cmd_check_lie(args, report: Report):
         raise ParseError(f"{args.input}: expected a Lie algebra file")
     report.add_findings(check_lie_algebra(obj))
     report.payload["dim"] = obj.dim
-
-
-def cmd_check_action(args, report: Report):
-    _sound_setup(args, report)
 
 
 def cmd_check_crossed_hom(args, report: Report):
@@ -140,7 +139,7 @@ def cmd_nijenhuis(args, report: Report):
     if (args.element is None) == (args.grid is None):
         raise ParseError("nijenhuis requires exactly one of --element and --grid")
     x = None if args.element is None else _rationals(args.element, "--element")
-    grid = None if args.grid is None else _rationals(args.grid, "--grid")
+    grid = None if args.grid is None else _grid_values(_rationals(args.grid, "--grid"))
     s = _sound_setup(args, report, crossed_hom=True)
     if s is None:
         return
@@ -227,29 +226,13 @@ def cmd_shen_larsson(args, report: Report):
 
 
 def cmd_solve_grid(args, report: Report):
-    grid = _rationals(args.grid, "--grid")
+    grid = _grid_values(_rationals(args.grid, "--grid"))
     s = _sound_setup(args, report)
     if s is None:
         return
     sols = solve_crossed_homs_grid(s.g, s.h, s.rho, grid)
     report.payload["count"] = len(sols)
     report.payload["solutions"] = [H.matrix.render_rows() for H in sols]
-
-
-HANDLERS = {
-    "check-lie": cmd_check_lie,
-    "check-action": cmd_check_action,
-    "check-crossed-hom": cmd_check_crossed_hom,
-    "check-rinehart": cmd_check_rinehart,
-    "check-leibniz": cmd_check_leibniz,
-    "cohomology": cmd_cohomology,
-    "mc-residual": cmd_mc_residual,
-    "nijenhuis": cmd_nijenhuis,
-    "deform": cmd_deform,
-    "witt-verify": cmd_witt_verify,
-    "shen-larsson": cmd_shen_larsson,
-    "solve-grid": cmd_solve_grid,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,50 +242,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def add(name, handler, summary, needs_input=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if needs_input:
             p.add_argument("input", help="definition file (JSON)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--out", help="write the report to this path instead of stdout")
+        return p
 
-    common(sub.add_parser("check-lie", help="Jacobi identity of an algebra file"))
-    common(sub.add_parser("check-action", help="derivation + homomorphism laws of a setup's action"))
-    common(sub.add_parser("check-crossed-hom", help="the crossed-homomorphism identity of a setup"))
-    common(sub.add_parser("check-rinehart", help="Lie-Rinehart axioms of a bundle file"))
-    common(sub.add_parser("check-leibniz", help="Leibniz-pair axioms of a pair file"))
+    add("check-lie", cmd_check_lie, "Jacobi identity of an algebra file")
+    add("check-action", _sound_setup, "derivation + homomorphism laws of a setup's action")
+    add("check-crossed-hom", cmd_check_crossed_hom, "the crossed-homomorphism identity of a setup")
+    add("check-rinehart", cmd_check_rinehart, "Lie-Rinehart axioms of a bundle file")
+    add("check-leibniz", cmd_check_leibniz, "Leibniz-pair axioms of a pair file")
 
-    p = sub.add_parser("cohomology", help="cocycle/coboundary/cohomology dimensions")
-    common(p)
+    p = add("cohomology", cmd_cohomology, "cocycle/coboundary/cohomology dimensions")
     p.add_argument("--max-degree", type=int, default=2)
 
-    common(sub.add_parser("mc-residual", help="Maurer-Cartan residual of the setup's H"))
+    add("mc-residual", cmd_mc_residual, "Maurer-Cartan residual of the setup's H")
 
-    p = sub.add_parser("nijenhuis", help="Nijenhuis conditions at an element or over a grid")
-    common(p)
+    p = add("nijenhuis", cmd_nijenhuis, "Nijenhuis conditions at an element or over a grid")
     p.add_argument("--element", help="comma-separated rational coordinates in g")
     p.add_argument("--grid", help="comma-separated rational grid values")
 
-    p = sub.add_parser("deform", help="trivial linear deformation from a Nijenhuis element")
-    common(p)
+    p = add("deform", cmd_deform, "trivial linear deformation from a Nijenhuis element")
     p.add_argument("--element", help="comma-separated rational coordinates in g")
 
-    p = sub.add_parser("witt-verify", help="windowed crossed-homomorphism verification")
-    common(p, needs_input=False)
+    p = add("witt-verify", cmd_witt_verify, "windowed crossed-homomorphism verification", needs_input=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=["full", "sdiv", "ham", "pq"], required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--p-file", help="twisting polynomials (family pq)")
     p.add_argument("--q", help="twisting scalar (family pq)")
 
-    p = sub.add_parser("shen-larsson", help="emit the tensor-module action table")
-    common(p, needs_input=False)
+    p = add("shen-larsson", cmd_shen_larsson, "emit the tensor-module action table", needs_input=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rep", choices=sorted(REPS), required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--check", action="store_true", help="also verify the module law on the window")
 
-    p = sub.add_parser("solve-grid", help="enumerate crossed homomorphisms over a grid")
-    common(p)
+    p = add("solve-grid", cmd_solve_grid, "enumerate crossed homomorphisms over a grid")
     p.add_argument("--grid", required=True, help="comma-separated rational grid values")
     return parser
 
@@ -325,7 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = Report(command=args.command)
     try:
-        HANDLERS[args.command](args, report)
+        args.handler(args, report)
         code = 0 if report.status == "pass" else 1
     except (NotCrossedHom, NotNijenhuis) as exc:
         # precondition violations are verified mathematical findings

@@ -91,9 +91,9 @@ from math import comb, prod
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, require_no_findings, require_window_count
-from .liealg import FinLieAlgebra, LieAction, Setup, _induced_columns, check_crossed_hom
+from .liealg import FinLieAlgebra, LieAction, Setup, _grid_search, _induced_columns, check_crossed_hom
 from .linalg import Coeff, Matrix, Vector, _add_scaled, _dense, _echelon, _entry_matrix, exact_coeff
-from .linalg import _Value, invert, rational, require_shape
+from .linalg import _Value, invert, require_shape
 from .report import Finding, _nonzero_findings
 
 
@@ -591,17 +591,11 @@ def check_nijenhuis(s: Setup, x: Vector) -> list[Finding]:
 
 
 def nijenhuis_grid(s: Setup, grid: Sequence) -> list[Vector]:
-    """All coordinate tuples over the grid passing check_nijenhuis; H is
-    certified and the tables of rho_H are built once."""
+    """All coordinate tuples over the grid passing check_nijenhuis, by
+    `liealg._grid_search`; H is certified and the tables of rho_H built once."""
     _require_crossed_hom(s)
-    entries = [rational(v) for v in grid]
-    require_window_count(len(entries) ** s.g.dim, "candidates")
     tables = _induced_tables(s)
-    return [
-        x
-        for x in itertools.product(entries, repeat=s.g.dim)
-        if not any(_nijenhuis_conditions(s, tables, x))
-    ]
+    return _grid_search(grid, s.g.dim, lambda x: not any(_nijenhuis_conditions(s, tables, x)))
 
 
 def trivial_deformation_generator(s: Setup, x: Vector) -> Matrix:

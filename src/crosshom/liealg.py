@@ -6,7 +6,8 @@ Covers actions by derivations, crossed homomorphisms H: g -> h satisfying
 
 the induced (twisted) action rho_H(x)u = rho(x)u + [Hx, u], semidirect
 products, the twist map (x, u) |-> (x, Hx + u) between the two semidirect
-products, and exhaustive grid classification of crossed homomorphisms.
+products, and exhaustive grid classification of crossed homomorphisms by
+`_grid_search`, the one grid search, which `cohomology.nijenhuis_grid` shares.
 `gl_algebra(n)` is gl_n on its matrix units, the one finite model of
 [E_ij, E_kl] = d_jk E_il - d_li E_kj that `witt` and `rinehart` read.
 
@@ -37,10 +38,12 @@ action).  rho_H's sparse columns are built in one place, `_induced_columns`.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotAction, NotCrossedHom, require_no_findings, require_window_count
+from .errors import ParseError
 from .linalg import (
     Coeff,
     Matrix,
@@ -474,6 +477,25 @@ def iota_graph_is_homomorphism(s: Setup) -> bool:
     return not is_lie_homomorphism(s.g, dst, _graph(s))
 
 
+def _grid_values(grid: Sequence) -> Vector:
+    """The values of grid, read with `rational`; a value equal as a Fraction
+    to another raises ParseError."""
+    entries = tuple(rational(x) for x in grid)
+    repeated = [v for v, k in Counter(entries).items() if k > 1]
+    if repeated:
+        raise ParseError(f"grid value {repeated[0]} is repeated")
+    return entries
+
+
+def _grid_search(grid: Sequence, count: int, holds) -> list[Vector]:
+    """The tuples of count values from grid, in `itertools.product` order, that
+    holds accepts; the values are read by `_grid_values`, and then more than
+    MAX_WINDOW_COUNT candidates raise SearchSpaceTooLarge before any is tried."""
+    entries = _grid_values(grid)
+    require_window_count(len(entries) ** count, "candidates")
+    return [c for c in itertools.product(entries, repeat=count) if holds(c)]
+
+
 def solve_crossed_homs_grid(
     g: FinLieAlgebra,
     h: FinLieAlgebra,
@@ -483,18 +505,17 @@ def solve_crossed_homs_grid(
     """Exhaustively enumerate H with entries in grid; keep the crossed homs.
 
     Candidates are produced in row-major digit order over the grid as given,
-    so the output order is deterministic.
+    so the output order is deterministic.  rho is checked against g and h once;
+    a rejected candidate stops at its first nonzero pair and builds no finding.
     """
-    entries = [rational(x) for x in grid]
-    cells = h.dim * g.dim
-    require_window_count(len(entries) ** cells, "candidates")
-    solutions = []
-    for combo in itertools.product(entries, repeat=cells):
-        H = CrossedHom(Matrix(h.dim, g.dim, combo))
-        s = Setup(g, h, rho, H)
-        if not check_crossed_hom(s):
-            solutions.append(H)
-    return solutions
+    Setup(g, h, rho, CrossedHom(Matrix.zero(h.dim, g.dim)))
+    pairs = list(itertools.combinations(range(g.dim), 2))
+
+    def holds(combo: Vector) -> bool:
+        acc = _crossed_hom_accumulator(g, h, Matrix(h.dim, g.dim, combo), rho.matrices)
+        return not any(acc(i, j) for i, j in pairs)
+
+    return [CrossedHom(Matrix(h.dim, g.dim, c)) for c in _grid_search(grid, h.dim * g.dim, holds)]
 
 
 def is_lie_homomorphism(src: FinLieAlgebra, dst: FinLieAlgebra, phi: Matrix) -> list[Finding]:

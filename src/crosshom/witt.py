@@ -50,9 +50,9 @@ check, which reads the view.
 The generalized Witt algebra A (x) Delta is the action Lie-Rinehart algebra of
 the Leibniz pair (A, span Delta): one builder, `action_structure`, writes the
 S (x) A structure constants and the coefficient operators mult(a_s) beta_i for
-both `generalized_witt` (S abelian on Delta) and `rinehart.action_lie_rinehart`.
-gl_m (x) A pairs the brackets of `liealg.gl_algebra(m)` with A's products,
-and one `_canonical_matrix` serves the setup and `canonical_crossed_hom_GW`.
+`generalized_witt` (S abelian on Delta), `rinehart.action_lie_rinehart` and,
+with no beta, `gl_tensor_algebra` (S = `liealg.gl_algebra(m)`); one
+`_canonical_matrix` serves the setup and `canonical_crossed_hom_GW`.
 
 Direction indices are 0-based in the Python API and rendered 1-based (d_1,
 E_11, ...) in strings and JSON.
@@ -130,6 +130,17 @@ def _add_term(terms: dict, key, coeff: Coeff):
         terms.pop(key, None)
 
 
+def _require_int(error: type, what: str, values: tuple, stop: int | None = None) -> None:
+    """The one check of integer parameters (directions, variables, bounds, a
+    component): error unless each value is an int, a bool refused, and, with
+    stop, an index in 0..stop-1."""
+    for v in values:
+        if type(v) is not int:
+            raise error(f"{what}: {v!r} is not an integer")
+        if stop is not None and not 0 <= v < stop:
+            raise error(f"{what} {values[0] if len(values) == 1 else values} outside 0..{stop - 1}")
+
+
 def _exp_str(r: MultiIndex) -> str:
     return "x^(" + ",".join(str(e) for e in r) + ")"
 
@@ -141,6 +152,7 @@ class Window(_Value):
 
     def __init__(self, bound: int):
         self.bound = bound
+        _require_int(DimensionMismatch, "window bound", (bound,))
         if bound < 1:
             raise DimensionMismatch("window bound must be >= 1")
 
@@ -332,8 +344,7 @@ class WittElem(TensorElem, _Value):
 
     @staticmethod
     def basis(n: int, r: Sequence[int], i: int, coeff=1) -> "WittElem":
-        if not 0 <= i < n:
-            raise IndexOutOfRange(f"direction {i} outside 0..{n - 1}")
+        _require_int(IndexOutOfRange, "direction", (i,), n)
         r = _exponents(r, n)
         c = _coeff(coeff)
         return WittElem(n, {(i, r): c} if c else {})
@@ -374,8 +385,7 @@ def divergence(w: WittElem) -> LaurentPoly:
 
 def s_generator(n: int, i: int, j: int, r: Sequence[int]) -> WittElem:
     """Divergence-free generator r_j x^r d_i - r_i x^r d_j."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexOutOfRange(f"directions ({i}, {j}) outside 0..{n - 1}")
+    _require_int(IndexOutOfRange, "directions", (i, j), n)
     r = _exponents(r, n)
     out: dict[tuple[int, MultiIndex], Coeff] = {}
     _add_term(out, (i, r), r[j])
@@ -403,8 +413,7 @@ class GlLaurent(TensorElem, _Value):
 
     @staticmethod
     def basis(n: int, i: int, j: int, r: Sequence[int], coeff=1) -> "GlLaurent":
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(f"matrix position ({i}, {j}) outside 0..{n - 1}")
+        _require_int(IndexOutOfRange, "matrix position", (i, j), n)
         c = _coeff(coeff)
         r = _exponents(r, n)
         return GlLaurent(n, {(i * n + j, r): c} if c else {})
@@ -426,8 +435,7 @@ class VTensorA(TensorElem, _Value):
 
     @staticmethod
     def basis(n: int, dim_v: int, p: int, r: Sequence[int], coeff=1) -> "VTensorA":
-        if not 0 <= p < dim_v:
-            raise DimensionMismatch(f"component {p} outside 0..{dim_v - 1}")
+        _require_int(DimensionMismatch, "component", (p,), dim_v)
         c = _coeff(coeff)
         r = _exponents(r, n)
         return VTensorA(n, dim_v, {(p, r): c} if c else {})
@@ -691,7 +699,8 @@ class FinCommAlgebra(_StructureAlgebra):
 def _truncated_exponents(bounds: Sequence[int]) -> list[MultiIndex]:
     """The exponents of the monomial basis of the algebra truncated at bounds,
     in lex order; raises DimensionMismatch for a bound < 1."""
-    bounds = tuple(int(b) for b in bounds)
+    bounds = tuple(bounds)
+    _require_int(DimensionMismatch, "truncation bound", bounds)
     if any(b < 1 for b in bounds):
         raise DimensionMismatch("each truncation bound must be >= 1")
     return list(itertools.product(*(range(b) for b in bounds)))
@@ -727,8 +736,7 @@ def truncated_polynomial_algebra(bounds: Sequence[int]) -> FinCommAlgebra:
 def scaling_derivation(bounds: Sequence[int], var: int) -> Matrix:
     """The Euler-type derivation x_var d/dx_var on the truncated algebra."""
     exps = _truncated_exponents(bounds)
-    if not 0 <= var < len(exps[0]):
-        raise IndexOutOfRange(f"variable {var} outside 0..{len(exps[0]) - 1}")
+    _require_int(IndexOutOfRange, "variable", (var,), len(exps[0]))
     return _entry_matrix(len(exps), len(exps), [(k, k, e[var]) for k, e in enumerate(exps)])
 
 
@@ -803,22 +811,27 @@ def action_structure(
 
         [a_s x_i, a_t x_j] = [x_i, x_j] (x) a_s a_t + a_s beta_i(a_t) x_j - a_t beta_j(a_s) x_i,
 
-    built over the `structure_terms` of both and the coefficient columns,
-    which are returned with it.  beta is not checked here.
+    scattered from the nonzero brackets of S, the nonzero products of A and
+    the nonzero coefficient columns, which are returned with it.  An empty
+    beta gives the current algebra S (x) A.  beta is not checked here.
     """
-    dimA = A.dim
+    dimA, n = A.dim, len(names)
     ops = coefficient_columns(A, beta)
-    a_terms, s_terms = A.structure_terms, S.structure_terms
-    structure: dict[tuple[int, int], Vector] = {}
-    for p, q in itertools.combinations(range(len(names)), 2):
-        (i, s), (j, t) = divmod(p, dimA), divmod(q, dimA)
-        acc: dict = {}
-        for k, c in s_terms.get((i, j), ()):
-            _add_scaled(acc, c, ((k * dimA + u, d) for u, d in a_terms.get((s, t), ())))
-        _add_scaled(acc, 1, ((j * dimA + u, c) for u, c in ops[p][t]))
-        _add_scaled(acc, -1, ((i * dimA + u, c) for u, c in ops[q][s]))
-        if acc:
-            structure[p, q] = _dense(acc, len(names))
+    accs: dict[tuple[int, int], dict] = {}
+    for (i, j), terms in S.structure_terms.items():
+        if i < j:
+            for (s, t), st in A.structure_terms.items():
+                accs[i * dimA + s, j * dimA + t] = {k * dimA + u: c * d for k, c in terms for u, d in st}
+    # a_s beta_i(a_t) x_j is a term of the pair (a_s x_i, a_t x_j) at p, q
+    # and, with the opposite sign, of the same pair taken in the other order
+    for p, op in enumerate(ops):
+        for t, col in enumerate(op):
+            if col:
+                for q in range(t, n, dimA):
+                    if p != q:
+                        key, sign = ((p, q), 1) if p < q else ((q, p), -1)
+                        _add_scaled(accs.setdefault(key, {}), sign, [(q - t + u, c) for u, c in col])
+    structure = {pq: _dense(accs[pq], n) for pq in sorted(accs) if accs[pq]}
     return FinLieAlgebra(tuple(names), structure), ops
 
 
@@ -841,21 +854,12 @@ def generalized_witt(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> FinLieAlgebr
 
 
 def gl_tensor_algebra(m: int, A: FinCommAlgebra) -> FinLieAlgebra:
-    """gl_m (x) A as a finite Lie algebra; basis E_ij (x) a_s with (i, j) major.
-
-    [E_a (x) a_s, E_b (x) a_t] = [E_a, E_b] (x) a_s a_t pairs each nonzero
-    bracket of `gl_algebra(m)` with each nonzero product of A."""
-    gl, dimA = gl_algebra(m), A.dim
+    """gl_m (x) A as a finite Lie algebra; basis E_ij (x) a_s with (i, j) major:
+    the `action_structure` of `gl_algebra(m)` on A with no derivations, whose
+    bracket is [E_a (x) a_s, E_b (x) a_t] = [E_a, E_b] (x) a_s a_t."""
+    gl = gl_algebra(m)
     names = tuple(f"{e}({a})" for e in gl.basis_names for a in A.basis_names)
-    products = A.structure_terms
-    structure: dict[tuple[int, int], Vector] = {}
-    for (a, b), terms in gl.structure_terms.items():
-        if a > b:
-            continue
-        for (s, t), st in products.items():
-            vec = {k * dimA + u: c * d for k, c in terms for u, d in st}
-            structure[a * dimA + s, b * dimA + t] = _dense(vec, len(names))
-    return FinLieAlgebra(names, dict(sorted(structure.items())))
+    return action_structure(A, gl, (), names)[0]
 
 
 def _canonical_matrix(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Matrix:

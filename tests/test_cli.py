@@ -5,6 +5,8 @@ import io
 import json
 import shutil
 import time
+import types
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -173,6 +175,23 @@ def test_shen_larsson_rep_choices():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     rep = next(a for a in sub.choices["shen-larsson"]._actions if a.dest == "rep")
     assert rep.choices == ["adjoint", "natural", "trivial"]
+
+
+def test_each_subcommand_is_declared_once_with_its_handler():
+    # build_parser is the one table of subcommands: each subparser carries its
+    # handler, a function of crosshom.cli, as its `handler` default, and no
+    # module-level container of cli lists a subcommand or a handler again
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    handlers = {name: p.get_default("handler") for name, p in sub.choices.items()}
+    for name, handler in handlers.items():
+        assert isinstance(handler, types.FunctionType), name
+        assert handler.__module__ == cli.__name__ and getattr(cli, handler.__name__) is handler, name
+    declared = set(handlers) | set(handlers.values())
+    for attr, value in vars(cli).items():
+        if not attr.startswith("__") and isinstance(value, (dict, list, tuple, set, frozenset)):
+            members = [*value, *value.values()] if isinstance(value, dict) else list(value)
+            assert not [m for m in members if isinstance(m, Hashable) and m in declared], attr
 
 
 def test_setup_referencing_algebras_by_path(capsys, fixtures_dir):
@@ -477,6 +496,24 @@ def test_malformed_module_block_reports_no_findings(capsys, tmp_path, fixtures_d
     code, out = _run_without_traceback(capsys, "check-rinehart", str(bad))
     assert (code, out["status"], out["findings"]) == (2, "error", [])
     assert out["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("grid", ["0,0", "0,0/1"])
+@pytest.mark.parametrize(
+    "command, fixture",
+    [
+        ("solve-grid", "trivial1.setup.json"),
+        ("nijenhuis", "heisenberg_adjoint.setup.json"),
+        ("solve-grid", "nonderivation_bad.setup.json"),
+        ("nijenhuis", "dim2_bad.setup.json"),
+    ],
+)
+def test_repeated_grid_value_exits_two(capsys, fixtures_dir, command, fixture, grid):
+    # a repeated value once repeated every candidate and solution that holds
+    # it; as a usage error it exits 2 whatever the file holds
+    code, out = _run_without_traceback(capsys, command, str(fixtures_dir / fixture), f"--grid={grid}")
+    assert (code, out["status"], out["findings"], out["payload"]) == (2, "error", [], {})
+    assert out["error"] == {"type": "ParseError", "message": "grid value 0 is repeated"}
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ import crosshom.liealg
 import crosshom.linalg
 from crosshom import formats
 from crosshom.errors import DimensionMismatch, NotCrossedHom, NotNijenhuis, SearchSpaceTooLarge
+from crosshom.errors import ParseError
 from crosshom.liealg import (
     CrossedHom,
     LieAction,
@@ -1019,6 +1020,16 @@ def test_nijenhuis_grid_builds_the_tables_once(monkeypatch):
     monkeypatch.setattr(crosshom.cohomology, "_induced_tables", counted)
     assert len(nijenhuis_grid(s, [-1, 0, Fraction(1, 2), 1])) == 4
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("grid", [["0", "0"], ["0", "0/1"], [0, Fraction(0)]], ids=str)
+def test_nijenhuis_grid_refuses_a_repeated_value(grid):
+    s = generalized_witt_bounds((3,))
+    with pytest.raises(ParseError, match="grid value 0 is repeated"):
+        nijenhuis_grid(s, grid)
+    # before the candidate guard: 1002^3 candidates would raise SearchSpaceTooLarge
+    with pytest.raises(ParseError, match="grid value 0 is repeated"):
+        nijenhuis_grid(s, list(range(1000)) + grid)
 
 
 def test_linear_deformation_matches_the_dense_oracle():

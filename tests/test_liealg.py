@@ -324,6 +324,52 @@ def test_solve_grid_guard():
         solve_crossed_homs_grid(g, g, adjoint_action(g), list(range(10)))
 
 
+def test_solve_grid_builds_nothing_for_a_rejected_candidate(monkeypatch):
+    # sl2 acting on itself, entries in {0, 1}: 512 candidates, one solution;
+    # rho is checked by one Setup up front, and a rejected candidate stops at
+    # its first nonzero pair, building no Setup and no finding
+    g = sl2()
+    rho = adjoint_action(g)
+    expected = [
+        CrossedHom(Matrix(3, 3, c))
+        for c in itertools.product((Fraction(0), Fraction(1)), repeat=9)
+        if not check_crossed_hom(Setup(g, g, rho, CrossedHom(Matrix(3, 3, c))))
+    ]
+    built = Counter()
+
+    def spy(cls, name):
+        init = cls.__init__
+
+        def counted(self, *args):
+            built[name] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    spy(Setup, "Setup")
+    spy(Finding, "Finding")
+    assert solve_crossed_homs_grid(g, g, rho, ["0", "1"]) == expected
+    assert built["Setup"] <= 1 and built["Finding"] == 0
+
+
+def test_solve_grid_refuses_an_action_of_another_algebra():
+    g, h = sl2(), heisenberg()
+    with pytest.raises(DimensionMismatch, match="action source differs from g"):
+        solve_crossed_homs_grid(g, g, adjoint_action(h), [0, 1])
+    with pytest.raises(DimensionMismatch, match="action target differs from h"):
+        solve_crossed_homs_grid(g, g, zero_action(g, h), [0, 1])
+
+
+@pytest.mark.parametrize("grid", [["0", "0"], ["0", "0/1"], [0, Fraction(0)]], ids=str)
+def test_solve_grid_refuses_a_repeated_value(grid):
+    g = sl2()
+    with pytest.raises(ParseError, match="grid value 0 is repeated"):
+        solve_crossed_homs_grid(g, g, adjoint_action(g), grid)
+    # before the candidate guard: 11^9 candidates would raise SearchSpaceTooLarge
+    with pytest.raises(ParseError, match="grid value 0 is repeated"):
+        solve_crossed_homs_grid(g, g, adjoint_action(g), list(range(10)) + grid)
+
+
 def test_hom_pair_conjugated_crossed_hom():
     # phi = automorphism of the 2-dim algebra (e1 -> c e1, e2 -> e2 + b e1);
     # conjugating a crossed hom gives a crossed hom and (phi, phi) intertwines.

@@ -27,6 +27,7 @@ from crosshom.witt import (
     block_diagonal,
     GlLaurent,
     LaurentPoly,
+    VTensorA,
     Window,
     WittElem,
     canonical_crossed_hom_GW,
@@ -552,6 +553,30 @@ def test_generalized_witt_errors_keep_their_messages():
 def test_window_validation():
     with pytest.raises(DimensionMismatch):
         Window(0)
+
+
+# One non-int value per constructor: each used to build a malformed element
+# or algebra, or fail later with a bare TypeError.
+NON_INT_PARAMETERS = {
+    "Window": (lambda: Window(1.5), DimensionMismatch, "window bound: 1.5"),
+    "Window-bool": (lambda: Window(True), DimensionMismatch, "window bound: True"),
+    "WittElem.basis": (lambda: WittElem.basis(2, (0, 0), 1.0), IndexOutOfRange, "direction: 1.0"),
+    "GlLaurent.basis": (lambda: GlLaurent.basis(2, 1.0, 0, (0, 0)), IndexOutOfRange, "matrix position: 1.0"),
+    "VTensorA.basis": (lambda: VTensorA.basis(1, 2, True, (0,)), DimensionMismatch, "component: True"),
+    "s_generator": (lambda: s_generator(2, 0.0, 1, (1, 1)), IndexOutOfRange, "directions: 0.0"),
+    "scaling_derivation": (lambda: scaling_derivation([3], 0.0), IndexOutOfRange, "variable: 0.0"),
+    "truncated_polynomial_algebra": (
+        lambda: truncated_polynomial_algebra([2.7]), DimensionMismatch, "truncation bound: 2.7"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NON_INT_PARAMETERS.values(), ids=NON_INT_PARAMETERS)
+def test_integer_parameters_refuse_other_values(case):
+    build, error, what = case
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == f"{what} is not an integer"
 
 
 def test_window_guard_refuses_before_enumerating(monkeypatch):
