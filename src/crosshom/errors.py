@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the size guard behind SearchSpaceTooLarge."""
+"""Exception types shared across the toolkit, the size guard behind
+SearchSpaceTooLarge, and the one check of integer parameters."""
 
 
 class ToolkitError(Exception):
@@ -38,6 +39,24 @@ def require_window_count(count: int, what: str) -> int:
     if count > MAX_WINDOW_COUNT:
         raise SearchSpaceTooLarge(f"{count} {what} exceed the {MAX_WINDOW_COUNT} guard")
     return count
+
+
+def require_int(error: type[ToolkitError], what: str, values: tuple, stop: int | None = None) -> None:
+    """The one check of integer parameters (directions, variables, bounds, a
+    component, a rank): error unless each value is an int, a bool refused,
+    and, with stop, an index in 0..stop-1."""
+    for v in values:
+        if type(v) is not int:
+            raise error(f"{what}: {v!r} is not an integer")
+        if stop is not None and not 0 <= v < stop:
+            raise error(f"{what} {values[0] if len(values) == 1 else values} outside 0..{stop - 1}")
+
+
+def require_size(what: str, value) -> None:
+    """DimensionMismatch unless value is an int >= 0: a rank or a dimension."""
+    require_int(DimensionMismatch, what, (value,))
+    if value < 0:
+        raise DimensionMismatch(f"{what} {value} is negative")
 
 
 def require_no_findings(findings, error: type[ToolkitError]) -> None:

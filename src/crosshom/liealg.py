@@ -43,7 +43,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotAction, NotCrossedHom, require_no_findings, require_window_count
-from .errors import ParseError
+from .errors import ParseError, require_size
 from .linalg import (
     Coeff,
     Matrix,
@@ -175,7 +175,9 @@ def sl2() -> FinLieAlgebra:
 
 def gl_algebra(n: int) -> FinLieAlgebra:
     """Basis E_11, E_12, ..., E_nn in row-major order (E_ij at i * n + j), with
-    [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj; n must be an int >= 0, and n = 0
+    gives the zero algebra."""
+    require_size("gl_n rank", n)
     units = list(itertools.product(range(n), repeat=2))
     structure = {}
     for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(units), 2):

@@ -19,6 +19,10 @@ each residual column accumulated over sparse columns.  Each check hands its
 (site, sparse residual) pairs to `report._nonzero_findings`, which keeps the
 nonzero ones as findings.
 The Lie-Rinehart compatibility is that rule for ad(x) with symbol anchor(x).
+Every representation is a family of square matrices, one per basis vector
+in the algebra's order, a gl_n-representation's theta (`GlnRep`, in the
+order of `liealg.gl_algebra(n)`) included; `_rep_parts` is the one
+precondition of a representation of a carrier on a module.
 
 Given a crossed homomorphism H from L into gl_n (x) A, pulling the boxed-sum
 action back along x |-> (x, Hx) turns a gl_n-representation V and a module M
@@ -57,10 +61,9 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvalidPair, NotCrossedHom, require_no_findings, require_window_count
+from .errors import require_size
 from .liealg import (
-    CrossedHom,
     FinLieAlgebra,
-    LieAction,
     Setup,
     _basis_sites,
     adjoint_action,
@@ -83,6 +86,7 @@ from .witt import (
     WittElem,
     Window,
     _add_product,
+    _gl_tensor_setup,
     _symbolic_basis,
     _tensor_action,
     _unordered_kind_pairs,
@@ -90,7 +94,6 @@ from .witt import (
     block_diagonal,
     check_comm_algebra,
     crossed_hom_pq,
-    gl_tensor_algebra,
     window_exponents,
     window_size,
     witt_bracket,
@@ -275,14 +278,28 @@ def check_leibniz_pair(p: LeibnizPair) -> list[Finding]:
     return _pair_violations(p, "beta")
 
 
-def _rep_violations(
-    lie: FinLieAlgebra,
-    mod: AModuleStructure,
-    rho: Sequence[Matrix],
-    ders: Sequence[Matrix],
-    anchor_rule: str,
-) -> list[Finding]:
+def _carrier_parts(carrier) -> tuple[FinLieAlgebra, tuple[Matrix, ...], FinCommAlgebra]:
+    """(L, anchor, A) of a Lie-Rinehart algebra, (S, beta, A) of a Leibniz pair."""
+    if isinstance(carrier, LieRinehart):
+        return carrier.lie, carrier.anchor, carrier.algebra
+    if isinstance(carrier, LeibnizPair):
+        return carrier.lie, carrier.beta, carrier.algebra
+    raise TypeError("carrier must be a LieRinehart algebra or a LeibnizPair")
+
+
+def _rep_parts(carrier, mod: AModuleStructure, rho: Sequence[Matrix]):
+    """The carrier's parts, once mod is a module over its algebra and rho one
+    square matrix on mod per basis vector of its Lie algebra: the one
+    precondition of a representation of a carrier."""
+    lie, ders, A = _carrier_parts(carrier)
+    if mod.algebra is not A and mod.algebra != A:
+        raise DimensionMismatch("the module's algebra differs from the carrier's")
     require_square_family(rho, lie.dim, mod.dim_m, "representation")
+    return lie, ders, A
+
+
+def _rep_violations(carrier, mod: AModuleStructure, rho: Sequence[Matrix], anchor_rule: str) -> list[Finding]:
+    lie, ders, _ = _rep_parts(carrier, mod, rho)
     findings = homomorphism_violations(lie, rho, "lie-hom")
     for i, name in enumerate(lie.basis_names):
         findings.extend(_first_order_violations(mod, rho[i], ders[i], anchor_rule, (name,)))
@@ -296,7 +313,7 @@ def check_weak_rep(
     strict: bool = False,
 ) -> list[Finding]:
     """Weak representation axioms; with strict=True also A-linearity of rho."""
-    findings = _rep_violations(lr.lie, mod, rho, lr.anchor, "first-order")
+    findings = _rep_violations(lr, mod, rho, "first-order")
     if strict:
         findings.extend(_a_linear_violations(lr, mod, rho, "a-linear"))
     return findings
@@ -304,8 +321,7 @@ def check_weak_rep(
 
 def adjoint_weak_rep(lr: LieRinehart) -> tuple[AModuleStructure, tuple[Matrix, ...]]:
     """ad_x y = [x, y] on L itself, with symbol anchor(x)."""
-    mats = tuple(lr.lie.ad(lr.lie.basis_vector(i)) for i in range(lr.lie.dim))
-    return lr.l_module(), mats
+    return lr.l_module(), adjoint_action(lr.lie).matrices
 
 
 def natural_rep(lr: LieRinehart) -> tuple[AModuleStructure, tuple[Matrix, ...]]:
@@ -317,7 +333,7 @@ def check_admissible_rep(
     p: LeibnizPair, mod: AModuleStructure, rho: Sequence[Matrix]
 ) -> list[Finding]:
     """rho(x)(a m) = a rho(x) m + beta(x)(a) m plus the Lie homomorphism law."""
-    return _rep_violations(p.lie, mod, rho, p.beta, "admissible-anchor")
+    return _rep_violations(p, mod, rho, "admissible-anchor")
 
 
 def action_lie_rinehart(p: LeibnizPair) -> LieRinehart:
@@ -335,13 +351,10 @@ def action_lie_rinehart(p: LeibnizPair) -> LieRinehart:
 def extend_to_action_rep(
     p: LeibnizPair, mod: AModuleStructure, rho: Sequence[Matrix]
 ) -> tuple[Matrix, ...]:
-    """Extension x (x) a |-> (a .) rho(x) of an admissible representation to S (x) A."""
-    A = p.algebra
-    out = []
-    for pi in range(p.lie.dim * A.dim):
-        i, s = divmod(pi, A.dim)
-        out.append(mod.action[s] * rho[i])
-    return tuple(out)
+    """Extension x (x) a |-> (a .) rho(x) of an admissible representation to
+    S (x) A, at the basis index of x_i (x) a_s, i * dim A + s."""
+    _rep_parts(p, mod, rho)
+    return tuple(a * r for r in rho for a in mod.action)
 
 
 # ---------------------------------------------------------------------------
@@ -349,89 +362,74 @@ def extend_to_action_rep(
 
 
 class GlnRep(_Value):
-    """Representation of gl_n: one matrix theta(E_ij) per matrix unit (i, j),
-    and no other key."""
+    """Representation of gl_n on a dim_v space, in the layout of every
+    representation of the package: the family theta of square matrices, one
+    per basis vector of `liealg.gl_algebra(n)` in its order, so
+    theta[i * n + j] = theta(E_ij).  n and dim_v are ints >= 0."""
 
     _fields = ("n", "dim_v", "theta")
 
-    def __init__(self, n: int, dim_v: int, theta: Mapping[tuple[int, int], Matrix]):
+    def __init__(self, n: int, dim_v: int, theta: tuple[Matrix, ...]):
         self.n, self.dim_v, self.theta = n, dim_v, theta
-        units = set(itertools.product(range(n), repeat=2))
-        for key in theta:
-            if key not in units:
-                raise DimensionMismatch(f"theta key {key!r} is not a matrix unit of gl_{n}")
-        for i in range(n):
-            for j in range(n):
-                m = theta.get((i, j))
-                if m is None:
-                    raise DimensionMismatch(f"missing theta(E_{i + 1}{j + 1})")
-                require_shape(m, dim_v, dim_v, "theta matrix")
+        require_size("gl_n rank", n)
+        require_size("dim V", dim_v)
+        require_square_family(theta, n * n, dim_v, "theta")
 
     @cached_property
     def columns(self) -> tuple[tuple[tuple[tuple[int, int, Coeff], ...], ...], ...]:
         """columns[i][p]: the nonzero (k, p2, entry) of column p of the
         matrices theta(E_ki), over k: the layout `witt._tensor_action` reads."""
-        n = range(self.n)
+        n, theta = self.n, self.theta
         return tuple(
             tuple(
-                tuple((k, p2, e) for k in n for p2, e in self.theta[k, i].col_nonzeros[p])
+                tuple((k, p2, e) for k in range(n) for p2, e in theta[k * n + i].col_nonzeros[p])
                 for p in range(self.dim_v)
             )
-            for i in n
+            for i in range(n)
         )
 
 
 def trivial_rep(n: int) -> GlnRep:
-    return GlnRep(n, 1, {(i, j): Matrix.zero(1, 1) for i in range(n) for j in range(n)})
+    require_size("gl_n rank", n)
+    return GlnRep(n, 1, (Matrix.zero(1, 1),) * (n * n))
 
 
 def natural_rep_gl(n: int) -> GlnRep:
+    require_size("gl_n rank", n)
     units = itertools.product(range(n), repeat=2)
-    return GlnRep(n, n, {(i, j): _entry_matrix(n, n, [(i, j, 1)]) for i, j in units})
+    return GlnRep(n, n, tuple(_entry_matrix(n, n, [(i, j, 1)]) for i, j in units))
 
 
 def adjoint_rep_gl(n: int) -> GlnRep:
     """gl_n acting on itself; basis E_kl flattened as k*n + l."""
-    mats = adjoint_action(gl_algebra(n)).matrices
-    return GlnRep(n, n * n, {divmod(a, n): m for a, m in enumerate(mats)})
+    return GlnRep(n, n * n, adjoint_action(gl_algebra(n)).matrices)
 
 
 def tensor_rep(r1: GlnRep, r2: GlnRep) -> GlnRep:
     if r1.n != r2.n:
         raise DimensionMismatch("tensor factors must represent the same gl_n")
     i1, i2 = Matrix.identity(r1.dim_v), Matrix.identity(r2.dim_v)
-    theta = {
-        key: kron(r1.theta[key], i2) + kron(i1, r2.theta[key])
-        for key in r1.theta
-    }
+    theta = tuple(kron(a, i2) + kron(i1, b) for a, b in zip(r1.theta, r2.theta))
     return GlnRep(r1.n, r1.dim_v * r2.dim_v, theta)
 
 
 def check_gln_rep(rep: GlnRep) -> list[Finding]:
-    """The Lie-homomorphism law of theta on `gl_algebra(n)`, one finding per
-    failing pair E_a, E_b (a < b) with residual theta([E_a, E_b]) - [theta(E_a), theta(E_b)]."""
-    mats = [rep.theta[divmod(a, rep.n)] for a in range(rep.n * rep.n)]
-    return homomorphism_violations(gl_algebra(rep.n), mats, "gl-relation")
-
-
-def _carrier_parts(carrier) -> tuple[FinLieAlgebra, tuple[Matrix, ...], FinCommAlgebra]:
-    if isinstance(carrier, LieRinehart):
-        return carrier.lie, carrier.anchor, carrier.algebra
-    if isinstance(carrier, LeibnizPair):
-        return carrier.lie, carrier.beta, carrier.algebra
-    raise TypeError("carrier must be a LieRinehart algebra or a LeibnizPair")
+    """The Lie-homomorphism law of the family theta on `gl_algebra(n)`, one
+    finding per failing pair E_a, E_b (a < b) with residual
+    theta([E_a, E_b]) - [theta(E_a), theta(E_b)]."""
+    return homomorphism_violations(gl_algebra(rep.n), rep.theta, "gl-relation")
 
 
 def certify_gl_tensor_crossed_hom(carrier, n: int, H: Matrix) -> Setup:
     """Certify H: L -> gl_n (x) A against the coefficientwise anchor action.
 
-    Returns the finite Setup so the cohomology machinery can reuse it; the
-    Setup checks H's shape, and NotCrossedHom is raised when the identity fails.
+    Returns the finite Setup of `witt._gl_tensor_setup`, the one built for a
+    generalized Witt algebra too, so the cohomology machinery can reuse it;
+    the Setup checks H's shape, and NotCrossedHom is raised when the
+    identity fails.
     """
     lie, ders, A = _carrier_parts(carrier)
-    h_alg = gl_tensor_algebra(n, A)
-    blocks = tuple(kron(Matrix.identity(n * n), ders[i]) for i in range(lie.dim))
-    setup = Setup(lie, h_alg, LieAction(lie, h_alg, blocks), CrossedHom(H))
+    setup = _gl_tensor_setup(lie, [D.col_nonzeros for D in ders], A, n, H)
     require_no_findings(check_crossed_hom(setup), NotCrossedHom)
     return setup
 
@@ -445,17 +443,17 @@ def boxplus_pullback(
 ) -> tuple[tuple[Matrix, ...], AModuleStructure]:
     """Action on V (x) M pulled back along x |-> (x, Hx).
 
-    Returns the matrices of each L-basis vector together with the A-module
-    structure a(v (x) m) = v (x) am on the tensor space.
+    mod must be a module over the carrier's algebra and rho a representation
+    of the carrier on it, one matrix per basis vector.  Returns the matrices
+    of each L-basis vector together with the A-module structure
+    a(v (x) m) = v (x) am on the tensor space.
     """
-    lie, _, A = _carrier_parts(carrier)
+    lie, _, A = _rep_parts(carrier, mod, rho)
     certify_gl_tensor_crossed_hom(carrier, theta.n, H)
-    n = theta.n
     iv = Matrix.identity(theta.dim_v)
-    # H's row index (i * n + j) * dim A + s is E_ij (x) a_s, acting as theta(E_ij) (x) a_s
-    blocks = [
-        kron(theta.theta[(i, j)], a) for i in range(n) for j in range(n) for a in mod.action
-    ]
+    # H's row index (i * n + j) * dim A + s is E_ij (x) a_s, acting as
+    # theta(E_ij) (x) a_s: theta's family order, then the module's
+    blocks = [kron(t, a) for t in theta.theta for a in mod.action]
     mats = tuple(
         lincomb([kron(iv, rho[x])] + blocks, (ONE,) + H.col(x)) for x in range(lie.dim)
     )

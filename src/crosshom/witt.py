@@ -53,6 +53,10 @@ S (x) A structure constants and the coefficient operators mult(a_s) beta_i for
 `generalized_witt` (S abelian on Delta), `rinehart.action_lie_rinehart` and,
 with no beta, `gl_tensor_algebra` (S = `liealg.gl_algebra(m)`); one
 `_canonical_matrix` serves the setup and `canonical_crossed_hom_GW`.
+`_validate_delta` returns that abelian S once Delta commutes, which is the
+Lie-homomorphism law of Delta on S (`liealg.homomorphism_violations`), and
+one `_gl_tensor_setup` builds the Setup (L, gl_n (x) A, I (x) anchor, H)
+of `generalized_witt_setup` and of `rinehart.certify_gl_tensor_crossed_hom`.
 
 Direction indices are 0-based in the Python API and rendered 1-based (d_1,
 E_11, ...) in strings and JSON.
@@ -76,6 +80,7 @@ from .errors import (
     NotDerivation,
     ParseError,
     SearchSpaceTooLarge,
+    require_int,
     require_window_count,
 )
 from .liealg import (
@@ -88,6 +93,7 @@ from .liealg import (
     abelian,
     derivation_violations,
     gl_algebra,
+    homomorphism_violations,
 )
 from .linalg import Coeff, Matrix, Vector, _Value, _add_scaled, _dense, _entry_matrix, exact_coeff, rational
 from .poly import Poly
@@ -130,17 +136,6 @@ def _add_term(terms: dict, key, coeff: Coeff):
         terms.pop(key, None)
 
 
-def _require_int(error: type, what: str, values: tuple, stop: int | None = None) -> None:
-    """The one check of integer parameters (directions, variables, bounds, a
-    component): error unless each value is an int, a bool refused, and, with
-    stop, an index in 0..stop-1."""
-    for v in values:
-        if type(v) is not int:
-            raise error(f"{what}: {v!r} is not an integer")
-        if stop is not None and not 0 <= v < stop:
-            raise error(f"{what} {values[0] if len(values) == 1 else values} outside 0..{stop - 1}")
-
-
 def _exp_str(r: MultiIndex) -> str:
     return "x^(" + ",".join(str(e) for e in r) + ")"
 
@@ -152,7 +147,7 @@ class Window(_Value):
 
     def __init__(self, bound: int):
         self.bound = bound
-        _require_int(DimensionMismatch, "window bound", (bound,))
+        require_int(DimensionMismatch, "window bound", (bound,))
         if bound < 1:
             raise DimensionMismatch("window bound must be >= 1")
 
@@ -344,7 +339,7 @@ class WittElem(TensorElem, _Value):
 
     @staticmethod
     def basis(n: int, r: Sequence[int], i: int, coeff=1) -> "WittElem":
-        _require_int(IndexOutOfRange, "direction", (i,), n)
+        require_int(IndexOutOfRange, "direction", (i,), n)
         r = _exponents(r, n)
         c = _coeff(coeff)
         return WittElem(n, {(i, r): c} if c else {})
@@ -385,7 +380,7 @@ def divergence(w: WittElem) -> LaurentPoly:
 
 def s_generator(n: int, i: int, j: int, r: Sequence[int]) -> WittElem:
     """Divergence-free generator r_j x^r d_i - r_i x^r d_j."""
-    _require_int(IndexOutOfRange, "directions", (i, j), n)
+    require_int(IndexOutOfRange, "directions", (i, j), n)
     r = _exponents(r, n)
     out: dict[tuple[int, MultiIndex], Coeff] = {}
     _add_term(out, (i, r), r[j])
@@ -413,7 +408,7 @@ class GlLaurent(TensorElem, _Value):
 
     @staticmethod
     def basis(n: int, i: int, j: int, r: Sequence[int], coeff=1) -> "GlLaurent":
-        _require_int(IndexOutOfRange, "matrix position", (i, j), n)
+        require_int(IndexOutOfRange, "matrix position", (i, j), n)
         c = _coeff(coeff)
         r = _exponents(r, n)
         return GlLaurent(n, {(i * n + j, r): c} if c else {})
@@ -435,7 +430,7 @@ class VTensorA(TensorElem, _Value):
 
     @staticmethod
     def basis(n: int, dim_v: int, p: int, r: Sequence[int], coeff=1) -> "VTensorA":
-        _require_int(DimensionMismatch, "component", (p,), dim_v)
+        require_int(DimensionMismatch, "component", (p,), dim_v)
         c = _coeff(coeff)
         r = _exponents(r, n)
         return VTensorA(n, dim_v, {(p, r): c} if c else {})
@@ -700,7 +695,7 @@ def _truncated_exponents(bounds: Sequence[int]) -> list[MultiIndex]:
     """The exponents of the monomial basis of the algebra truncated at bounds,
     in lex order; raises DimensionMismatch for a bound < 1."""
     bounds = tuple(bounds)
-    _require_int(DimensionMismatch, "truncation bound", bounds)
+    require_int(DimensionMismatch, "truncation bound", bounds)
     if any(b < 1 for b in bounds):
         raise DimensionMismatch("each truncation bound must be >= 1")
     return list(itertools.product(*(range(b) for b in bounds)))
@@ -736,7 +731,7 @@ def truncated_polynomial_algebra(bounds: Sequence[int]) -> FinCommAlgebra:
 def scaling_derivation(bounds: Sequence[int], var: int) -> Matrix:
     """The Euler-type derivation x_var d/dx_var on the truncated algebra."""
     exps = _truncated_exponents(bounds)
-    _require_int(IndexOutOfRange, "variable", (var,), len(exps[0]))
+    require_int(IndexOutOfRange, "variable", (var,), len(exps[0]))
     return _entry_matrix(len(exps), len(exps), [(k, k, e[var]) for k, e in enumerate(exps)])
 
 
@@ -764,14 +759,20 @@ def check_comm_algebra(A: FinCommAlgebra) -> list[Finding]:
     return findings
 
 
-def _validate_delta(A: FinCommAlgebra, Delta: Sequence[Matrix]):
+def _validate_delta(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> FinLieAlgebra:
+    """The abelian S on Delta, basis D1, D2, ..., once each Delta[k] is a
+    derivation of A and each pair commutes: Delta is then a Lie homomorphism
+    from S, and its first failing pair raises NotCommuting."""
     for k, D in enumerate(Delta):
         bad = derivation_violations(A, D)
         if bad:
             raise NotDerivation(f"Delta[{k}] violates the Leibniz rule: {bad[0]}")
-    for a, b in itertools.combinations(range(len(Delta)), 2):
-        if not (Delta[a] * Delta[b] - Delta[b] * Delta[a]).is_zero():
-            raise NotCommuting(f"Delta[{a}] and Delta[{b}] do not commute")
+    S = abelian(tuple(f"D{i + 1}" for i in range(len(Delta))))
+    bad = homomorphism_violations(S, Delta, "commute")
+    if bad:
+        a, b = (S.basis_names.index(name) for name in bad[0].site)
+        raise NotCommuting(f"Delta[{a}] and Delta[{b}] do not commute")
+    return S
 
 
 SparseColumns = list[tuple[tuple[int, Coeff], ...]]
@@ -836,8 +837,7 @@ def action_structure(
 
 
 def _generalized_witt(A: FinCommAlgebra, Delta: Sequence[Matrix]):
-    _validate_delta(A, Delta)
-    S = abelian(tuple(f"D{i + 1}" for i in range(len(Delta))))
+    S = _validate_delta(A, Delta)
     names = (f"{a}*{d}" for d in S.basis_names for a in A.basis_names)
     return action_structure(A, S, Delta, tuple(names))
 
@@ -876,6 +876,15 @@ def _canonical_matrix(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Matrix:
     return _entry_matrix(m * m * dimA, m * dimA, entries)
 
 
+def _gl_tensor_setup(lie: FinLieAlgebra, anchor_columns, A: FinCommAlgebra, n: int, H: Matrix) -> Setup:
+    """The Setup (L, gl_n (x) A, rho, H) of a map into gl_n (x) A on which L
+    acts through the coefficients: rho(x) = I_{n^2} (x) anchor(x), from the
+    sparse columns of each anchor(x) (`block_diagonal`)."""
+    h = gl_tensor_algebra(n, A)
+    mats = tuple(block_diagonal(columns, n * n) for columns in anchor_columns)
+    return Setup(lie, h, LieAction(lie, h, mats), CrossedHom(H))
+
+
 def generalized_witt_setup(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Setup:
     """Bundle (g, h, rho, H) for the canonical map on a finite model.
 
@@ -883,10 +892,8 @@ def generalized_witt_setup(A: FinCommAlgebra, Delta: Sequence[Matrix]) -> Setup:
     the coefficients, and H sends a_s D_j to sum_i E_ij (x) D_i(a_s).
     """
     g, ops = _generalized_witt(A, Delta)
-    h = gl_tensor_algebra(len(Delta), A)
     # rho(a_s D_i) multiplies the coefficient by a_s after applying D_i.
-    mats = tuple(block_diagonal(op, len(Delta) ** 2) for op in ops)
-    return Setup(g, h, LieAction(g, h, mats), CrossedHom(_canonical_matrix(A, Delta)))
+    return _gl_tensor_setup(g, ops, A, len(Delta), _canonical_matrix(A, Delta))
 
 
 def canonical_crossed_hom_GW(

@@ -453,10 +453,11 @@ def ref_gl_tensor_algebra(m: int, A) -> FinLieAlgebra:
     return FinLieAlgebra(names, structure)
 
 
-def ref_adjoint_rep_gl(n: int) -> dict:
-    """theta(E_ij) E_kl = d_jk E_il - d_li E_kj as dense matrices, E_kl at k*n + l."""
+def ref_adjoint_rep_gl(n: int) -> tuple:
+    """theta(E_ij) E_kl = d_jk E_il - d_li E_kj as dense matrices, E_kl at k*n + l,
+    one per E_ij in row-major order."""
     dim = n * n
-    theta = {}
+    theta = []
     for i, j in itertools.product(range(n), repeat=2):
         data = [Fraction(0)] * (dim * dim)
         for k, l in itertools.product(range(n), repeat=2):
@@ -465,16 +466,16 @@ def ref_adjoint_rep_gl(n: int) -> dict:
                 data[(i * n + l) * dim + col] += 1
             if l == i:
                 data[(k * n + j) * dim + col] -= 1
-        theta[(i, j)] = Matrix(dim, dim, tuple(data))
-    return theta
+        theta.append(Matrix(dim, dim, tuple(data)))
+    return tuple(theta)
 
 
-def ref_natural_rep_gl(n: int) -> dict:
-    """theta(E_ij) = E_ij, the dense matrix unit."""
-    return {
-        (i, j): Matrix(n, n, tuple(Fraction(int((r, c) == (i, j))) for r in range(n) for c in range(n)))
+def ref_natural_rep_gl(n: int) -> tuple:
+    """theta(E_ij) = E_ij, the dense matrix unit, in row-major order of (i, j)."""
+    return tuple(
+        Matrix(n, n, tuple(Fraction(int((r, c) == (i, j))) for r in range(n) for c in range(n)))
         for i, j in itertools.product(range(n), repeat=2)
-    }
+    )
 
 
 # --- dense oracles for the A-module laws ---

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import random
-import re
 from collections import Counter
 from fractions import Fraction
 
@@ -20,6 +19,7 @@ from crosshom.liealg import (
     check_action,
     check_crossed_hom,
     check_lie_algebra,
+    gl_algebra,
     induced_action,
     lie_algebra,
     semidirect,
@@ -38,6 +38,7 @@ from crosshom.rinehart import (
     adjoint_rep_gl,
     adjoint_weak_rep,
     boxplus_pullback,
+    certify_gl_tensor_crossed_hom,
     check_a_module,
     check_admissible_rep,
     check_first_order_op,
@@ -61,6 +62,7 @@ from crosshom.rinehart import (
     vtensor_window_basis,
 )
 from crosshom.witt import (
+    FinCommAlgebra,
     GlLaurent,
     LaurentPoly,
     Window,
@@ -763,7 +765,7 @@ def e12_doubled_rep():
     """The natural gl_2-representation with theta(E_12) doubled: no
     representation, so V (x) A_2 is no module."""
     theta = natural_rep_gl(2).theta
-    return GlnRep(2, 2, {k: m.scale(2) if k == (0, 1) else m for k, m in theta.items()})
+    return GlnRep(2, 2, tuple(m.scale(2) if a == 1 else m for a, m in enumerate(theta)))
 
 
 SYMBOLIC_REPS = {"trivial": trivial_rep, "natural": natural_rep_gl, "adjoint": adjoint_rep_gl}
@@ -1021,7 +1023,7 @@ def ref_shen_larsson_apply(theta, w, t):
                 ref_add_term(out, (p, key_exp), c * s[i])
             for k in range(theta.n):
                 if r[k]:
-                    col = theta.theta[(k, i)].col(p)
+                    col = theta.theta[k * theta.n + i].col(p)
                     for p2, e in enumerate(col):
                         if e:
                             ref_add_term(out, (p2, key_exp), c * r[k] * e)
@@ -1081,7 +1083,7 @@ def test_shen_larsson_int_path_matches_fraction_reference():
 def test_witt_bracket_is_the_shen_larsson_action_on_the_dual_natural_module(n):
     # W_n = T(V*): x^s d_j is v_j (x) x^s, and the bracket is the
     # Shen-Larsson action read from the dense theta(E_ki) = -E_ik
-    dual = GlnRep(n, n, {k: -transpose(m) for k, m in natural_rep_gl(n).theta.items()})
+    dual = GlnRep(n, n, tuple(-transpose(m) for m in natural_rep_gl(n).theta))
     assert check_gln_rep(dual) == []
     rng = random.Random(f"dual-natural-{n}")
     witt = lambda c: WittElem.basis(n, random_exponent(rng, n), rng.randrange(n), c)
@@ -1346,16 +1348,16 @@ def test_adjoint_rep_gl_matches_the_dense_loop():
     for n in range(1, 5):
         for rep, ref in ((adjoint_rep_gl(n), ref_adjoint_rep_gl(n)), (natural_rep_gl(n), ref_natural_rep_gl(n))):
             assert rep.theta == ref
-            assert list(rep.theta) == [(i, j) for i in range(n) for j in range(n)]
-            assert all(type(x) is Fraction for m in rep.theta.values() for x in m.data)
+            assert len(rep.theta) == n * n and type(rep.theta) is tuple
+            assert all(type(x) is Fraction for m in rep.theta for x in m.data)
 
 
 def test_gln_rep_reports_each_broken_pair_once():
     rep = natural_rep_gl(2)
-    theta = dict(rep.theta)
-    theta[(0, 1)] = theta[(0, 1)].scale(2)  # E_12 acts as 2 E_12
-    theta[(1, 0)] = theta[(0, 1)]  # E_21 acts as 2 E_12
-    broken = GlnRep(2, 2, theta)
+    theta = list(rep.theta)
+    theta[1] = theta[1].scale(2)  # E_12 acts as 2 E_12
+    theta[2] = theta[1]  # E_21 acts as 2 E_12
+    broken = GlnRep(2, 2, tuple(theta))
     assert [str(f) for f in check_gln_rep(broken)] == [
         "gl-relation at (E11, E21): residual [0, -4; 0, 0]",
         "gl-relation at (E12, E21): residual [1, 0; 0, -1]",
@@ -1424,7 +1426,7 @@ def _dense_entries(obj):
     elif isinstance(obj, LieRinehart):
         yield from _dense_entries((obj.lie, obj.a_action, obj.anchor))
     elif isinstance(obj, GlnRep):
-        yield from _dense_entries(tuple(obj.theta.values()))
+        yield from _dense_entries(obj.theta)
     elif isinstance(obj, (tuple, list)):
         for x in obj:
             yield from _dense_entries(x)
@@ -1459,7 +1461,7 @@ def test_dense_values_over_integral_sparse_views_are_fractions():
             objects.append(findings)
     for n in (2, 3):
         theta = adjoint_rep_gl(n)
-        moved = GlnRep(n, theta.dim_v, {**theta.theta, (0, 0): _moved(theta.theta[0, 0])})
+        moved = GlnRep(n, theta.dim_v, (_moved(theta.theta[0]),) + theta.theta[1:])
         objects += [theta, check_gln_rep(moved)]
     entries = list(_dense_entries(objects))
     assert len(entries) > 10**5
@@ -1495,22 +1497,126 @@ def test_square_family_checks_count_then_shape(family):
         build((square,) * (count - 1) + (Matrix.zero(dim, dim + 1),))
 
 
-@pytest.mark.parametrize("key", [(3, 3), (0, 1), (-1, 0), (0,), "E11"])
-def test_gln_rep_refuses_a_key_that_is_not_a_matrix_unit(key):
-    # one stray key beside every matrix unit of gl_1: refused by name, and
-    # tensor_rep never meets it (it used to end in a bare KeyError)
-    zero = Matrix.zero(1, 1)
-    message = f"^theta key {re.escape(repr(key))} is not a matrix unit of gl_1$"
-    with pytest.raises(DimensionMismatch, match=message):
-        GlnRep(1, 1, {(0, 0): zero, key: zero})
-    with pytest.raises(DimensionMismatch, match=message):
-        tensor_rep(GlnRep(1, 1, {(0, 0): zero, key: zero}), natural_rep_gl(1))
-    assert tensor_rep(GlnRep(1, 1, {(0, 0): zero}), natural_rep_gl(1)).theta == natural_rep_gl(1).theta
-
-
-def test_gln_rep_checks_each_entry_then_its_shape():
+def test_gln_rep_refuses_a_wrong_count_then_a_wrong_shape():
+    # theta is the family of gl_algebra(n): n * n square matrices of size dim V
     theta = natural_rep_gl(2).theta
-    with pytest.raises(DimensionMismatch, match=r"^missing theta\(E_21\)$"):
-        GlnRep(2, 2, {k: m for k, m in theta.items() if k != (1, 0)})
+    with pytest.raises(DimensionMismatch, match="^need 4 theta matrices, got 3$"):
+        GlnRep(2, 2, theta[:3])
+    with pytest.raises(DimensionMismatch, match="^need 4 theta matrices, got 5$"):
+        GlnRep(2, 2, theta + theta[:1])
     with pytest.raises(DimensionMismatch, match="^theta matrix is 2x2, expected 3x3$"):
         GlnRep(2, 3, theta)
+    # tensoring with the zero gl_1-representation on a line changes nothing
+    assert tensor_rep(trivial_rep(1), natural_rep_gl(1)).theta == natural_rep_gl(1).theta
+
+
+def test_gln_rep_refuses_a_negative_or_non_int_size():
+    # (-1)^2 = 1, so one matrix would pass the count check at n = -1
+    one = (Matrix.zero(1, 1),)
+    with pytest.raises(DimensionMismatch, match="^gl_n rank -1 is negative$"):
+        GlnRep(-1, 1, one)
+    with pytest.raises(DimensionMismatch, match="^dim V -1 is negative$"):
+        GlnRep(1, -1, one)
+    with pytest.raises(DimensionMismatch, match="^gl_n rank: True is not an integer$"):
+        GlnRep(True, 1, one)
+    with pytest.raises(DimensionMismatch, match="^dim V: 1.0 is not an integer$"):
+        GlnRep(1, 1.0, one)
+    # n = 0 is gl_0, the zero algebra, with the empty family
+    assert check_gln_rep(GlnRep(0, 3, ())) == []
+
+
+RANK_BUILDERS = {
+    "gl_algebra": gl_algebra,
+    "trivial_rep": trivial_rep,
+    "natural_rep_gl": natural_rep_gl,
+    "adjoint_rep_gl": adjoint_rep_gl,
+}
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(-1, "gl_n rank -1 is negative"), (True, "gl_n rank: True is not an integer"),
+     (2.0, "gl_n rank: 2.0 is not an integer"), (1.5, "gl_n rank: 1.5 is not an integer")],
+    ids=repr,
+)
+@pytest.mark.parametrize("name", RANK_BUILDERS)
+def test_gl_rank_builders_refuse_a_negative_or_non_int_rank(name, n, message):
+    # each used to build gl_0 or a rep with n = -1, to take True as 1, or to
+    # end in a bare TypeError; n = 0 stays the zero algebra
+    build = RANK_BUILDERS[name]
+    with pytest.raises(DimensionMismatch) as err:
+        build(n)
+    assert str(err.value) == message
+    zero = build(0)
+    assert (zero.dim if name == "gl_algebra" else len(zero.theta)) == 0
+
+
+def test_certification_refuses_a_non_int_rank():
+    # a bool rank used to certify as n = 1
+    A = truncated_polynomial_algebra([3])
+    lr = action_lie_rinehart(_scaling_pair((3,)))
+    H = generalized_witt_setup(A, [scaling_derivation([3], 0)]).H.matrix
+    assert certify_gl_tensor_crossed_hom(lr, 1, H).H.matrix == H
+    with pytest.raises(DimensionMismatch, match="^gl_n rank: True is not an integer$"):
+        certify_gl_tensor_crossed_hom(lr, True, H)
+
+
+@pytest.mark.parametrize("bounds", [(3,), (2, 2), (2, 3)], ids=str)
+def test_certified_setup_is_the_generalized_witt_setup(bounds):
+    # both build their Setup through witt._gl_tensor_setup: on the action
+    # Lie-Rinehart algebra of (A, abelian S, Delta) with the canonical H,
+    # the certified Setup has generalized_witt_setup's h, rho and H
+    pair = _scaling_pair(bounds)
+    s = generalized_witt_setup(pair.algebra, pair.beta)
+    certified = certify_gl_tensor_crossed_hom(action_lie_rinehart(pair), len(pair.beta), s.H.matrix)
+    assert certified.h == s.h
+    assert certified.rho.matrices == s.rho.matrices
+    assert certified.H == s.H and certified.g.structure == s.g.structure
+
+
+def _scaling_action_model():
+    """(A = K[x]/(x^3), its scaling pair p, the action Lie-Rinehart algebra
+    of p, and the canonical H of gl_1 (x) A)."""
+    p = _scaling_pair((3,))
+    H = generalized_witt_setup(p.algebra, p.beta).H.matrix
+    return p.algebra, p, action_lie_rinehart(p), H
+
+
+def test_extension_refuses_a_wrong_count():
+    # it used to end in a bare IndexError
+    A, p, _, _ = _scaling_action_model()
+    with pytest.raises(DimensionMismatch, match="^need 1 representation matrices, got 0$"):
+        extend_to_action_rep(p, regular_module(A), ())
+
+
+def test_boxplus_refuses_a_wrong_count():
+    # each used to end in a bare IndexError
+    A, _, lr, H = _scaling_action_model()
+    mod = regular_module(A)
+    for rho in ((), lr.anchor[:1]):
+        with pytest.raises(DimensionMismatch, match=f"^need 3 representation matrices, got {len(rho)}$"):
+            boxplus_pullback(lr, trivial_rep(1), mod, rho, H)
+    mats, _ = boxplus_pullback(lr, trivial_rep(1), mod, lr.anchor, H)
+    assert mats == lr.anchor
+
+
+def test_representation_checks_refuse_a_module_over_another_algebra():
+    # a module over K[x]/(x^2) used to end in a bare IndexError
+    _, p, lr, _ = _scaling_action_model()
+    mod = regular_module(truncated_polynomial_algebra([2]))
+    message = "^the module's algebra differs from the carrier's$"
+    with pytest.raises(DimensionMismatch, match=message):
+        check_weak_rep(lr, mod, (Matrix.zero(2, 2),) * 3)
+    with pytest.raises(DimensionMismatch, match=message):
+        check_admissible_rep(p, mod, (Matrix.zero(2, 2),))
+
+
+def test_boxplus_refuses_a_module_over_another_algebra_of_the_same_dimension():
+    # K[x, y]/(x, y)^2 is 3-dimensional like K[x]/(x^3); a module over it used
+    # to be accepted and its pullback labelled with K[x]/(x^3)
+    A, _, lr, H = _scaling_action_model()
+    e = [tuple(Fraction(int(k == i)) for k in range(3)) for i in range(3)]
+    other = FinCommAlgebra(("1", "x", "y"), {(0, 0): e[0], (0, 1): e[1], (0, 2): e[2]}, e[0])
+    assert other.dim == A.dim and other != A
+    with pytest.raises(DimensionMismatch, match="^the module's algebra differs from the carrier's$"):
+        boxplus_pullback(lr, trivial_rep(1), regular_module(other), lr.anchor, H)

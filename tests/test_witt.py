@@ -550,6 +550,21 @@ def test_generalized_witt_errors_keep_their_messages():
     assert str(err.value) == "Delta[0] and Delta[1] do not commute"
 
 
+def test_the_first_non_commuting_pair_is_named_by_its_indices():
+    # on A = K[x, y]/(x^3, y^2), y d/dy commutes with x d/dx and x^2 d/dx,
+    # which do not commute: the one failing pair is (1, 2), named 0-based
+    bounds = (3, 2)
+    A = truncated_polynomial_algebra(bounds)
+    exps = list(itertools.product(range(3), range(2)))
+    x2_dx = Matrix.from_rows([[a if e == (a + 1, b) else 0 for a, b in exps] for e in exps])
+    deltas = [scaling_derivation(bounds, 1), scaling_derivation(bounds, 0), x2_dx]
+    assert all(derivation_violations(A, D) == [] for D in deltas)
+    for build in (generalized_witt, generalized_witt_setup):
+        with pytest.raises(NotCommuting) as err:
+            build(A, deltas)
+        assert str(err.value) == "Delta[1] and Delta[2] do not commute"
+
+
 def test_window_validation():
     with pytest.raises(DimensionMismatch):
         Window(0)
